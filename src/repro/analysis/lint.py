@@ -12,7 +12,8 @@ REPRO002   global / unseeded RNG (stdlib ``random``, legacy ``numpy.random``
            must come from :class:`repro.sim.rng.RngStreams` or an explicit
            seed.  ``sim/rng.py`` itself is exempt.
 REPRO003   hash-ordered iteration: looping over a ``set`` (display, call,
-           comprehension, or a name statically known to hold one) without
+           comprehension, or a name statically known to hold one — also
+           through a ``list(...)``/``tuple(...)`` snapshot) without
            ``sorted(...)``; or looping over ``dict.keys/values/items`` in a
            body that schedules events or sends packets, where insertion
            order silently becomes schedule order.
@@ -97,6 +98,9 @@ _NP_RANDOM_OK = frozenset({
 _SCHEDULING_ATTRS = frozenset({
     "schedule", "timeout", "succeed", "fail", "fire", "ring_doorbell",
 })
+
+#: one-argument calls whose result iterates in their argument's order
+_ORDER_KEEPING_COPIES = frozenset({"list", "tuple", "iter", "reversed", "enumerate"})
 
 #: terminal identifier shapes treated as sim timestamps (REPRO004)
 _TIME_NAME = re.compile(
@@ -494,6 +498,14 @@ class _FileLinter(ast.NodeVisitor):
         if isinstance(iter_node, ast.Call) and isinstance(iter_node.func, ast.Name):
             if iter_node.func.id in ("sorted", "len", "min", "max", "sum"):
                 return None
+            if (
+                iter_node.func.id in _ORDER_KEEPING_COPIES
+                and len(iter_node.args) == 1
+                and not iter_node.keywords
+            ):
+                # list(s) / tuple(s) / reversed(...) snapshot a set in
+                # its hash order: the copy is as unordered as the set
+                return self._iter_hazard(iter_node.args[0])
         if _is_set_expr(iter_node):
             return "iteration over a set expression"
         key = _target_key(iter_node)

@@ -7,15 +7,17 @@ eager protocol copies outgoing payloads into.  The paper's resource
 argument is exactly the product ``buffers_per_vi × eager_size × VIs``,
 e.g. ~120 kB per VI in MVICH.
 
-:class:`BufferPool` allocates all buffers for one VI up front from the
-process's :class:`~repro.memory.registry.MemoryRegistry` and hands them
-out / takes them back; exhaustion signals a flow-control bug upstream,
-so it raises rather than blocks.
+:class:`BufferPool` pins one VI's arena in the process's
+:class:`~repro.memory.registry.MemoryRegistry` (that is the paper's
+cost) and hands buffers out / takes them back; exhaustion signals a
+flow-control bug upstream, so it raises rather than blocks.  The
+:class:`PooledBuffer` objects over the arena appear as buffers are first
+handed out, lowest index first, so the pool also knows how much of its
+arena can ever have been written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -28,16 +30,21 @@ class BufferPoolError(RuntimeError):
     """Pool misuse: double-free, foreign buffer, or exhaustion."""
 
 
-@dataclass
 class PooledBuffer:
     """One fixed-size slice of a pool's pinned region."""
 
-    pool: "BufferPool"
-    index: int
-    region: MemoryRegion
-    offset: int
-    size: int
-    in_use: bool = False
+    __slots__ = ("pool", "index", "region", "offset", "size", "in_use")
+
+    def __init__(
+        self, pool: "BufferPool", index: int, region: MemoryRegion,
+        offset: int, size: int,
+    ):
+        self.pool = pool
+        self.index = index
+        self.region = region
+        self.offset = offset
+        self.size = size
+        self.in_use = False
 
     def view(self) -> np.ndarray:
         """Writable view of the buffer's bytes."""
@@ -80,10 +87,10 @@ class BufferPool:
         self.region, self.registration_cost_us = registry.register(
             count * size, protection_tag, owner_label=label or "buffer-pool"
         )
-        self._buffers: List[PooledBuffer] = [
-            PooledBuffer(self, i, self.region, i * size, size) for i in range(count)
-        ]
-        self._free: List[int] = list(range(count - 1, -1, -1))  # LIFO for locality
+        #: buffers handed out at least once, by index; the rest of the
+        #: arena has never been exposed and still reads as zeros
+        self._buffers: List[PooledBuffer] = []
+        self._free: List[int] = []  # released indices, LIFO for locality
 
     # -- allocation ----------------------------------------------------------
     def acquire(self) -> PooledBuffer:
@@ -92,12 +99,18 @@ class BufferPool:
         Exhaustion is an invariant violation: the credit-based flow
         control must never let more messages in flight than buffers.
         """
-        if not self._free:
+        if self._free:
+            buf = self._buffers[self._free.pop()]
+        elif len(self._buffers) < self.count:
+            index = len(self._buffers)
+            buf = PooledBuffer(
+                self, index, self.region, index * self.size, self.size)
+            self._buffers.append(buf)
+        else:
             raise BufferPoolError(
                 f"buffer pool {self.label!r} exhausted ({self.count} buffers); "
                 "flow control violated"
             )
-        buf = self._buffers[self._free.pop()]
         buf.in_use = True
         return buf
 
@@ -110,18 +123,24 @@ class BufferPool:
         buf.in_use = False
         self._free.append(buf.index)
 
-    def destroy(self) -> float:
-        """Deregister the arena (VI teardown); returns the cost."""
-        return self.registry.deregister(self.region)
+    def destroy(self, reusable: bool = True) -> float:
+        """Deregister the arena (VI teardown); returns the cost.
+
+        The arena is recycled unless the caller says something may still
+        reference its buffers (``reusable=False``): only the buffers
+        ever handed out can have been written.
+        """
+        dirty = len(self._buffers) * self.size if reusable else None
+        return self.registry.deregister(self.region, dirty_bytes=dirty)
 
     # -- inspection ------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self.count - len(self._buffers) + len(self._free)
 
     @property
     def in_use_count(self) -> int:
-        return self.count - len(self._free)
+        return len(self._buffers) - len(self._free)
 
     @property
     def pinned_bytes(self) -> int:

@@ -41,7 +41,10 @@ class MemoryRegion:
         user buffer).  If omitted a fresh zeroed array is allocated.
     """
 
-    __slots__ = ("handle", "nbytes", "protection_tag", "data", "state", "owner_label")
+    __slots__ = (
+        "handle", "nbytes", "protection_tag", "data", "state", "owner_label",
+        "from_arena",
+    )
 
     def __init__(
         self,
@@ -67,6 +70,9 @@ class MemoryRegion:
         self.protection_tag = protection_tag
         self.state = RegionState.REGISTERED
         self.owner_label = owner_label
+        #: set by the registry when ``backing`` is one of its own arena
+        #: blocks (recyclable at deregistration) rather than a user buffer
+        self.from_arena = False
 
     # -- access ------------------------------------------------------------
     def check_access(self, offset: int, length: int, protection_tag: int) -> None:

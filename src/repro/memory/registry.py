@@ -19,10 +19,16 @@ from typing import Optional
 
 import numpy as np
 
+from repro.memory.arena import ARENAS
 from repro.memory.region import MemoryRegion, RegionState
 
 #: x86 page size; registration cost scales with pages pinned.
 PAGE_SIZE = 4096
+
+
+#: what a recycled region holds instead of its bytes, so a stale holder
+#: fails on the shape rather than writing into the next owner's arena
+_RECYCLED = np.empty(0, dtype=np.uint8)
 
 
 class RegistrationError(RuntimeError):
@@ -100,14 +106,26 @@ class MemoryRegistry:
         backing: Optional[np.ndarray] = None,
         owner_label: str = "",
     ) -> tuple[MemoryRegion, float]:
-        """Pin a new region; returns ``(region, cost_us)``."""
+        """Pin a new region; returns ``(region, cost_us)``.
+
+        Without ``backing`` the region's bytes come from the process's
+        arena cache (:mod:`repro.memory.arena`): all zero, but possibly
+        the recycled arena of an earlier registration.
+        """
         if self.pin_limit_bytes is not None:
             if self.stats.pinned_bytes + nbytes > self.pin_limit_bytes:
                 raise RegistrationError(
                     f"{self.label or 'registry'}: pin limit exceeded "
                     f"({self.stats.pinned_bytes} + {nbytes} > {self.pin_limit_bytes})"
                 )
-        region = MemoryRegion(nbytes, protection_tag, backing, owner_label)
+        if backing is None:
+            if nbytes < 0:
+                raise ValueError(f"negative region size {nbytes}")
+            region = MemoryRegion(
+                nbytes, protection_tag, ARENAS.take(nbytes), owner_label)
+            region.from_arena = True
+        else:
+            region = MemoryRegion(nbytes, protection_tag, backing, owner_label)
         self._regions[region.handle] = region
         cost = self.costs.register_cost(nbytes)
         self.stats.registrations += 1
@@ -120,12 +138,26 @@ class MemoryRegistry:
             self.observer.on_register(self, region)
         return region, cost
 
-    def deregister(self, region: MemoryRegion) -> float:
-        """Unpin a region; returns the cost in microseconds."""
+    def deregister(
+        self, region: MemoryRegion, dirty_bytes: Optional[int] = None
+    ) -> float:
+        """Unpin a region; returns the cost in microseconds.
+
+        ``dirty_bytes`` is the owner's word that nothing references the
+        region's bytes any more and that at most its first
+        ``dirty_bytes`` were ever written: an arena-backed region is
+        then recycled (and gives up its ``data``).  Without it the
+        memory is left to whoever still holds it; user ``backing``
+        arrays are never recycled.
+        """
         if region.handle not in self._regions:
             raise RegistrationError(f"region #{region.handle} is not registered here")
         if region.state is not RegionState.REGISTERED:
             raise RegistrationError(f"region #{region.handle} already deregistered")
+        if dirty_bytes is not None and not 0 <= dirty_bytes <= region.nbytes:
+            raise ValueError(
+                f"dirty_bytes {dirty_bytes} outside region #{region.handle} "
+                f"of {region.nbytes} bytes")
         del self._regions[region.handle]
         region.state = RegionState.DEREGISTERED
         cost = self.costs.deregister_cost(region.nbytes)
@@ -134,6 +166,9 @@ class MemoryRegistry:
         self.stats.total_deregister_us += cost
         if self.observer is not None:
             self.observer.on_deregister(self, region)
+        if dirty_bytes is not None and region.from_arena:
+            block, region.data = region.data, _RECYCLED
+            ARENAS.give(block, dirty_bytes)
         return cost
 
     # -- inspection ----------------------------------------------------------

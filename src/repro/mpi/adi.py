@@ -28,7 +28,7 @@ as in MPICH.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -91,10 +91,12 @@ class AbstractDevice:
         self._awaiting_ack: Dict[int, Request] = {}
         #: rendezvous receives awaiting FIN, keyed by recv request id
         self._awaiting_fin: Dict[int, Request] = {}
-        #: channels that may have postable work
-        self._dirty: Set[Channel] = set()
-        #: channels holding unreturned credits
-        self._owing: Set[Channel] = set()
+        #: channels with queued sends or control messages, by peer rank;
+        #: the post pass visits them in the order they first queued work
+        self._dirty: Dict[int, Channel] = {}
+        #: channels whose return-credits are due an explicit update
+        #: unless a header picks them up first, in the order they fell due
+        self._owing: Dict[int, Channel] = {}
         self._cost_us = 0.0
         # set by the job runtime
         self.conn = None  # type: ignore[assignment]
@@ -157,6 +159,10 @@ class AbstractDevice:
         ch.opened_at = self.engine.now
         self._vi_to_channel[vi.vi_id] = ch
 
+    def channel_of(self, vi) -> Optional[Channel]:
+        """The channel whose current VI is ``vi`` (None once torn down)."""
+        return self._vi_to_channel.get(vi.vi_id)
+
     def mark_channel_connected(self, ch: Channel) -> None:
         ch.state = ChannelState.CONNECTED
         ch.connected_at = self.engine.now
@@ -172,7 +178,7 @@ class AbstractDevice:
             ch.tel_connect.end(ok=True, vi=ch.vi.vi_id)
             ch.tel_connect = None
         if ch.pending_count:
-            self._dirty.add(ch)
+            self._dirty[ch.dest] = ch
 
     # --------------------------------------------------- connection cache --
     def channel_quiescent(self, ch: Channel) -> bool:
@@ -211,6 +217,7 @@ class AbstractDevice:
         ch.credits = self.config.data_credits
         ch.granted_total = self.config.data_credits
         ch.credits_to_return = 0
+        self._owing.pop(ch.dest, None)
 
     # ------------------------------------------------------------ send side --
     def isend_contig(
@@ -281,7 +288,7 @@ class AbstractDevice:
                                enqueued_at=self.engine.now)
             self._awaiting_cts[req.request_id] = req
         ch.send_fifo.append(item)
-        self._dirty.add(ch)
+        self._dirty[ch.dest] = ch
         self._post_pending(ch)
         return req
 
@@ -419,8 +426,14 @@ class AbstractDevice:
         ch.control_queue.append(
             PendingSend(header, None, None, enqueued_at=self.engine.now)
         )
-        self._dirty.add(ch)
+        self._dirty[ch.dest] = ch
         self._post_pending(ch)
+
+    def take_return_credits(self, ch: Channel) -> int:
+        """All of ``ch``'s accumulated return-credits, for an outgoing
+        header (or a disconnect handshake) to carry."""
+        self._owing.pop(ch.dest, None)
+        return ch.take_piggyback()
 
     def _post_pending(self, ch: Channel) -> None:
         """Post everything the channel can send right now."""
@@ -433,9 +446,7 @@ class AbstractDevice:
             ch.pop_postable(item)
             header = item.header
             ch.consume_credit_for(header)
-            header.piggyback_credits = ch.take_piggyback()
-            if header.piggyback_credits:
-                self._owing.discard(ch)
+            header.piggyback_credits = self.take_return_credits(ch)
             if self.config.dynamic_buffers:
                 # demand signal for the receiver's window growth
                 header.queued_behind = len(ch.send_fifo)
@@ -477,7 +488,7 @@ class AbstractDevice:
                     # connected VI (paper §4's semantic note)
                     req.complete(self.engine.now)
         if ch.pending_count == 0:
-            self._dirty.discard(ch)
+            self._dirty.pop(ch.dest, None)
 
     # ------------------------------------------------------------- progress --
     def device_check(self):
@@ -487,20 +498,26 @@ class AbstractDevice:
         Returns True if any progress was made.
         """
         self.device_checks += 1
-        self.charge(self.profile.cq_poll_us)
+        provider = self.provider
+        profile = provider.profile
+        self._cost_us += profile.cq_poll_us
         progressed = False
+
+        # Every step below first asks whether there is anything to do:
+        # a process polls far more often than anything happens, and an
+        # idle pass must not cost more the more peers it has.
 
         # 0. transport failures (fault injection): a VI whose retransmit
         #    budget is exhausted means the peer is unreachable — fail the
         #    channel and raise a clean typed error rather than hang
-        if self.provider.transport_failures:
-            vi = self.provider.transport_failures.pop(0)
+        if provider.transport_failures:
+            vi = provider.transport_failures.pop(0)
             ch = self._vi_to_channel.get(vi.vi_id)
             peer = ch.dest if ch is not None else vi.remote_rank
             if ch is not None and ch.state is not ChannelState.FAILED:
                 ch.send_fifo.clear()
                 ch.control_queue.clear()
-                self._dirty.discard(ch)
+                self._dirty.pop(ch.dest, None)
                 self.teardown_channel(ch)
                 ch.state = ChannelState.FAILED
             raise ConnectionFailed(
@@ -509,20 +526,22 @@ class AbstractDevice:
             )
 
         # 1. send completions: recycle bounce buffers, finish RDMA sends
-        while (desc := self.provider.poll_send_cq()) is not None:
+        if provider.send_cq:
             progressed = True
-            self.charge(self.profile.cq_poll_us)
-            if desc.op is DescriptorOp.RDMA_WRITE:
-                kind, req = desc.context
-                if kind == "rdma" and req is not None and not req.done:
-                    req.complete(self.engine.now)
-            else:
-                self.provider.release_send_buffer(desc)
+            while (desc := provider.poll_send_cq()) is not None:
+                self._cost_us += profile.cq_poll_us
+                if desc.op is DescriptorOp.RDMA_WRITE:
+                    kind, req = desc.context
+                    if kind == "rdma" and req is not None and not req.done:
+                        req.complete(self.engine.now)
+                else:
+                    provider.release_send_buffer(desc)
 
         # 2. receive completions: protocol handling + matching
-        while (desc := self.provider.poll_recv_cq()) is not None:
+        if provider.recv_cq:
             progressed = True
-            self._handle_arrival(desc)
+            while (desc := provider.poll_recv_cq()) is not None:
+                self._handle_arrival(desc)
 
         # 3. connection progress (paper §3.3: connection requests are
         #    progressed like nonblocking communication requests)
@@ -530,13 +549,14 @@ class AbstractDevice:
             progressed = True
 
         # 4. post pass
-        for ch in list(self._dirty):
-            self._post_pending(ch)
-        for ch in list(self._owing):
-            if ch.should_send_explicit_credits():
-                self._owing.discard(ch)
-                ch.explicit_credit_messages += 1
-                self._queue_control(ch, CreditHeader(src_rank=self.rank))
+        if self._dirty:
+            for ch in tuple(self._dirty.values()):
+                self._post_pending(ch)
+        if self._owing:
+            for ch in tuple(self._owing.values()):
+                if ch.should_send_explicit_credits():
+                    ch.explicit_credit_messages += 1
+                    self._queue_control(ch, CreditHeader(src_rank=self.rank))
 
         yield self.flush_cost()
         return progressed
@@ -566,7 +586,6 @@ class AbstractDevice:
             # progress means nobody else will move things along
             ch.explicit_credit_messages += 1
             self._queue_control(ch, CreditHeader(src_rank=self.rank))
-            self._owing.discard(ch)
 
         if isinstance(header, EagerHeader):
             ch.check_envelope_order(header.seq)
@@ -659,12 +678,11 @@ class AbstractDevice:
             raise MpiError(f"unknown header {header!r}")
 
         # recycle the descriptor's buffer and return the credit
+        self.charge(self.provider.repost_recv(ch.vi, desc.buffer))
         if not isinstance(header, CreditHeader):
-            self.charge(self.provider.repost_recv(ch.vi, desc.buffer))
             ch.add_return_credit()
-            self._owing.add(ch)
-        else:
-            self.charge(self.provider.repost_recv(ch.vi, desc.buffer))
+            if ch.credits_due():
+                self._owing[ch.dest] = ch
 
     # ---------------------------------------------------------- completion --
     def wait_until(self, predicate: Callable[[], bool]):
@@ -709,9 +727,8 @@ class AbstractDevice:
         buffered send completes locally long before its bytes can leave
         (the connection may not even exist yet under on-demand).
         """
-        if self._awaiting_cts or self._awaiting_ack:
-            return True
-        return any(ch.pending_count for ch in self.channels.values())
+        # every queued message keeps its channel in _dirty until posted
+        return bool(self._awaiting_cts or self._awaiting_ack or self._dirty)
 
     def drain(self):
         """Progress until no outbound work remains (finalize step)."""
@@ -727,7 +744,16 @@ class AbstractDevice:
         return request.status
 
     def wait_all(self, requests: List[Request]):
-        yield from self.wait_until(lambda: all(r.done for r in requests))
+        pending = [r for r in requests if not r.done]
+
+        def all_done() -> bool:
+            # a completed request stays complete: test each only until
+            # it is, not on every poll
+            while pending and pending[-1].done:
+                pending.pop()
+            return not pending
+
+        yield from self.wait_until(all_done)
         for r in requests:
             if r.error is not None:
                 raise r.error

@@ -74,7 +74,7 @@ class Channel:
         "messages_sent", "messages_received", "bytes_sent", "bytes_received",
         "explicit_credit_messages", "opened_at", "connected_at",
         "last_used_at", "evictions", "evict_cooldown_until",
-        "connect_attempts", "connect_deadline",
+        "connect_attempts", "connect_deadline", "connect_seq",
         "tel_connect", "tel_evict",
     )
 
@@ -118,6 +118,9 @@ class Channel:
         #: simulated time after which the in-flight connect is retried;
         #: +inf when connect timeouts are disabled
         self.connect_deadline = float("inf")
+        #: issue order of the in-flight connect among this process's
+        #: (establishments are confirmed in this order)
+        self.connect_seq = 0
         #: open telemetry spans for the current connect / eviction cycle
         self.tel_connect = None
         self.tel_evict = None
@@ -197,19 +200,23 @@ class Channel:
     def add_return_credit(self) -> None:
         self.credits_to_return += 1
 
-    def should_send_explicit_credits(self) -> bool:
-        """True when enough credits accumulated and no outbound traffic
-        is around to piggyback them on.
+    def credits_due(self) -> bool:
+        """True when enough return-credits accumulated to be worth an
+        explicit update.
 
         The trigger scales with the *live* window: under dynamic flow
         control a freshly-opened channel may have granted only one or
         two credits, and holding those back to a threshold sized for the
         full window would stall the sender indefinitely."""
-        live_threshold = min(self.explicit_threshold,
-                             max(1, self.granted_total // 2))
+        return self.credits_to_return >= min(
+            self.explicit_threshold, max(1, self.granted_total // 2))
+
+    def should_send_explicit_credits(self) -> bool:
+        """True when credits are due and no outbound traffic is around
+        to piggyback them on."""
         return (
             self.is_connected
-            and self.credits_to_return >= live_threshold
+            and self.credits_due()
             and not self.control_queue
             and not self.send_fifo
         )

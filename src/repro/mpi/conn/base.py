@@ -13,7 +13,8 @@ and connects wait forever, the original behaviour.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict
 
 from repro.mpi.channel import Channel, ChannelState
 from repro.mpi.constants import ConnectionFailed
@@ -47,8 +48,12 @@ class BaseConnectionManager:
 
     def __init__(self, adi: "AbstractDevice"):
         self.adi = adi
-        #: channels whose peer-to-peer request is in flight
-        self._connecting: List[Channel] = []
+        #: channels whose peer-to-peer request is in flight, by peer
+        #: rank, in issue order (``Channel.connect_seq``)
+        self._connecting: Dict[int, Channel] = {}
+        self._connect_seq = 0
+        #: earliest connect deadline among them; +inf without timeouts
+        self._next_deadline = float("inf")
         # fault-recovery counters (chaos metrics)
         self.connect_retries = 0
         self.connect_failures = 0
@@ -88,17 +93,36 @@ class BaseConnectionManager:
     def progress(self) -> bool:
         """Check in-flight connection requests (non-blocking).
 
-        Default: poll VipConnectPeerDone on all connecting channels;
-        with timeouts enabled, retry or fail the ones past deadline.
+        Establishment is notified, not polled for: the provider lists
+        every VI its agent flipped to CONNECTED, and this pass confirms
+        each (VipConnectPeerDone) and marks its channel — in the order
+        the requests were issued, whatever order the grants landed in.
+        Only with timeouts enabled, and only once the earliest deadline
+        has passed, does it walk the connecting channels to retry or
+        fail the late ones.
         """
-        progressed = False
-        if not self._connecting:
-            return False
         adi = self.adi
+        notified = adi.provider.established
         now = adi.engine.now
-        still: List[Channel] = []
-        for ch in self._connecting:
+        expired = now >= self._next_deadline
+        if not notified and not expired:
+            return False
+        if expired:
+            due = [ch for ch in self._connecting.values()
+                   if ch.vi.is_connected or now >= ch.connect_deadline]
+        else:
+            due = []
+            for vi in notified:
+                ch = adi.channel_of(vi)
+                if ch is not None and self._connecting.get(ch.dest) is ch:
+                    due.append(ch)
+            if len(due) > 1:
+                due.sort(key=attrgetter("connect_seq"))
+        notified.clear()
+        progressed = False
+        for ch in due:
             if adi.provider.connect_peer_done(ch.vi):
+                del self._connecting[ch.dest]
                 ch.connect_attempts = 0
                 ch.connect_deadline = float("inf")
                 adi.mark_channel_connected(ch)
@@ -106,13 +130,14 @@ class BaseConnectionManager:
             elif now >= ch.connect_deadline:
                 progressed = True
                 if ch.connect_attempts >= adi.config.connect_retry_limit:
+                    del self._connecting[ch.dest]
                     self._fail_connect(ch)
                 else:
                     self._retry_connect(ch)
-                    still.append(ch)
-            else:
-                still.append(ch)
-        self._connecting = still
+        if expired:
+            self._next_deadline = min(
+                (ch.connect_deadline for ch in self._connecting.values()),
+                default=float("inf"))
         return progressed
 
     # -- connect retry / failure (fault injection) ----------------------------
@@ -134,6 +159,8 @@ class BaseConnectionManager:
             window *= 1.0 + cfg.connect_jitter * float(
                 self.adi.retry_rng.random())
         ch.connect_deadline = self.adi.engine.now + window
+        if ch.connect_deadline < self._next_deadline:
+            self._next_deadline = ch.connect_deadline
         # a rank parked on its activity signal would otherwise sleep
         # through the deadline: wake it to run a progress pass (spurious
         # if the connect established meanwhile — waiters re-check)
@@ -180,7 +207,7 @@ class BaseConnectionManager:
                 req.complete(now)
         ch.send_fifo.clear()
         ch.control_queue.clear()
-        adi._dirty.discard(ch)
+        adi._dirty.pop(ch.dest, None)
         for req in adi.matching.take_posted_for(ch.dest):
             req.error = exc
             req.complete(now)
@@ -188,20 +215,34 @@ class BaseConnectionManager:
         ch.state = ChannelState.FAILED
 
     # -- shared helpers -------------------------------------------------------------
-    def _open_and_request(self, dest: int) -> Channel:
-        """Create channel + VI and issue the peer-to-peer request."""
+    def _open_and_request(self, ch: Channel) -> None:
+        """Create ``ch``'s VI and issue the peer-to-peer request."""
         adi = self.adi
-        ch = adi.new_channel(dest)
         adi.open_channel_vi(ch)
-        cost = adi.provider.connect_peer_request(
-            ch.vi, adi.rank_to_node(dest), dest
-        )
-        adi.charge(cost)
+        adi.charge(adi.provider.connect_peer_request(
+            ch.vi, adi.rank_to_node(ch.dest), ch.dest))
         ch.state = ChannelState.CONNECTING
         ch.connect_attempts = 1
         self._arm_connect_deadline(ch)
-        self._connecting.append(ch)
-        return ch
+        self._connect_seq += 1
+        ch.connect_seq = self._connect_seq
+        self._connecting[ch.dest] = ch
+
+    def _settle_init(self, setup: str):
+        """Generator: wait until every request issued so far has either
+        established or (under fault injection) exhausted its retries —
+        never wait on a dead peer forever — then fail on the latter."""
+        adi = self.adi
+        yield from adi.wait_until(lambda: not self._connecting)
+        failed = sorted(
+            ch.dest for ch in adi.channels.values()
+            if ch.state is ChannelState.FAILED
+        )
+        if failed:
+            raise ConnectionFailed(
+                f"rank {adi.rank}: {setup} setup could not connect to "
+                f"ranks {failed}"
+            )
 
     def _all_peers(self):
         return (r for r in range(self.adi.size) if r != self.adi.rank)

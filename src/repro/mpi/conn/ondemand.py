@@ -82,15 +82,8 @@ class OnDemandConnectionManager(BaseConnectionManager):
         self._connect(ch)
 
     def _connect(self, ch: Channel) -> None:
-        adi = self.adi
         first_time = ch.opened_at < 0
-        adi.open_channel_vi(ch)
-        adi.charge(adi.provider.connect_peer_request(
-            ch.vi, adi.rank_to_node(ch.dest), ch.dest))
-        ch.state = ChannelState.CONNECTING
-        ch.connect_attempts = 1
-        self._arm_connect_deadline(ch)
-        self._connecting.append(ch)
+        self._open_and_request(ch)
         if not first_time:
             self.reconnects += 1
 
@@ -154,7 +147,7 @@ class OnDemandConnectionManager(BaseConnectionManager):
             adi.rank_to_node(ch.dest),
             adi.provider.discriminator_for(ch.dest),
             src_rank=adi.rank, dst_rank=ch.dest,
-            returns_owed=ch.take_piggyback(),
+            returns_owed=adi.take_return_credits(ch),
         )
 
     # -- progress --------------------------------------------------------------
@@ -193,7 +186,8 @@ class OnDemandConnectionManager(BaseConnectionManager):
                 ok = (adi.channel_quiescent(ch)
                       and ch.credits == adi.config.data_credits)
             adi.charge(adi.profile.connection.host_request_us)
-            owed_back = ch.take_piggyback() if (ch is not None and ok) else 0
+            owed_back = (adi.take_return_credits(ch)
+                         if (ch is not None and ok) else 0)
             if ok:
                 adi.teardown_channel(ch)
             adi.provider.agent.disconnect_reply(
@@ -224,5 +218,4 @@ class OnDemandConnectionManager(BaseConnectionManager):
                 ch.evict_cooldown_until = (adi.engine.now
                                            + self.NACK_COOLDOWN_US)
                 if ch.pending_count:
-                    adi._dirty.add(ch)
                     adi._post_pending(ch)

@@ -55,26 +55,9 @@ class PredictedConnectionManager(BaseConnectionManager):
         only, then wait for them to establish (static-p2p style: all
         requests go out at once and settle as the matching side's
         requests arrive — the graph is symmetric by construction)."""
-        adi = self.adi
-
-        def settled() -> bool:
-            return all(
-                ch.state in (ChannelState.CONNECTED, ChannelState.FAILED)
-                for ch in adi.channels.values()
-            )
-
         for peer in self._my_peers():
-            self._open_and_request(peer)
-        yield from adi.wait_until(settled)
-        failed = sorted(
-            ch.dest for ch in adi.channels.values()
-            if ch.state is ChannelState.FAILED
-        )
-        if failed:
-            raise ConnectionFailed(
-                f"rank {adi.rank}: predicted setup could not connect to "
-                f"ranks {failed}"
-            )
+            self._open_and_request(self.adi.new_channel(peer))
+        yield from self._settle_init("predicted")
 
     def channel_for(self, dest: int) -> Channel:
         ch = self.adi.channels.get(dest)
@@ -90,14 +73,7 @@ class PredictedConnectionManager(BaseConnectionManager):
                     "conn.mispredict", ("rank", self.adi.rank), peer=dest,
                 )
             ch = self.adi.new_channel(dest)
-            adi = self.adi
-            adi.open_channel_vi(ch)
-            adi.charge(adi.provider.connect_peer_request(
-                ch.vi, adi.rank_to_node(dest), dest))
-            ch.state = ChannelState.CONNECTING
-            ch.connect_attempts = 1
-            self._arm_connect_deadline(ch)
-            self._connecting.append(ch)
+            self._open_and_request(ch)
         elif ch.state is ChannelState.FAILED:
             raise ConnectionFailed(
                 f"rank {self.adi.rank}: peer {dest} is unreachable "

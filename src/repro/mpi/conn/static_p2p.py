@@ -9,9 +9,9 @@ in the paper's Figure 8.
 
 from __future__ import annotations
 
-from repro.mpi.channel import Channel, ChannelState
+from repro.mpi.channel import Channel
 from repro.mpi.conn.base import BaseConnectionManager
-from repro.mpi.constants import ANY_SOURCE, ConnectionFailed, MpiError
+from repro.mpi.constants import ANY_SOURCE, MpiError
 
 
 class StaticPeerToPeerConnectionManager(BaseConnectionManager):
@@ -24,28 +24,9 @@ class StaticPeerToPeerConnectionManager(BaseConnectionManager):
 
     def init_phase(self):
         """Create all VIs, issue all requests, wait for full connectivity."""
-        adi = self.adi
-
-        def settled() -> bool:
-            # every channel either connected or (under fault injection)
-            # failed its retry budget — never wait on a dead peer forever
-            return all(
-                ch.state in (ChannelState.CONNECTED, ChannelState.FAILED)
-                for ch in adi.channels.values()
-            )
-
         for peer in self._all_peers():
-            self._open_and_request(peer)
-        yield from adi.wait_until(settled)
-        failed = sorted(
-            ch.dest for ch in adi.channels.values()
-            if ch.state is ChannelState.FAILED
-        )
-        if failed:
-            raise ConnectionFailed(
-                f"rank {adi.rank}: static setup could not connect to "
-                f"ranks {failed}"
-            )
+            self._open_and_request(self.adi.new_channel(peer))
+        yield from self._settle_init("static")
 
     def channel_for(self, dest: int) -> Channel:
         try:

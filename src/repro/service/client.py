@@ -97,18 +97,30 @@ class ServiceClient:
         """Yield the job's progress events until (and including) the
         final one.  A job that already finished yields just its
         terminal event."""
+        return self._events(job_id, deadline=None)
+
+    def _events(self, job_id: str,
+                deadline: Optional[float]) -> Iterator[Dict[str, Any]]:
+        """The ``subscribe`` stream; past ``deadline`` (host seconds) a
+        read raises ``socket.timeout`` instead of blocking on."""
         with self._connect() as sock:
             sock.sendall(encode({"op": "subscribe", "id": job_id}))
             # a buffered reader: the ack and a terminal event may arrive
             # coalesced in one recv, and each readline() must yield
             # exactly one protocol line
             with sock.makefile("rb") as stream:
-                ack = self._check(stream.readline())
+
+                def next_line() -> bytes:
+                    if deadline is not None:
+                        sock.settimeout(max(deadline - now_s(), 1e-3))
+                    return stream.readline()
+
+                ack = self._check(next_line())
                 if ack.get("final"):
                     yield ack
                     return
                 while True:
-                    event = stream.readline()
+                    event = next_line()
                     if not event:
                         return  # server went away mid-stream
                     doc = self._check(event)
@@ -118,9 +130,16 @@ class ServiceClient:
 
     def wait(self, job_id: str, poll_s: float = 0.05,
              timeout_s: Optional[float] = None) -> Dict[str, Any]:
-        """Poll ``status`` until the job is terminal; returns the final
-        status document (host-time polling — operator convenience)."""
+        """Block until the job is terminal; returns the final status
+        document.  Completion is observed on the ``subscribe`` stream —
+        no sleeping through it; ``status`` is polled every ``poll_s``
+        only if the stream ends without a final event."""
         deadline = (now_s() + timeout_s) if timeout_s else None
+        try:
+            for _event in self._events(job_id, deadline):
+                pass
+        except socket.timeout:
+            pass  # the status check below turns this into NotDone
         while True:
             resp = self.status(job_id)
             if resp["state"] in ("done", "failed"):

@@ -145,7 +145,9 @@ class ServiceServer:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._worker_tasks: List[asyncio.Task] = []
         self._sweep_tasks: List[asyncio.Task] = []
-        self._conn_tasks: set = set()
+        #: live connection handlers, oldest first (a dict for its order:
+        #: shutdown cancels them in the order they connected)
+        self._conn_tasks: Dict[asyncio.Task, None] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
         self._shutdown = asyncio.Event()
@@ -483,7 +485,7 @@ class ServiceServer:
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
+            self._conn_tasks[task] = None
         try:
             while True:
                 line = await reader.readline()
@@ -498,7 +500,7 @@ class ServiceServer:
             pass  # server teardown closes lingering connections quietly
         finally:
             if task is not None:
-                self._conn_tasks.discard(task)
+                self._conn_tasks.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

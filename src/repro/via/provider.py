@@ -85,6 +85,9 @@ class ViaProvider:
         #: Supplies each VI's state monitor and observes VI teardown.
         self.sanitizer = None
 
+        #: VIs the agent flipped to CONNECTED, awaiting the MPI layer's
+        #: next progress pass (in establishment order)
+        self.established: list = []
         #: agent-delivered disconnect control messages awaiting the MPI
         #: layer's next progress pass
         self.pending_disconnects: list = []
@@ -132,10 +135,10 @@ class ViaProvider:
             + recv_pool.registration_cost_us
             + send_pool.registration_cost_us
         )
-        # pre-post the whole receive arena
+        vi.prepost_arena()
         for _ in range(cfg.prepost_count):
-            buf = recv_pool.acquire()
-            vi.enqueue_recv(Descriptor(DescriptorOp.RECV, vi.vi_id, buffer=buf))
+            # one post at a time, so the float is the one the host would
+            # accumulate posting each descriptor
             cost += self.profile.post_recv_us
         self.vis_created += 1
         return vi, cost
@@ -151,8 +154,7 @@ class ViaProvider:
         vi.extra_recv_pools.append(pool)
         cost = pool.registration_cost_us
         for _ in range(count):
-            buf = pool.acquire()
-            vi.enqueue_recv(Descriptor(DescriptorOp.RECV, vi.vi_id, buffer=buf))
+            vi.post_recv(pool.acquire())
             cost += self.profile.post_recv_us
         return cost
 
@@ -165,12 +167,17 @@ class ViaProvider:
             self.sanitizer.on_vi_destroyed(vi)
         self.nic.detach_vi(vi)
         del self._vis[vi.vi_id]
+        # the arenas are recycled only if the endpoint died quietly: one
+        # torn down in error, mid-connect or with sends the NIC has yet
+        # to service may still be referenced, and keeps its memory
+        quiet = (vi.state in (ViState.IDLE, ViState.CONNECTED)
+                 and not vi.pending_send_count)
         vi.state = ViState.DISCONNECTED
         cost = self.profile.destroy_vi_us
-        vi.recv_pool.destroy()
-        vi.send_pool.destroy()
+        vi.recv_pool.destroy(reusable=quiet)
+        vi.send_pool.destroy(reusable=quiet)
         for pool in vi.extra_recv_pools:
-            pool.destroy()
+            pool.destroy(reusable=quiet)
         self.vis_destroyed += 1
         return cost
 
@@ -184,8 +191,8 @@ class ViaProvider:
 
     # ------------------------------------------------------------- datapath --
     def repost_recv(self, vi: VI, buffer) -> float:
-        """Re-post a consumed eager buffer as a fresh receive descriptor."""
-        vi.enqueue_recv(Descriptor(DescriptorOp.RECV, vi.vi_id, buffer=buffer))
+        """Re-post a consumed eager buffer for a fresh receive."""
+        vi.post_recv(buffer)
         return self.profile.post_recv_us
 
     def can_post_send(self, vi: VI) -> bool:
@@ -332,6 +339,7 @@ class ViaProvider:
     def on_connection_established(self, vi: VI) -> None:
         """Agent callback when one of our VIs transitions to CONNECTED."""
         self.connections_established += 1
+        self.established.append(vi)
         if self.telemetry is not None:
             self.telemetry.counter("via.connections_established").inc()
         self.activity.fire()

@@ -1,7 +1,7 @@
 """VI endpoints.
 
 A VI is the connection-oriented, bidirectional endpoint at the heart of
-the paper: creating one allocates pinned pre-posted buffers (the ~120 kB
+the paper: creating one pins pre-posted buffers (the ~120 kB
 the resource argument counts), and it is useless until connected to
 exactly one remote VI.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
-from repro.memory.buffer_pool import BufferPool
+from repro.memory.buffer_pool import BufferPool, PooledBuffer
 from repro.via.completion_queue import CompletionQueue
 from repro.via.constants import DescriptorOp, ViState, ViaProtocolError
 from repro.via.descriptor import Descriptor
@@ -38,6 +38,7 @@ class VI:
         "recv_pool",
         "send_pool",
         "extra_recv_pools",
+        "_preposted",
         "_recv_queue",
         "_send_backlog",
         "peer",
@@ -81,8 +82,13 @@ class VI:
         self.send_pool = send_pool
         #: chunks added by dynamic flow control (grown on demand)
         self.extra_recv_pools = []
-        #: pre-posted receive descriptors, consumed in FIFO order by the NIC
-        self._recv_queue: Deque[Descriptor] = deque()
+        #: buffers of ``recv_pool`` pre-posted at creation and not yet
+        #: consumed: the head of the receive queue, kept as a count —
+        #: neither buffer object nor descriptor exists until the NIC
+        #: takes one
+        self._preposted = 0
+        #: buffers posted since (re-posts, grown pools), FIFO behind those
+        self._recv_queue: Deque[PooledBuffer] = deque()
         #: sends accepted before the NIC services them (the VI's Send Queue)
         self._send_backlog: Deque[Descriptor] = deque()
         #: (remote_node_id, remote_vi_id) once connected
@@ -142,22 +148,38 @@ class VI:
         self.connected_at = now
 
     # -- queues ---------------------------------------------------------------
-    def enqueue_recv(self, descriptor: Descriptor) -> None:
-        """Pre-post a receive descriptor (host side)."""
-        if descriptor.op is not DescriptorOp.RECV:
-            raise ViaProtocolError("only RECV descriptors go on the receive queue")
-        self._recv_queue.append(descriptor)
+    def prepost_arena(self) -> None:
+        """Pre-post the whole of ``recv_pool`` (host side, VI creation)."""
+        count = self.recv_pool.count
+        self._preposted = count
+        self.recvs_posted += count
+        if self.telemetry is not None:
+            self.telemetry.counter("via.recvs_posted").inc(count)
+
+    def post_recv(self, buffer: PooledBuffer) -> None:
+        """Post ``buffer`` for one receive (host side)."""
+        self._recv_queue.append(buffer)
         self.recvs_posted += 1
         if self.telemetry is not None:
             self.telemetry.counter("via.recvs_posted").inc()
 
     def pop_recv(self) -> Optional[Descriptor]:
-        """NIC side: consume the oldest pre-posted receive, or None."""
-        return self._recv_queue.popleft() if self._recv_queue else None
+        """NIC side: consume the oldest posted receive, or None.
+
+        The receive descriptor is materialised here, when a message
+        actually needs it."""
+        if self._preposted:
+            self._preposted -= 1
+            buffer = self.recv_pool.acquire()
+        elif self._recv_queue:
+            buffer = self._recv_queue.popleft()
+        else:
+            return None
+        return Descriptor(DescriptorOp.RECV, self.vi_id, buffer=buffer)
 
     @property
     def posted_recv_count(self) -> int:
-        return len(self._recv_queue)
+        return self._preposted + len(self._recv_queue)
 
     def enqueue_send(self, descriptor: Descriptor) -> None:
         """Accept a send/RDMA descriptor onto the Send Queue.

@@ -148,6 +148,42 @@ class TestUnorderedIteration:
         """)
         assert rule_ids(bad) == ["REPRO003"]
 
+    def test_list_snapshot_of_set_attribute_feeding_scheduler_flagged(self):
+        # the shape AbstractDevice's post pass had: the list() copy
+        # protects against mutation, not against hash order
+        bad, _ = check("""
+            class Device:
+                def __init__(self):
+                    self._dirty: Set[Channel] = set()
+                def post_pass(self):
+                    for ch in list(self._dirty):
+                        self.nic.ring_doorbell(ch.vi)
+        """)
+        assert rule_ids(bad) == ["REPRO003"]
+        assert "self._dirty" in bad[0].message
+
+    def test_snapshot_wrappers_are_seen_through(self):
+        bad, _ = check("""
+            pending = set()
+            a = [k for k in tuple(pending)]
+            for i, key in enumerate(list(pending)):
+                print(i, key)
+        """)
+        assert rule_ids(bad) == ["REPRO003", "REPRO003"]
+
+    def test_snapshot_of_ordered_container_is_fine(self):
+        bad, _ = check("""
+            class Device:
+                def __init__(self):
+                    self._dirty: Dict[int, Channel] = {}
+                def post_pass(self):
+                    for ch in tuple(self._dirty.values()):
+                        self.post(ch)
+                    for key in list(sorted(set(self._dirty))):
+                        print(key)
+        """)
+        assert bad == []
+
     def test_sorted_set_is_fine(self):
         bad, _ = check("""
             pending = set()

@@ -25,6 +25,7 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import normalize_request
 from repro.service.protocol import (
     JobFailed,
+    NotDone,
     RequestError,
     ServiceBusy,
     ServiceDraining,
@@ -228,6 +229,34 @@ def test_subscribe_finished_job_yields_terminal_event(tmp_path):
         events = list(client.subscribe(resp["id"]))
         assert len(events) == 1
         assert events[0]["final"] is True and events[0]["event"] == "done"
+
+
+def test_wait_observes_completion_without_polling(tmp_path):
+    """``wait``/``wait_and_fetch`` ride the subscribe stream: by count,
+    not by time — at most two ``status`` round trips per job, however
+    long it ran (the 50 ms poll used to make one per 50 ms)."""
+    ring = {"type": "kernel", "kernel": "ring", "nprocs": 4, "nodes": 4,
+            "ppn": 1, "connection": "ondemand", "seed": 0}
+    noop = {"type": "noop", "duration_ms": 300, "nonce": "wait-by-count"}
+    with running_server(tmp_path) as (_server, client, _exit):
+        statuses = []
+        status = client.status
+        client.status = lambda job_id: statuses.append(job_id) or status(job_id)
+        for request in (noop, ring):
+            statuses.clear()
+            job_id = client.submit(request)["id"]
+            text = client.wait_and_fetch(job_id, timeout_s=60)
+            assert job_id in text
+            assert len(statuses) <= 2
+        # an already finished job: still one status, and NotDone intact
+        statuses.clear()
+        assert client.wait(job_id, timeout_s=60)["state"] == "done"
+        assert len(statuses) == 1
+        slow = client.submit(
+            {"type": "noop", "duration_ms": 1500, "nonce": "too-slow"})["id"]
+        with pytest.raises(NotDone):
+            client.wait(slow, timeout_s=0.2)
+        assert client.wait(slow, timeout_s=60)["state"] == "done"
 
 
 # -- typed errors -----------------------------------------------------------
