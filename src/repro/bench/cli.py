@@ -14,8 +14,6 @@ Examples::
     python -m repro.bench sweep --workers 4   # parallel cached sweep
     python -m repro.bench cluster --workers 3 # multi-job scheduler sweep
     python -m repro.bench golden --check      # golden-trace fingerprints
-    python -m repro.bench perf --scale smoke  # engine events/sec trajectory
-    python -m repro.bench perf --check        # perf-regression gate
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ def main(argv=None) -> int:
         from repro.bench.golden import main as golden_main
 
         return golden_main(argv[1:])
-    if argv and argv[0] == "perf":
-        # engine events/sec trajectory (own flags as well)
-        from repro.bench.perf_cmd import main as perf_main
-
-        return perf_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the paper's tables and figures.",

@@ -73,8 +73,6 @@ def cluster_cell_config(
     mean_interarrival_us: float = 1500.0,
     kernels: Tuple[str, ...] = ("ring", "allreduce"),
     nprocs_choices: Tuple[int, ...] = (4,),
-    shards: int = 1,
-    queue: str = "heap",
     trace_shas: Tuple[Tuple[str, str], ...] = (),
 ) -> Dict[str, Any]:
     """The JSON-able config of one mechanism cell (its cache identity).
@@ -99,8 +97,6 @@ def cluster_cell_config(
         "mean_interarrival_us": mean_interarrival_us,
         "kernels": list(kernels),
         "nprocs_choices": list(nprocs_choices),
-        "shards": shards,
-        "queue": queue,
     }
     if trace_shas:
         config["trace_shas"] = dict(trace_shas)
@@ -121,8 +117,6 @@ def cell_config(args: argparse.Namespace, connection: str) -> Dict[str, Any]:
         mean_interarrival_us=args.mean_arrival,
         kernels=tuple(args.kernels),
         nprocs_choices=tuple(args.nprocs_choices),
-        shards=args.shards,
-        queue=args.queue,
         trace_shas=tuple(getattr(args, "trace_shas", None) or ()),
     )
 
@@ -146,16 +140,10 @@ def compute_cluster_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
         kernels=tuple(cfg["kernels"]),
         nprocs_choices=tuple(cfg["nprocs_choices"]),
         seed=params["seed"],
-        shards=cfg.get("shards", 1),
-        queue=cfg.get("queue", "heap"),
         trace_paths=tuple(params.get("trace_paths") or ()),
     )
     report["wall_s"] = round(time.perf_counter() - started, 6)  # repro: allow[REPRO001]
     return params["key"], report
-
-
-#: legacy alias (pre-service name of the pool entry)
-_run_cell = compute_cluster_cell
 
 
 def render_comparison(
@@ -195,7 +183,7 @@ def cluster_artifact(
         rep = {k: v for k, v in rep.items() if k != "wall_s"}
         cells.append({"connection": connection, "report": rep})
     return {
-        "schema": 1,
+        "schema": 2,
         "experiment": "cluster",
         "name": args.name,
         "seed": args.seed,
@@ -237,12 +225,6 @@ def main(argv=None) -> int:
                         default=",".join(ALL_CONNECTIONS),
                         help="mechanisms to sweep (comma-separated)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shards", type=int, default=1,
-                        help="event-queue shards (host-CPU knob; the "
-                             "report is byte-identical for any value)")
-    parser.add_argument("--queue", choices=("heap", "calendar"),
-                        default="heap",
-                        help="event-queue structure (default heap)")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes (default 1)")
     parser.add_argument("--name", default="contention",
@@ -286,10 +268,6 @@ def main(argv=None) -> int:
         parser.error(f"unknown connections: {bad}")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    # a shard plan cannot exceed the node count
-    args.shards = min(args.shards, args.nodes)
 
     profile = profile_by_name(args.profile)
     connections = []

@@ -48,20 +48,10 @@ GOLDEN_PATH = Path(__file__).resolve().parents[3] / "tests" / "golden" / "finger
 REGEN_COMMAND = "PYTHONPATH=src python -m repro.bench golden --update"
 
 
-def golden_cell(kernel: str, connection: str, *, shards: int = 1,
-                queue: str = "heap") -> Dict[str, Any]:
-    """Compute one golden cell: trace fingerprint + event count.
-
-    ``shards``/``queue`` select the engine configuration; every
-    configuration must reproduce the recorded (single-shard heap)
-    fingerprint — that is the sharded engine's correctness claim, and
-    ``--check --shards N`` is its CLI face.  Sharded recomputation runs
-    with lookahead enforcement on, so a conservative-window violation
-    fails the check even if the order happens to survive it.
-    """
+def golden_cell(kernel: str, connection: str) -> Dict[str, Any]:
+    """Compute one golden cell: trace fingerprint + event count."""
     metrics = run_kernel_cell(
         kernel=kernel, connection=connection, record_fingerprint=True,
-        shards=shards, queue=queue, enforce_lookahead=shards > 1,
         **GOLDEN_SPEC,
     )
     return {
@@ -71,7 +61,7 @@ def golden_cell(kernel: str, connection: str, *, shards: int = 1,
     }
 
 
-def compute_all(*, shards: int = 1, queue: str = "heap") -> Dict[str, Any]:
+def compute_all() -> Dict[str, Any]:
     """The full golden document, cell keys sorted for a stable diff."""
     doc: Dict[str, Any] = {
         "_meta": {
@@ -84,8 +74,7 @@ def compute_all(*, shards: int = 1, queue: str = "heap") -> Dict[str, Any]:
     }
     for kernel in GOLDEN_KERNELS:
         for connection in GOLDEN_CONNECTIONS:
-            doc[f"{kernel}/{connection}"] = golden_cell(
-                kernel, connection, shards=shards, queue=queue)
+            doc[f"{kernel}/{connection}"] = golden_cell(kernel, connection)
     return doc
 
 
@@ -104,20 +93,9 @@ def main(argv=None) -> int:
                       help=f"rewrite {GOLDEN_PATH}")
     mode.add_argument("--check", action="store_true",
                       help="recompute and diff against the recorded file")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="recompute on a sharded engine (check only): "
-                             "the recorded single-shard fingerprints must "
-                             "still match")
-    parser.add_argument("--queue", choices=("heap", "calendar"),
-                        default="heap",
-                        help="event-queue structure for recomputation "
-                             "(check only)")
     args = parser.parse_args(argv)
-    if args.update and (args.shards != 1 or args.queue != "heap"):
-        parser.error("--update records the canonical single-shard heap "
-                     "configuration; --shards/--queue apply to --check")
 
-    fresh = compute_all(shards=args.shards, queue=args.queue)
+    fresh = compute_all()
     if args.update:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(
@@ -149,10 +127,7 @@ def main(argv=None) -> int:
         print(f"intentional change?  regenerate with: {REGEN_COMMAND}",
               file=sys.stderr)
         return 1
-    cfg = ""
-    if args.shards != 1 or args.queue != "heap":
-        cfg = f" (recomputed with shards={args.shards}, queue={args.queue})"
-    print(f"all {len(fresh) - 1} golden fingerprints match{cfg}")
+    print(f"all {len(fresh) - 1} golden fingerprints match")
     return 0
 
 

@@ -46,10 +46,6 @@ class SweepCell:
     profile: str
     connection: str
     seed: int
-    #: engine configuration (host-CPU only: simulated results are
-    #: identical for every value, which the differential suite pins)
-    shards: int = 1
-    queue: str = "heap"
     #: trace-replay cells: file to load and its content digest
     trace_path: Optional[str] = None
     trace_sha: Optional[str] = None
@@ -73,12 +69,9 @@ class SweepCell:
 
     @property
     def label(self) -> str:
-        engine = ""
-        if self.shards != 1 or self.queue != "heap":
-            engine = f"/shards={self.shards}.{self.queue}"
         return (
             f"{self.kernel}.{self.npb_class}/np={self.nprocs}/"
-            f"{self.connection}/{self.profile}/seed={self.seed}{engine}"
+            f"{self.connection}/{self.profile}/seed={self.seed}"
         )
 
 
@@ -95,9 +88,6 @@ class SweepMatrix:
     nodes: int = 8
     ppn: int = 1
     profile: str = "clan"
-    #: engine configuration applied to every cell (pure host-CPU knob)
-    shards: int = 1
-    queue: str = "heap"
     #: captured-trace kernels: (kernel name, trace file path) pairs; the
     #: named kernels sweep like any other (list them in ``kernels``)
     traces: Tuple[Tuple[str, str], ...] = ()
@@ -106,13 +96,6 @@ class SweepMatrix:
         """Expand the grid in deterministic order, skipping combinations
         the simulated hardware cannot run (mirrors the paper's testbed
         limits rather than failing mid-sweep)."""
-        if self.queue not in ("heap", "calendar"):
-            raise ValueError(f"unknown queue {self.queue!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        # a shard plan cannot have more shards than nodes; clamp rather
-        # than fail so one --shards flag fits every matrix shape
-        shards = min(self.shards, self.nodes)
         trace_info = {name: _trace_cell_info(path)
                       for name, path in self.traces}
         out: List[SweepCell] = []
@@ -135,7 +118,7 @@ class SweepMatrix:
                                 kernel=kernel, npb_class=self.npb_class,
                                 nprocs=np_, nodes=self.nodes, ppn=self.ppn,
                                 profile=self.profile, connection=conn,
-                                seed=seed, shards=shards, queue=self.queue,
+                                seed=seed,
                                 trace_path=None if trace is None
                                 else trace["path"],
                                 trace_sha=None if trace is None
@@ -240,18 +223,13 @@ def compute_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
         kernel=params["kernel"], npb_class=params["npb_class"],
         nprocs=params["nprocs"], nodes=params["nodes"], ppn=params["ppn"],
         profile=params["profile"], connection=params["connection"],
-        seed=params["seed"], shards=params.get("shards", 1),
-        queue=params.get("queue", "heap"),
+        seed=params["seed"],
         trace_path=params.get("trace_path"),
     )
     wall_s = time.perf_counter() - started  # repro: allow[REPRO001]
     metrics["wall_s"] = round(wall_s, 6)
     metrics["events_per_sec"] = round(metrics["events"] / wall_s, 1)
     return key, metrics
-
-
-#: legacy alias (pre-service name of the pool entry)
-_run_cell_worker = compute_cell
 
 
 def cell_params(cell: SweepCell) -> Dict[str, Any]:
@@ -357,7 +335,7 @@ def bench_artifact(outcome: SweepOutcome) -> Dict[str, Any]:
     """
     return {
         "bench": outcome.matrix.name,
-        "schema": 1,
+        "schema": 2,
         "matrix": outcome.matrix.to_dict(),
         "cells": [
             {"key": cell.key(), "config": {**cell.config_dict(), "seed": cell.seed},

@@ -88,10 +88,6 @@ def build_matrix(args: argparse.Namespace) -> SweepMatrix:
         overrides["npb_class"] = args.npb_class
     if args.name:
         overrides["name"] = args.name
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.queue:
-        overrides["queue"] = args.queue
     if not overrides:
         return base
     import dataclasses
@@ -176,11 +172,6 @@ def main(argv=None) -> int:
                         help="NPB problem class (default from matrix)")
     parser.add_argument("--name", default=None,
                         help="artifact name override (BENCH_<name>.json)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="event-queue shards per cell (host-CPU knob; "
-                             "simulated results are identical)")
-    parser.add_argument("--queue", choices=("heap", "calendar"), default=None,
-                        help="event-queue structure (default heap)")
     parser.add_argument("--out-dir", default=".",
                         help="directory for BENCH_<name>.json (default .)")
     parser.add_argument("--cache-dir", default=None,

@@ -18,14 +18,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cluster.spec import ClusterSpec
-from repro.fabric.link import conservative_lookahead_us
 from repro.fabric.network import Network
-from repro.sim.engine import Engine, EventQueue
-from repro.sim.queues import CalendarQueue
-from repro.sim.shard import ShardPlan, ShardedEventQueue
+from repro.sim.engine import Engine
 from repro.via.agent import ConnectionAgent
 from repro.via.nic import Nic
-from repro.via.profiles import profile_by_name
 
 
 @dataclass
@@ -77,41 +73,9 @@ def build_cluster(
     return stack
 
 
-def make_engine(
-    *,
-    shards: int = 1,
-    queue: str = "heap",
-    nodes: Optional[int] = None,
-    trace=None,
-    profile: str = "clan",
-    enforce_lookahead: bool = False,
-) -> Engine:
-    """Build an engine for the requested queue/shard configuration.
-
-    The golden path — ``shards=1, queue='heap'`` — constructs a plain
-    :class:`Engine` (default queue, inlined hot loop), so existing
-    callers that gain these parameters with their defaults are
-    byte-identical to before.  ``shards>1`` needs ``nodes`` (the shard
-    plan partitions nodes) and installs ``engine.shard_map`` so the
-    fabric re-tags deliveries; the lookahead bound of ``profile``'s
-    link is attached to the queue for slack accounting (and optional
-    enforcement — the differential suite's machine-checked invariant).
-    """
-    if queue not in ("heap", "calendar"):
-        raise ValueError(f"unknown queue {queue!r}; pick 'heap' or 'calendar'")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        q: Optional[EventQueue] = None if queue == "heap" else CalendarQueue()
-        return Engine(trace=trace, queue=q)
-    if nodes is None:
-        raise ValueError("make_engine(shards>1) needs nodes= for the shard plan")
-    plan = ShardPlan(shards=shards, nodes=nodes)
-    sharded = ShardedEventQueue(
-        shards, inner=queue,
-        lookahead_us=conservative_lookahead_us(profile_by_name(profile).link),
-        enforce_lookahead=enforce_lookahead,
-    )
-    engine = Engine(trace=trace, queue=sharded)
-    engine.shard_map = plan.shard_of_node
-    return engine
+def make_engine(*, trace=None) -> Engine:
+    """The cluster layer's one engine constructor: every cell runner
+    (:func:`~repro.cluster.job.run_kernel_cell`,
+    :func:`~repro.cluster.sched.run_cluster_cell`, pods) builds its
+    engine here."""
+    return Engine(trace=trace)

@@ -316,18 +316,7 @@ def run_job(
             yield from oob.progressive_barrier("teardown", adi)
             yield from adi.conn.finalize_phase()
 
-    shard_map = engine.shard_map
-    if shard_map is None:
-        procs = [engine.process(rank_main(r)) for r in range(nprocs)]
-    else:
-        # sharded engine: spawn each rank's boot event in the shard of
-        # its node, so the whole rank coroutine (and everything it
-        # schedules) is filed there; deliveries re-tag at the fabric
-        procs = []
-        for r in range(nprocs):
-            engine.current_shard = shard_map(spec.node_of(r))
-            procs.append(engine.process(rank_main(r)))
-        engine.current_shard = 0
+    procs = [engine.process(rank_main(r)) for r in range(nprocs)]
     engine.run()
 
     failures = [(p.name, p.value) for p in procs if p.processed and not p.ok]
@@ -372,17 +361,6 @@ def run_job(
         m.gauge("job.events_processed").set(engine.events_processed)
         m.gauge("fabric.packets_delivered").set(network.packets_delivered)
         m.gauge("fabric.bytes_delivered").set(network.bytes_delivered)
-        shard_stats = getattr(engine.queue, "stats", None)
-        if shard_stats is not None:
-            # per-shard merge counters of the sharded event queue
-            for shard_id, pops in enumerate(shard_stats.pops):
-                m.gauge(f"engine.shard.s{shard_id}.events").set(pops)
-            m.gauge("engine.shard.local_pushes").set(shard_stats.local_pushes)
-            m.gauge("engine.shard.cross_pushes").set(shard_stats.cross_pushes)
-            m.gauge("engine.shard.sync_pushes").set(shard_stats.sync_pushes)
-            if shard_stats.cross_pushes:
-                m.gauge("engine.shard.min_cross_slack_us").set(
-                    shard_stats.min_cross_slack_us)
         init_hist = m.histogram("mpi.init.us")
         for t in init_times:
             init_hist.observe(t)
@@ -431,9 +409,6 @@ def run_kernel_cell(
     connection: str,
     seed: int,
     record_fingerprint: bool = False,
-    shards: int = 1,
-    queue: str = "heap",
-    enforce_lookahead: bool = False,
     trace_path: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one NPB kernel job from scalar parameters; return plain metrics.
@@ -448,13 +423,6 @@ def run_kernel_cell(
     With ``record_fingerprint`` a :class:`~repro.sim.trace.TraceRecorder`
     is attached and the SHA-256 trace fingerprint is included (used by
     the golden-trace regression suite; costs memory on big jobs).
-
-    ``shards``/``queue`` pick the engine's event-queue configuration
-    (see :func:`repro.cluster.build.make_engine`); any configuration
-    produces the identical fingerprint — the differential suite's
-    claim — and the defaults reproduce the historical engine exactly.
-    ``enforce_lookahead`` additionally turns the conservative-lookahead
-    invariant of a sharded run into a hard error.
 
     ``trace_path`` replays a captured trace file: the trace is loaded
     and registered under ``kernel`` *inside this process* (workers are
@@ -474,10 +442,7 @@ def run_kernel_cell(
             f"unknown kernel {kernel!r}; available: "
             f"{sorted(workload_registry.KERNEL_DEFS)}")
     recorder = TraceRecorder() if record_fingerprint else None
-    engine = make_engine(
-        shards=shards, queue=queue, nodes=nodes, trace=recorder,
-        profile=profile, enforce_lookahead=enforce_lookahead,
-    )
+    engine = make_engine(trace=recorder)
     spec = ClusterSpec(
         nodes=nodes, ppn=ppn, profile=profile_by_name(profile), seed=seed
     )

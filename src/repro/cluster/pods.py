@@ -3,39 +3,38 @@
 Why pods
 --------
 The exact global ``(time, seq)`` pop order that the golden fingerprints
-pin down is inherently sequential *within* one coupled simulation: any
-two shards exchanging fabric traffic must agree on the interleaving of
-their same-window events.  What large cluster studies actually sweep,
-though, is many *node-disjoint* sub-cluster workloads — the PR 5
-scheduler scenario replicated across independent partitions ("pods") of
-a big machine.  Pods never exchange packets, so their conservative
-lookahead with respect to each other is infinite and conservative PDES
-degenerates to the embarrassingly parallel case: each pod runs on its
-own :class:`~repro.sim.engine.Engine` in its own worker process, with
-*zero* synchronization, and the result is deterministic per pod by the
-engine's own guarantees.
+pin down is inherently sequential *within* one coupled simulation.  What
+large cluster studies actually sweep, though, is many *node-disjoint*
+sub-cluster workloads — the scheduler scenario of
+:mod:`repro.cluster.sched` replicated across independent partitions
+("pods") of a big machine.  Pods never exchange packets, so each pod
+runs on its own :class:`~repro.sim.engine.Engine` in its own worker
+process, with *zero* synchronization, and the result is deterministic
+per pod by the engine's own guarantees.
 
 Determinism across worker counts
 --------------------------------
 Every pod derives its seed from the scenario seed and its pod id (never
-from the worker that happens to execute it), results are keyed by pod
-id and re-sorted after the unordered pool completes, and the canonical
-global trace is the ``(time, shard_id, seq)`` merge of the per-pod
-traces (:func:`merge_traces`) — so ``workers=1`` and ``workers=8``
-produce byte-identical documents and fingerprints.  The differential
-suite asserts exactly that.
+from the worker that happens to execute it), and results are keyed by
+pod id and re-sorted after the unordered pool completes — so
+``workers=1`` and ``workers=8`` produce byte-identical documents and
+fingerprints.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.build import make_engine
+from repro.cluster.sched import run_cluster
+from repro.cluster.spec import ClusterSpec
+from repro.cluster.workload import WorkloadSpec, with_connection
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceRecorder
+from repro.via.profiles import profile_by_name
 
 #: mask applied to derived pod seeds (matches the scheduler's jitter
 #: seed convention: keep seeds in the positive int32 range for numpy)
@@ -46,7 +45,7 @@ _SEED_MASK = 0x7FFFFFFF
 class PodScenario:
     """``pods`` independent copies of one multi-job cluster workload.
 
-    Each pod is a full PR 5 scheduler scenario (arrivals, admission
+    Each pod is a full scheduler scenario (arrivals, admission
     control, VI quotas) on its own ``nodes_per_pod``-node partition,
     seeded per pod — the shape of a capacity study on a large machine.
     """
@@ -91,16 +90,13 @@ class PodScenario:
             "seed": self.seed,
         }
 
-    def pod_params(self, pod: int, *, queue: str = "heap",
-                   shards: int = 1,
+    def pod_params(self, pod: int, *,
                    record_fingerprint: bool = False,
                    include_report: bool = False) -> Dict[str, Any]:
         """Plain-scalar worker parameters for one pod (picklable)."""
         return {
             "pod": pod,
             "pod_seed": self.pod_seed(pod),
-            "queue": queue,
-            "shards": shards,
             "record_fingerprint": record_fingerprint,
             "include_report": include_report,
             **self.to_dict(),
@@ -108,19 +104,8 @@ class PodScenario:
 
 
 def run_pod_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry: simulate one pod from plain scalars.
-
-    Top level and import-light at module scope (the cluster layer is
-    imported lazily both to stay picklable under spawn and to keep
-    ``repro.sim`` free of upward package dependencies).
-    """
-    from repro.cluster.build import make_engine
-    from repro.cluster.sched import run_cluster
-    from repro.cluster.spec import ClusterSpec
-    from repro.cluster.workload import WorkloadSpec, with_connection
-    from repro.sim.trace import TraceRecorder
-    from repro.via.profiles import profile_by_name
-
+    """Worker entry: simulate one pod from plain scalars (top level,
+    so it pickles under spawn)."""
     workload = WorkloadSpec(
         njobs=params["njobs_per_pod"],
         mean_interarrival_us=params["mean_interarrival_us"],
@@ -135,10 +120,7 @@ def run_pod_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         seed=params["pod_seed"], vi_quota=params["vi_quota"],
     )
     recorder = TraceRecorder() if params["record_fingerprint"] else None
-    engine = make_engine(
-        shards=params["shards"], queue=params["queue"],
-        nodes=params["nodes_per_pod"], trace=recorder,
-    )
+    engine = make_engine(trace=recorder)
     result = run_cluster(
         spec, jobs, policy=params["policy"], placement=params["placement"],
         engine=engine,
@@ -150,9 +132,6 @@ def run_pod_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "makespan_us": result.makespan_us,
         "sim_time_us": engine.now,
     }
-    stats = getattr(engine.queue, "stats", None)
-    if stats is not None:
-        out["shard_stats"] = stats.as_dict()
     if recorder is not None:
         out["fingerprint"] = recorder.fingerprint()
     if params["include_report"]:
@@ -172,12 +151,11 @@ class PodSweepResult:
         return sum(p["events"] for p in self.pods)
 
     def merged_fingerprint(self) -> Optional[str]:
-        """SHA-256 of the ``(time, shard_id, seq)``-merged trace digest.
+        """SHA-256 over the per-pod trace fingerprints in pod-id order.
 
-        Per-pod fingerprints already fix each pod's internal order;
-        hashing them in pod-id order fixes the global merge (pod traces
-        share no events, so the merge is fully determined by the pod
-        streams themselves).  None unless fingerprints were recorded.
+        Each fingerprint already fixes its pod's internal event order,
+        and pod traces share no events.  None unless fingerprints were
+        recorded.
         """
         if any("fingerprint" not in p for p in self.pods):
             return None
@@ -202,8 +180,6 @@ def run_pods(
     scenario: PodScenario,
     *,
     workers: int = 1,
-    queue: str = "heap",
-    shards_per_pod: int = 1,
     record_fingerprint: bool = False,
     include_reports: bool = False,
 ) -> PodSweepResult:
@@ -216,8 +192,7 @@ def run_pods(
         raise ValueError("workers must be >= 1")
     params = [
         scenario.pod_params(
-            pod, queue=queue, shards=shards_per_pod,
-            record_fingerprint=record_fingerprint,
+            pod, record_fingerprint=record_fingerprint,
             include_report=include_reports,
         )
         for pod in range(scenario.pods)
@@ -229,38 +204,3 @@ def run_pods(
             results = list(pool.imap_unordered(run_pod_cell, params))
     results.sort(key=lambda p: p["pod"])
     return PodSweepResult(scenario=scenario, pods=results)
-
-
-def merge_traces(
-    streams: Sequence[Sequence[TraceRecord]],
-) -> List[Tuple[float, int, int, str, bool]]:
-    """Deterministically merge per-shard traces into one global stream.
-
-    Each record becomes ``(time, shard_id, seq, name, ok)`` where
-    ``seq`` is the record's position in its own shard's stream; the
-    merge is ordered by the ``(time, shard_id, seq)`` prefix.  Within
-    one shard the engine already guarantees nondecreasing time and
-    increasing seq, so each input is sorted and a k-way heap merge
-    yields the unique global order — shard id breaks cross-shard
-    same-time ties, position breaks same-shard ties.
-    """
-    tagged = [
-        [
-            (record.time, shard_id, seq, record.name, record.ok)
-            for seq, record in enumerate(stream)
-        ]
-        for shard_id, stream in enumerate(streams)
-    ]
-    return list(heapq.merge(*tagged))
-
-
-def merged_trace_fingerprint(
-    streams: Sequence[Sequence[TraceRecord]],
-) -> str:
-    """SHA-256 over the canonical merged stream (one line per event)."""
-    digest = hashlib.sha256()
-    for time_us, shard_id, seq, name, ok in merge_traces(streams):
-        digest.update(
-            f"{time_us!r}|{shard_id}|{seq}|{name}|{int(ok)}\n".encode()
-        )
-    return digest.hexdigest()

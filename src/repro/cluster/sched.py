@@ -513,23 +513,9 @@ class ClusterScheduler:
                 running.record.init_max_us = max(init_times)
                 self._finish(running)
 
-        shard_map = engine.shard_map
-        if shard_map is None:
-            running.procs = [
-                engine.process(rank_main(r)) for r in range(nprocs)
-            ]
-        else:
-            # sharded engine: boot each rank in the shard of its
-            # assigned node (_launch runs in callback context, so
-            # current_shard must be restored to the launching event's
-            # shard afterwards)
-            launch_shard = engine.current_shard
-            procs = []
-            for r in range(nprocs):
-                engine.current_shard = shard_map(running.assign[r])
-                procs.append(engine.process(rank_main(r)))
-            engine.current_shard = launch_shard
-            running.procs = procs
+        running.procs = [
+            engine.process(rank_main(r)) for r in range(nprocs)
+        ]
 
     def _finish(self, running: _RunningJob) -> None:
         now = self.engine.now
@@ -659,18 +645,13 @@ def run_cluster_cell(
     kernels: Tuple[str, ...],
     nprocs_choices: Tuple[int, ...],
     seed: int,
-    shards: int = 1,
-    queue: str = "heap",
     trace_paths: Tuple[Tuple[str, str], ...] = (),
 ) -> Dict[str, Any]:
     """Run one cluster-scheduling cell; return the plain report dict.
 
     The arrival trace is generated from ``seed`` *before* the
     connection override, so every mechanism swept by the CLI faces the
-    identical workload.  ``shards``/``queue`` select the engine's
-    event-queue configuration (:func:`repro.cluster.build.make_engine`);
-    the report is byte-identical across all of them — the cluster-level
-    differential claim.
+    identical workload.
 
     ``trace_paths`` registers captured trace files as workload kernels
     (``(name, path)`` pairs) *inside this process* — this function is a
@@ -698,8 +679,6 @@ def run_cluster_cell(
         nodes=nodes, ppn=ppn, profile=profile_by_name(profile),
         seed=seed, vi_quota=vi_quota,
     )
-    engine = make_engine(shards=shards, queue=queue, nodes=nodes,
-                         profile=profile)
     result = run_cluster(spec, jobs, policy=policy, placement=placement,
-                         engine=engine)
+                         engine=make_engine())
     return result.report().to_dict()

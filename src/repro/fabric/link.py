@@ -49,19 +49,14 @@ class LinkParams:
 def conservative_lookahead_us(params: LinkParams) -> float:
     """Lower bound on the delay of any cross-node fabric event.
 
-    This is the conservative-PDES lookahead window of the sharded
-    engine (:mod:`repro.sim.shard`).  Derivation: a remote delivery is
-    scheduled at ``schedule_rx(bytes, egress_done + hop)`` where
+    Derivation: a remote delivery is scheduled at
+    ``schedule_rx(bytes, egress_done + hop)`` where
     ``egress_done >= now + tx_time(bytes)`` (egress occupancy starts no
     earlier than now), ``hop = wire_latency_us`` for any remote
     transfer, and ingress occupancy only pushes the time later — so
     every cross-node event lands at least ``wire_latency_us`` after the
-    instant that created it.  Shards partition whole *nodes*, therefore
-    cross-shard implies cross-node and the same bound applies (chaos
-    verdicts only ever add delay; drops stay on the sender's node).
-    The out-of-band bootstrap plane is the documented exception — it
-    models the host-side daemon network, not this fabric, and is
-    exempted by name prefix (:data:`repro.sim.shard.SYNC_NAME_PREFIXES`).
+    instant that created it.  Chaos verdicts only ever add delay; drops
+    stay on the sender's node.
     """
     return params.wire_latency_us
 

@@ -104,12 +104,6 @@ class Network:
         delivered = dst_port.schedule_rx(packet.wire_bytes, egress_done + hop)
 
         ev = self.engine.event(name=f"{self.name}.deliver.{packet.kind}")
-        shard_map = self.engine.shard_map
-        if shard_map is not None:
-            # a delivery executes on the destination node (its NIC
-            # handler runs in the event's callback): file it under the
-            # destination's shard, not the sending context's
-            ev.shard = shard_map(packet.dst)
 
         def _deliver(_ev: Event) -> None:
             packet.delivered_at = self.engine.now
@@ -136,8 +130,6 @@ class Network:
                 packet.wire_bytes, egress_done + hop + verdict.dup_extra_us
             )
             dup = self.engine.event(name=f"{self.name}.deliver-dup.{packet.kind}")
-            if shard_map is not None:
-                dup.shard = shard_map(packet.dst)
             dup.add_callback(_deliver)
             dup.succeed(packet, delay=dup_at - self.engine.now)
         return ev

@@ -3,7 +3,7 @@
 Every wire request is normalized into a :class:`JobRequest`: a typed
 kind, a content-addressed identity (``key``), and a plain picklable
 parameter dict for the worker pool.  Normalization is where requests
-fail fast — unknown kernels, connections, or matrix fields raise a
+fail fast — unknown kernels, connections, or request fields raise a
 typed :class:`~repro.service.protocol.RequestError` at submit time
 instead of poisoning a pool worker.
 
@@ -86,16 +86,37 @@ COMPUTE_FNS = {
 }
 
 
+#: every key a request of that type may carry; anything else is a typed
+#: error, so a typo'd ``"nproc"`` never silently runs the default size
+KERNEL_FIELDS = frozenset({
+    "type", "kernel", "npb_class", "nprocs", "nodes", "ppn", "profile",
+    "connection", "seed",
+})
+CLUSTER_FIELDS = frozenset({
+    "type", "connection", "seed", "nodes", "ppn", "profile", "vi_quota",
+    "policy", "placement", "njobs", "mean_interarrival_us", "kernels",
+    "nprocs_choices",
+})
+
+
 def _require(doc: Dict[str, Any], name: str) -> Any:
     if name not in doc:
         raise RequestError(f"{doc.get('type', '?')} request needs {name!r}")
     return doc[name]
 
 
+def _reject_unknown(doc: Dict[str, Any], fields: frozenset) -> None:
+    unknown = sorted(set(doc) - fields)
+    if unknown:
+        raise RequestError(
+            f"unknown {doc.get('type', '?')} request fields: {unknown}")
+
+
 def kernel_request_cell(doc: Dict[str, Any]) -> SweepCell:
     """Build (and validate) the :class:`SweepCell` a kernel request names."""
     from repro.workloads.registry import KERNEL_DEFS
 
+    _reject_unknown(doc, KERNEL_FIELDS)
     kernel = str(_require(doc, "kernel"))
     if kernel not in KERNEL_DEFS:
         raise RequestError(
@@ -115,16 +136,12 @@ def kernel_request_cell(doc: Dict[str, Any]) -> SweepCell:
             profile=str(doc.get("profile", "clan")),
             connection=connection,
             seed=int(doc.get("seed", 0)),
-            shards=int(doc.get("shards", 1)),
-            queue=str(doc.get("queue", "heap")),
         )
     except (TypeError, ValueError) as exc:
         raise RequestError(f"bad kernel request: {exc}") from exc
     if cell.profile not in ("clan", "berkeley"):
         raise RequestError(f"unknown profile {cell.profile!r}")
-    if cell.queue not in ("heap", "calendar"):
-        raise RequestError(f"unknown queue {cell.queue!r}")
-    if cell.shards < 1 or cell.nprocs < 1 or cell.nodes < 1 or cell.ppn < 1:
+    if cell.nprocs < 1 or cell.nodes < 1 or cell.ppn < 1:
         raise RequestError("kernel request sizes must be >= 1")
     if cell.nprocs > cell.nodes * cell.ppn:
         raise RequestError(
@@ -181,6 +198,7 @@ def normalize_request(doc: Any) -> JobRequest:
             params={"matrix": matrix.to_dict()},
         )
     if kind == KIND_CLUSTER:
+        _reject_unknown(doc, CLUSTER_FIELDS)
         connection = str(doc.get("connection", "ondemand"))
         if connection not in KNOWN_CONNECTIONS:
             raise RequestError(
@@ -204,8 +222,6 @@ def normalize_request(doc: Any) -> JobRequest:
                     "kernels", ("ring", "allreduce"))),
                 nprocs_choices=tuple(int(v) for v in doc.get(
                     "nprocs_choices", (4,))),
-                shards=int(doc.get("shards", 1)),
-                queue=str(doc.get("queue", "heap")),
             )
         except (TypeError, ValueError) as exc:
             raise RequestError(f"bad cluster request: {exc}") from exc

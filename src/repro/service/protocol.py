@@ -36,7 +36,7 @@ import json
 from typing import Any, Dict
 
 #: protocol schema generation, echoed by ``ping``
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: typed error names a response's ``error`` field may carry
 ERROR_TYPES = (

@@ -19,26 +19,20 @@ Design goals:
 from repro.sim.engine import (
     Engine,
     Event,
-    EventQueue,
-    HeapEventQueue,
     Interrupt,
     NegativeDelayError,
     SimulationError,
     any_of,
 )
 from repro.sim.process import Process
-from repro.sim.queues import CalendarQueue
 from repro.sim.signal import Signal
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder, TraceRecord
 
 __all__ = [
-    "CalendarQueue",
     "Engine",
     "any_of",
     "Event",
-    "EventQueue",
-    "HeapEventQueue",
     "Interrupt",
     "NegativeDelayError",
     "SimulationError",

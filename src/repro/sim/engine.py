@@ -1,28 +1,24 @@
 """Event queue and simulation clock.
 
-The engine is a classic DES core: pending events live in an
-:class:`EventQueue` ordered by ``(time, seq)`` triples — a binary heap
-(:class:`HeapEventQueue`, the default), a calendar queue
-(:class:`~repro.sim.queues.CalendarQueue`) or a sharded queue
-(:class:`~repro.sim.shard.ShardedEventQueue`).  :class:`Event` is a
-one-shot completion token; processes (see :mod:`repro.sim.process`)
-subscribe to events by yielding them.
+The engine is a classic DES core: pending events live in one binary
+heap of ``(time, seq, event)`` triples.  :class:`Event` is a one-shot
+completion token; processes (see :mod:`repro.sim.process`) subscribe to
+events by yielding them.
 
 Times are floats in **microseconds**.  The engine never invents time:
 every advance comes from an explicit :meth:`Engine.schedule` /
 :meth:`Engine.timeout` delay, so all latency modelling lives in the
 higher layers where it can be documented and calibrated.
 
-Determinism contract: every queue implementation must dequeue in
-strictly increasing ``(time, seq)`` order — the global total order the
-golden-trace fingerprints pin down.  Swapping the queue therefore never
-changes observable simulation behaviour, only host CPU time.
+Determinism contract: events dequeue in strictly increasing
+``(time, seq)`` order, ``seq`` being the engine's monotonic sequence
+number — the global total order the golden-trace fingerprints pin down.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -60,82 +56,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class EventQueue:
-    """Protocol for the engine's pending-event structure.
-
-    Implementations hold ``(when, seq, event)`` triples and must
-    dequeue them in increasing ``(when, seq)`` order — ``seq`` is the
-    engine's global monotonic sequence number, so this is a *total*
-    order and any two conforming queues process identical schedules
-    identically (the differential test suite enforces this).
-
-    The engine guarantees pushes are never in the past relative to the
-    last pop (:class:`NegativeDelayError` rejects them up front), which
-    lets implementations exploit monotonicity (the calendar queue does).
-    """
-
-    __slots__ = ()
-
-    def bind(self, engine: "Engine") -> None:
-        """Called once by :class:`Engine.__init__`; queues that need
-        engine context (e.g. the sharded queue's cross-shard
-        accounting) grab it here.  Default: nothing."""
-
-    def push(self, when: float, seq: int, event: "Event") -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Tuple[float, int, "Event"]:
-        """Remove and return the least ``(when, seq, event)`` triple.
-
-        Raises :class:`IndexError` when empty (callers check first)."""
-        raise NotImplementedError
-
-    def peek(self) -> Optional[Tuple[float, int]]:
-        """The least ``(when, seq)`` key, or None when empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> float:
-        """Time of the next event, or ``inf`` when empty."""
-        head = self.peek()
-        return head[0] if head is not None else float("inf")
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class HeapEventQueue(EventQueue):
-    """The default queue: one binary heap of ``(when, seq, event)``.
-
-    The engine's hot loop bypasses these methods and works on
-    ``_heap`` directly (see :meth:`Engine.run`); they exist so the
-    heap is a first-class :class:`EventQueue` for oracle tests and
-    for the per-shard sub-queues of the sharded queue.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list = []
-
-    def push(self, when: float, seq: int, event: "Event") -> None:
-        heapq.heappush(self._heap, (when, seq, event))
-
-    def pop(self) -> Tuple[float, int, "Event"]:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Tuple[float, int]]:
-        if not self._heap:
-            return None
-        head = self._heap[0]
-        return (head[0], head[1])
-
-    def peek_time(self) -> float:
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -150,7 +70,7 @@ class Event:
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered", "_processed",
-                 "name", "shard")
+                 "name")
 
     PENDING = object()
 
@@ -162,9 +82,6 @@ class Event:
         self._triggered = False
         self._processed = False
         self.name = name
-        # events inherit the shard of the context that created them;
-        # always 0 on an unsharded engine (current_shard never moves)
-        self.shard = engine.current_shard
 
     # -- state inspection ------------------------------------------------
     @property
@@ -243,49 +160,17 @@ class Engine:
         eng.run()
 
     :meth:`run` executes until the queue drains or ``until`` is reached.
-
-    ``queue`` swaps the pending-event structure (default
-    :class:`HeapEventQueue`); any conforming :class:`EventQueue`
-    produces the identical event order, so this is a pure host-CPU
-    knob.  ``current_shard``/``shard_map`` exist for the sharded queue
-    (:mod:`repro.sim.shard`): every :class:`Event` is tagged with the
-    shard of the context that created it, and the generic run loop
-    keeps ``current_shard`` pointing at the shard of the event being
-    processed.  On an unsharded engine both stay at their defaults and
-    cost nothing.
     """
 
-    #: shard of the execution context (callback) currently running;
-    #: class attribute so Event.__init__ can read it before __init__
-    #: finishes wiring the instance
-    current_shard: int = 0
-
-    def __init__(self, *, trace: Optional["TraceHook"] = None,
-                 queue: Optional[EventQueue] = None):
+    def __init__(self, *, trace: Optional["TraceHook"] = None):
         self.now: float = 0.0
-        self._queue: EventQueue = HeapEventQueue() if queue is None else queue
-        # hot-path alias: the raw heap list when (and only when) the
-        # default queue is in use — run/timeout/schedule then inline
-        # heappush/heappop exactly as before the queue protocol existed
-        self._heap: Optional[list] = (
-            self._queue._heap if type(self._queue) is HeapEventQueue else None
-        )
+        #: pending ``(when, seq, event)`` triples, a ``heapq`` heap
+        self._heap: list = []
         self._seq = 0
         self._running = False
         self.trace = trace
-        self.current_shard = 0
-        #: node-id -> shard-id map installed by make_engine(shards>1);
-        #: the fabric uses it to re-tag deliveries to the destination
-        #: node's shard.  None on an unsharded engine.
-        self.shard_map: Optional[Callable[[int], int]] = None
-        self._queue.bind(self)
         #: number of events processed so far (diagnostics / determinism checks)
         self.events_processed = 0
-
-    @property
-    def queue(self) -> EventQueue:
-        """The pending-event structure (telemetry reads its stats)."""
-        return self._queue
 
     # -- event construction ----------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -308,11 +193,7 @@ class Engine:
         ev._ok = True
         ev._value = value
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (self.now + delay, self._seq, ev))
-        else:
-            self._queue.push(self.now + delay, self._seq, ev)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         return ev
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
@@ -328,11 +209,7 @@ class Engine:
         ev._value = None
         ev.callbacks.append(lambda _ev: fn())
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (self.now + delay, self._seq, ev))
-        else:
-            self._queue.push(self.now + delay, self._seq, ev)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         return ev
 
     def process(self, generator) -> "Process":
@@ -346,35 +223,21 @@ class Engine:
         if delay < 0:
             raise NegativeDelayError(delay, "_push")
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (self.now + delay, self._seq, event))
-        else:
-            self._queue.push(self.now + delay, self._seq, event)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
     # -- execution ---------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
-        heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else float("inf")
-        return self._queue.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        heap = self._heap
-        if heap is not None:
-            if not heap:
-                raise SimulationError("step() on an empty event heap")
-            t, _seq, ev = heapq.heappop(heap)
-        else:
-            if not len(self._queue):
-                raise SimulationError("step() on an empty event heap")
-            t, _seq, ev = self._queue.pop()
+        if not self._heap:
+            raise SimulationError("step() on an empty event heap")
+        t, _seq, ev = heapq.heappop(self._heap)
         if t < self.now:  # pragma: no cover - guarded by _push
             raise SimulationError("time went backwards")
         self.now = t
-        self.current_shard = ev.shard
         ev._processed = True
         self.events_processed += 1
         if self.trace is not None:
@@ -392,9 +255,6 @@ class Engine:
         same order as repeated :meth:`step` calls, but keeps the heap,
         ``heappop`` and the event counter in locals, and hoists the
         trace-hook and ``until`` checks out of the per-event path.
-        With a non-default :class:`EventQueue` a generic loop drives
-        the protocol methods instead (same order by the determinism
-        contract) and additionally maintains ``current_shard``.
         Installing a trace hook *mid-run* (from a callback) is
         unsupported — hooks must be in place before :meth:`run`, which
         every recorder in this codebase already guarantees.
@@ -409,28 +269,7 @@ class Engine:
         trace = self.trace
         processed = self.events_processed
         try:
-            if heap is None:
-                # generic loop over the EventQueue protocol
-                queue = self._queue
-                qpop = queue.pop
-                qpeek = queue.peek_time
-                while len(queue):
-                    if until is not None and qpeek() > until:
-                        self.now = until
-                        break
-                    t, _seq, ev = qpop()
-                    self.now = t
-                    self.current_shard = ev.shard
-                    ev._processed = True
-                    processed += 1
-                    if trace is not None:
-                        trace.on_event(t, ev)
-                    cbs = ev.callbacks
-                    if cbs:
-                        ev.callbacks = []
-                        for fn in cbs:
-                            fn(ev)
-            elif until is None and trace is None:
+            if until is None and trace is None:
                 # fastest variant: no deadline, no recorder
                 while heap:
                     t, _seq, ev = heappop(heap)
@@ -470,7 +309,7 @@ class Engine:
         Raises the event's exception if it failed, or
         :class:`SimulationError` if the queue drains first (deadlock)."""
         while not event.processed:
-            if not len(self._queue):
+            if not self._heap:
                 raise SimulationError(
                     f"event heap drained before {event!r} fired (deadlock?)"
                 )

@@ -313,7 +313,7 @@ class TestTelemetrySchedules:
 class TestGlobalStateInKernel:
     """REPRO007: module-level mutable state mutated inside a kernel
     generator body.  Rank programs must be pure functions of their
-    arguments or sharded/pod-parallel replays diverge by worker count."""
+    arguments or pod-parallel replays diverge by worker count."""
 
     def test_append_in_generator_flagged(self):
         bad, _ = check("""

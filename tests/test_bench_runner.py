@@ -122,9 +122,9 @@ class TestParallelWorkers:
     def test_worker_entry_is_picklable(self):
         import pickle
 
-        from repro.bench.runner import _run_cell_worker
+        from repro.bench.runner import compute_cell
 
-        assert pickle.loads(pickle.dumps(_run_cell_worker)) is _run_cell_worker
+        assert pickle.loads(pickle.dumps(compute_cell)) is compute_cell
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,17 @@
 """Unit tests for the fabric model: latency, bandwidth, serialization."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.fabric import LinkParams, Network, Packet
+from repro.apps.npb import KERNELS
+from repro.chaos import FaultInjector, FaultPlan
+from repro.cluster import ClusterSpec, run_job
+from repro.fabric import LinkParams, Network, Packet, conservative_lookahead_us
+from repro.mpi import MpiConfig
 from repro.sim import Engine
+from repro.telemetry import Telemetry, TelemetryConfig
 
 
 def make_net(engine, nodes=4, latency=5.0, bw=100.0, overhead=0.0, loopback=1.0):
@@ -149,3 +157,61 @@ class TestAccounting:
         pkt = Packet(src=0, dst=1, wire_bytes=1, payload=None)
         with pytest.raises(RuntimeError):
             _ = pkt.latency
+
+
+def _hop_durations(tel):
+    """``(remote, loopback)`` durations of every recorded ``fabric.hop``
+    span (the span's track is ``("link", src)``)."""
+    remote, loopback = [], []
+    for span in tel.spans:
+        if span.name == "fabric.hop":
+            same_node = span.attrs["dst"] == span.track[1]
+            (loopback if same_node else remote).append(
+                span.end_us - span.start_us)
+    return remote, loopback
+
+
+class TestLookaheadBound:
+    """No cross-node delivery lands sooner than
+    ``conservative_lookahead_us`` after the send that caused it — the
+    window any process-parallel engine would synchronize on."""
+
+    def test_random_traffic_under_every_chaos_verdict(self):
+        eng = Engine()
+        net, _ = make_net(eng, latency=5.0, loopback=0.5, bw=100.0, overhead=0.3)
+        net.telemetry = Telemetry(eng)
+        net.injector = FaultInjector(
+            eng, FaultPlan(loss=0.1, duplicate=0.2, reorder=0.3, spike=0.1),
+            np.random.default_rng(11))
+        rng = random.Random(5)
+
+        def traffic():
+            for _ in range(400):
+                net.send(Packet(src=rng.randrange(4), dst=rng.randrange(4),
+                                wire_bytes=rng.randrange(2000), payload=None))
+                yield eng.timeout(rng.uniform(0.0, 40.0))
+
+        eng.process(traffic())
+        eng.run()
+        stats = net.injector.stats
+        assert min(stats.dropped, stats.duplicated,
+                   stats.reordered, stats.spiked) > 0
+        remote, loopback = _hop_durations(net.telemetry)
+        bound = conservative_lookahead_us(net.params)
+        # the bound holds and is not vacuous: small uncontended
+        # packets land within a factor of two of it
+        assert len(remote) > 200 and bound <= min(remote) < 2 * bound
+        # loopback hops are outside the claim, and genuinely under it
+        assert loopback and min(loopback) < bound
+
+    @pytest.mark.parametrize("plan", [
+        None,
+        FaultPlan(loss=0.02, duplicate=0.05, reorder=0.1, spike=0.05),
+    ], ids=["plain", "chaos"])
+    def test_whole_stack_cg_on_8_ranks(self, plan):
+        spec = ClusterSpec(nodes=4, ppn=2, seed=0)
+        res = run_job(spec, 8, KERNELS["cg"]("S"), MpiConfig(),
+                      telemetry=TelemetryConfig(), fault_plan=plan)
+        remote, loopback = _hop_durations(res.telemetry)
+        assert len(remote) > 1000 and loopback
+        assert min(remote) >= conservative_lookahead_us(spec.profile.link)

@@ -1,12 +1,12 @@
-"""Causal flow tracing, critical-path attribution, and the perf gate.
+"""Causal flow tracing and critical-path attribution.
 
 Covers the observability tentpole end to end: flow ids link every
 MPI-level message's spans across the stack (send → NIC → fabric → NIC →
 recv), the Perfetto export binds them with flow arrows, the critpath
 analyzer's buckets are exact and reproduce the paper's first-message
-shape, per-mechanism connection metrics land in the registry, cluster
-reports carry per-job breakdowns, and ``perf --check`` gates on
-synthetic regressions.  Everything stays byte-deterministic.
+shape, per-mechanism connection metrics land in the registry, and
+cluster reports carry per-job breakdowns.  Everything stays
+byte-deterministic.
 """
 
 import io
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.apps.npb import KERNELS
-from repro.bench.perf_cmd import check_trajectory
 from repro.cluster import ClusterSpec, run_job
 from repro.cluster.sched import run_cluster
 from repro.cluster.workload import JobSpec
@@ -328,59 +327,6 @@ class TestClusterPerJob:
         result = run_cluster(spec, self._jobs())
         assert all("critpath" not in j
                    for j in result.report().to_dict()["jobs"])
-
-
-def _entry(label, eps, scale="smoke"):
-    return {
-        "label": label, "scale": scale,
-        "configs": {
-            name: {"events_per_sec": rate}
-            for name, rate in eps.items()
-        },
-    }
-
-
-class TestPerfCheck:
-    def test_single_entry_passes_with_note(self):
-        doc = {"trajectory": [_entry("only", {"heap": 50_000.0})]}
-        verdict = check_trajectory(doc, 0.5)
-        assert verdict["ok"] and verdict["reason"]
-
-    def test_empty_trajectory_fails(self):
-        assert not check_trajectory({"trajectory": []}, 0.5)["ok"]
-
-    def test_regression_below_floor_fails(self):
-        doc = {"trajectory": [
-            _entry("a", {"heap": 100_000.0}),
-            _entry("b", {"heap": 110_000.0}),
-            _entry("c", {"heap": 90_000.0}),
-            _entry("new", {"heap": 40_000.0}),  # < 0.5 * median(100k..)
-        ]}
-        verdict = check_trajectory(doc, 0.5)
-        assert not verdict["ok"]
-        assert [r["name"] for r in verdict["rows"] if not r["ok"]] == ["heap"]
-
-    def test_noise_within_band_passes(self):
-        doc = {"trajectory": [
-            _entry("a", {"heap": 100_000.0, "pods": 200_000.0}),
-            _entry("new", {"heap": 80_000.0, "pods": 150_000.0}),
-        ]}
-        assert check_trajectory(doc, 0.5)["ok"]
-
-    def test_other_scales_are_not_compared(self):
-        doc = {"trajectory": [
-            _entry("big", {"heap": 1_000_000.0}, scale="large"),
-            _entry("new", {"heap": 50_000.0}, scale="smoke"),
-        ]}
-        verdict = check_trajectory(doc, 0.5)
-        assert verdict["ok"] and verdict["reason"]
-
-    def test_committed_trajectory_passes_the_gate(self):
-        import pathlib
-        path = (pathlib.Path(__file__).parent.parent
-                / "benchmarks" / "BENCH_engine.json")
-        doc = json.loads(path.read_text())
-        assert check_trajectory(doc, 0.5)["ok"]
 
 
 class TestZeroOverheadWiring:

