@@ -326,40 +326,54 @@ def _sim_ops(events: Sequence[Event], rank: int, size: int) -> List[_SimOp]:
     return ops
 
 
+def _matchable(fsrc: int, ftag: Any, src: Optional[int], tag: Any) -> bool:
+    """Can the in-flight send ``(fsrc, ftag)`` satisfy a receive of
+    ``(src, tag)`` (``None`` = any source / any tag)?"""
+    if src is not None and fsrc != src:
+        return False
+    if tag is None:
+        # ANY_TAG matches user tags only, never collective internals
+        return not isinstance(ftag, tuple)
+    # a send tag of None means "not statically known": assume it can
+    # match rather than fabricate an unmatched pair
+    return ftag is None or ftag == tag
+
+
+def _take_send(keys: Dict[Tuple[int, Any], int],
+               order: Dict[Tuple[int, int, Any], int],
+               dst: int, src: Optional[int], tag: Any) -> bool:
+    """Consume one of the sends in flight to ``dst`` (``keys``: its
+    ``(src, tag) -> count`` table) for a receive of ``(src, tag)``: the
+    matchable key that was first sent earliest, whatever its count."""
+    if src is not None and tag is not None and (src, None) not in keys:
+        # fully specified, no unknown-tag send from that source in
+        # flight: the exact key is the only possible candidate
+        key = (src, tag) if (src, tag) in keys else None
+    else:
+        key = min((k for k in keys if _matchable(k[0], k[1], src, tag)),
+                  key=lambda k: order[k[0], dst, k[1]], default=None)
+    if key is None:
+        return False
+    keys[key] -= 1
+    if not keys[key]:
+        del keys[key]
+    return True
+
+
 def _match_events(per_rank: Sequence[Sequence[Event]],
                   size: int) -> List[CommDiagnostic]:
     """Eagerly simulate message matching; report REPROC01/REPROC02."""
     ops = [_sim_ops(events, rank, size)
            for rank, events in enumerate(per_rank)]
     ptr = [0] * size
-    # in-flight multiset of unreceived sends: (src, dst, tag) -> count
-    flight: Dict[Tuple[int, int, Any], int] = {}
-    seq = 0  # insertion order for deterministic wildcard matching
+    # unreceived sends by destination: dst -> {(src, tag): count}.  A key
+    # leaves its table when its count reaches zero, so a receive looks
+    # only at what is in flight to its own rank.  A dict, not a list: an
+    # out-of-range destination must still reach REPROC03.
+    inbound: Dict[int, Dict[Tuple[int, Any], int]] = {}
+    # first-send order of every (src, dst, tag) ever sent, kept for good:
+    # the deterministic choice between several matchable keys
     order: Dict[Tuple[int, int, Any], int] = {}
-
-    def try_recv(dst: int, src: Optional[int], tag: Any) -> bool:
-        candidates = []
-        for (fsrc, fdst, ftag), count in flight.items():
-            if count <= 0 or fdst != dst:
-                continue
-            if src is not None and fsrc != src:
-                continue
-            if tag is not None:
-                # a send tag of None means "not statically known": assume
-                # it can match rather than fabricate an unmatched pair
-                if ftag is not None and ftag != tag:
-                    continue
-            else:
-                # ANY_TAG matches user tags only, never collective internals
-                if isinstance(ftag, tuple):
-                    continue
-            candidates.append((order[(fsrc, fdst, ftag)], (fsrc, fdst, ftag)))
-        if not candidates:
-            return False
-        candidates.sort()
-        key = candidates[0][1]
-        flight[key] -= 1
-        return True
 
     progressed = True
     while progressed:
@@ -371,15 +385,14 @@ def _match_events(per_rank: Sequence[Sequence[Event]],
                     if peer is None:
                         ptr[rank] += 1  # unknown dest: not matchable
                         continue
-                    key = (rank, peer, tag)
-                    flight[key] = flight.get(key, 0) + 1
-                    if key not in order:
-                        order[key] = seq
-                        seq += 1
+                    keys = inbound.setdefault(peer, {})
+                    keys[rank, tag] = keys.get((rank, tag), 0) + 1
+                    order.setdefault((rank, peer, tag), len(order))
                     ptr[rank] += 1
                     progressed = True
                     continue
-                if try_recv(rank, peer, tag):
+                keys = inbound.get(rank)
+                if keys and _take_send(keys, order, rank, peer, tag):
                     ptr[rank] += 1
                     progressed = True
                     continue
@@ -411,14 +424,9 @@ def _match_events(per_rank: Sequence[Sequence[Event]],
                 message=f"recv from {who} is never satisfied",
                 rank=r, line=lines[r]))
     else:
-        leftovers = sorted(
-            (src, dst) for (src, dst, _tag), count in flight.items()
-            if count > 0)
-        seen: Set[Tuple[int, int]] = set()
-        for src, dst in leftovers:
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
+        leftovers = {(src, dst) for dst, keys in inbound.items()
+                     for src, _tag in keys}
+        for src, dst in sorted(leftovers):
             diags.append(CommDiagnostic(
                 code="REPROC01",
                 message=f"send from rank {src} to rank {dst} "

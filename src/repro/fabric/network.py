@@ -36,6 +36,9 @@ class Network:
         self.name = name
         self._ports: Dict[int, Port] = {}
         self._handlers: Dict[int, DeliveryHandler] = {}
+        #: delivery-event name by packet kind, each formatted once
+        #: (fingerprint material: exactly f"{name}.deliver.{kind}")
+        self._deliver_names: Dict[str, str] = {}
         self.packets_delivered = 0
         self.bytes_delivered = 0
         #: optional chaos hook (repro.chaos.FaultInjector); None = the
@@ -71,8 +74,12 @@ class Network:
         The destination handler is invoked at the same instant, before
         the event's other callbacks (handler registration order).
         """
-        src_port = self.port(packet.src)
-        dst_port = self.port(packet.dst)
+        try:
+            src_port = self._ports[packet.src]
+            dst_port = self._ports[packet.dst]
+        except KeyError as missing:
+            raise KeyError(
+                f"node {missing.args[0]} not attached to {self.name}") from None
         loopback = packet.src == packet.dst
         packet.injected_at = self.engine.now
         verdict = None if self.injector is None else self.injector.judge(packet)
@@ -103,7 +110,11 @@ class Network:
                 )
         delivered = dst_port.schedule_rx(packet.wire_bytes, egress_done + hop)
 
-        ev = self.engine.event(name=f"{self.name}.deliver.{packet.kind}")
+        name = self._deliver_names.get(packet.kind)
+        if name is None:
+            name = f"{self.name}.deliver.{packet.kind}"
+            self._deliver_names[packet.kind] = name
+        ev = Event(self.engine, name)
 
         def _deliver(_ev: Event) -> None:
             packet.delivered_at = self.engine.now
@@ -118,7 +129,7 @@ class Network:
                 )
             self._handlers[packet.dst](packet)
 
-        ev.add_callback(_deliver)
+        ev.callbacks.append(_deliver)
         ev.succeed(packet, delay=delivered - self.engine.now)
         if verdict is not None and verdict.duplicate:
             if tel is not None:

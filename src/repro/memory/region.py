@@ -24,6 +24,19 @@ class RegionState(enum.Enum):
 
 
 _handle_counter = itertools.count(1)
+_UINT8 = np.dtype(np.uint8)
+
+
+def as_bytes(data: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Flat uint8 view of ``data``'s bytes (a copy only if ``data`` is
+    not contiguous); an already flat contiguous uint8 array is returned
+    as it is — the per-message case, which then costs no numpy call."""
+    if data is None:
+        return None
+    if (type(data) is np.ndarray and data.dtype is _UINT8
+            and data.ndim == 1 and data.flags.c_contiguous):
+        return data
+    return np.ascontiguousarray(data).view(np.uint8).reshape(-1)
 
 
 class MemoryRegion:

@@ -10,7 +10,8 @@ architecture (MPICH 1.2 + a VIA ADI device):
   non-overtaking per (source, tag, communicator), ``MPI_ANY_SOURCE`` /
   ``MPI_ANY_TAG``;
 * **weak progress**: the library progresses only inside MPI calls, via
-  ``MPID_DeviceCheck`` (:meth:`repro.mpi.adi.AbstractDevice.device_check`);
+  ``MPID_DeviceCheck`` (:meth:`repro.mpi.adi.AbstractDevice.device_check`,
+  a generator around the plain ``progress_pass`` that ``wait_until`` polls);
 * two completion styles — *polling* and *spinwait* (spin ``spincount``
   times, then block and pay the wakeup penalty), paper §5.3;
 * three connection managers (paper §3–4): static client/server

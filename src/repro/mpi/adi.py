@@ -13,10 +13,11 @@ MVICH (paper §4):
   receive issues peer connection requests to *every* process in the
   communicator (paper §3.5).
 * :meth:`AbstractDevice.device_check` — ``MPID_DeviceCheck``: the weak
-  progress engine invoked from every MPI call.  One non-blocking pass:
-  drain both completion queues, progress pending connection requests
-  "as another type of nonblocking communication request" (paper §3.3),
-  and post whatever the channels can now send.
+  progress engine invoked from every MPI call.  One non-blocking pass
+  (:meth:`AbstractDevice.progress_pass`, a plain method the generator
+  wraps): drain both completion queues, progress pending connection
+  requests "as another type of nonblocking communication request"
+  (paper §3.3), and post whatever the channels can now send.
 * :meth:`AbstractDevice.wait_until` — the completion loop implementing
   *polling* and *spinwait* (paper §5.3).
 
@@ -32,6 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.memory.region import as_bytes
 from repro.mpi.channel import Channel, ChannelState, PendingSend
 from repro.mpi.config import MpiConfig
 from repro.mpi.constants import (
@@ -54,14 +56,6 @@ from repro.mpi.request import Request, RequestKind
 from repro.sim.engine import Engine
 from repro.via.constants import DescriptorOp
 from repro.via.provider import ViaProvider
-
-
-def as_bytes(data: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Flat uint8 view of a contiguous numpy array (zero copy)."""
-    if data is None:
-        return None
-    arr = np.ascontiguousarray(data)
-    return arr.view(np.uint8).reshape(-1)
 
 
 class AbstractDevice:
@@ -491,11 +485,11 @@ class AbstractDevice:
             self._dirty.pop(ch.dest, None)
 
     # ------------------------------------------------------------- progress --
-    def device_check(self):
-        """MPID_DeviceCheck: one non-blocking progress pass.
+    def progress_pass(self) -> bool:
+        """The body of MPID_DeviceCheck: one non-blocking progress pass.
 
-        Generator; yields exactly once to charge accumulated host time.
-        Returns True if any progress was made.
+        Accumulates host time for the caller to flush at its next yield
+        point.  Returns True if any progress was made.
         """
         self.device_checks += 1
         provider = self.provider
@@ -526,7 +520,8 @@ class AbstractDevice:
             )
 
         # 1. send completions: recycle bounce buffers, finish RDMA sends
-        if provider.send_cq:
+        # (emptiness read off the CQ's deque: no Python-level __bool__)
+        if provider.send_cq._entries:
             progressed = True
             while (desc := provider.poll_send_cq()) is not None:
                 self._cost_us += profile.cq_poll_us
@@ -538,7 +533,7 @@ class AbstractDevice:
                     provider.release_send_buffer(desc)
 
         # 2. receive completions: protocol handling + matching
-        if provider.recv_cq:
+        if provider.recv_cq._entries:
             progressed = True
             while (desc := provider.poll_recv_cq()) is not None:
                 self._handle_arrival(desc)
@@ -557,7 +552,12 @@ class AbstractDevice:
                 if ch.should_send_explicit_credits():
                     ch.explicit_credit_messages += 1
                     self._queue_control(ch, CreditHeader(src_rank=self.rank))
+        return progressed
 
+    def device_check(self):
+        """MPID_DeviceCheck: one :meth:`progress_pass`, as a generator
+        that yields exactly once to charge the accumulated host time."""
+        progressed = self.progress_pass()
         yield self.flush_cost()
         return progressed
 
@@ -705,7 +705,8 @@ class AbstractDevice:
         spin_window = self.config.spincount * self.profile.spin_iteration_us
         idle_since: Optional[float] = None
         while True:
-            progressed = yield from self.device_check()
+            progressed = self.progress_pass()
+            yield self.flush_cost()
             if predicate():
                 return
             if progressed:

@@ -14,8 +14,8 @@ peer rank.  It owns:
   direction, returned by piggybacking on any header and by explicit
   credit messages that use the reserved descriptors.
 
-The channel itself is passive bookkeeping; the ADI's ``device_check``
-drives it.
+The channel itself is passive bookkeeping; the ADI's progress pass
+(``progress_pass``, which ``device_check`` wraps) drives it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class BaseHeader:
     src_rank: int
     piggyback_credits: int = 0
@@ -32,7 +32,7 @@ class BaseHeader:
     flow_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class EagerHeader(BaseHeader):
     """Short-message envelope + payload in one VIA message."""
 
@@ -47,7 +47,7 @@ class EagerHeader(BaseHeader):
     request_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RtsHeader(BaseHeader):
     """Rendezvous request-to-send: the envelope of a long message."""
 
@@ -58,7 +58,7 @@ class RtsHeader(BaseHeader):
     request_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CtsHeader(BaseHeader):
     """Clear-to-send: receiver's registered target region for the RDMA."""
 
@@ -68,7 +68,7 @@ class CtsHeader(BaseHeader):
     region_offset: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FinHeader(BaseHeader):
     """Rendezvous finished: RDMA data is in the receiver's buffer."""
 
@@ -76,14 +76,14 @@ class FinHeader(BaseHeader):
     nbytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AckHeader(BaseHeader):
     """Synchronous-eager match acknowledgement."""
 
     send_request_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CreditHeader(BaseHeader):
     """Explicit credit return (bypasses credits; reserve-descriptor path)."""
 

@@ -184,14 +184,18 @@ class Engine:
         """
         if delay < 0:
             raise NegativeDelayError(delay, "timeout")
-        # inlined succeed(): the triple assignment below is exactly what
-        # Event.succeed() does for a fresh event, minus the already-
-        # triggered check that cannot fire here (hot path: one timeout
-        # per yield of every simulated process)
-        ev = Event(self, name or "timeout")
-        ev._triggered = True
-        ev._ok = True
+        # inlined Event() + succeed(): the slots below are exactly what
+        # the two leave on a fresh event, minus the already-triggered
+        # check that cannot fire here (hot path: one timeout per yield
+        # of every simulated process, so no __init__ frame either)
+        ev = Event.__new__(Event)
+        ev.engine = self
+        ev.callbacks = []
         ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev.name = name or "timeout"
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         return ev

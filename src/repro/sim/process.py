@@ -32,7 +32,7 @@ class Process(Event):
     number).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_park")
 
     def __init__(self, engine: Engine, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -43,8 +43,10 @@ class Process(Event):
         super().__init__(engine, name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: what every awaited event calls back: bound once, not per yield
+        self._park = self._resume
         boot = engine.event(name=f"{self.name}.start")
-        boot.add_callback(self._resume)
+        boot.callbacks.append(self._park)
         boot.succeed()
 
     @property
@@ -69,59 +71,64 @@ class Process(Event):
             )
         # Detach from the event we were waiting on and schedule the throw.
         try:
-            target.callbacks.remove(self._resume)
+            target.callbacks.remove(self._park)
         except ValueError:  # already fired, resume is in flight
             pass
         self._waiting_on = None
+        # the kick succeeds (it is traced as such); the generator resumes
+        # from a failed stand-in that carries the Interrupt
+        thrown = Event(self.engine)
+        thrown._ok = False
+        thrown._value = Interrupt(cause)
         kick = self.engine.event(name=f"{self.name}.interrupt")
-        kick.add_callback(lambda ev: self._advance(throw=Interrupt(cause)))
+        kick.callbacks.append(lambda _kick: self._resume(thrown))
         kick.succeed()
 
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Step the generator with the outcome of ``event`` and park on
+        what it yields, looping (not recursing) while that has already
+        been processed.  The per-event hot path: it reads event slots,
+        not the checking properties."""
+        generator = self._generator
         self._waiting_on = None
-        if event.ok:
-            self._advance(send=event.value)
-        else:
-            self._advance(throw=event.value)
-
-    def _advance(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An unhandled Interrupt terminates the process quietly: the
-            # interrupter asked it to stop and it did not object.
-            self.succeed(None)
-            return
-        except (KeyboardInterrupt, SystemExit):
-            # operator interrupts are not simulation failures: unwind
-            # through engine.run() so the CLI's graceful-interrupt path
-            # (exit 130, cache intact) sees the real KeyboardInterrupt
-            raise
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self._generator.close()
-            self.fail(
-                SimulationError(
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Interrupt:
+                # An unhandled Interrupt terminates the process quietly: the
+                # interrupter asked it to stop and it did not object.
+                self.succeed(None)
+                return
+            except (KeyboardInterrupt, SystemExit):
+                # operator interrupts are not simulation failures: unwind
+                # through engine.run() so the CLI's graceful-interrupt path
+                # (exit 130, cache intact) sees the real KeyboardInterrupt
+                raise
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                generator.close()
+                self.fail(SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event objects"
-                )
-            )
-            return
-        if target.engine is not self.engine:
-            self._generator.close()
-            self.fail(SimulationError("yielded event belongs to a different engine"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+                    "processes must yield Event objects"))
+                return
+            if target.engine is not self.engine:
+                generator.close()
+                self.fail(SimulationError("yielded event belongs to a different engine"))
+                return
+            if not target._processed:
+                self._waiting_on = target
+                target.callbacks.append(self._park)
+                return
+            event = target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

@@ -24,11 +24,13 @@ from repro.sim.engine import Engine, Event
 class Signal:
     """A level-triggered, multi-waiter wake-up primitive."""
 
-    __slots__ = ("engine", "name", "_waiters", "_pending", "fires")
+    __slots__ = ("engine", "name", "_wait_name", "_waiters", "_pending", "fires")
 
     def __init__(self, engine: Engine, name: str = "signal"):
         self.engine = engine
         self.name = name
+        #: name of every wait event (trace-fingerprint material), built once
+        self._wait_name = f"{name}.wait"
         self._waiters: List[Event] = []
         self._pending = False
         #: total number of fire() calls (diagnostics)
@@ -40,7 +42,7 @@ class Signal:
         If a fire happened while nobody was waiting, the returned event
         succeeds immediately (consuming the pending pulse).
         """
-        ev = self.engine.event(name=f"{self.name}.wait")
+        ev = Event(self.engine, self._wait_name)
         if self._pending:
             self._pending = False
             ev.succeed()

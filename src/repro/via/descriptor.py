@@ -95,7 +95,7 @@ class Descriptor:
         return self.status is not DescriptorStatus.PENDING
 
     def complete(self, status: DescriptorStatus, length: int, now: float) -> None:
-        if self.done:
+        if self.status is not DescriptorStatus.PENDING:
             raise RuntimeError(f"descriptor {self.descriptor_id} completed twice")
         self.status = status
         self.length = length

@@ -225,7 +225,9 @@ class Nic:
         desc = vi.pop_send()
         if desc is None:  # pragma: no cover - doorbell/descriptor invariant
             raise ViaProtocolError(f"doorbell rung on VI {vi.vi_id} with empty send queue")
-        if vi.state is not ViState.CONNECTED or vi.peer is None:
+        # (per-packet paths read vi._state, _owners, _vis and the
+        # injector directly; the checking accessors are for the host side)
+        if vi._state is not ViState.CONNECTED or vi.peer is None:
             if self.telemetry is not None:
                 start, done = self._tx_window
                 self.telemetry.complete(
@@ -243,7 +245,6 @@ class Nic:
                     data=None if desc.payload is None else desc.payload.copy(),
                     descriptor_id=desc.descriptor_id,
                 )
-                wire = self.profile.header_bytes + msg.nbytes
                 kind = "eager"
             elif desc.op is DescriptorOp.RDMA_WRITE:
                 msg = RdmaWriteMessage(
@@ -255,17 +256,19 @@ class Nic:
                     descriptor_id=desc.descriptor_id,
                     flow_id=desc.flow_id,
                 )
-                wire = self.profile.header_bytes + msg.nbytes
                 kind = "rdma"
             else:  # pragma: no cover - enqueue_send() guards this
                 raise ViaProtocolError(f"unexpected op {desc.op} on send queue")
-            plan = self._chaos_plan
-            if plan is not None and remote_node != self.node_id:
+            nbytes = msg.nbytes
+            wire = self.profile.header_bytes + nbytes
+            injector = self.network.injector
+            if injector is not None and remote_node != self.node_id:
                 # lossy fabric: stamp a per-VI sequence number and keep
                 # the message until the peer's cumulative ack covers it
                 vi.tx_seq += 1
                 msg.seq = vi.tx_seq
-                self._track_unacked(vi, remote_node, msg, wire, kind, plan)
+                self._track_unacked(vi, remote_node, msg, wire, kind,
+                                    injector.plan)
             pkt = Packet(src=self.node_id, dst=remote_node, wire_bytes=wire,
                          payload=msg, kind=kind)
             if self.telemetry is not None:
@@ -278,9 +281,9 @@ class Nic:
                     "nic.tx", ("node", self.node_id), start, done,
                     vi=vi.vi_id, kind=kind, bytes=wire, flow=desc.flow_id,
                 )
-            desc.complete(DescriptorStatus.SUCCESS, msg.nbytes, self.engine.now)
+            desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
         vi.send_cq.push(desc)
-        self.owner_of(vi).activity.fire()
+        self._owners[vi.vi_id].activity.fire()
         self._kick_tx()
 
     # -- reliability sublayer (fault injection only) ---------------------------
@@ -458,7 +461,7 @@ class Nic:
         self._rx_scheduled = False
         packet = self._rx_queue.popleft()
         msg = packet.payload
-        vi = self.lookup_vi(msg.dst_vi_id)
+        vi = self._vis.get(msg.dst_vi_id)
         if self.telemetry is not None:
             start, done = self._rx_window
             self.telemetry.complete(
@@ -466,12 +469,12 @@ class Nic:
                 vi=msg.dst_vi_id, kind=packet.kind, bytes=packet.wire_bytes,
                 flow=packet.flow_id,
             )
-        if vi is not None and vi.state is ViState.CONNECT_PENDING:
+        if vi is not None and vi._state is ViState.CONNECT_PENDING:
             # our side of the handshake is still in the kernel agent;
             # hold the packet and re-service it at establishment
             self.early_arrivals += 1
             self._early.setdefault(vi.vi_id, deque()).append(packet)
-        elif vi is None or vi.state is not ViState.CONNECTED:
+        elif vi is None or vi._state is not ViState.CONNECTED:
             if getattr(msg, "seq", -1) > 0:
                 # sequenced straggler (late retransmission after the VI
                 # died or the job wound down): benign under chaos
@@ -510,14 +513,14 @@ class Nic:
             if nbytes > desc.buffer.size:
                 desc.complete(DescriptorStatus.ERROR, 0, self.engine.now)
                 vi.recv_cq.push(desc)
-                self.owner_of(vi).activity.fire()
+                self._owners[vi.vi_id].activity.fire()
                 return True
             desc.buffer.view()[:nbytes] = msg.data
         desc.header = msg.header
         desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
         self.messages_received += 1
         vi.recv_cq.push(desc)
-        self.owner_of(vi).activity.fire()
+        self._owners[vi.vi_id].activity.fire()
         return True
 
     def _deliver_rdma(self, vi: VI, msg: RdmaWriteMessage) -> None:

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.memory.buffer_pool import BufferPool
+from repro.memory.region import as_bytes
 from repro.memory.registry import MemoryRegistry, RegistrationCache
 from repro.sim.engine import Engine
 from repro.sim.signal import Signal
@@ -218,15 +219,16 @@ class ViaProvider:
             )
         bounce = vi.send_pool.acquire()
         cost = self.profile.post_send_us
-        data_view: Optional[np.ndarray] = None
-        if payload is not None:
-            payload8 = np.ascontiguousarray(payload).view(np.uint8).ravel()
-            bounce.fill_from(payload8)
+        if payload is None:
+            data_view = np.empty(0, dtype=np.uint8)
+        else:
+            # one flattening (none for the flat bytes MPI hands down),
+            # one copy; the size check above covers the bounce buffer
             data_view = bounce.view()[:nbytes]
+            data_view[:] = as_bytes(payload)
             cost += self.profile.copy_us(nbytes)
         desc = Descriptor(
-            DescriptorOp.SEND, vi.vi_id, header=header, payload=data_view
-            if data_view is not None else np.empty(0, dtype=np.uint8),
+            DescriptorOp.SEND, vi.vi_id, header=header, payload=data_view,
             buffer=bounce, context=context,
             flow_id=getattr(header, "flow_id", 0),
         )
@@ -249,9 +251,8 @@ class ViaProvider:
         ``payload`` must already live in registered memory (the caller
         went through the dreg cache); no bounce buffer is used.
         """
-        payload8 = np.ascontiguousarray(payload).view(np.uint8).ravel()
         desc = Descriptor(
-            DescriptorOp.RDMA_WRITE, vi.vi_id, payload=payload8,
+            DescriptorOp.RDMA_WRITE, vi.vi_id, payload=as_bytes(payload),
             remote_handle=remote_handle, remote_offset=remote_offset,
             context=context, flow_id=flow_id,
         )

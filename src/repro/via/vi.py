@@ -129,7 +129,7 @@ class VI:
 
     @property
     def is_connected(self) -> bool:
-        return self.state is ViState.CONNECTED
+        return self._state is ViState.CONNECTED
 
     def mark_connect_pending(self) -> None:
         if self.state is not ViState.IDLE:
@@ -188,7 +188,7 @@ class VI:
         provider surfaces immediately (the paper's on-demand design keeps
         its *own* FIFO above this layer precisely because of this rule).
         """
-        if self.state is not ViState.CONNECTED:
+        if self._state is not ViState.CONNECTED:
             raise ViaProtocolError(
                 f"VI {self.vi_id}: send posted while {self.state.value}; "
                 "requests on an unconnected VI are discarded"

@@ -3,6 +3,10 @@ class to remember its instances, for the length of one test."""
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import sys
+
 
 def count_calls(monkeypatch, owner, name):
     """Wrap ``owner.name`` to count its calls; returns the counter box."""
@@ -28,3 +32,46 @@ def record_instances(monkeypatch, module, cls):
 
     monkeypatch.setattr(module, cls.__name__, Recorded)
     return made
+
+
+class FrameCount:
+    """What one :func:`count_frames` block saw."""
+
+    def __init__(self):
+        #: Python frames entered (calls and generator resumes) in files
+        #: whose path contains the prefix
+        self.frames = 0
+        #: the same, by ``(function name, caller's function name)``
+        self.by_name = collections.Counter()
+        #: numpy functions and ndarray methods called from anywhere
+        self.numpy_calls = 0
+
+
+@contextlib.contextmanager
+def count_frames(prefix):
+    """Count, by ``sys.setprofile``, the Python frames entered in files
+    under ``prefix`` (a path fragment such as ``"repro/sim"``) and the
+    numpy C functions and methods called while the block runs."""
+    seen = FrameCount()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if prefix in code.co_filename:
+                seen.frames += 1
+                back = frame.f_back
+                seen.by_name[
+                    code.co_name, back.f_code.co_name if back else ""] += 1
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = (getattr(arg, "__module__", None)
+                      or type(owner).__module__)
+            if module.partition(".")[0] == "numpy":
+                seen.numpy_calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        yield seen
+    finally:
+        sys.setprofile(previous)

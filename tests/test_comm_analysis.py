@@ -3,7 +3,9 @@
 synthetic kernel, the NPB kernels analyze clean, and the predicted graph
 has the structural properties the runtime relies on."""
 
+import hashlib
 import json
+import pathlib
 import textwrap
 
 import pytest
@@ -15,9 +17,39 @@ from repro.analysis import (
     predicted_peers_for,
     predicted_vi_demand,
 )
+from repro.analysis import comm
 from repro.analysis.__main__ import main as analysis_main
 
+from tests.counting import count_calls
+
 NPB = ("cg", "mg", "is", "ep", "sp", "ft", "lu")
+
+#: sha256 of the canonical CommGraph JSON (diagnostics included) of every
+#: registered source kernel x np in DIGEST_NPROCS, generated before the
+#: matcher got its per-destination index.  Regenerate (and review) with
+#: ``PYTHONPATH=src python -m tests.test_comm_analysis``.
+DIGESTS_PATH = pathlib.Path(__file__).parent / "golden" / "commgraph_digests.json"
+DIGEST_NPROCS = (2, 4, 8, 16)
+
+
+def commgraph_digest(kernel, nprocs):
+    """Digest of one cold analysis; a kernel that rejects the rank count
+    digests its error, so that stays pinned too."""
+    try:
+        doc = analyze_kernel(kernel, nprocs).as_dict()
+    except Exception as exc:  # noqa: BLE001 - the error is the oracle
+        doc = {"error": f"{type(exc).__name__}: {exc}"}
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def commgraph_digests():
+    return {
+        f"{kernel}/{nprocs}": commgraph_digest(kernel, nprocs)
+        for kernel, spec in sorted(COMM_KERNELS.items())
+        if spec.module != "<trace>"
+        for nprocs in DIGEST_NPROCS
+    }
 
 
 def analyze(code, nprocs, factory="make"):
@@ -166,3 +198,66 @@ class TestCommCli:
         rc = analysis_main(["comm", "samrai", "--nprocs", "4", "-q"])
         assert rc == 1
         assert "REPROC04" in capsys.readouterr().out
+
+
+class TestMatcherIndex:
+    """The matching simulation behind REPROC01/02 keeps its in-flight
+    sends per destination; what it decides is pinned by digest."""
+
+    def test_commgraph_digests_match_golden(self):
+        recorded = json.loads(DIGESTS_PATH.read_text())
+        fresh = commgraph_digests()
+        changed = sorted(k for k in recorded.keys() | fresh.keys()
+                         if recorded.get(k) != fresh.get(k))
+        assert not changed, f"CommGraph changed for {changed}"
+        assert len(fresh) >= 80
+
+    def test_receive_examines_only_keys_in_flight_to_its_rank(self, monkeypatch):
+        examined = count_calls(monkeypatch, comm, "_matchable")
+        original = comm._take_send
+        receives = [0]
+        widest = [0]
+
+        def take_send(keys, order, dst, src, tag):
+            in_flight, before = len(keys), examined[0]
+            taken = original(keys, order, dst, src, tag)
+            assert examined[0] - before <= in_flight
+            receives[0] += 1
+            widest[0] = max(widest[0], in_flight)
+            return taken
+
+        monkeypatch.setattr(comm, "_take_send", take_send)
+        graph = analyze_kernel("cg", 16)
+        assert graph.ok
+        assert receives[0] > 1000
+        # a key leaves the index with its last message: what is in
+        # flight to one rank stays a handful, however long the run
+        assert widest[0] <= 16
+        # fully specified receives take their key without a scan
+        assert examined[0] < receives[0]
+
+    def test_choice_between_keys_is_first_send_order(self):
+        # rank 2 sent tag 7 first, then rank 1 sent tag 7, then an
+        # unknown-tag send from rank 1: all to rank 0
+        order = {(2, 0, 7): 0, (1, 0, 7): 1, (1, 0, None): 2}
+        keys = {(1, 7): 1, (2, 7): 2}
+        assert comm._take_send(keys, order, 0, None, 7)  # any source
+        assert keys == {(1, 7): 1, (2, 7): 1}
+        assert comm._take_send(keys, order, 0, 1, 7)  # exact key, now spent
+        assert keys == {(2, 7): 1}
+        assert not comm._take_send(keys, order, 0, 1, 7)
+        # an unknown-tag send from the named source can match too, so
+        # the exact key is not taken blindly: the earlier send wins
+        keys = {(1, None): 1, (1, 7): 1}
+        assert comm._take_send(keys, order, 0, 1, 7)
+        assert keys == {(1, None): 1}
+        # ANY_TAG never consumes a collective's internal (tuple) tag
+        keys = {(1, ("bcast", 3)): 1}
+        order[1, 0, ("bcast", 3)] = 3
+        assert not comm._take_send(keys, order, 0, 1, None)
+        assert comm._take_send(keys, order, 0, 1, ("bcast", 3))
+        assert not keys
+
+
+if __name__ == "__main__":
+    DIGESTS_PATH.write_text(json.dumps(commgraph_digests(), indent=1) + "\n")

@@ -1,0 +1,146 @@
+"""Host cost of one simulated event, by count (deterministic, no timing).
+
+Every simulated statistic is bought one event at a time, so the Python
+frames an event enters are the simulator's unit price.  Each bound here
+is the difference between a short and a long run of the same program
+(set-up cancels), counted by :func:`tests.counting.count_frames`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cluster import job as job_module
+from repro.mpi.adi import AbstractDevice, as_bytes
+from repro.sim import Engine, Signal
+
+from tests import mpi_rig
+from tests.counting import count_frames, record_instances
+
+SHORT, LONG = 10, 110
+
+
+def timeout_run(processes, steps):
+    """Frames inside ``repro/sim`` and events for ``steps`` timeout
+    yields in each of ``processes`` processes."""
+    engine = Engine()
+
+    def churn():
+        for _ in range(steps):
+            yield engine.timeout(1.0)
+
+    for _ in range(processes):
+        engine.process(churn())
+    with count_frames("repro/sim") as seen:
+        engine.run()
+    return seen.frames, engine.events_processed
+
+
+def signal_run(pairs, rounds):
+    """The same for ``rounds`` wait / timeout / fire rounds in each of
+    ``pairs`` waiter-firer pairs."""
+    engine = Engine()
+
+    def waiter(signal):
+        for _ in range(rounds):
+            yield signal.wait()
+
+    def firer(signal):
+        for _ in range(rounds):
+            yield engine.timeout(1.0)
+            signal.fire()
+
+    for pair in range(pairs):
+        signal = Signal(engine, f"s{pair}")
+        engine.process(waiter(signal))
+        engine.process(firer(signal))
+    with count_frames("repro/sim") as seen:
+        engine.run()
+    return seen.frames, engine.events_processed
+
+
+def per_unit(run, width, bound, events_each):
+    (short_frames, short_events) = run(width, SHORT)
+    (long_frames, long_events) = run(width, LONG)
+    units = width * (LONG - SHORT)
+    assert long_events - short_events == events_each * units
+    frames = (long_frames - short_frames) / units
+    assert frames <= bound
+    return frames
+
+
+def test_timeout_yield_enters_two_sim_frames():
+    # Engine.timeout and Process._resume; flat in the process count
+    assert per_unit(timeout_run, 8, 2, 1) == per_unit(timeout_run, 64, 2, 1)
+
+
+def test_signal_round_enters_eight_sim_frames():
+    # waiter: _resume, wait, Event();  firer: _resume, timeout;
+    # fire: fire, succeed, _push
+    assert per_unit(signal_run, 8, 8, 2) == per_unit(signal_run, 64, 8, 2)
+
+
+def pingpong(messages):
+    """Count a 2-rank static-p2p ping-pong of ``messages`` 64-byte eager
+    messages; returns the frame count, the job result and the devices'
+    own count of their progress passes."""
+
+    def program(mpi):
+        buf = np.zeros(64, dtype=np.uint8)
+        peer = 1 - mpi.rank
+        for _ in range(messages // 2):
+            if mpi.rank == 0:
+                yield from mpi.send(buf, peer, tag=1)
+                yield from mpi.recv(buf, peer, tag=1)
+            else:
+                yield from mpi.recv(buf, peer, tag=1)
+                yield from mpi.send(buf, peer, tag=1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        devices = record_instances(patch, job_module, AbstractDevice)
+        with count_frames("/repro/") as seen:
+            result = mpi_rig.run(
+                program, nprocs=2, nodes=2, ppn=1, connection="static-p2p")
+    return seen, result, sum(adi.device_checks for adi in devices)
+
+
+@pytest.fixture(scope="module")
+def pingpong_pair():
+    return pingpong(20), pingpong(220)
+
+
+def test_eager_message_frame_and_event_budget(pingpong_pair):
+    (short, short_result, _), (long, long_result, _) = pingpong_pair
+    events = long_result.events_processed - short_result.events_processed
+    assert events == 9 * 200
+    assert (long.frames - short.frames) / 200 <= 190
+
+
+def test_eager_message_numpy_calls(pingpong_pair):
+    (short, _, _), (long, _, _) = pingpong_pair
+    # the NIC's staging copy; no flattening of the already flat payload
+    assert (long.numpy_calls - short.numpy_calls) / 200 <= 3
+
+
+def test_polls_enter_no_generator_but_are_all_counted(pingpong_pair):
+    _, (long, _, device_checks) = pingpong_pair
+    assert long.by_name["device_check", "wait_until"] == 0
+    passes = sum(count for (name, _caller), count in long.by_name.items()
+                 if name == "progress_pass")
+    assert passes > 4 * 220
+    assert passes == device_checks
+
+
+def test_as_bytes_passes_flat_bytes_through():
+    flat = np.arange(64, dtype=np.uint8)
+    assert as_bytes(flat) is flat
+    assert as_bytes(None) is None
+    matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
+    out = as_bytes(matrix)
+    assert out.dtype == np.uint8 and out.ndim == 1
+    assert out.tobytes() == matrix.tobytes()
+    assert np.shares_memory(out, matrix)
+    # neither a strided view nor another dtype is flat bytes
+    assert as_bytes(flat[::2]).tobytes() == flat[::2].tobytes()
+    assert as_bytes(flat.view(np.uint16)).tobytes() == flat.tobytes()

@@ -1,5 +1,7 @@
 """Unit tests for generator-coroutine processes."""
 
+import sys
+
 import pytest
 
 from repro.sim import Engine, Interrupt, Process, SimulationError
@@ -175,3 +177,50 @@ def test_is_alive_transitions():
     assert proc.is_alive
     eng.run()
     assert not proc.is_alive
+
+
+def test_joining_many_finished_processes_does_not_recurse():
+    """Yielding an already-processed event resumes the process in a
+    loop: it used to nest three frames per such yield, so a parent
+    joining finished children overflowed the stack — twice, the second
+    time inside ``fail()``, taking ``engine.run()`` down with it."""
+    eng = Engine()
+
+    def child(k):
+        yield eng.timeout(1.0)
+        return k
+
+    kids = [eng.process(child(k)) for k in range(2000)]
+
+    def parent():
+        yield eng.timeout(5.0)  # every child has finished by now
+        total = 0
+        for kid in kids:
+            total += yield kid
+        return total
+
+    joined = eng.process(parent())
+    eng.run()
+    assert joined.ok and joined.value == sum(range(2000))
+    assert eng.now == 5.0
+
+    done = eng.timeout(0.0, value=1)
+
+    def spinner():
+        yield done
+        count = 0
+        for _ in range(5000):
+            count += yield done  # processed: no event, no recursion
+        return count
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        spun = eng.process(spinner())
+        events_before = eng.events_processed
+        eng.run()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert spun.ok and spun.value == 5000
+    # the timeout, the boot event and the process's own completion
+    assert eng.events_processed - events_before == 3
