@@ -30,39 +30,69 @@ Three parts:
   event-for-event identical to an unsanitized one.
 """
 
-from repro.analysis.comm import (
-    AnalysisError,
-    COMM_KERNELS,
-    analyze_kernel,
-    analyze_source,
-    check_observed_subset,
-    observed_edges,
-    predicted_peers_for,
-    predicted_vi_demand,
-)
-from repro.analysis.commgraph import (
-    CommDiagnostic,
-    CommGraph,
-    REPROC_RULES,
-)
-from repro.analysis.lint import (
-    LintReport,
-    LintViolation,
-    RULES,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.sanitizers import (
-    EventRaceDetector,
-    LeakSanitizer,
-    PinnedMemoryLeak,
-    ProtocolViolation,
-    Sanitizer,
-    SanitizerConfig,
-    SanitizerError,
-    SanitizerReport,
-    ViStateChecker,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - the typed island keeps its types
+    from repro.analysis.comm import (
+        AnalysisError,
+        COMM_KERNELS,
+        analyze_kernel,
+        analyze_source,
+        check_observed_subset,
+        observed_edges,
+        predicted_peers_for,
+        predicted_vi_demand,
+    )
+    from repro.analysis.commgraph import (
+        CommDiagnostic,
+        CommGraph,
+        REPROC_RULES,
+    )
+    from repro.analysis.lint import (
+        LintReport,
+        LintViolation,
+        RULES,
+        lint_paths,
+        lint_source,
+    )
+    from repro.analysis.sanitizers import (
+        EventRaceDetector,
+        LeakSanitizer,
+        PinnedMemoryLeak,
+        ProtocolViolation,
+        Sanitizer,
+        SanitizerConfig,
+        SanitizerError,
+        SanitizerReport,
+        ViStateChecker,
+    )
+
+#: public name -> defining submodule, resolved on access (PEP 562): the
+#: job runtime imports ``repro.analysis.sanitizers`` at module level, and
+#: that must not load the interpreter behind ``comm``, or the lint.
+_SUBMODULE_OF = {
+    name: submodule
+    for submodule, names in (
+        ("comm", "AnalysisError COMM_KERNELS analyze_kernel analyze_source "
+                 "check_observed_subset observed_edges predicted_peers_for "
+                 "predicted_vi_demand"),
+        ("commgraph", "CommDiagnostic CommGraph REPROC_RULES"),
+        ("lint", "LintReport LintViolation RULES lint_paths lint_source"),
+        ("sanitizers", "EventRaceDetector LeakSanitizer PinnedMemoryLeak "
+                       "ProtocolViolation Sanitizer SanitizerConfig "
+                       "SanitizerError SanitizerReport ViStateChecker"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> Any:
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{submodule}"), name)
+
 
 __all__ = [
     "AnalysisError",

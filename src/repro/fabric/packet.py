@@ -8,13 +8,11 @@ upper layer's header estimate); the fabric itself adds nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 _packet_ids = itertools.count(1)
 
 
-@dataclass
 class Packet:
     """One fabric transfer.
 
@@ -29,25 +27,29 @@ class Packet:
         handler.
     kind:
         Free-form label for tracing ("eager", "rdma", "conn-req", ...).
+    flow_id:
+        Causal flow id stamped by a traced NIC (0 = untagged); echoed
+        into the fabric's hop spans, never branched on.
+    injected_at, delivered_at:
+        Filled in by the fabric (diagnostics).
     """
 
-    src: int
-    dst: int
-    wire_bytes: int
-    payload: Any
-    kind: str = "data"
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    #: causal flow id stamped by a traced NIC (0 = untagged); the fabric
-    #: only echoes it into its hop spans, never branches on it
-    flow_id: int = 0
+    __slots__ = ("src", "dst", "wire_bytes", "payload", "kind", "packet_id",
+                 "flow_id", "injected_at", "delivered_at")
 
-    #: filled in by the fabric at injection / delivery (diagnostics)
-    injected_at: float = -1.0
-    delivered_at: float = -1.0
-
-    def __post_init__(self) -> None:
-        if self.wire_bytes < 0:
-            raise ValueError(f"negative wire_bytes {self.wire_bytes}")
+    def __init__(self, src: int, dst: int, wire_bytes: int, payload: Any,
+                 kind: str = "data", flow_id: int = 0):
+        if wire_bytes < 0:
+            raise ValueError(f"negative wire_bytes {wire_bytes}")
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.payload = payload
+        self.kind = kind
+        self.packet_id = next(_packet_ids)
+        self.flow_id = flow_id
+        self.injected_at = -1.0
+        self.delivered_at = -1.0
 
     @property
     def latency(self) -> float:

@@ -19,6 +19,17 @@ registries, and the arenas of the job that just finished are exactly
 what the next one needs.  It starts empty and maps nothing until the
 first registration.  It is not thread-safe; simulations run one to a
 process (the service's workers are processes).
+
+A second cache, :data:`STAGING`, recycles the blocks a NIC stages RDMA
+payloads in between service and delivery: a message costs one copy into
+resident memory, not an allocation priced by the allocator's mood (a
+fresh megabyte is mapped, faulted in and unmapped per message).  It is
+*never zeroed* — the NIC overwrites exactly the bytes it then sends.
+The lifetime rule (:meth:`repro.via.nic.Nic._deliver_rdma` decides): a
+message never sequenced is delivered at most once, so its block returns
+right after the deposit; a sequenced one (fault injection: retransmit
+table, reorder buffer and fabric duplicates may still hold it) never
+does, and its block goes back to the allocator with the message.
 """
 
 from __future__ import annotations
@@ -38,6 +49,10 @@ _SLAB_BYTES = 8 << 20
 #: most bytes the free lists hold; past it a returned block is dropped
 #: (and its mapping unmapped once every block carved from it is gone)
 _MAX_CACHED_BYTES = 256 << 20
+
+#: most bytes the staging free lists hold (only blocks in flight at the
+#: same time are ever out together)
+_MAX_STAGING_BYTES = 32 << 20
 
 
 def _map_zeroed(nbytes: int) -> np.ndarray:
@@ -94,5 +109,39 @@ class ArenaCache:
         return self._slab[start : start + nbytes]
 
 
+class StagingCache:
+    """Free lists of never-zeroed scratch blocks, by power-of-two class."""
+
+    def __init__(self) -> None:
+        #: class size -> free blocks, most recently returned last
+        self._free: Dict[int, List[np.ndarray]] = {}
+        self.cached_bytes = 0
+        #: blocks made because no cached one fitted / blocks handed back
+        self.allocated = 0
+        self.returned = 0
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """``nbytes`` writable bytes of unspecified content: the prefix
+        of a block of the smallest class that holds them."""
+        size = 1 << max(12, (nbytes - 1).bit_length())  # 4 KiB floor: few classes
+        free = self._free.get(size)
+        if free:
+            self.cached_bytes -= size
+            return free.pop()[:nbytes]
+        self.allocated += 1
+        return np.empty(size, dtype=np.uint8)[:nbytes]
+
+    def give(self, data: np.ndarray) -> None:
+        """Take back what :meth:`take` returned; the caller keeps no
+        reference to it."""
+        block = data.base
+        self.returned += 1
+        if self.cached_bytes + block.nbytes <= _MAX_STAGING_BYTES:
+            self._free.setdefault(block.nbytes, []).append(block)
+            self.cached_bytes += block.nbytes
+
+
 #: the process's arena cache (see the module docstring for why it is shared)
 ARENAS = ArenaCache()
+#: the process's RDMA staging blocks (likewise)
+STAGING = StagingCache()

@@ -50,16 +50,6 @@ class PooledBuffer:
         """Writable view of the buffer's bytes."""
         return self.region.data[self.offset : self.offset + self.size]
 
-    def fill_from(self, payload: np.ndarray) -> int:
-        """Copy ``payload`` (uint8) into the buffer; returns bytes copied."""
-        payload = np.asarray(payload, dtype=np.uint8).ravel()
-        if payload.nbytes > self.size:
-            raise BufferPoolError(
-                f"payload of {payload.nbytes}B exceeds pooled buffer of {self.size}B"
-            )
-        self.view()[: payload.nbytes] = payload
-        return payload.nbytes
-
 
 class BufferPool:
     """A fixed population of equal-size pinned buffers for one VI.

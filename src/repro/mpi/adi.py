@@ -225,12 +225,12 @@ class AbstractDevice:
         """MPID_IsendContig / MPID_IssendContig / buffered / ready."""
         payload = as_bytes(data)
         nbytes = 0 if payload is None else payload.nbytes
+        now = self.engine.now
         req = Request(
-            RequestKind.SEND, context_id, dest, tag, payload, nbytes,
-            mode=mode, posted_at=self.engine.now,
+            RequestKind.SEND, context_id, dest, tag, payload, nbytes, mode, now,
         )
         if dest == PROC_NULL:
-            req.complete(self.engine.now)
+            req.complete(now)
             return req
         if not (0 <= dest < self.size):
             raise MpiError(f"invalid destination rank {dest} (size {self.size})")
@@ -261,8 +261,8 @@ class AbstractDevice:
             if payload is not None:
                 send_payload = payload.copy()
                 req.buffer = send_payload
-                self.charge(self.profile.copy_us(nbytes))
-            req.complete(self.engine.now)
+                self._cost_us += self.provider.profile.copy_us(nbytes)
+            req.complete(now)
 
         if eager:
             header = EagerHeader(
@@ -271,15 +271,14 @@ class AbstractDevice:
                 request_id=req.request_id, flow_id=flow,
             )
             ch.stamp_envelope(header)
-            item = PendingSend(header, send_payload, req, enqueued_at=self.engine.now)
+            item = PendingSend(header, send_payload, req, False, now)
         else:
             header = RtsHeader(
                 src_rank=self.rank, context_id=context_id, tag=tag,
                 nbytes=nbytes, request_id=req.request_id, flow_id=flow,
             )
             ch.stamp_envelope(header)
-            item = PendingSend(header, send_payload, req, is_rts=True,
-                               enqueued_at=self.engine.now)
+            item = PendingSend(header, send_payload, req, True, now)
             self._awaiting_cts[req.request_id] = req
         ch.send_fifo.append(item)
         self._dirty[ch.dest] = ch
@@ -298,7 +297,7 @@ class AbstractDevice:
             staged = None
             if req.buffer is not None:
                 staged = req.buffer.copy()
-                self.charge(self.profile.copy_us(nbytes))
+                self._cost_us += self.provider.profile.copy_us(nbytes)
             self.matching.add_unexpected(
                 UnexpectedMessage(
                     src_rank=self.rank, context_id=req.comm_context, tag=req.tag,
@@ -323,14 +322,15 @@ class AbstractDevice:
         if buffer is not None and not buffer.flags["C_CONTIGUOUS"]:
             raise MpiError("receive buffers must be C-contiguous")
         buf = as_bytes(buffer)
+        now = self.engine.now
         req = Request(
             RequestKind.RECV, context_id, source, tag, buf,
-            0 if buf is None else buf.nbytes, posted_at=self.engine.now,
+            0 if buf is None else buf.nbytes, SendMode.STANDARD, now,
         )
         if source == PROC_NULL:
             req.status.source = PROC_NULL
             req.status.tag = -1
-            req.complete(self.engine.now)
+            req.complete(now)
             return req
         if source != ANY_SOURCE and not (0 <= source < self.size):
             raise MpiError(f"invalid source rank {source} (size {self.size})")
@@ -356,7 +356,7 @@ class AbstractDevice:
             if req.tel_span is not None:
                 req.tel_span.set(flow=msg.flow_id)
             self._copy_into_recv(req, msg.data, msg.nbytes, msg.src_rank, msg.tag)
-            req.complete(self.engine.now)
+            req.complete(now)
             if msg.sync:
                 self._queue_control(
                     self.channels[msg.src_rank],
@@ -369,14 +369,15 @@ class AbstractDevice:
         self, req: Request, data: Optional[np.ndarray], nbytes: int,
         src: int, tag: int,
     ) -> None:
-        if nbytes > (0 if req.buffer is None else req.buffer.nbytes):
+        buffer = req.buffer
+        if nbytes > (0 if buffer is None else buffer.nbytes):
             raise MpiError(
                 f"truncation: rank {self.rank} posted {req.nbytes}-byte recv "
                 f"for a {nbytes}-byte message from {src} tag {tag}"
             )
         if data is not None and nbytes:
-            req.buffer[:nbytes] = data[:nbytes]
-            self.charge(self.profile.copy_us(nbytes))
+            buffer[:nbytes] = data[:nbytes]
+            self._cost_us += self.provider.profile.copy_us(nbytes)
         req.status.source = src
         req.status.tag = tag
         req.status.nbytes = nbytes
@@ -394,7 +395,7 @@ class AbstractDevice:
         region, cost = self.provider.dreg.acquire(
             req.buffer, protection_tag=ch.vi.protection_tag
         )
-        self.charge(cost)
+        self._cost_us += cost
         req.rndv_handle = region.handle
         req.rndv_region = region
         req.status.source = msg.src_rank
@@ -418,7 +419,7 @@ class AbstractDevice:
     # ------------------------------------------------------------- posting --
     def _queue_control(self, ch: Channel, header) -> None:
         ch.control_queue.append(
-            PendingSend(header, None, None, enqueued_at=self.engine.now)
+            PendingSend(header, None, None, False, self.engine.now)
         )
         self._dirty[ch.dest] = ch
         self._post_pending(ch)
@@ -431,57 +432,60 @@ class AbstractDevice:
 
     def _post_pending(self, ch: Channel) -> None:
         """Post everything the channel can send right now."""
+        provider = self.provider
+        now = self.engine.now
         while True:
             item = ch.next_postable()
             if item is None:
                 break
-            if not self.provider.can_post_send(ch.vi):
+            if not provider.can_post_send(ch.vi):
                 break
             ch.pop_postable(item)
             header = item.header
             ch.consume_credit_for(header)
-            header.piggyback_credits = self.take_return_credits(ch)
+            self._owing.pop(ch.dest, None)  # take_return_credits()
+            header.piggyback_credits = ch.take_piggyback()
             if self.config.dynamic_buffers:
                 # demand signal for the receiver's window growth
                 header.queued_behind = len(ch.send_fifo)
-            if self.telemetry is not None and item.request is not None:
+            req = item.request
+            if self.telemetry is not None and req is not None:
                 # attribute the channel-FIFO wait of this message: the
                 # part spent waiting for the connection (first-message
                 # penalty) vs flow control (credits / bounce buffers)
-                wait_us = self.engine.now - item.enqueued_at
+                wait_us = now - item.enqueued_at
                 connect_us = 0.0
                 if ch.connected_at > item.enqueued_at:
                     connect_us = min(ch.connected_at - item.enqueued_at, wait_us)
                     self.telemetry.histogram(
                         f"conn.{self.conn.name}.first_msg_penalty_us"
                     ).observe(connect_us)
-                if item.request.tel_span is not None:
-                    item.request.tel_span.set(
+                if req.tel_span is not None:
+                    req.tel_span.set(
                         connect_stall_us=connect_us,
                         fc_stall_us=wait_us - connect_us,
                     )
             # an RTS is a bare envelope: the payload travels later by RDMA
-            wire_payload = None if item.is_rts else item.payload
-            desc, cost = self.provider.post_send(
-                ch.vi, header, wire_payload,
-                context=("msg", item.request),
+            payload = item.payload
+            desc, cost = provider.post_send(
+                ch.vi, header, None if item.is_rts else payload,
+                context=("msg", req),
             )
-            self.charge(cost)
+            self._cost_us += cost
             ch.messages_sent += 1
-            ch.last_used_at = self.engine.now
-            nbytes = 0 if item.payload is None else item.payload.nbytes
-            ch.bytes_sent += nbytes
+            ch.last_used_at = now
+            if payload is not None:
+                ch.bytes_sent += payload.nbytes
             if item.is_rts:
                 ch.rndv_outstanding += 1
-            req = item.request
             if req is not None and isinstance(header, EagerHeader):
                 if header.sync:
                     self._awaiting_ack[req.request_id] = req
                 elif not req.done:
                     # standard eager: locally buffered once it is on a
                     # connected VI (paper §4's semantic note)
-                    req.complete(self.engine.now)
-        if ch.pending_count == 0:
+                    req.complete(now)
+        if not ch.send_fifo and not ch.control_queue:
             self._dirty.pop(ch.dest, None)
 
     # ------------------------------------------------------------- progress --
@@ -521,9 +525,11 @@ class AbstractDevice:
 
         # 1. send completions: recycle bounce buffers, finish RDMA sends
         # (emptiness read off the CQ's deque: no Python-level __bool__)
-        if provider.send_cq._entries:
+        completed = provider.send_cq._entries
+        if completed:
             progressed = True
-            while (desc := provider.poll_send_cq()) is not None:
+            while completed:
+                desc = completed.popleft()
                 self._cost_us += profile.cq_poll_us
                 if desc.op is DescriptorOp.RDMA_WRITE:
                     kind, req = desc.context
@@ -533,10 +539,11 @@ class AbstractDevice:
                     provider.release_send_buffer(desc)
 
         # 2. receive completions: protocol handling + matching
-        if provider.recv_cq._entries:
+        arrived = provider.recv_cq._entries
+        if arrived:
             progressed = True
-            while (desc := provider.poll_recv_cq()) is not None:
-                self._handle_arrival(desc)
+            while arrived:
+                self._handle_arrival(arrived.popleft())
 
         # 3. connection progress (paper §3.3: connection requests are
         #    progressed like nonblocking communication requests)
@@ -562,23 +569,26 @@ class AbstractDevice:
         return progressed
 
     def _handle_arrival(self, desc) -> None:
-        self.charge(self.profile.cq_poll_us)
+        provider = self.provider
+        config = self.config
+        now = self.engine.now
+        self._cost_us += provider.profile.cq_poll_us
         header = desc.header
         ch = self._vi_to_channel.get(desc.vi_id)
         if ch is None:  # pragma: no cover - wiring invariant
             raise MpiError(f"arrival on unknown VI {desc.vi_id}")
         ch.on_header_received(header)
-        ch.last_used_at = self.engine.now
+        ch.last_used_at = now
 
-        if (self.config.dynamic_buffers
+        if (config.dynamic_buffers
                 and header.queued_behind > 0
-                and ch.granted_total < self.config.data_credits):
+                and ch.granted_total < config.data_credits):
             # dynamic flow control (paper §6): the sender has a backlog;
             # pin another buffer chunk and grant the window growth (the
             # new credits ride the normal piggyback/explicit machinery)
-            chunk = min(self.config.growth_chunk,
-                        self.config.data_credits - ch.granted_total)
-            self.charge(self.provider.grow_recv_pool(ch.vi, chunk))
+            chunk = min(config.growth_chunk,
+                        config.data_credits - ch.granted_total)
+            self._cost_us += provider.grow_recv_pool(ch.vi, chunk)
             ch.granted_total += chunk
             ch.credits_to_return += chunk
             # deliver the grant immediately: the sender may be out of
@@ -588,35 +598,38 @@ class AbstractDevice:
             self._queue_control(ch, CreditHeader(src_rank=self.rank))
 
         if isinstance(header, EagerHeader):
+            nbytes = header.nbytes
             ch.check_envelope_order(header.seq)
-            ch.bytes_received += header.nbytes
+            ch.bytes_received += nbytes
             req = self.matching.match_arrival(
                 header.src_rank, header.context_id, header.tag
             )
+            data = None
+            if nbytes:
+                start = desc.buffer.offset
+                data = desc.buffer.region.data[start : start + nbytes]
             if req is not None:
                 if req.tel_span is not None:
                     req.tel_span.set(flow=header.flow_id)
-                data = desc.buffer.view()[: header.nbytes] if header.nbytes else None
-                self._copy_into_recv(req, data, header.nbytes,
+                self._copy_into_recv(req, data, nbytes,
                                      header.src_rank, header.tag)
-                req.complete(self.engine.now)
+                req.complete(now)
                 if header.sync:
                     self._queue_control(
                         ch, AckHeader(src_rank=self.rank,
                                       send_request_id=header.request_id,
                                       flow_id=header.flow_id))
             else:
-                staged = None
-                if header.nbytes:
-                    staged = desc.buffer.view()[: header.nbytes].copy()
-                    self.charge(self.profile.copy_us(header.nbytes))
+                if nbytes:
+                    data = data.copy()
+                    self._cost_us += provider.profile.copy_us(nbytes)
                 self.matching.add_unexpected(
                     UnexpectedMessage(
                         src_rank=header.src_rank, context_id=header.context_id,
-                        tag=header.tag, nbytes=header.nbytes, seq=header.seq,
-                        data=staged, is_rts=False,
+                        tag=header.tag, nbytes=nbytes, seq=header.seq,
+                        data=data, is_rts=False,
                         send_request_id=header.request_id, sync=header.sync,
-                        arrived_at=self.engine.now, flow_id=header.flow_id,
+                        arrived_at=now, flow_id=header.flow_id,
                     )
                 )
         elif isinstance(header, RtsHeader):
@@ -628,7 +641,7 @@ class AbstractDevice:
                 src_rank=header.src_rank, context_id=header.context_id,
                 tag=header.tag, nbytes=header.nbytes, seq=header.seq,
                 data=None, is_rts=True, send_request_id=header.request_id,
-                arrived_at=self.engine.now, flow_id=header.flow_id,
+                arrived_at=now, flow_id=header.flow_id,
             )
             if req is not None:
                 self._start_rndv_response(req, ch, msg)
@@ -641,16 +654,16 @@ class AbstractDevice:
                     flow=header.flow_id,
                 )
             send_req = self._awaiting_cts.pop(header.send_request_id)
-            region, cost = self.provider.dreg.acquire(
+            region, cost = provider.dreg.acquire(
                 send_req.buffer, protection_tag=ch.vi.protection_tag
             )
-            self.charge(cost)
-            _desc, cost = self.provider.post_rdma_write(
+            self._cost_us += cost
+            _desc, cost = provider.post_rdma_write(
                 ch.vi, send_req.buffer, header.region_handle,
                 header.region_offset, context=("rdma", send_req),
                 flow_id=header.flow_id,
             )
-            self.charge(cost)
+            self._cost_us += cost
             ch.rndv_outstanding -= 1
             ch.bytes_sent += send_req.nbytes
             self._queue_control(
@@ -668,19 +681,19 @@ class AbstractDevice:
                 )
             req = self._awaiting_fin.pop(header.recv_request_id)
             ch.bytes_received += header.nbytes
-            req.complete(self.engine.now)
+            req.complete(now)
         elif isinstance(header, AckHeader):
             req = self._awaiting_ack.pop(header.send_request_id)
-            req.complete(self.engine.now)
+            req.complete(now)
         elif isinstance(header, CreditHeader):
             pass  # piggyback field already accounted by on_header_received
         else:  # pragma: no cover
             raise MpiError(f"unknown header {header!r}")
 
         # recycle the descriptor's buffer and return the credit
-        self.charge(self.provider.repost_recv(ch.vi, desc.buffer))
+        self._cost_us += provider.repost_recv(ch.vi, desc.buffer)
         if not isinstance(header, CreditHeader):
-            ch.add_return_credit()
+            ch.credits_to_return += 1
             if ch.credits_due():
                 self._owing[ch.dest] = ch
 
@@ -699,26 +712,29 @@ class AbstractDevice:
         wakeup penalty iff the wake-up came after the spin window would
         have expired — timing-equivalent, event-count-bounded.
         """
+        engine = self.engine
+        profile = self.provider.profile
         spinwait = (
-            self.config.completion == "spinwait" and self.profile.has_blocking_wait
+            self.config.completion == "spinwait" and profile.has_blocking_wait
         )
-        spin_window = self.config.spincount * self.profile.spin_iteration_us
+        spin_window = self.config.spincount * profile.spin_iteration_us
         idle_since: Optional[float] = None
         while True:
             progressed = self.progress_pass()
-            yield self.flush_cost()
+            cost, self._cost_us = self._cost_us, 0.0  # flush_cost()
+            yield engine.timeout(cost, name="host-cost")
             if predicate():
                 return
             if progressed:
                 idle_since = None
                 continue
             if idle_since is None:
-                idle_since = self.engine.now
+                idle_since = engine.now
             yield self.provider.activity.wait()
-            if spinwait and self.engine.now - idle_since > spin_window:
+            if spinwait and engine.now - idle_since > spin_window:
                 # we had fallen into the kernel's blocking wait
                 self.blocking_waits += 1
-                yield self.engine.timeout(self.profile.wakeup_us, name="wakeup")
+                yield engine.timeout(profile.wakeup_us, name="wakeup")
 
     def has_pending_outbound(self) -> bool:
         """True while locally-completed operations still need the device

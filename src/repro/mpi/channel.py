@@ -45,7 +45,7 @@ class ChannelState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingSend:
     """A message waiting in the channel for post conditions.
 
@@ -149,11 +149,11 @@ class Channel:
         Does not check bounce-buffer availability — the caller does,
         since that is a VI-level resource.
         """
-        if not self.is_connected:
+        if self.state is not ChannelState.CONNECTED:
             return None
         if self.control_queue:
             item = self.control_queue[0]
-            if isinstance(item.header, CreditHeader) or self.credits > 0:
+            if self.credits > 0 or isinstance(item.header, CreditHeader):
                 return item
             return None
         if self.send_fifo:
@@ -191,11 +191,6 @@ class Channel:
         """Account an arriving header: piggybacked credits + seq."""
         self.credits += header.piggyback_credits
         self.messages_received += 1
-        if not isinstance(header, CreditHeader):
-            # arriving non-explicit messages consumed one of our data
-            # descriptors; the ADI reposts the buffer and then calls
-            # add_return_credit()
-            pass
 
     def add_return_credit(self) -> None:
         self.credits_to_return += 1

@@ -56,13 +56,14 @@ class Communicator:
     # -- translation ----------------------------------------------------------
     def world_rank(self, comm_rank: int) -> int:
         """Translate a communicator rank to a world rank (wildcards pass)."""
+        world_ranks = self._world_ranks
+        if 0 <= comm_rank < len(world_ranks):
+            return world_ranks[comm_rank]
         if comm_rank in (ANY_SOURCE, PROC_NULL):
             return comm_rank
-        if not (0 <= comm_rank < self.size):
-            raise MpiError(
-                f"rank {comm_rank} out of range for communicator of size {self.size}"
-            )
-        return self._world_ranks[comm_rank]
+        raise MpiError(
+            f"rank {comm_rank} out of range for communicator of size {self.size}"
+        )
 
     def comm_rank_of(self, world_rank: int) -> int:
         """Translate a world rank back (for Status.source)."""

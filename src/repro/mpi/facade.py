@@ -35,6 +35,7 @@ from repro.mpi.communicator import Communicator, split_groups
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
+    MAX_TAG,
     MpiError,
     Op,
     SUM,
@@ -51,6 +52,9 @@ class MpiProcess:
                  compute_jitter: float = 0.005, jitter_seed: int = 0):
         self._adi = adi
         self.COMM_WORLD = world
+        #: rank in, and size of, ``COMM_WORLD``: fixed, so plain attributes
+        self.rank: int = world.rank
+        self.size: int = world.size
         self._next_context = 1  # 0 is the world
         #: out-of-band exchange board shared by the job (set by runtime);
         #: models the process manager used for comm_split bookkeeping
@@ -64,14 +68,6 @@ class MpiProcess:
             (jitter_seed * 1_000_003 + world.rank) & 0x7FFFFFFF)
 
     # -- identity ----------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.COMM_WORLD.rank
-
-    @property
-    def size(self) -> int:
-        return self.COMM_WORLD.size
-
     def wtime(self) -> float:
         """Simulated time, µs (MPI_Wtime analogue)."""
         return self._adi.engine.now
@@ -278,8 +274,6 @@ class MpiProcess:
     # -- helpers --------------------------------------------------------------------
     @staticmethod
     def _check_tag(tag: int) -> None:
-        from repro.mpi.constants import MAX_TAG
-
         if not (0 <= tag <= MAX_TAG):
             raise MpiError(f"user tag {tag} out of range [0, {MAX_TAG}]")
 

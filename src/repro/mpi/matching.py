@@ -72,7 +72,11 @@ class MatchingEngine:
         """Find (and remove) the oldest posted receive accepting an
         arriving envelope; None if unexpected."""
         for i, req in enumerate(self._posted):
-            if _accepts(req, src, context, tag):
+            # _accepts(), spelled out: one frame per arrival, not one
+            # per posted receive it is tried against
+            if (req.comm_context == context
+                    and (req.peer == src or req.peer == ANY_SOURCE)
+                    and (req.tag == tag or req.tag == ANY_TAG)):
                 del self._posted[i]
                 self.matched_posted += 1
                 return req

@@ -36,11 +36,9 @@ class RequestKind(enum.Enum):
 
 
 class RequestState(enum.Enum):
-    #: created; for sends possibly waiting for connection/credits
+    #: created; the protocol may be in flight (waiting for a connection,
+    #: credits, a CTS, a synchronous-mode ack)
     PENDING = "pending"
-    #: protocol in flight (e.g. RTS sent, waiting for CTS; eager posted,
-    #: waiting for ack in synchronous mode)
-    ACTIVE = "active"
     COMPLETE = "complete"
 
 
@@ -48,7 +46,7 @@ class Request:
     """One nonblocking operation."""
 
     __slots__ = (
-        "request_id", "kind", "state", "comm_context", "peer", "tag",
+        "request_id", "kind", "state", "done", "comm_context", "peer", "tag",
         "mode", "buffer", "nbytes", "status", "match_seq",
         "rndv_handle", "rndv_region", "temp_copy", "error",
         "completed_at", "posted_at", "tel_span", "flow_id",
@@ -69,6 +67,8 @@ class Request:
         self.request_id = next(_request_ids)
         self.kind = kind
         self.state = RequestState.PENDING
+        #: ``state is COMPLETE`` as a slot; :meth:`complete` writes both
+        self.done = False
         self.comm_context = comm_context
         #: destination rank for sends, (wildcardable) source for receives
         self.peer = peer
@@ -95,14 +95,11 @@ class Request:
         #: per-rank op serial under trace capture (None when not captured)
         self.trace_serial: Optional[int] = None
 
-    @property
-    def done(self) -> bool:
-        return self.state is RequestState.COMPLETE
-
     def complete(self, now: float) -> None:
-        if self.state is RequestState.COMPLETE:
+        if self.done:
             raise RuntimeError(f"request {self.request_id} completed twice")
         self.state = RequestState.COMPLETE
+        self.done = True
         self.completed_at = now
         if self.tel_span is not None:
             self.tel_span.end(ok=self.error is None)

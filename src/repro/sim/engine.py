@@ -207,11 +207,15 @@ class Engine:
         """
         if delay < 0:
             raise NegativeDelayError(delay, "schedule")
-        ev = Event(self, getattr(fn, "__name__", "scheduled"))
-        ev._triggered = True
-        ev._ok = True
+        # built as timeout() builds its event: no Event.__init__ frame
+        ev = Event.__new__(Event)
+        ev.engine = self
+        ev.callbacks = [lambda _ev: fn()]
         ev._value = None
-        ev.callbacks.append(lambda _ev: fn())
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev.name = getattr(fn, "__name__", "scheduled")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         return ev

@@ -26,7 +26,7 @@ import numpy as np
 Discriminator = Tuple[int, int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMessage:
     """Two-sided transfer addressed to a remote VI."""
 
@@ -40,12 +40,8 @@ class DataMessage:
     #: reliability sublayer is active, i.e. under fault injection)
     seq: int = -1
 
-    @property
-    def nbytes(self) -> int:
-        return 0 if self.data is None else int(self.data.nbytes)
 
-
-@dataclass
+@dataclass(slots=True)
 class RdmaWriteMessage:
     """One-sided RDMA write into a remote registered region."""
 
@@ -53,15 +49,14 @@ class RdmaWriteMessage:
     src_vi_id: int
     remote_handle: int
     remote_offset: int
-    data: np.ndarray
+    #: the NIC's staging copy of the payload, a block of
+    #: :data:`repro.memory.arena.STAGING`; None once the destination NIC
+    #: has deposited it and handed the block back
+    data: Optional[np.ndarray]
     descriptor_id: int = 0
     seq: int = -1
     #: causal flow id (RDMA carries no header to ride on; 0 = untagged)
     flow_id: int = 0
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.fabric.network import Network
 from repro.fabric.packet import Packet
+from repro.memory.arena import STAGING
 from repro.sim.engine import Engine
 from repro.via.constants import DescriptorOp, DescriptorStatus, ViState, ViaProtocolError
 from repro.via.messages import (
@@ -217,16 +218,20 @@ class Nic:
         self._tx_busy_until = done
         if self.telemetry is not None:
             self._tx_window = (start, done)  # exactly one tx service in flight
-        self.engine.schedule(done - now, self._service_one_tx)
+        # Engine.schedule's event (the name is fingerprint material), less
+        # its adapter frame: the service routine is the callback
+        self.engine.timeout(done - now, name="_service_one_tx").callbacks.append(
+            self._service_one_tx)
 
-    def _service_one_tx(self) -> None:
+    def _service_one_tx(self, _event) -> None:
         self._tx_scheduled = False
         vi = self._tx_queue.popleft()
-        desc = vi.pop_send()
-        if desc is None:  # pragma: no cover - doorbell/descriptor invariant
+        # (per-packet paths read vi._state, vi._send_backlog, _owners, _vis
+        # and the injector directly; checking accessors are for the host)
+        if not vi._send_backlog:  # pragma: no cover - doorbell/descriptor invariant
             raise ViaProtocolError(f"doorbell rung on VI {vi.vi_id} with empty send queue")
-        # (per-packet paths read vi._state, _owners, _vis and the
-        # injector directly; the checking accessors are for the host side)
+        desc = vi._send_backlog.popleft()
+        now = self.engine.now
         if vi._state is not ViState.CONNECTED or vi.peer is None:
             if self.telemetry is not None:
                 start, done = self._tx_window
@@ -234,32 +239,30 @@ class Nic:
                     "nic.tx", ("node", self.node_id), start, done,
                     vi=vi.vi_id, kind="flushed", bytes=0,
                 )
-            desc.complete(DescriptorStatus.FLUSHED, 0, self.engine.now)
+            desc.complete(DescriptorStatus.FLUSHED, 0, now)
         else:
             remote_node, remote_vi = vi.peer
+            payload = desc.payload
             if desc.op is DescriptorOp.SEND:
-                msg = DataMessage(
-                    dst_vi_id=remote_vi,
-                    src_vi_id=vi.vi_id,
-                    header=desc.header,
-                    data=None if desc.payload is None else desc.payload.copy(),
-                    descriptor_id=desc.descriptor_id,
-                )
+                # <= eager_buffer_size: a pool would cost more than copy();
+                # a bare header (control, RTS, zero-byte send) carries none
+                data = payload.copy() if payload is not None and payload.size else None
+                msg = DataMessage(remote_vi, vi.vi_id, desc.header, data,
+                                  desc.descriptor_id)
                 kind = "eager"
             elif desc.op is DescriptorOp.RDMA_WRITE:
+                # staged in a recycled block; _deliver_rdma returns it
+                data = STAGING.take(payload.nbytes)
+                data[:] = payload
                 msg = RdmaWriteMessage(
-                    dst_vi_id=remote_vi,
-                    src_vi_id=vi.vi_id,
-                    remote_handle=desc.remote_handle,
-                    remote_offset=desc.remote_offset,
-                    data=desc.payload.copy(),
-                    descriptor_id=desc.descriptor_id,
+                    remote_vi, vi.vi_id, desc.remote_handle,
+                    desc.remote_offset, data, desc.descriptor_id,
                     flow_id=desc.flow_id,
                 )
                 kind = "rdma"
             else:  # pragma: no cover - enqueue_send() guards this
                 raise ViaProtocolError(f"unexpected op {desc.op} on send queue")
-            nbytes = msg.nbytes
+            nbytes = 0 if data is None else data.nbytes
             wire = self.profile.header_bytes + nbytes
             injector = self.network.injector
             if injector is not None and remote_node != self.node_id:
@@ -269,8 +272,7 @@ class Nic:
                 msg.seq = vi.tx_seq
                 self._track_unacked(vi, remote_node, msg, wire, kind,
                                     injector.plan)
-            pkt = Packet(src=self.node_id, dst=remote_node, wire_bytes=wire,
-                         payload=msg, kind=kind)
+            pkt = Packet(self.node_id, remote_node, wire, msg, kind)
             if self.telemetry is not None:
                 pkt.flow_id = desc.flow_id
             self.network.send(pkt)
@@ -281,10 +283,11 @@ class Nic:
                     "nic.tx", ("node", self.node_id), start, done,
                     vi=vi.vi_id, kind=kind, bytes=wire, flow=desc.flow_id,
                 )
-            desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
+            desc.complete(DescriptorStatus.SUCCESS, nbytes, now)
         vi.send_cq.push(desc)
         self._owners[vi.vi_id].activity.fire()
-        self._kick_tx()
+        if self._tx_queue:
+            self._kick_tx()
 
     # -- reliability sublayer (fault injection only) ---------------------------
     @property
@@ -455,9 +458,10 @@ class Nic:
         self._rx_busy_until = done
         if self.telemetry is not None:
             self._rx_window = (start, done)  # exactly one rx service in flight
-        self.engine.schedule(done - now, self._service_one_rx)
+        self.engine.timeout(done - now, name="_service_one_rx").callbacks.append(
+            self._service_one_rx)
 
-    def _service_one_rx(self) -> None:
+    def _service_one_rx(self, _event) -> None:
         self._rx_scheduled = False
         packet = self._rx_queue.popleft()
         msg = packet.payload
@@ -494,7 +498,8 @@ class Nic:
             self._deliver_rdma(vi, msg)
         else:  # pragma: no cover - routing guards this
             raise ViaProtocolError(f"NIC cannot handle {type(msg).__name__}")
-        self._kick_rx()
+        if self._rx_queue:
+            self._kick_rx()
 
     def _deliver_data(self, vi: VI, msg: DataMessage) -> bool:
         """Consume a receive descriptor for ``msg``; False if none posted."""
@@ -508,14 +513,17 @@ class Nic:
                     reason="no_recv_descriptor", vi=vi.vi_id,
                 )
             return False
-        nbytes = msg.nbytes
-        if msg.data is not None:
-            if nbytes > desc.buffer.size:
+        data = msg.data
+        nbytes = 0
+        if data is not None:
+            nbytes = data.nbytes
+            buffer = desc.buffer
+            if nbytes > buffer.size:
                 desc.complete(DescriptorStatus.ERROR, 0, self.engine.now)
                 vi.recv_cq.push(desc)
                 self._owners[vi.vi_id].activity.fire()
                 return True
-            desc.buffer.view()[:nbytes] = msg.data
+            buffer.region.data[buffer.offset : buffer.offset + nbytes] = data
         desc.header = msg.header
         desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
         self.messages_received += 1
@@ -524,12 +532,17 @@ class Nic:
         return True
 
     def _deliver_rdma(self, vi: VI, msg: RdmaWriteMessage) -> None:
-        owner = self.owner_of(vi)
-        region = owner.registry.lookup(msg.remote_handle)
+        region = self._owners[vi.vi_id].registry.lookup(msg.remote_handle)
         region.write(msg.remote_offset, msg.data, vi.protection_tag)
         self.rdma_writes_received += 1
         # One-sided: no receive descriptor consumed, no completion entry.
         # The upper layer learns about the data from its own FIN message.
+        if msg.seq < 0:
+            # the staging lifetime rule (repro.memory.arena): never
+            # sequenced, so delivered at most once — the block goes back;
+            # a sequenced message may be delivered again and keeps it
+            data, msg.data = msg.data, None
+            STAGING.give(data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

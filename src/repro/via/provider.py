@@ -198,7 +198,8 @@ class ViaProvider:
 
     def can_post_send(self, vi: VI) -> bool:
         """True if a send bounce buffer is available right now."""
-        return vi.send_pool.free_count > 0
+        pool = vi.send_pool  # pool.free_count, without the property frame
+        return pool.count - len(pool._buffers) + len(pool._free) > 0
 
     def post_send(
         self, vi: VI, header, payload: Optional[np.ndarray], context=None
@@ -219,12 +220,10 @@ class ViaProvider:
             )
         bounce = vi.send_pool.acquire()
         cost = self.profile.post_send_us
-        if payload is None:
-            data_view = np.empty(0, dtype=np.uint8)
-        else:
+        data_view = bounce.region.data[bounce.offset : bounce.offset + nbytes]
+        if payload is not None:
             # one flattening (none for the flat bytes MPI hands down),
             # one copy; the size check above covers the bounce buffer
-            data_view = bounce.view()[:nbytes]
             data_view[:] = as_bytes(payload)
             cost += self.profile.copy_us(nbytes)
         desc = Descriptor(

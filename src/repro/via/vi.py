@@ -206,10 +206,6 @@ class VI:
         self._send_backlog.append(descriptor)
         self.sends_posted += 1
 
-    def pop_send(self) -> Optional[Descriptor]:
-        """NIC side: next send to service."""
-        return self._send_backlog.popleft() if self._send_backlog else None
-
     @property
     def pending_send_count(self) -> int:
         return len(self._send_backlog)

@@ -43,6 +43,9 @@ class FrameCount:
         self.frames = 0
         #: the same, by ``(function name, caller's function name)``
         self.by_name = collections.Counter()
+        #: the same, by the directory (or file) right after the prefix:
+        #: the package, when the prefix is ``"/repro/"``
+        self.by_layer = collections.Counter()
         #: numpy functions and ndarray methods called from anywhere
         self.numpy_calls = 0
 
@@ -57,8 +60,11 @@ def count_frames(prefix):
     def profiler(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            if prefix in code.co_filename:
+            path = code.co_filename
+            if prefix in path:
                 seen.frames += 1
+                seen.by_layer[
+                    path.partition(prefix)[2].partition("/")[0]] += 1
                 back = frame.f_back
                 seen.by_name[
                     code.co_name, back.f_code.co_name if back else ""] += 1

@@ -11,9 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import build as build_module
 from repro.cluster import job as job_module
+from repro.memory.arena import StagingCache
 from repro.mpi.adi import AbstractDevice, as_bytes
 from repro.sim import Engine, Signal
+from repro.via import nic as nic_module
 
 from tests import mpi_rig
 from tests.counting import count_frames, record_instances
@@ -81,13 +84,13 @@ def test_signal_round_enters_eight_sim_frames():
     assert per_unit(signal_run, 8, 8, 2) == per_unit(signal_run, 64, 8, 2)
 
 
-def pingpong(messages):
-    """Count a 2-rank static-p2p ping-pong of ``messages`` 64-byte eager
-    messages; returns the frame count, the job result and the devices'
-    own count of their progress passes."""
+def pingpong(messages, nbytes=64):
+    """Count a 2-rank static-p2p ping-pong of ``messages`` messages of
+    ``nbytes`` (64: eager); returns the frame count, the job result and
+    the devices' own count of their progress passes."""
 
     def program(mpi):
-        buf = np.zeros(64, dtype=np.uint8)
+        buf = np.zeros(nbytes, dtype=np.uint8)
         peer = 1 - mpi.rank
         for _ in range(messages // 2):
             if mpi.rank == 0:
@@ -114,7 +117,11 @@ def test_eager_message_frame_and_event_budget(pingpong_pair):
     (short, short_result, _), (long, long_result, _) = pingpong_pair
     events = long_result.events_processed - short_result.events_processed
     assert events == 9 * 200
-    assert (long.frames - short.frames) / 200 <= 190
+    assert (long.frames - short.frames) / 200 <= 140
+    # the two layers that own the message (the rest: sim, fabric,
+    # memory, and the rank program's own generator in cluster)
+    assert (long.by_layer["mpi"] - short.by_layer["mpi"]) / 200 <= 66
+    assert (long.by_layer["via"] - short.by_layer["via"]) / 200 <= 27
 
 
 def test_eager_message_numpy_calls(pingpong_pair):
@@ -130,6 +137,43 @@ def test_polls_enter_no_generator_but_are_all_counted(pingpong_pair):
                  if name == "progress_pass")
     assert passes > 4 * 220
     assert passes == device_checks
+
+
+RNDV_BYTES = 64 * 1024
+
+
+def test_rendezvous_message_frame_event_and_numpy_budget():
+    # RTS, CTS, RDMA write, FIN: four packets where eager has one
+    short, short_result, _ = pingpong(20, RNDV_BYTES)
+    long, long_result, _ = pingpong(220, RNDV_BYTES)
+    events = long_result.events_processed - short_result.events_processed
+    assert events == 33 * 200
+    assert (long.frames - short.frames) / 200 <= 430
+    # the region write's asarray + ravel: the staging copy is a slice
+    # assignment and the three bare headers stage nothing
+    assert (long.numpy_calls - short.numpy_calls) / 200 <= 3
+
+
+def staged_pingpong(messages):
+    """A rendezvous ping-pong over a staging cache of its own; returns
+    the cache and the RDMA writes the job's NICs delivered."""
+    with pytest.MonkeyPatch.context() as patch:
+        staging = StagingCache()
+        patch.setattr(nic_module, "STAGING", staging)
+        nics = record_instances(patch, build_module, nic_module.Nic)
+        pingpong(messages, RNDV_BYTES)
+    return staging, sum(nic.rdma_writes_received for nic in nics)
+
+
+def test_rdma_staging_blocks_are_recycled_not_allocated():
+    short, short_writes = staged_pingpong(20)
+    long, long_writes = staged_pingpong(220)
+    assert (short_writes, long_writes) == (20, 220)
+    # every delivered write handed its block back, and two hundred more
+    # messages needed not one more block
+    assert (short.returned, long.returned) == (20, 220)
+    assert long.allocated - short.allocated == 0
+    assert 1 <= long.allocated <= 2
 
 
 def test_as_bytes_passes_flat_bytes_through():

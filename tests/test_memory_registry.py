@@ -177,19 +177,6 @@ class TestBufferPool:
         for i, buf in enumerate(bufs):
             assert (buf.view() == i + 1).all()
 
-    def test_fill_from_copies_payload(self):
-        pool = BufferPool(MemoryRegistry(), count=1, size=32)
-        buf = pool.acquire()
-        n = buf.fill_from(np.arange(10, dtype=np.uint8))
-        assert n == 10
-        assert np.array_equal(buf.view()[:10], np.arange(10, dtype=np.uint8))
-
-    def test_fill_from_oversize_rejected(self):
-        pool = BufferPool(MemoryRegistry(), count=1, size=8)
-        buf = pool.acquire()
-        with pytest.raises(BufferPoolError):
-            buf.fill_from(np.zeros(9, dtype=np.uint8))
-
     def test_destroy_unpins(self):
         reg = MemoryRegistry()
         pool = BufferPool(reg, count=2, size=64)
