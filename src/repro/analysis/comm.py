@@ -37,7 +37,6 @@ from repro.analysis.commgraph import (
 )
 from repro.analysis.interp import (
     AnalysisError,
-    Budget,
     Interp,
     MpiProxy,
 )
@@ -283,9 +282,8 @@ def coll_footprint(kind: str, rank: int, size: int, root: Optional[int],
 
 def _run_rank(spec: KernelSpec, rank: int, nprocs: int,
               npb_class: Optional[str],
-              extra_sources: Optional[Dict[str, str]] = None,
-              budget_ops: int = 5_000_000) -> List[Event]:
-    interp = Interp(budget=Budget(budget_ops), extra_sources=extra_sources)
+              extra_sources: Optional[Dict[str, str]] = None) -> List[Event]:
+    interp = Interp(extra_sources=extra_sources)
     factory = interp.load_program(spec.module, spec.factory)
     args: Tuple[Any, ...] = ()
     if spec.npb_class_arg and npb_class is not None:

@@ -32,8 +32,12 @@ import ast
 import builtins
 import importlib
 import importlib.util
+import operator
 from collections.abc import Iterator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MethodType
+from typing import (AbstractSet, Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -171,9 +175,8 @@ class RngVal:
     def call(self, method: str, args: Tuple[Any, ...],
              kwargs: Dict[str, Any]) -> Any:
         shape: Shape = None
-        if method in ("standard_normal", "standard_exponential", "permutation"):
-            shape = _as_shape(args[0]) if args else None
-        elif method == "random":
+        if method in ("standard_normal", "standard_exponential",
+                      "permutation", "random"):
             shape = _as_shape(args[0]) if args else None
         elif method in ("uniform", "normal", "exponential"):
             size = kwargs.get("size", args[2] if len(args) > 2 else None)
@@ -263,15 +266,16 @@ class DtypeVal:
 
 
 class FuncVal:
-    """An interpreted function/lambda with its defining environment."""
+    """An interpreted function/lambda: its compiled code, its defining
+    environment and its evaluated defaults."""
 
-    __slots__ = ("name", "node", "env", "pos_defaults", "kw_defaults")
+    __slots__ = ("name", "code", "env", "pos_defaults", "kw_defaults")
 
-    def __init__(self, name: str, node: Any, env: "Env",
+    def __init__(self, name: str, code: "_Code", env: "Env",
                  pos_defaults: Tuple[Any, ...],
                  kw_defaults: Dict[str, Any]) -> None:
         self.name = name
-        self.node = node
+        self.code = code
         self.env = env
         self.pos_defaults = pos_defaults
         self.kw_defaults = kw_defaults
@@ -296,11 +300,17 @@ class UnknownIter:
 _WRAPPERS = (_Unknown, AbstractArray, RngVal, NumpyVal, NpFunc, DtypeVal,
              FuncVal, ModuleProxy, UnknownIter)
 
+#: exact types that are concrete on sight: no wrapper, no container
+_PLAIN = frozenset({int, float, str, bool, type(None), np.ndarray,
+                    np.float64, np.int64})
+
 
 def is_concrete(value: Any, _depth: int = 0) -> bool:
     """True when ``value`` is plain Python data safe to hand to real code."""
     if _depth > 6:
         return False
+    if type(value) in _PLAIN:
+        return True
     if isinstance(value, _WRAPPERS) or isinstance(value, MpiProxy):
         return False
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -379,8 +389,9 @@ class Env:
     def __init__(self, parent: Optional["Env"] = None) -> None:
         self.vars: Dict[str, Any] = {}
         self.parent = parent
-        self.nonlocal_names: set[str] = set()
-        self.global_names: set[str] = set()
+        # replaced, never mutated, by a ``nonlocal`` / ``global`` statement
+        self.nonlocal_names: AbstractSet[str] = frozenset()
+        self.global_names: AbstractSet[str] = frozenset()
 
     def lookup(self, name: str) -> Any:
         env: Optional[Env] = self
@@ -473,31 +484,24 @@ class MpiProxy:
         self._interp: Optional["Interp"] = None
 
     # -- helpers ----------------------------------------------------------
-    def _line(self) -> Optional[int]:
-        return self._interp.current_line if self._interp else None
-
-    def _certain(self) -> bool:
-        return self._interp.uncertain_depth == 0 if self._interp else True
-
-    def _peer(self, value: Any) -> Optional[int]:
-        return _as_int(value)
-
-    def _tag(self, value: Any) -> Optional[int]:
-        concrete = _as_int(value)
-        # ANY_TAG means "match anything" in the pairing simulation: None
-        return None if concrete == ANY_TAG else concrete
-
     def _p2p(self, op: str, peer: Any, tag: Any, data: Any,
              wildcard: bool = False) -> None:
+        interp = self._interp
+        concrete = _as_int(tag)
         self.events.append(MsgEvent(
-            op=op, peer=self._peer(peer), wildcard=wildcard,
-            tag=self._tag(tag), nbytes=_nbytes_of(data),
-            certain=self._certain(), line=self._line()))
+            op=op, peer=_as_int(peer), wildcard=wildcard,
+            # ANY_TAG means "match anything" in the pairing simulation: None
+            tag=None if concrete == ANY_TAG else concrete,
+            nbytes=_nbytes_of(data),
+            certain=interp.uncertain_depth == 0 if interp else True,
+            line=interp.current_line if interp else None))
 
     def _coll(self, kind: str, root: Any, buf: Any) -> None:
+        interp = self._interp
         self.events.append(CollEvent(
-            kind=kind, root=self._peer(root), nbytes=_nbytes_of(buf),
-            certain=self._certain(), line=self._line()))
+            kind=kind, root=_as_int(root), nbytes=_nbytes_of(buf),
+            certain=interp.uncertain_depth == 0 if interp else True,
+            line=interp.current_line if interp else None))
 
     # -- point to point ---------------------------------------------------
     def send(self, data: Any, dest: Any, tag: Any = 0, comm: Any = None,
@@ -516,38 +520,24 @@ class MpiProxy:
         self._p2p("send", dest, tag, data)
         return None
 
-    def bsend(self, data: Any, dest: Any, tag: Any = 0,
-              comm: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return None
-
-    def rsend(self, data: Any, dest: Any, tag: Any = 0,
-              comm: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return None
+    bsend = rsend = ssend
 
     def issend(self, data: Any, dest: Any, tag: Any = 0,
                comm: Any = None) -> Any:
         self._p2p("send", dest, tag, data)
         return UNKNOWN
 
-    def ibsend(self, data: Any, dest: Any, tag: Any = 0,
-               comm: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return UNKNOWN
+    ibsend = issend
 
     def recv(self, buf: Any = None, source: Any = ANY_SOURCE,
              tag: Any = ANY_TAG, comm: Any = None) -> Any:
         self._recv(buf, source, tag)
         return UNKNOWN
 
-    def irecv(self, buf: Any = None, source: Any = ANY_SOURCE,
-              tag: Any = ANY_TAG, comm: Any = None) -> Any:
-        self._recv(buf, source, tag)
-        return UNKNOWN
+    irecv = recv
 
     def _recv(self, buf: Any, source: Any, tag: Any) -> None:
-        concrete = self._peer(source)
+        concrete = _as_int(source)
         if concrete == ANY_SOURCE:
             self._p2p("recv", None, tag, buf, wildcard=True)
         else:
@@ -562,7 +552,7 @@ class MpiProxy:
 
     def iprobe(self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG,
                comm: Any = None) -> Any:
-        concrete = self._peer(source)
+        concrete = _as_int(source)
         if concrete == ANY_SOURCE:
             self._p2p("probe", None, tag, None, wildcard=True)
         else:
@@ -573,11 +563,10 @@ class MpiProxy:
     def wait(self, request: Any) -> Any:
         return UNKNOWN
 
+    test = wait
+
     def waitall(self, requests: Any) -> Any:
         return None
-
-    def test(self, request: Any) -> Any:
-        return UNKNOWN
 
     # -- collectives ------------------------------------------------------
     def barrier(self, comm: Any = None) -> Any:
@@ -647,8 +636,6 @@ _INTERP_PREFIX = "repro.apps"
 _REAL_IMPORT_OK = ("repro.mpi.constants", "repro.apps.npb.common",
                    "math", "itertools")
 
-_AST_CACHE: Dict[str, ast.Module] = {}
-
 #: real-container methods that mutate in place; executed raw even with
 #: abstract arguments so structure stays tracked while values may be UNKNOWN
 _MUTATORS = frozenset({
@@ -656,29 +643,115 @@ _MUTATORS = frozenset({
     "appendleft", "extendleft", "discard",
 })
 
-
-def _load_ast(dotted: str) -> ast.Module:
-    if dotted in _AST_CACHE:
-        return _AST_CACHE[dotted]
-    spec = importlib.util.find_spec(dotted)
-    if spec is None or spec.origin is None:
-        raise AnalysisError(f"cannot locate source for module {dotted!r}")
-    with open(spec.origin, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=spec.origin)
-    _AST_CACHE[dotted] = tree
-    return tree
+_BUDGET_BLOWN = "abstract-interpretation op budget exceeded"
 
 
 class Budget:
+    """Ops an :class:`Interp` may still charge, one per node entered and per
+    call made; going below zero raises :class:`BudgetExceeded`."""
+
     __slots__ = ("ops",)
 
     def __init__(self, ops: int = 5_000_000) -> None:
         self.ops = ops
 
-    def spend(self) -> None:
-        self.ops -= 1
-        if self.ops < 0:
-            raise BudgetExceeded("abstract-interpretation op budget exceeded")
+
+# A kernel is compiled once and run per rank: every AST node becomes a
+# closure ``(interp, env) -> value`` that has already done whatever
+# depends on the node alone (handler picked, fields and line read,
+# operator resolved, targets and arguments classified, children
+# compiled), so a run only charges the budget, records the line and
+# computes.  A closure captures what the AST says (names, constants,
+# operator functions, child closures, nodes) and never an Env, an Interp,
+# a Budget or a value: what rank k computes cannot depend on the ranks
+# and analyses before it.  ``_restore`` replaces ``env.vars`` wholesale,
+# so a closure re-reads it after running any child.
+
+Expr = Callable[["Interp", Env], Any]
+Stmt = Callable[["Interp", Env], None]
+Store = Callable[["Interp", Env, Any], None]
+Body = Tuple[Stmt, ...]
+
+
+_NO_ARGS = ast.arguments(posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
+                         kw_defaults=[], kwarg=None, defaults=[])
+
+
+class _Code:
+    """What the AST says about one module body, ``def`` or ``lambda``:
+    the parameter layout, and the body compiled on its first run (code
+    no rank executes is never compiled)."""
+
+    __slots__ = ("names", "kwonly", "vararg", "kwarg", "plain", "body",
+                 "expr", "_source")
+
+    def __init__(self, source: Union[Sequence[ast.stmt], ast.expr],
+                 args: ast.arguments = _NO_ARGS) -> None:
+        self._source = source
+        #: statements of a module or ``def``; () for a lambda
+        self.body: Optional[Body] = None
+        #: the value of a lambda; None for a module or ``def``
+        self.expr: Optional[Expr] = None
+        self.names = tuple(a.arg for a in args.posonlyargs + args.args)
+        self.kwonly = tuple(a.arg for a in args.kwonlyargs)
+        self.vararg = args.vararg.arg if args.vararg else None
+        self.kwarg = args.kwarg.arg if args.kwarg else None
+        #: positional parameters only: that many arguments bind by ``zip``
+        self.plain = not (self.kwonly or self.vararg or self.kwarg)
+
+    def compile(self) -> Body:
+        source = self._source
+        if isinstance(source, ast.expr):
+            self.expr = _compile_expr(source)
+            self.body = ()
+        else:
+            self.body = _compile_body(source)
+        self._source = ()  # the closures are all that is needed from here on
+        return self.body
+
+
+@lru_cache(maxsize=None)
+def _module_code(dotted: str) -> _Code:
+    """The parsed (and, lazily, compiled) source of an interpreted
+    package module, kept for the life of the process."""
+    spec = importlib.util.find_spec(dotted)
+    if spec is None or spec.origin is None:
+        raise AnalysisError(f"cannot locate source for module {dotted!r}")
+    with open(spec.origin, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=spec.origin)
+    return _Code(tree.body)
+
+
+@lru_cache(maxsize=8)
+def _source_code(source: str) -> _Code:
+    """The same for an in-memory source: the ranks of one analysis share
+    one parse and one compiled form; only the last few sources are kept."""
+    return _Code(ast.parse(source).body)
+
+
+def _bind_params(code: _Code, func: FuncVal, args: Tuple[Any, ...],
+                 kwargs: Dict[str, Any]) -> Dict[str, Any]:
+    names = code.names
+    bound: Dict[str, Any] = dict(zip(names, args))
+    if code.vararg is not None:
+        bound[code.vararg] = args[len(names):]
+    kw_extra: Dict[str, Any] = {}
+    for key, value in kwargs.items():
+        if key in names or key in code.kwonly:
+            bound[key] = value
+        else:
+            kw_extra[key] = value
+    if code.kwarg is not None:
+        bound[code.kwarg] = kw_extra
+    # positional defaults align to the tail of ``names``
+    for name, value in zip(names[len(names) - len(func.pos_defaults):],
+                           func.pos_defaults):
+        bound.setdefault(name, value)
+    for name, value in func.kw_defaults.items():
+        bound.setdefault(name, value)
+    for name in names + code.kwonly:
+        bound.setdefault(name, UNKNOWN)
+    return bound
 
 
 class Interp:
@@ -701,15 +774,11 @@ class Interp:
             value: Any = NumpyVal()
         elif dotted in self._extra_sources:
             value = self._interpret_module(
-                dotted, ast.parse(self._extra_sources[dotted]))
-        elif dotted in _REAL_IMPORT_OK:
-            try:
-                value = importlib.import_module(dotted)
-            except Exception as exc:
-                raise AnalysisError(f"cannot import {dotted!r}: {exc}") from exc
-        elif dotted.startswith(_INTERP_PREFIX):
-            value = self._interpret_module(dotted, _load_ast(dotted))
-        elif dotted.startswith("repro."):
+                dotted, _source_code(self._extra_sources[dotted]))
+        elif dotted.startswith(_INTERP_PREFIX) \
+                and dotted not in _REAL_IMPORT_OK:
+            value = self._interpret_module(dotted, _module_code(dotted))
+        elif dotted in _REAL_IMPORT_OK or dotted.startswith("repro."):
             try:
                 value = importlib.import_module(dotted)
             except Exception as exc:
@@ -719,11 +788,12 @@ class Interp:
         self._modules[dotted] = value
         return value
 
-    def _interpret_module(self, dotted: str, tree: ast.Module) -> ModuleProxy:
+    def _interpret_module(self, dotted: str, code: _Code) -> ModuleProxy:
         env = Env()
         proxy = ModuleProxy(dotted, env)
         self._modules[dotted] = proxy  # pre-bind against import cycles
-        self.exec_block(tree.body, env)
+        for stmt in code.compile() if code.body is None else code.body:
+            stmt(self, env)
         return proxy
 
     def load_program(self, dotted: str, factory: str) -> Any:
@@ -750,85 +820,56 @@ class Interp:
     # ------------------------------------------------------------- calls --
     def call_value(self, func: Any, args: Tuple[Any, ...],
                    kwargs: Dict[str, Any]) -> Any:
-        self.budget.spend()
-        if func is UNKNOWN or isinstance(func, UnknownIter):
-            return UNKNOWN
-        if isinstance(func, FuncVal):
-            return self._call_funcval(func, args, kwargs)
-        if isinstance(func, NpFunc):
+        budget = self.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        kind = type(func)
+        if kind is NpFunc:
             return self._call_numpy(func.name, args, kwargs)
-        if isinstance(func, DtypeVal):
-            if args and is_concrete(args[0]):
-                try:
-                    return np.dtype(func.name).type(args[0])
-                except Exception:
-                    return UNKNOWN
+        if kind is MethodType and type(func.__self__) is MpiProxy:
+            return func(*args, **kwargs)
+        if kind is not FuncVal:
+            if func is UNKNOWN or isinstance(func, UnknownIter):
+                return UNKNOWN
+            if isinstance(func, DtypeVal):
+                if args and is_concrete(args[0]):
+                    try:
+                        return np.dtype(func.name).type(args[0])
+                    except Exception:
+                        return UNKNOWN
+                return UNKNOWN
+            if isinstance(func, (_BoundArray, _BoundRng)) or isinstance(
+                    getattr(func, "__self__", None), MpiProxy):
+                return func(*args, **kwargs)
+            if callable(func):
+                return self._call_real(func, args, kwargs)
             return UNKNOWN
-        if isinstance(func, (_BoundArray, _BoundRng)):
-            return func(*args, **kwargs)
-        bound_self = getattr(func, "__self__", None)
-        if isinstance(bound_self, MpiProxy):
-            return func(*args, **kwargs)
-        if isinstance(bound_self, RngVal):
-            return bound_self.call(func.__name__, args, kwargs)
-        if callable(func):
-            return self._call_real(func, args, kwargs)
-        return UNKNOWN
-
-    def _call_funcval(self, func: FuncVal, args: Tuple[Any, ...],
-                      kwargs: Dict[str, Any]) -> Any:
+        # an interpreted function, in this frame: a recursive kernel must
+        # reach the depth guard before Python's own recursion limit
         if self.call_depth > 150:
             raise AnalysisError(f"call depth exceeded in {func.name!r}")
-        env = Env(parent=func.env)
-        self._bind_params(func, env, args, kwargs)
+        code = func.code
+        env = Env(func.env)
+        if code.plain and not kwargs and len(args) == len(code.names):
+            env.vars = dict(zip(code.names, args))
+        else:
+            env.vars = _bind_params(code, func, args, kwargs)
         self.call_depth += 1
         try:
-            node = func.node
-            if isinstance(node, ast.Lambda):
-                return self.eval_expr(node.body, env)
+            body = code.body
+            if body is None:
+                body = code.compile()
+            if code.expr is not None:
+                return code.expr(self, env)
             try:
-                self.exec_block(node.body, env)
+                for stmt in body:
+                    stmt(self, env)
             except ReturnSignal as ret:
                 return ret.value
             return None
         finally:
             self.call_depth -= 1
-
-    def _bind_params(self, func: FuncVal, env: Env, args: Tuple[Any, ...],
-                     kwargs: Dict[str, Any]) -> None:
-        node = func.node
-        fargs = node.args
-        names = [a.arg for a in fargs.posonlyargs + fargs.args]
-        bound: Dict[str, Any] = {}
-        extra: List[Any] = []
-        for i, value in enumerate(args):
-            if i < len(names):
-                bound[names[i]] = value
-            else:
-                extra.append(value)
-        if fargs.vararg is not None:
-            bound[fargs.vararg.arg] = tuple(extra)
-        kw_extra: Dict[str, Any] = {}
-        kwonly = {a.arg for a in fargs.kwonlyargs}
-        for key, value in kwargs.items():
-            if key in names or key in kwonly:
-                bound[key] = value
-            else:
-                kw_extra[key] = value
-        if fargs.kwarg is not None:
-            bound[fargs.kwarg.arg] = kw_extra
-        # positional defaults align to the tail of ``names``
-        n_def = len(func.pos_defaults)
-        for i, name in enumerate(names[len(names) - n_def:] if n_def else []):
-            if name not in bound:
-                bound[name] = func.pos_defaults[i]
-        for name, value in func.kw_defaults.items():
-            if name not in bound:
-                bound[name] = value
-        for name in names + [a.arg for a in fargs.kwonlyargs]:
-            if name not in bound:
-                bound[name] = UNKNOWN
-        env.vars.update(bound)
 
     def _call_real(self, func: Callable[..., Any], args: Tuple[Any, ...],
                    kwargs: Dict[str, Any]) -> Any:
@@ -908,16 +949,7 @@ class Interp:
         ) if dtype_kw is not None else None
         first = args[0] if args else None
 
-        def shape_of(value: Any) -> Shape:
-            if isinstance(value, AbstractArray):
-                return value.shape
-            if isinstance(value, np.ndarray):
-                return tuple(value.shape)
-            if isinstance(value, (int, float, complex, bool, np.generic)):
-                return ()
-            if isinstance(value, (list, tuple)):
-                return _nested_shape(value)
-            return None
+        shape_of = _nested_shape
 
         def dt_of(value: Any) -> str:
             if isinstance(value, AbstractArray):
@@ -929,9 +961,8 @@ class Interp:
         if leaf in ("zeros", "ones", "empty", "full"):
             shape = _as_shape(first)
             return AbstractArray(shape, dtype_name or "float64")
-        if leaf in ("zeros_like", "empty_like", "ones_like", "full_like"):
-            return AbstractArray(shape_of(first), dtype_name or dt_of(first))
-        if leaf in ("array", "asarray", "ascontiguousarray"):
+        if leaf in ("zeros_like", "empty_like", "ones_like", "full_like",
+                    "array", "asarray", "ascontiguousarray"):
             return AbstractArray(shape_of(first), dtype_name or dt_of(first))
         if leaf == "arange":
             return AbstractArray(None, dtype_name or "int64")
@@ -993,181 +1024,9 @@ class Interp:
             return RngVal()
         return UNKNOWN
 
-    # ---------------------------------------------------------- exec stmt --
-    def exec_block(self, body: Sequence[ast.stmt], env: Env) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt, env)
 
-    def exec_stmt(self, stmt: ast.stmt, env: Env) -> None:
-        self.budget.spend()
-        self.current_line = getattr(stmt, "lineno", self.current_line)
-        method = getattr(self, "_stmt_" + type(stmt).__name__, None)
-        if method is None:
-            # unsupported statements (class defs, with, match...) are rare
-            # in kernels; treat their bindings as unknown rather than fail
-            for name in _assigned_names(stmt):
-                env.assign(name, UNKNOWN)
-            return
-        method(stmt, env)
-
-    def _stmt_Expr(self, stmt: ast.Expr, env: Env) -> None:
-        self.eval_expr(stmt.value, env)
-
-    def _stmt_Pass(self, stmt: ast.Pass, env: Env) -> None:
-        return None
-
-    def _stmt_Break(self, stmt: ast.Break, env: Env) -> None:
-        raise BreakSignal()
-
-    def _stmt_Continue(self, stmt: ast.Continue, env: Env) -> None:
-        raise ContinueSignal()
-
-    def _stmt_Return(self, stmt: ast.Return, env: Env) -> None:
-        value = self.eval_expr(stmt.value, env) if stmt.value else None
-        raise ReturnSignal(value)
-
-    def _stmt_Global(self, stmt: ast.Global, env: Env) -> None:
-        env.global_names.update(stmt.names)
-
-    def _stmt_Nonlocal(self, stmt: ast.Nonlocal, env: Env) -> None:
-        env.nonlocal_names.update(stmt.names)
-
-    def _stmt_Import(self, stmt: ast.Import, env: Env) -> None:
-        for alias in stmt.names:
-            value = self.import_module(alias.name)
-            name = alias.asname or alias.name.split(".")[0]
-            if alias.asname is None and "." in alias.name:
-                # ``import a.b`` binds ``a``; our modules are leaf-grained,
-                # so bind the leaf proxy under the root name only if absent
-                if not env.has(name):
-                    env.assign(name, UNKNOWN)
-            else:
-                env.assign(name, value)
-
-    def _stmt_ImportFrom(self, stmt: ast.ImportFrom, env: Env) -> None:
-        dotted = stmt.module or ""
-        if stmt.level:
-            dotted = _INTERP_PREFIX if not dotted else dotted
-        module = self.import_module(dotted)
-        for alias in stmt.names:
-            name = alias.asname or alias.name
-            env.assign(name, self._module_attr(module, alias.name))
-
-    def _module_attr(self, module: Any, name: str) -> Any:
-        if isinstance(module, ModuleProxy):
-            try:
-                return module.env.lookup(name)
-            except KeyError:
-                return UNKNOWN
-        if isinstance(module, NumpyVal):
-            return module.attr(name)
-        if module is UNKNOWN:
-            return UNKNOWN
-        try:
-            return getattr(module, name)
-        except AttributeError:
-            return UNKNOWN
-
-    def _stmt_FunctionDef(self, stmt: ast.FunctionDef, env: Env) -> None:
-        pos_defaults = tuple(
-            self.eval_expr(d, env) for d in stmt.args.defaults)
-        kw_defaults = {
-            a.arg: self.eval_expr(d, env)
-            for a, d in zip(stmt.args.kwonlyargs, stmt.args.kw_defaults)
-            if d is not None}
-        env.assign(stmt.name, FuncVal(stmt.name, stmt, env,
-                                      pos_defaults, kw_defaults))
-
-    def _stmt_Assign(self, stmt: ast.Assign, env: Env) -> None:
-        value = self.eval_expr(stmt.value, env)
-        for target in stmt.targets:
-            self._assign_target(target, value, env)
-
-    def _stmt_AnnAssign(self, stmt: ast.AnnAssign, env: Env) -> None:
-        if stmt.value is not None:
-            self._assign_target(stmt.target,
-                                self.eval_expr(stmt.value, env), env)
-
-    def _stmt_AugAssign(self, stmt: ast.AugAssign, env: Env) -> None:
-        target = stmt.target
-        current = self._eval_target(target, env)
-        value = self.eval_expr(stmt.value, env)
-        result = self._binop(type(stmt.op).__name__, current, value)
-        self._assign_target(target, result, env)
-
-    def _eval_target(self, target: ast.expr, env: Env) -> Any:
-        try:
-            return self.eval_expr(target, env)
-        except AnalysisError:
-            return UNKNOWN
-
-    def _assign_target(self, target: ast.expr, value: Any, env: Env) -> None:
-        if isinstance(target, ast.Name):
-            env.assign(target.id, value)
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            self._assign_unpack(target, value, env)
-            return
-        if isinstance(target, ast.Subscript):
-            self._assign_subscript(target, value, env)
-            return
-        if isinstance(target, ast.Attribute):
-            return  # attribute stores on tracked objects: drop
-        if isinstance(target, ast.Starred):
-            self._assign_target(target.value, UNKNOWN, env)
-
-    def _assign_unpack(self, target: ast.Tuple | ast.List, value: Any,
-                       env: Env) -> None:
-        elts = target.elts
-        values: Optional[List[Any]] = None
-        if isinstance(value, (tuple, list)) and not any(
-                isinstance(e, ast.Starred) for e in elts):
-            if len(value) == len(elts):
-                values = list(value)
-        if values is None:
-            values = [UNKNOWN] * len(elts)
-        for elt, v in zip(elts, values):
-            if isinstance(elt, ast.Starred):
-                self._assign_target(elt.value, UNKNOWN, env)
-            else:
-                self._assign_target(elt, v, env)
-
-    def _assign_subscript(self, target: ast.Subscript, value: Any,
-                          env: Env) -> None:
-        obj = self._eval_target(target.value, env)
-        key = self.eval_expr(target.slice, env)
-        if isinstance(obj, (dict, list)) and is_concrete(key):
-            try:
-                obj[key] = value  # type: ignore[index]
-            except Exception:
-                pass
-            return
-        if isinstance(obj, np.ndarray):
-            if is_concrete(key) and is_concrete(value):
-                try:
-                    obj[key] = value
-                    return
-                except Exception:
-                    return
-            # abstract store into a real array: the contents are no longer
-            # trustworthy — degrade the *name* binding to an AbstractArray
-            if isinstance(target.value, ast.Name):
-                env.assign(target.value.id,
-                           AbstractArray(tuple(obj.shape), str(obj.dtype)))
-            return
-        return  # AbstractArray / UNKNOWN stores: shape unaffected, drop
-
-    def _stmt_If(self, stmt: ast.If, env: Env) -> None:
-        cond = self._truth(self.eval_expr(stmt.test, env))
-        if cond is True:
-            self.exec_block(stmt.body, env)
-        elif cond is False:
-            self.exec_block(stmt.orelse, env)
-        else:
-            self._both_branches(stmt.body, stmt.orelse, env)
-
-    def _both_branches(self, body: Sequence[ast.stmt],
-                       orelse: Sequence[ast.stmt], env: Env) -> None:
+    # ------------------------------------------------- uncertain control --
+    def _both_branches(self, body: Body, orelse: Body, env: Env) -> None:
         before = env.snapshot()
         self.uncertain_depth += 1
         try:
@@ -1185,571 +1044,61 @@ class Interp:
                 raise ReturnSignal(UNKNOWN)
             raise escape_body
 
-    def _run_branch(self, body: Sequence[ast.stmt],
-                    env: Env) -> Optional[_Signal]:
+    def _run_branch(self, body: Body, env: Env) -> Optional[_Signal]:
         """Run one uncertain arm, swallowing escapes; return the signal."""
         try:
-            self.exec_block(body, env)
+            for stmt in body:
+                stmt(self, env)
             return None
         except (BreakSignal, ContinueSignal, ReturnSignal, RaiseSignal) as sig:
             return sig
 
-    def _stmt_While(self, stmt: ast.While, env: Env) -> None:
-        for _ in range(1_000_000):
-            cond = self._truth(self.eval_expr(stmt.test, env))
-            if cond is False:
-                break
-            if cond is None:
-                self._unknown_loop(stmt.body, env)
-                return
-            try:
-                self.exec_block(stmt.body, env)
-            except BreakSignal:
-                return
-            except ContinueSignal:
-                continue
-        else:
-            raise BudgetExceeded("concrete while-loop exceeded iteration cap")
-        self.exec_block(stmt.orelse, env)
-
-    def _stmt_For(self, stmt: ast.For, env: Env) -> None:
-        iterable = self.eval_expr(stmt.iter, env)
-        items = self._iter_items(iterable)
-        if items is None:
-            self._unknown_loop(stmt.body, env, target=stmt.target)
-            return
-        broke = False
-        for item in items:
-            self._assign_target(stmt.target, item, env)
-            try:
-                self.exec_block(stmt.body, env)
-            except BreakSignal:
-                broke = True
-                break
-            except ContinueSignal:
-                continue
-        if not broke:
-            self.exec_block(stmt.orelse, env)
-
-    def _iter_items(self, iterable: Any) -> Optional[List[Any]]:
-        if iterable is UNKNOWN or isinstance(iterable, UnknownIter):
-            return None
-        if isinstance(iterable, AbstractArray):
-            # iterating an array of known shape yields shape[0] abstract rows
-            if iterable.shape and 0 < iterable.shape[0] <= 4096:
-                row = AbstractArray(iterable.shape[1:], iterable.dtype)
-                return [row] * iterable.shape[0]
-            return None
-        if isinstance(iterable, (set, frozenset)):
-            try:
-                return sorted(iterable)
-            except TypeError:
-                return sorted(iterable, key=repr)
-        if isinstance(iterable, (list, tuple, range, str, bytes)):
-            return list(iterable)
-        if isinstance(iterable, dict):
-            return list(iterable)
-        if isinstance(iterable, np.ndarray):
-            return list(iterable)
-        if isinstance(iterable, Iterator):
-            out: List[Any] = []
-            try:
-                for item in iterable:
-                    out.append(item)
-                    if len(out) > 100_000:
-                        return None
-            except Exception:
-                return None
-            return out
-        try:
-            return list(iterable)
-        except Exception:
-            return None
-
-    def _unknown_loop(self, body: Sequence[ast.stmt], env: Env,
-                      target: Optional[ast.expr] = None) -> None:
-        """Loop we can't bound: one uncertain pass, then havoc stores."""
+    def _unknown_loop(self, body: Body, env: Env, havoc: Sequence[str],
+                      store: Optional[Store] = None) -> None:
+        """Loop we can't bound: one uncertain pass, then havoc every name
+        the body assigns (``havoc``) and the loop target (``store``)."""
         self.uncertain_depth += 1
         try:
-            if target is not None:
-                self._assign_target(target, UNKNOWN, env)
+            if store is not None:
+                store(self, env, UNKNOWN)
             self._run_branch(body, env)
         finally:
             self.uncertain_depth -= 1
-        for name in _block_assigned_names(body):
+        for name in havoc:
             env.assign(name, UNKNOWN)
-        if target is not None:
-            self._assign_target(target, UNKNOWN, env)
+        if store is not None:
+            store(self, env, UNKNOWN)
 
-    def _stmt_Raise(self, stmt: ast.Raise, env: Env) -> None:
-        detail = ast.unparse(stmt.exc) if stmt.exc is not None else "raise"
-        raise RaiseSignal(detail, getattr(stmt, "lineno", None))
-
-    def _stmt_Assert(self, stmt: ast.Assert, env: Env) -> None:
-        self.eval_expr(stmt.test, env)
-
-    def _stmt_Delete(self, stmt: ast.Delete, env: Env) -> None:
-        return None
-
-    def _stmt_Try(self, stmt: ast.Try, env: Env) -> None:
-        try:
-            try:
-                self.exec_block(stmt.body, env)
-            except RaiseSignal:
-                handled = False
-                for handler in stmt.handlers:
-                    if handler.name:
-                        env.assign(handler.name, UNKNOWN)
-                    try:
-                        self.exec_block(handler.body, env)
-                        handled = True
-                        break
-                    except RaiseSignal:
-                        raise
-                if not handled and not stmt.handlers:
-                    raise
-            else:
-                self.exec_block(stmt.orelse, env)
-        finally:
-            self.exec_block(stmt.finalbody, env)
-
-    def _stmt_With(self, stmt: ast.With, env: Env) -> None:
-        for item in stmt.items:
-            value = self.eval_expr(item.context_expr, env)
-            if item.optional_vars is not None:
-                self._assign_target(item.optional_vars, value, env)
-        self.exec_block(stmt.body, env)
-
-    # ---------------------------------------------------------- eval expr --
-    def eval_expr(self, node: ast.expr, env: Env) -> Any:
-        self.budget.spend()
-        self.current_line = getattr(node, "lineno", self.current_line)
-        method = getattr(self, "_expr_" + type(node).__name__, None)
-        if method is None:
-            return UNKNOWN
-        return method(node, env)
-
-    def _expr_Constant(self, node: ast.Constant, env: Env) -> Any:
-        return node.value
-
-    def _expr_Name(self, node: ast.Name, env: Env) -> Any:
-        try:
-            return env.lookup(node.id)
-        except KeyError:
-            if hasattr(builtins, node.id):
-                return getattr(builtins, node.id)
-            return UNKNOWN
-
-    def _expr_Tuple(self, node: ast.Tuple, env: Env) -> Any:
-        return tuple(self.eval_expr(e, env) for e in node.elts)
-
-    def _expr_List(self, node: ast.List, env: Env) -> Any:
-        return [self.eval_expr(e, env) for e in node.elts]
-
-    def _expr_Set(self, node: ast.Set, env: Env) -> Any:
-        values = [self.eval_expr(e, env) for e in node.elts]
-        if all(is_concrete(v) for v in values):
-            try:
-                return set(values)
-            except TypeError:
-                return UNKNOWN
-        return UNKNOWN
-
-    def _expr_Dict(self, node: ast.Dict, env: Env) -> Any:
-        out: Dict[Any, Any] = {}
-        for key_node, value_node in zip(node.keys, node.values):
-            value = self.eval_expr(value_node, env)
-            if key_node is None:
-                if isinstance(value, dict):
-                    out.update(value)
-                continue
-            key = self.eval_expr(key_node, env)
-            if not is_concrete(key):
-                return UNKNOWN
-            try:
-                out[key] = value
-            except TypeError:
-                return UNKNOWN
-        return out
-
-    def _expr_JoinedStr(self, node: ast.JoinedStr, env: Env) -> Any:
-        parts: List[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant):
-                parts.append(str(value.value))
-            elif isinstance(value, ast.FormattedValue):
-                v = self.eval_expr(value.value, env)
-                parts.append(str(v) if is_concrete(v) else "<?>")
-        return "".join(parts)
-
-    def _expr_FormattedValue(self, node: ast.FormattedValue, env: Env) -> Any:
-        value = self.eval_expr(node.value, env)
-        return str(value) if is_concrete(value) else "<?>"
-
-    def _expr_Lambda(self, node: ast.Lambda, env: Env) -> Any:
-        pos_defaults = tuple(
-            self.eval_expr(d, env) for d in node.args.defaults)
-        kw_defaults = {
-            a.arg: self.eval_expr(d, env)
-            for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
-            if d is not None}
-        return FuncVal("<lambda>", node, env, pos_defaults, kw_defaults)
-
-    def _expr_NamedExpr(self, node: ast.NamedExpr, env: Env) -> Any:
-        value = self.eval_expr(node.value, env)
-        self._assign_target(node.target, value, env)
-        return value
-
-    def _expr_Starred(self, node: ast.Starred, env: Env) -> Any:
-        return self.eval_expr(node.value, env)
-
-    def _expr_Yield(self, node: ast.Yield, env: Env) -> Any:
-        if node.value is not None:
-            self.eval_expr(node.value, env)
-        return UNKNOWN
-
-    def _expr_YieldFrom(self, node: ast.YieldFrom, env: Env) -> Any:
-        # kernels drive facade generators via ``yield from mpi.op(...)``;
-        # the proxy already recorded the event — pass its value through
-        return self.eval_expr(node.value, env)
-
-    def _expr_Await(self, node: ast.Await, env: Env) -> Any:
-        return self.eval_expr(node.value, env)
-
-    def _expr_IfExp(self, node: ast.IfExp, env: Env) -> Any:
-        cond = self._truth(self.eval_expr(node.test, env))
-        if cond is True:
-            return self.eval_expr(node.body, env)
-        if cond is False:
-            return self.eval_expr(node.orelse, env)
-        a = self.eval_expr(node.body, env)
-        b = self.eval_expr(node.orelse, env)
-        return a if _defs_equal(a, b) else UNKNOWN
-
-    def _expr_BoolOp(self, node: ast.BoolOp, env: Env) -> Any:
-        is_and = isinstance(node.op, ast.And)
-        result: Any = None
-        for operand in node.values:
-            value = self.eval_expr(operand, env)
-            truth = self._truth(value)
-            if truth is None:
-                return UNKNOWN
-            if is_and and truth is False:
-                return value
-            if not is_and and truth is True:
-                return value
-            result = value
-        return result
-
-    def _expr_UnaryOp(self, node: ast.UnaryOp, env: Env) -> Any:
-        value = self.eval_expr(node.operand, env)
-        if isinstance(node.op, ast.Not):
-            truth = self._truth(value)
-            return UNKNOWN if truth is None else (not truth)
-        if value is UNKNOWN or isinstance(value, _WRAPPERS):
-            if isinstance(value, AbstractArray) and isinstance(
-                    node.op, (ast.USub, ast.UAdd)):
-                return value
-            return UNKNOWN
-        try:
-            if isinstance(node.op, ast.USub):
-                return -value
-            if isinstance(node.op, ast.UAdd):
-                return +value
-            if isinstance(node.op, ast.Invert):
-                return ~value
-        except Exception:
-            return UNKNOWN
-        return UNKNOWN
-
-    def _expr_BinOp(self, node: ast.BinOp, env: Env) -> Any:
-        left = self.eval_expr(node.left, env)
-        right = self.eval_expr(node.right, env)
-        return self._binop(type(node.op).__name__, left, right)
-
-    _OPS: Dict[str, Callable[[Any, Any], Any]] = {
-        "Add": lambda a, b: a + b,
-        "Sub": lambda a, b: a - b,
-        "Mult": lambda a, b: a * b,
-        "Div": lambda a, b: a / b,
-        "FloorDiv": lambda a, b: a // b,
-        "Mod": lambda a, b: a % b,
-        "Pow": lambda a, b: a ** b,
-        "LShift": lambda a, b: a << b,
-        "RShift": lambda a, b: a >> b,
-        "BitOr": lambda a, b: a | b,
-        "BitAnd": lambda a, b: a & b,
-        "BitXor": lambda a, b: a ^ b,
-        "MatMult": lambda a, b: a @ b,
-    }
-
-    def _binop(self, op: str, left: Any, right: Any) -> Any:
-        if isinstance(left, AbstractArray) or isinstance(right, AbstractArray):
-            return self._array_binop(op, left, right)
-        if not is_concrete(left) or not is_concrete(right):
-            return UNKNOWN
-        fn = self._OPS.get(op)
-        if fn is None:
-            return UNKNOWN
-        try:
-            return fn(left, right)
-        except Exception:
-            return UNKNOWN
-
-    def _array_binop(self, op: str, left: Any, right: Any) -> Any:
-        def shape_dt(value: Any) -> Tuple[Shape, str]:
-            if isinstance(value, AbstractArray):
-                return value.shape, value.dtype
-            if isinstance(value, np.ndarray):
-                return tuple(value.shape), str(value.dtype)
-            if isinstance(value, (bool, np.bool_)):
-                return (), "bool"
-            if isinstance(value, (int, np.integer)):
-                return (), "int64"
-            if isinstance(value, (float, np.floating)):
-                return (), "float64"
-            if isinstance(value, complex):
-                return (), "complex128"
-            return None, "float64"
-
-        ls, ld = shape_dt(left)
-        rs, rd = shape_dt(right)
-        if op == "MatMult":
-            return _matmul_shape(ls, rs, _promote(ld, rd))
-        shape = _broadcast(ls, rs)
-        dtype = _promote(ld, rd)
-        if op == "Div":
-            dtype = _promote(dtype, "float64")
-        if shape == ():
-            return UNKNOWN
-        return AbstractArray(shape, dtype) if shape is not None else \
-            AbstractArray(None, dtype)
-
-    def _expr_Compare(self, node: ast.Compare, env: Env) -> Any:
-        left = self.eval_expr(node.left, env)
-        result: Any = True
-        for op, comparator in zip(node.ops, node.comparators):
-            right = self.eval_expr(comparator, env)
-            one = self._compare(op, left, right)
-            if one is UNKNOWN:
-                return UNKNOWN
-            if one is False:
-                return False
-            left = right
-        return result
-
-    def _compare(self, op: ast.cmpop, left: Any, right: Any) -> Any:
-        if isinstance(left, AbstractArray) or isinstance(right, AbstractArray):
-            return UNKNOWN
-        if isinstance(op, ast.Is):
-            if left is UNKNOWN or right is UNKNOWN:
-                return UNKNOWN
-            return left is right
-        if isinstance(op, ast.IsNot):
-            if left is UNKNOWN or right is UNKNOWN:
-                return UNKNOWN
-            return left is not right
-        if not is_concrete(left) or not is_concrete(right):
-            return UNKNOWN
-        try:
-            if isinstance(op, ast.Eq):
-                return bool(left == right)
-            if isinstance(op, ast.NotEq):
-                return bool(left != right)
-            if isinstance(op, ast.Lt):
-                return bool(left < right)
-            if isinstance(op, ast.LtE):
-                return bool(left <= right)
-            if isinstance(op, ast.Gt):
-                return bool(left > right)
-            if isinstance(op, ast.GtE):
-                return bool(left >= right)
-            if isinstance(op, ast.In):
-                return bool(left in right)
-            if isinstance(op, ast.NotIn):
-                return bool(left not in right)
-        except Exception:
-            return UNKNOWN
-        return UNKNOWN
-
-    def _expr_Call(self, node: ast.Call, env: Env) -> Any:
-        func = self.eval_expr(node.func, env)
-        args: List[Any] = []
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                value = self.eval_expr(arg.value, env)
-                if isinstance(value, (list, tuple)):
-                    args.extend(value)
-                else:
-                    args.append(UNKNOWN)
-            else:
-                args.append(self.eval_expr(arg, env))
-        kwargs: Dict[str, Any] = {}
-        for kw in node.keywords:
-            value = self.eval_expr(kw.value, env)
-            if kw.arg is None:
-                if isinstance(value, dict):
-                    for k, v in value.items():
-                        if isinstance(k, str):
-                            kwargs[k] = v
-            else:
-                kwargs[kw.arg] = value
-        return self.call_value(func, tuple(args), kwargs)
-
-    def _expr_Attribute(self, node: ast.Attribute, env: Env) -> Any:
-        obj = self.eval_expr(node.value, env)
-        return self._attr(obj, node.attr)
-
-    def _attr(self, obj: Any, name: str) -> Any:
-        if obj is UNKNOWN or isinstance(obj, (UnknownIter, FuncVal)):
-            return UNKNOWN
-        if isinstance(obj, NumpyVal):
-            return obj.attr(name)
-        if isinstance(obj, ModuleProxy):
-            try:
-                return obj.env.lookup(name)
-            except KeyError:
-                return UNKNOWN
-        if isinstance(obj, RngVal):
-            return _BoundRng(obj, name)
-        if isinstance(obj, AbstractArray):
-            return self._array_attr(obj, name)
-        if isinstance(obj, MpiProxy):
-            if name in ("rank", "size"):
-                return getattr(obj, name)
-            if name in _MPI_METHODS:
-                return getattr(obj, name)
-            return UNKNOWN
-        try:
-            return getattr(obj, name)
-        except Exception:
-            return UNKNOWN
-
-    def _array_attr(self, arr: AbstractArray, name: str) -> Any:
-        if name == "shape":
-            return arr.shape if arr.shape is not None else UNKNOWN
-        if name == "ndim":
-            return arr.ndim if arr.ndim is not None else UNKNOWN
-        if name == "size":
-            return arr.size if arr.size is not None else UNKNOWN
-        if name == "nbytes":
-            return arr.nbytes if arr.nbytes is not None else UNKNOWN
-        if name == "dtype":
-            return DtypeVal(arr.dtype)
-        if name == "T":
-            shape = None if arr.shape is None else tuple(reversed(arr.shape))
-            return AbstractArray(shape, arr.dtype)
-        if name in ("real", "imag"):
-            dt = "float64" if arr.dtype.startswith("complex") else arr.dtype
-            return AbstractArray(arr.shape, dt)
-        return _BoundArray(arr, name)
-
-    def _expr_Subscript(self, node: ast.Subscript, env: Env) -> Any:
-        obj = self.eval_expr(node.value, env)
-        key = self.eval_expr(node.slice, env)
-        return self._getitem(obj, key)
-
-    def _expr_Slice(self, node: ast.Slice, env: Env) -> Any:
-        lower = self.eval_expr(node.lower, env) if node.lower else None
-        upper = self.eval_expr(node.upper, env) if node.upper else None
-        step = self.eval_expr(node.step, env) if node.step else None
-        if all(v is None or _as_int(v) is not None
-               for v in (lower, upper, step)):
-            return slice(
-                None if lower is None else _as_int(lower),
-                None if upper is None else _as_int(upper),
-                None if step is None else _as_int(step))
-        return UNKNOWN
-
-    def _getitem(self, obj: Any, key: Any) -> Any:
-        if obj is UNKNOWN or isinstance(obj, UnknownIter):
-            return UNKNOWN
-        if isinstance(obj, AbstractArray):
-            return _array_getitem(obj, key)
-        if isinstance(obj, np.ndarray):
-            if is_concrete(key):
-                try:
-                    return obj[key]
-                except Exception:
-                    return UNKNOWN
-            return AbstractArray(None, str(obj.dtype))
-        if is_concrete(key):
-            try:
-                return obj[key]
-            except Exception:
-                return UNKNOWN
-        return UNKNOWN
-
-    # ----------------------------------------------------- comprehensions --
-    def _expr_ListComp(self, node: ast.ListComp, env: Env) -> Any:
-        out: List[Any] = []
-        sound = self._run_comp(node.generators, 0, env,
-                               lambda e: out.append(
-                                   self.eval_expr(node.elt, e)))
-        return out if sound else UNKNOWN
-
-    def _expr_SetComp(self, node: ast.SetComp, env: Env) -> Any:
-        out: List[Any] = []
-        sound = self._run_comp(node.generators, 0, env,
-                               lambda e: out.append(
-                                   self.eval_expr(node.elt, e)))
-        if sound and all(is_concrete(v) for v in out):
-            try:
-                return set(out)
-            except TypeError:
-                return UNKNOWN
-        return UNKNOWN
-
-    def _expr_GeneratorExp(self, node: ast.GeneratorExp, env: Env) -> Any:
-        out: List[Any] = []
-        sound = self._run_comp(node.generators, 0, env,
-                               lambda e: out.append(
-                                   self.eval_expr(node.elt, e)))
-        return out if sound else UNKNOWN
-
-    def _expr_DictComp(self, node: ast.DictComp, env: Env) -> Any:
-        out: Dict[Any, Any] = {}
-
-        def emit(e: Env) -> None:
-            key = self.eval_expr(node.key, e)
-            if is_concrete(key):
-                try:
-                    out[key] = self.eval_expr(node.value, e)
-                except TypeError:
-                    pass
-
-        sound = self._run_comp(node.generators, 0, env, emit)
-        return out if sound else UNKNOWN
-
-    def _run_comp(self, gens: Sequence[ast.comprehension], index: int,
-                  env: Env, emit: Callable[[Env], None]) -> bool:
+    def _run_comp(self, gens: Sequence["_CompFor"], index: int, env: Env,
+                  emit: Callable[["Interp", Env], None]) -> bool:
         """Expand one comprehension level; False means the collected items
         are untrustworthy (unknown iterable or unknown filter) and the
         whole comprehension value must degrade to UNKNOWN."""
         if index >= len(gens):
-            emit(env)
+            emit(self, env)
             return True
-        gen = gens[index]
-        iterable = self.eval_expr(gen.iter, env)
-        items = self._iter_items(iterable)
-        scope = Env(parent=env)
+        iterable, store, conds = gens[index]
+        items = _iter_items(iterable(self, env))
+        scope = Env(env)
         if items is None:
             self.uncertain_depth += 1
             try:
-                self._assign_target(gen.target, UNKNOWN, scope)
-                if all(self._truth(self.eval_expr(c, scope)) is not False
-                       for c in gen.ifs):
+                store(self, scope, UNKNOWN)
+                for cond in conds:
+                    if _truth(cond(self, scope)) is False:
+                        break
+                else:
                     self._run_comp(gens, index + 1, scope, emit)
             finally:
                 self.uncertain_depth -= 1
             return False
         sound = True
         for item in items:
-            self._assign_target(gen.target, item, scope)
+            store(self, scope, item)
             keep = True
             unknown_filter = False
-            for cond in gen.ifs:
-                truth = self._truth(self.eval_expr(cond, scope))
+            for cond in conds:
+                truth = _truth(cond(self, scope))
                 if truth is False:
                     keep = False
                     break
@@ -1763,26 +1112,1048 @@ class Interp:
                 sound = False
                 self.uncertain_depth += 1
                 try:
-                    if not self._run_comp(gens, index + 1, scope, emit):
-                        sound = False
+                    self._run_comp(gens, index + 1, scope, emit)
                 finally:
                     self.uncertain_depth -= 1
-            else:
-                if not self._run_comp(gens, index + 1, scope, emit):
-                    sound = False
+            elif not self._run_comp(gens, index + 1, scope, emit):
+                sound = False
         return sound
 
-    # ------------------------------------------------------------- truth --
-    def _truth(self, value: Any) -> Optional[bool]:
-        if value is UNKNOWN or isinstance(
-                value, (AbstractArray, UnknownIter, RngVal)):
-            return None
-        if isinstance(value, _WRAPPERS) or isinstance(value, MpiProxy):
-            return True
+
+#: one ``for target in iter if cond...`` clause of a comprehension
+_CompFor = Tuple[Expr, Store, Sequence[Expr]]
+
+
+# ----------------------------------------------------------- value side ---
+# What the closures bottom out in; the common cases are tested first.
+
+def _truth(value: Any) -> Optional[bool]:
+    if value is True or value is False:
+        return value
+    if value is UNKNOWN or isinstance(
+            value, (AbstractArray, UnknownIter, RngVal)):
+        return None
+    if isinstance(value, _WRAPPERS) or isinstance(value, MpiProxy):
+        return True
+    try:
+        return bool(value)
+    except Exception:
+        return None
+
+
+def _set_of(values: List[Any]) -> Any:
+    for value in values:
+        if not is_concrete(value):
+            return UNKNOWN
+    try:
+        return set(values)
+    except TypeError:
+        return UNKNOWN
+
+
+_DISPLAYS: Dict[type, Callable[[List[Any]], Any]] = {
+    ast.Tuple: tuple, ast.List: list, ast.Set: _set_of}
+
+_UNARYOPS: Dict[type, Callable[[Any], Any]] = {
+    ast.Not: operator.not_, ast.USub: operator.neg,
+    ast.UAdd: operator.pos, ast.Invert: operator.invert}
+
+_BINOPS: Dict[type, Callable[[Any, Any], Any]] = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.LShift: operator.lshift,
+    ast.RShift: operator.rshift,
+    ast.BitOr: operator.or_,
+    ast.BitAnd: operator.and_,
+    ast.BitXor: operator.xor,
+    ast.MatMult: operator.matmul,
+}
+
+
+def _binop(fn: Callable[[Any, Any], Any], left: Any, right: Any) -> Any:
+    if isinstance(left, AbstractArray) or isinstance(right, AbstractArray):
+        return _array_binop(fn, left, right)
+    if not is_concrete(left) or not is_concrete(right):
+        return UNKNOWN
+    try:
+        return fn(left, right)
+    except Exception:
+        return UNKNOWN
+
+
+def _array_binop(fn: Callable[[Any, Any], Any], left: Any,
+                 right: Any) -> Any:
+    def shape_dt(value: Any) -> Tuple[Shape, str]:
+        if isinstance(value, AbstractArray):
+            return value.shape, value.dtype
+        if isinstance(value, np.ndarray):
+            return tuple(value.shape), str(value.dtype)
+        if isinstance(value, (bool, np.bool_)):
+            return (), "bool"
+        if isinstance(value, (int, np.integer)):
+            return (), "int64"
+        if isinstance(value, (float, np.floating)):
+            return (), "float64"
+        if isinstance(value, complex):
+            return (), "complex128"
+        return None, "float64"
+
+    ls, ld = shape_dt(left)
+    rs, rd = shape_dt(right)
+    if fn is operator.matmul:
+        return _matmul_shape(ls, rs, _promote(ld, rd))
+    shape = _broadcast(ls, rs)
+    dtype = _promote(ld, rd)
+    if fn is operator.truediv:
+        dtype = _promote(dtype, "float64")
+    if shape == ():
+        return UNKNOWN
+    return AbstractArray(shape, dtype) if shape is not None else \
+        AbstractArray(None, dtype)
+
+
+_CMPOPS: Dict[type, Callable[[Any, Any], Any]] = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.In: lambda a, b: a in b,
+    ast.NotIn: lambda a, b: a not in b,
+    ast.Is: operator.is_,
+    ast.IsNot: operator.is_not,
+}
+
+
+def _compare(fn: Callable[[Any, Any], Any], left: Any, right: Any) -> Any:
+    if isinstance(left, AbstractArray) or isinstance(right, AbstractArray):
+        return UNKNOWN
+    if fn is operator.is_ or fn is operator.is_not:
+        if left is UNKNOWN or right is UNKNOWN:
+            return UNKNOWN
+        return fn(left, right)
+    if not is_concrete(left) or not is_concrete(right):
+        return UNKNOWN
+    try:
+        return bool(fn(left, right))
+    except Exception:
+        return UNKNOWN
+
+
+def _attr(obj: Any, name: str) -> Any:
+    if isinstance(obj, MpiProxy):
+        if name in _MPI_METHODS or name in ("rank", "size"):
+            return getattr(obj, name)
+        return UNKNOWN
+    if isinstance(obj, NumpyVal):
+        return obj.attr(name)
+    if obj is UNKNOWN or isinstance(obj, (UnknownIter, FuncVal)):
+        return UNKNOWN
+    if isinstance(obj, ModuleProxy):
         try:
-            return bool(value)
+            return obj.env.lookup(name)
+        except KeyError:
+            return UNKNOWN
+    if isinstance(obj, RngVal):
+        return _BoundRng(obj, name)
+    if isinstance(obj, AbstractArray):
+        return _array_attr(obj, name)
+    try:
+        return getattr(obj, name)
+    except Exception:
+        return UNKNOWN
+
+
+def _array_attr(arr: AbstractArray, name: str) -> Any:
+    if name == "shape":
+        return arr.shape if arr.shape is not None else UNKNOWN
+    if name == "ndim":
+        return arr.ndim if arr.ndim is not None else UNKNOWN
+    if name == "size":
+        return arr.size if arr.size is not None else UNKNOWN
+    if name == "nbytes":
+        return arr.nbytes if arr.nbytes is not None else UNKNOWN
+    if name == "dtype":
+        return DtypeVal(arr.dtype)
+    if name == "T":
+        shape = None if arr.shape is None else tuple(reversed(arr.shape))
+        return AbstractArray(shape, arr.dtype)
+    if name in ("real", "imag"):
+        dt = "float64" if arr.dtype.startswith("complex") else arr.dtype
+        return AbstractArray(arr.shape, dt)
+    return _BoundArray(arr, name)
+
+
+def _getitem(obj: Any, key: Any) -> Any:
+    if obj is UNKNOWN or isinstance(obj, UnknownIter):
+        return UNKNOWN
+    if isinstance(obj, AbstractArray):
+        return _array_getitem(obj, key)
+    if is_concrete(key):
+        try:
+            return obj[key]
+        except Exception:
+            return UNKNOWN
+    if isinstance(obj, np.ndarray):
+        return AbstractArray(None, str(obj.dtype))
+    return UNKNOWN
+
+
+def _iter_items(iterable: Any) -> Optional[List[Any]]:
+    if isinstance(iterable, (list, tuple, range, str, bytes)):
+        return list(iterable)
+    if iterable is UNKNOWN or isinstance(iterable, UnknownIter):
+        return None
+    if isinstance(iterable, AbstractArray):
+        # iterating an array of known shape yields shape[0] abstract rows
+        if iterable.shape and 0 < iterable.shape[0] <= 4096:
+            row = AbstractArray(iterable.shape[1:], iterable.dtype)
+            return [row] * iterable.shape[0]
+        return None
+    if isinstance(iterable, (set, frozenset)):
+        try:
+            return sorted(iterable)
+        except TypeError:
+            return sorted(iterable, key=repr)
+    if isinstance(iterable, dict):
+        return list(iterable)
+    if isinstance(iterable, np.ndarray):
+        return list(iterable)
+    if isinstance(iterable, Iterator):
+        out: List[Any] = []
+        try:
+            for item in iterable:
+                out.append(item)
+                if len(out) > 100_000:
+                    return None
         except Exception:
             return None
+        return out
+    try:
+        return list(iterable)
+    except Exception:
+        return None
+
+
+# ------------------------------------------------------- compile: stores ---
+
+def _compile_store(target: ast.expr) -> Store:
+    """Assignment to ``target``, classified once: Name, Tuple/List,
+    Subscript; attribute stores on tracked objects are dropped.  Only the
+    sub-expressions of a subscript target charge ops."""
+    if isinstance(target, ast.Name):
+        name = target.id
+
+        def store_name(interp: Interp, env: Env, value: Any) -> None:
+            env.assign(name, value)
+        return store_name
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return _compile_unpack(target)
+    if isinstance(target, ast.Subscript):
+        return _compile_store_subscript(target)
+    if isinstance(target, ast.Starred):
+        inner = _compile_store(target.value)
+
+        def store_starred(interp: Interp, env: Env, value: Any) -> None:
+            inner(interp, env, UNKNOWN)
+        return store_starred
+
+    def store_nothing(interp: Interp, env: Env, value: Any) -> None:
+        return None
+    return store_nothing
+
+
+def _compile_unpack(target: Union[ast.Tuple, ast.List]) -> Store:
+    starred = any(isinstance(e, ast.Starred) for e in target.elts)
+    stores = [_compile_store(e) for e in target.elts]
+
+    def store_unpack(interp: Interp, env: Env, value: Any) -> None:
+        # a starred element stores UNKNOWN through its own closure
+        if not starred and isinstance(value, (tuple, list)) \
+                and len(value) == len(stores):
+            for store, item in zip(stores, list(value)):
+                store(interp, env, item)
+        else:
+            for store in stores:
+                store(interp, env, UNKNOWN)
+    return store_unpack
+
+
+def _compile_load_target(target: ast.expr) -> Expr:
+    """An assignment target's current value; UNKNOWN on an analysis error."""
+    load = _compile_expr(target)
+
+    def run(interp: Interp, env: Env) -> Any:
+        try:
+            return load(interp, env)
+        except AnalysisError:
+            return UNKNOWN
+    return run
+
+
+def _compile_store_subscript(target: ast.Subscript) -> Store:
+    container = _compile_load_target(target.value)
+    index = _compile_expr(target.slice)
+    owner = target.value.id if isinstance(target.value, ast.Name) else None
+
+    def store_subscript(interp: Interp, env: Env, value: Any) -> None:
+        obj = container(interp, env)
+        key = index(interp, env)
+        plain = isinstance(obj, (dict, list))
+        array = isinstance(obj, np.ndarray)
+        if is_concrete(key) and (plain or (array and is_concrete(value))):
+            try:
+                obj[key] = value
+            except Exception:
+                pass
+        elif owner is not None and array:
+            # abstract store into a real array: the contents are no longer
+            # trustworthy — degrade the *name* binding to an AbstractArray
+            env.assign(owner, AbstractArray(tuple(obj.shape), str(obj.dtype)))
+        # AbstractArray / UNKNOWN stores: shape unaffected, drop
+    return store_subscript
+
+
+# --------------------------------------------------- compile: statements ---
+# Entering a node charges one op and then records its line, in that
+# order, so a budget runs out at the same program point whatever compiled
+# the node.  The dozen kinds kernels spend 95 % of their ops on do that
+# themselves; the others hand a bare closure to ``_metered``: one more
+# frame on a node that is rarely entered.
+
+def _metered(node: Union[ast.stmt, ast.expr], body: Expr) -> Expr:
+    line = node.lineno
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        return body(interp, env)
+    return run
+
+
+def _compile_stmt(node: ast.stmt) -> Stmt:
+    return _STMT_MAKERS.get(type(node), _s_unsupported)(node)
+
+
+def _compile_body(stmts: Sequence[ast.stmt]) -> Body:
+    return tuple([_compile_stmt(stmt) for stmt in stmts])
+
+
+def _s_unsupported(node: ast.stmt) -> Stmt:
+    """Unsupported statements (class defs, match...), rare in kernels: the
+    names they bind read UNKNOWN.  Also ``pass``, ``del``, a bare annotation."""
+    names = [] if isinstance(node, ast.AnnAssign) else _assigned_names(node)
+
+    def run(interp: Interp, env: Env) -> None:
+        for name in names:
+            env.assign(name, UNKNOWN)
+    return _metered(node, run)
+
+
+def _s_evaluate(node: Union[ast.Expr, ast.Assert]) -> Stmt:
+    """An expression statement, or the test of an ``assert``."""
+    line = node.lineno
+    value = _compile_expr(
+        node.test if isinstance(node, ast.Assert) else node.value)
+
+    def run(interp: Interp, env: Env) -> None:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        value(interp, env)
+    return run
+
+
+def _s_signal(node: Union[ast.Break, ast.Continue]) -> Stmt:
+    signal = BreakSignal if isinstance(node, ast.Break) else ContinueSignal
+
+    def run(interp: Interp, env: Env) -> None:
+        raise signal()
+    return _metered(node, run)
+
+
+def _s_Return(node: ast.Return) -> Stmt:
+    line = node.lineno
+    value = _compile_expr(node.value) if node.value else None
+
+    def run(interp: Interp, env: Env) -> None:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        raise ReturnSignal(value(interp, env) if value else None)
+    return run
+
+
+def _s_scope(node: Union[ast.Global, ast.Nonlocal]) -> Stmt:
+    declared = frozenset(node.names)
+    which = "global_names" if isinstance(node, ast.Global) \
+        else "nonlocal_names"
+
+    def run(interp: Interp, env: Env) -> None:
+        setattr(env, which, getattr(env, which) | declared)
+    return _metered(node, run)
+
+
+def _s_Import(node: ast.Import) -> Stmt:
+    # ``import a.b`` binds ``a``; our modules are leaf-grained, so the
+    # root name is bound (to UNKNOWN) only if absent
+    aliases = [(alias.name, alias.asname or alias.name.split(".")[0],
+                alias.asname is None and "." in alias.name)
+               for alias in node.names]
+
+    def run(interp: Interp, env: Env) -> None:
+        for dotted, name, root_only in aliases:
+            value = interp.import_module(dotted)
+            if not root_only:
+                env.assign(name, value)
+            elif not env.has(name):
+                env.assign(name, UNKNOWN)
+    return _metered(node, run)
+
+
+def _s_ImportFrom(node: ast.ImportFrom) -> Stmt:
+    dotted = node.module or (_INTERP_PREFIX if node.level else "")
+    aliases = [(alias.asname or alias.name, alias.name)
+               for alias in node.names]
+
+    def run(interp: Interp, env: Env) -> None:
+        module = interp.import_module(dotted)
+        for name, attr in aliases:
+            env.assign(name, _attr(module, attr))
+    return _metered(node, run)
+
+
+def _s_FunctionDef(node: ast.FunctionDef) -> Stmt:
+    name = node.name
+    function = _e_function(node)  # charges the statement's op
+
+    def run(interp: Interp, env: Env) -> None:
+        env.assign(name, function(interp, env))
+    return run
+
+
+def _s_Assign(node: Union[ast.Assign, ast.AnnAssign]) -> Stmt:
+    if node.value is None:
+        return _s_unsupported(node)
+    line = node.lineno
+    value = _compile_expr(node.value)
+    targets: Sequence[ast.expr] = node.targets if isinstance(
+        node, ast.Assign) else [node.target]
+    stores = [_compile_store(target) for target in targets]
+    # the common shape, a single plain name, is stored without a call
+    first = targets[0]
+    name = first.id if len(targets) == 1 and isinstance(
+        first, ast.Name) else None
+
+    def run(interp: Interp, env: Env) -> None:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        result = value(interp, env)
+        if name is None or name in env.global_names \
+                or name in env.nonlocal_names:
+            for store in stores:
+                store(interp, env, result)
+        else:
+            env.vars[name] = result
+    return run
+
+
+def _s_AugAssign(node: ast.AugAssign) -> Stmt:
+    current = _compile_load_target(node.target)
+    value = _compile_expr(node.value)
+    fn = _BINOPS[type(node.op)]
+    store = _compile_store(node.target)
+
+    def run(interp: Interp, env: Env) -> None:
+        left = current(interp, env)
+        store(interp, env, _binop(fn, left, value(interp, env)))
+    return _metered(node, run)
+
+
+def _s_If(node: ast.If) -> Stmt:
+    line = node.lineno
+    test = _compile_expr(node.test)
+    body = _compile_body(node.body)
+    orelse = _compile_body(node.orelse)
+
+    def run(interp: Interp, env: Env) -> None:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        cond = _truth(test(interp, env))
+        if cond is None:
+            interp._both_branches(body, orelse, env)
+        else:
+            for stmt in body if cond else orelse:
+                stmt(interp, env)
+    return run
+
+
+def _s_While(node: ast.While) -> Stmt:
+    test = _compile_expr(node.test)
+    body = _compile_body(node.body)
+    orelse = _compile_body(node.orelse)
+    havoc = _block_assigned_names(node.body)
+
+    def run(interp: Interp, env: Env) -> None:
+        for _ in range(1_000_000):
+            cond = _truth(test(interp, env))
+            if cond is False:
+                break
+            if cond is None:
+                interp._unknown_loop(body, env, havoc)
+                return
+            try:
+                for stmt in body:
+                    stmt(interp, env)
+            except BreakSignal:
+                return
+            except ContinueSignal:
+                continue
+        else:
+            raise BudgetExceeded("concrete while-loop exceeded iteration cap")
+        for stmt in orelse:
+            stmt(interp, env)
+    return _metered(node, run)
+
+
+def _s_For(node: ast.For) -> Stmt:
+    iterable = _compile_expr(node.iter)
+    store = _compile_store(node.target)
+    body = _compile_body(node.body)
+    orelse = _compile_body(node.orelse)
+    havoc = _block_assigned_names(node.body)
+
+    def run(interp: Interp, env: Env) -> None:
+        items = _iter_items(iterable(interp, env))
+        if items is None:
+            interp._unknown_loop(body, env, havoc, store)
+            return
+        for item in items:
+            store(interp, env, item)
+            try:
+                for stmt in body:
+                    stmt(interp, env)
+            except BreakSignal:
+                return
+            except ContinueSignal:
+                continue
+        for stmt in orelse:
+            stmt(interp, env)
+    return _metered(node, run)
+
+
+def _s_Raise(node: ast.Raise) -> Stmt:
+    def run(interp: Interp, env: Env) -> None:
+        raise RaiseSignal(
+            "raise" if node.exc is None else ast.unparse(node.exc),
+            node.lineno)
+    return _metered(node, run)
+
+
+def _s_Try(node: ast.Try) -> Stmt:
+    body = _compile_body(node.body)
+    # whatever was raised, the first handler takes it
+    handler = node.handlers[0] if node.handlers else None
+    handling = _compile_body(handler.body) if handler else None
+    orelse = _compile_body(node.orelse)
+    final = _compile_body(node.finalbody)
+
+    def run(interp: Interp, env: Env) -> None:
+        try:
+            try:
+                for stmt in body:
+                    stmt(interp, env)
+            except RaiseSignal:
+                if handler is None or handling is None:
+                    raise
+                if handler.name:
+                    env.assign(handler.name, UNKNOWN)
+                for stmt in handling:
+                    stmt(interp, env)
+            else:
+                for stmt in orelse:
+                    stmt(interp, env)
+        finally:
+            for stmt in final:
+                stmt(interp, env)
+    return _metered(node, run)
+
+
+def _s_With(node: ast.With) -> Stmt:
+    items = [(_compile_expr(item.context_expr),
+              _compile_store(item.optional_vars)
+              if item.optional_vars is not None else None)
+             for item in node.items]
+    body = _compile_body(node.body)
+
+    def run(interp: Interp, env: Env) -> None:
+        for context, store in items:
+            value = context(interp, env)
+            if store is not None:
+                store(interp, env, value)
+        for stmt in body:
+            stmt(interp, env)
+    return _metered(node, run)
+
+
+_STMT_MAKERS: Dict[type, Callable[[Any], Stmt]] = {
+    ast.Expr: _s_evaluate,
+    ast.Assert: _s_evaluate,
+    ast.Pass: _s_unsupported,
+    ast.Delete: _s_unsupported,
+    ast.Break: _s_signal,
+    ast.Continue: _s_signal,
+    ast.Return: _s_Return,
+    ast.Global: _s_scope,
+    ast.Nonlocal: _s_scope,
+    ast.Import: _s_Import,
+    ast.ImportFrom: _s_ImportFrom,
+    ast.FunctionDef: _s_FunctionDef,
+    ast.Assign: _s_Assign,
+    ast.AnnAssign: _s_Assign,
+    ast.AugAssign: _s_AugAssign,
+    ast.If: _s_If,
+    ast.While: _s_While,
+    ast.For: _s_For,
+    ast.Raise: _s_Raise,
+    ast.Try: _s_Try,
+    ast.With: _s_With,
+}
+
+
+# -------------------------------------------------- compile: expressions ---
+
+def _compile_expr(node: ast.expr) -> Expr:
+    return _EXPR_MAKERS.get(type(node), _e_unknown)(node)
+
+
+def _compile_exprs(nodes: Sequence[ast.expr]) -> List[Expr]:
+    return [_compile_expr(node) for node in nodes]
+
+
+def _e_unknown(node: ast.expr) -> Expr:
+    """``yield`` (its value, if any, evaluated) and every unsupported
+    expression: UNKNOWN."""
+    child = node.value if isinstance(node, ast.Yield) else None
+    value = _compile_expr(child) if child is not None else None
+
+    def run(interp: Interp, env: Env) -> Any:
+        if value is not None:
+            value(interp, env)
+        return UNKNOWN
+    return _metered(node, run)
+
+
+def _e_Constant(node: ast.Constant) -> Expr:
+    line = node.lineno
+    value = node.value
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        return value
+    return run
+
+
+def _e_Name(node: ast.Name) -> Expr:
+    line = node.lineno
+    name = node.id
+    # what an unbound name reads as depends on the name alone
+    unbound = getattr(builtins, name, UNKNOWN)
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        scope: Optional[Env] = env
+        while scope is not None:
+            if name in scope.vars:
+                return scope.vars[name]
+            scope = scope.parent
+        return unbound
+    return run
+
+
+def _e_display(node: Union[ast.Tuple, ast.List, ast.Set]) -> Expr:
+    elts = _compile_exprs(node.elts)
+    build = _DISPLAYS[type(node)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        out: List[Any] = []
+        for elt in elts:
+            out.append(elt(interp, env))
+        return build(out)
+    return _metered(node, run)
+
+
+def _e_Dict(node: ast.Dict) -> Expr:
+    # a None key is a ``**mapping`` entry
+    pairs = [(None if k is None else _compile_expr(k), _compile_expr(v))
+             for k, v in zip(node.keys, node.values)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        out: Dict[Any, Any] = {}
+        for key_fn, value_fn in pairs:
+            value = value_fn(interp, env)
+            if key_fn is None:
+                if isinstance(value, dict):
+                    out.update(value)
+                continue
+            key = key_fn(interp, env)
+            if not is_concrete(key):
+                return UNKNOWN
+            try:
+                out[key] = value
+            except TypeError:
+                return UNKNOWN
+        return out
+    return _metered(node, run)
+
+
+def _e_JoinedStr(node: ast.JoinedStr) -> Expr:
+    # literal parts as text, formatted parts as the closure of their value
+    # (format specs and conversions are ignored)
+    parts: List[Union[str, Expr]] = []
+    for part in node.values:
+        if isinstance(part, ast.Constant):
+            parts.append(str(part.value))
+        elif isinstance(part, ast.FormattedValue):
+            parts.append(_compile_expr(part.value))
+
+    def run(interp: Interp, env: Env) -> Any:
+        out: List[str] = []
+        for part in parts:
+            if not isinstance(part, str):
+                value = part(interp, env)
+                part = str(value) if is_concrete(value) else "<?>"
+            out.append(part)
+        return "".join(out)
+    return _metered(node, run)
+
+
+def _e_function(node: Union[ast.Lambda, ast.FunctionDef]) -> Expr:
+    """The :class:`FuncVal` of a ``lambda`` or ``def``: defaults are
+    evaluated where it is defined, the body compiled on its first call."""
+    name = "<lambda>" if isinstance(node, ast.Lambda) else node.name
+    args = node.args
+    code = _Code(node.body, args)
+    defaults = _compile_exprs(args.defaults)
+    kw_defaults = [(arg.arg, _compile_expr(default))
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+
+    def run(interp: Interp, env: Env) -> Any:
+        pos = [default(interp, env) for default in defaults]
+        kw = {key: default(interp, env) for key, default in kw_defaults}
+        return FuncVal(name, code, env, tuple(pos), kw)
+    return _metered(node, run)
+
+
+def _e_NamedExpr(node: ast.NamedExpr) -> Expr:
+    value = _compile_expr(node.value)
+    store = _compile_store(node.target)
+
+    def run(interp: Interp, env: Env) -> Any:
+        result = value(interp, env)
+        store(interp, env, result)
+        return result
+    return _metered(node, run)
+
+
+def _e_passthrough(node: Union[ast.Starred, ast.YieldFrom]) -> Expr:
+    """``*value``, and ``yield from mpi.op(...)`` (the event is recorded)."""
+    line = node.lineno
+    value = _compile_expr(node.value)
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        return value(interp, env)
+    return run
+
+
+def _e_IfExp(node: ast.IfExp) -> Expr:
+    test = _compile_expr(node.test)
+    body = _compile_expr(node.body)
+    orelse = _compile_expr(node.orelse)
+
+    def run(interp: Interp, env: Env) -> Any:
+        cond = _truth(test(interp, env))
+        if cond is True:
+            return body(interp, env)
+        if cond is False:
+            return orelse(interp, env)
+        a = body(interp, env)
+        b = orelse(interp, env)
+        return a if _defs_equal(a, b) else UNKNOWN
+    return _metered(node, run)
+
+
+def _e_BoolOp(node: ast.BoolOp) -> Expr:
+    operands = _compile_exprs(node.values)
+    # ``and`` stops at the first false operand, ``or`` at the first true
+    stop = isinstance(node.op, ast.Or)
+
+    def run(interp: Interp, env: Env) -> Any:
+        value: Any = None
+        for operand in operands:
+            value = operand(interp, env)
+            truth = _truth(value)
+            if truth is None:
+                return UNKNOWN
+            if truth is stop:
+                return value
+        return value
+    return _metered(node, run)
+
+
+def _e_UnaryOp(node: ast.UnaryOp) -> Expr:
+    operand = _compile_expr(node.operand)
+    fn = _UNARYOPS[type(node.op)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        value = operand(interp, env)
+        if fn is operator.not_:
+            truth = _truth(value)
+            return UNKNOWN if truth is None else (not truth)
+        if isinstance(value, _WRAPPERS):
+            # the sign of an abstract array is that array, shape-wise
+            if isinstance(value, AbstractArray) and fn is not operator.invert:
+                return value
+            return UNKNOWN
+        try:
+            return fn(value)
+        except Exception:
+            return UNKNOWN
+    return _metered(node, run)
+
+
+def _e_BinOp(node: ast.BinOp) -> Expr:
+    line = node.lineno
+    left = _compile_expr(node.left)
+    right = _compile_expr(node.right)
+    fn = _BINOPS[type(node.op)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        a = left(interp, env)
+        b = right(interp, env)
+        if type(a) in _PLAIN and type(b) in _PLAIN:
+            try:
+                return fn(a, b)
+            except Exception:
+                return UNKNOWN
+        return _binop(fn, a, b)
+    return run
+
+
+def _e_Compare(node: ast.Compare) -> Expr:
+    first = _compile_expr(node.left)
+    rest = [(_CMPOPS[type(op)], _compile_expr(comparator))
+            for op, comparator in zip(node.ops, node.comparators)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        left = first(interp, env)
+        for fn, comparator in rest:
+            right = comparator(interp, env)
+            one = _compare(fn, left, right)
+            if one is UNKNOWN:
+                return UNKNOWN
+            if one is False:
+                return False
+            left = right
+        return True
+    return _metered(node, run)
+
+
+def _e_Call(node: ast.Call) -> Expr:
+    line = node.lineno
+    func = _compile_expr(node.func)
+    # (closure of the value, is it ``*value``)
+    positional = [
+        (_compile_expr(arg.value), True) if isinstance(arg, ast.Starred)
+        else (_compile_expr(arg), False) for arg in node.args]
+    # (keyword or None for ``**value``, closure of the value)
+    keywords = [(kw.arg, _compile_expr(kw.value)) for kw in node.keywords]
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        callee = func(interp, env)
+        args: List[Any] = []
+        for arg, starred in positional:
+            value = arg(interp, env)
+            if not starred:
+                args.append(value)
+            elif isinstance(value, (list, tuple)):
+                args.extend(value)
+            else:
+                args.append(UNKNOWN)
+        kwargs: Dict[str, Any] = {}
+        for key, arg in keywords:
+            value = arg(interp, env)
+            if key is not None:
+                kwargs[key] = value
+            elif isinstance(value, dict):
+                kwargs.update(
+                    {k: v for k, v in value.items() if isinstance(k, str)})
+        return interp.call_value(callee, tuple(args), kwargs)
+    return run
+
+
+def _e_Attribute(node: ast.Attribute) -> Expr:
+    line = node.lineno
+    value = _compile_expr(node.value)
+    name = node.attr
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        return _attr(value(interp, env), name)
+    return run
+
+
+def _e_Subscript(node: ast.Subscript) -> Expr:
+    line = node.lineno
+    value = _compile_expr(node.value)
+    index = _compile_expr(node.slice)
+
+    def run(interp: Interp, env: Env) -> Any:
+        budget = interp.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        interp.current_line = line
+        obj = value(interp, env)
+        return _getitem(obj, index(interp, env))
+    return run
+
+
+def _e_Slice(node: ast.Slice) -> Expr:
+    bounds = [_compile_expr(part) if part else None
+              for part in (node.lower, node.upper, node.step)]
+
+    def run(interp: Interp, env: Env) -> Any:
+        values = [bound(interp, env) if bound else None for bound in bounds]
+        limits = [None if value is None else _as_int(value)
+                  for value in values]
+        if any(value is not None and limit is None
+               for value, limit in zip(values, limits)):
+            return UNKNOWN
+        return slice(*limits)
+    return _metered(node, run)
+
+
+def _compile_comp(generators: Sequence[ast.comprehension]) -> List[_CompFor]:
+    return [(_compile_expr(gen.iter), _compile_store(gen.target),
+             _compile_exprs(gen.ifs)) for gen in generators]
+
+
+def _e_collecting_comp(
+        node: Union[ast.ListComp, ast.SetComp, ast.GeneratorExp]) -> Expr:
+    """List and set comprehensions, and generator expressions (a list: a
+    generator interpreted here has already run)."""
+    gens = _compile_comp(node.generators)
+    elt = _compile_expr(node.elt)
+    as_set = isinstance(node, ast.SetComp)
+
+    def run(interp: Interp, env: Env) -> Any:
+        out: List[Any] = []
+
+        def emit(interp: Interp, scope: Env) -> None:
+            out.append(elt(interp, scope))
+
+        if not interp._run_comp(gens, 0, env, emit):
+            return UNKNOWN
+        return _set_of(out) if as_set else out
+    return _metered(node, run)
+
+
+def _e_DictComp(node: ast.DictComp) -> Expr:
+    gens = _compile_comp(node.generators)
+    key_fn = _compile_expr(node.key)
+    value_fn = _compile_expr(node.value)
+
+    def run(interp: Interp, env: Env) -> Any:
+        out: Dict[Any, Any] = {}
+
+        def emit(interp: Interp, scope: Env) -> None:
+            key = key_fn(interp, scope)
+            if is_concrete(key):
+                try:
+                    out[key] = value_fn(interp, scope)
+                except TypeError:
+                    pass
+
+        return out if interp._run_comp(gens, 0, env, emit) else UNKNOWN
+    return _metered(node, run)
+
+
+_EXPR_MAKERS: Dict[type, Callable[[Any], Expr]] = {
+    ast.Constant: _e_Constant,
+    ast.Name: _e_Name,
+    ast.Tuple: _e_display,
+    ast.List: _e_display,
+    ast.Set: _e_display,
+    ast.Dict: _e_Dict,
+    ast.JoinedStr: _e_JoinedStr,
+    ast.Lambda: _e_function,
+    ast.NamedExpr: _e_NamedExpr,
+    ast.Starred: _e_passthrough,
+    ast.YieldFrom: _e_passthrough,
+    ast.Yield: _e_unknown,
+    ast.IfExp: _e_IfExp,
+    ast.BoolOp: _e_BoolOp,
+    ast.UnaryOp: _e_UnaryOp,
+    ast.BinOp: _e_BinOp,
+    ast.Compare: _e_Compare,
+    ast.Call: _e_Call,
+    ast.Attribute: _e_Attribute,
+    ast.Subscript: _e_Subscript,
+    ast.Slice: _e_Slice,
+    ast.ListComp: _e_collecting_comp,
+    ast.SetComp: _e_collecting_comp,
+    ast.GeneratorExp: _e_collecting_comp,
+    ast.DictComp: _e_DictComp,
+}
+
 
 
 class _BoundRng:
@@ -1973,16 +2344,11 @@ def _array_getitem(arr: AbstractArray, key: Any) -> Any:
 
 
 def _assigned_names(stmt: ast.stmt) -> List[str]:
-    out: List[str] = []
-    for target in getattr(stmt, "targets", []):
-        out.extend(_target_names(target))
+    """Names an unsupported statement binds: its target, its own name."""
     target = getattr(stmt, "target", None)
-    if isinstance(target, ast.expr):
-        out.extend(_target_names(target))
+    out = _target_names(target) if isinstance(target, ast.expr) else []
     name = getattr(stmt, "name", None)
-    if isinstance(name, str):
-        out.append(name)
-    return out
+    return out + [name] if isinstance(name, str) else out
 
 
 def _target_names(target: ast.expr) -> List[str]:
@@ -1998,45 +2364,27 @@ def _target_names(target: ast.expr) -> List[str]:
     return []
 
 
-def _block_assigned_names(body: Sequence[ast.stmt]) -> List[str]:
+def _block_assigned_names(body: Sequence[ast.stmt]) -> Tuple[str, ...]:
     """Names (re)bound anywhere in a statement block, for loop havoc."""
-    names: List[str] = []
+    names: Dict[str, None] = {}
 
-    class _Collector(ast.NodeVisitor):
-        def visit_Assign(self, node: ast.Assign) -> None:
-            for t in node.targets:
-                names.extend(_target_names(t))
-            self.generic_visit(node)
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef):
+            names[node.name] = None
+            return  # don't descend into nested scopes
+        if isinstance(node, ast.Lambda):
+            return
+        targets: Sequence[ast.expr] = ()
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For,
+                               ast.NamedExpr)):
+            targets = [node.target]
+        for target in targets:
+            names.update(dict.fromkeys(_target_names(target)))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
 
-        def visit_AugAssign(self, node: ast.AugAssign) -> None:
-            names.extend(_target_names(node.target))
-            self.generic_visit(node)
-
-        def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-            names.extend(_target_names(node.target))
-            self.generic_visit(node)
-
-        def visit_For(self, node: ast.For) -> None:
-            names.extend(_target_names(node.target))
-            self.generic_visit(node)
-
-        def visit_NamedExpr(self, node: ast.NamedExpr) -> None:
-            names.extend(_target_names(node.target))
-            self.generic_visit(node)
-
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            names.append(node.name)  # don't descend into nested scopes
-
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            return None
-
-    collector = _Collector()
     for stmt in body:
-        collector.visit(stmt)
-    seen: set[str] = set()
-    ordered: List[str] = []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            ordered.append(n)
-    return ordered
+        visit(stmt)
+    return tuple(names)

@@ -1,0 +1,159 @@
+"""Host cost of a static analysis, by count (deterministic, no timing),
+and the inertness of what the analyzer caches between analyses.
+
+A kernel is compiled once per process — each AST node into a closure —
+and run once per rank.  What a run is charged (ops against ``Budget``)
+is part of the analyzer's contract: it decides where ``BudgetExceeded``
+fires.  What a run costs the host is Python frames inside
+``repro/analysis/interp.py``; compile work must not depend on the rank
+count, and nothing compiled may carry state from one analysis to the
+next.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import repro
+from repro.analysis import analyze_kernel, analyze_source
+from repro.analysis import comm
+from repro.analysis import interp as interp_module
+from repro.analysis.interp import (AnalysisError, Budget, BudgetExceeded,
+                                   Interp, MpiProxy)
+
+from tests.counting import count_calls, count_frames, record_instances
+from tests.test_comm_analysis import DIGESTS_PATH
+
+#: the ladder's six timed analyses (benchmarks/ladder/w_predict.py) and
+#: the ops each charges, summed over its ranks
+LADDER_OPS = {
+    ("ring", 16): 2_128,
+    ("pipeline", 16): 5_681,
+    ("masterworker", 8): 11_477,
+    ("is", 4): 4_556,
+    ("ft", 4): 3_920,
+    ("lu", 4): 5_812,
+}
+
+
+@pytest.mark.parametrize("kernel,nprocs", sorted(LADDER_OPS))
+def test_ops_charged_are_pinned(monkeypatch, kernel, nprocs):
+    interps = record_instances(monkeypatch, comm, Interp)
+    analyze_kernel(kernel, nprocs)
+    assert len(interps) == nprocs
+    charged = sum(Budget().ops - interp.budget.ops for interp in interps)
+    assert charged == LADDER_OPS[kernel, nprocs]
+
+
+def test_frames_per_op_stay_under_the_budget():
+    for kernel, nprocs in LADDER_OPS:
+        analyze_kernel(kernel, nprocs)  # compiled once, outside the count
+    with count_frames("repro/analysis/interp.py") as seen:
+        for kernel, nprocs in LADDER_OPS:
+            analyze_kernel(kernel, nprocs)
+    # 166 531 when every node was re-dispatched by name (4.96 an op)
+    assert seen.frames <= 84_000, seen.by_name.most_common(8)
+
+
+def test_analyze_source_parses_its_source_once(monkeypatch):
+    source = textwrap.dedent("""
+        def make():
+            def kernel(mpi):  # parsed once for all eight ranks
+                yield from mpi.barrier()
+            return kernel
+    """)
+    interp_module._source_code.cache_clear()
+    parses = count_calls(monkeypatch, ast, "parse")
+    graph = analyze_source(source, "make", nprocs=8)
+    assert graph.collectives == {"barrier": 1}
+    assert parses[0] == 1
+
+
+def _compile_work(monkeypatch, kernel, nprocs):
+    counters = [count_calls(monkeypatch, interp_module, name)
+                for name in ("_compile_stmt", "_compile_expr")]
+    analyze_kernel(kernel, nprocs)
+    return sum(calls[0] for calls in counters)
+
+
+def test_compile_work_is_paid_once_whatever_the_rank_count(monkeypatch):
+    interp_module._module_code.cache_clear()
+    at_4 = _compile_work(monkeypatch, "ring", 4)
+    assert at_4 > 0
+    assert _compile_work(monkeypatch, "ring", 4) == 0  # second analysis
+    interp_module._module_code.cache_clear()
+    assert _compile_work(monkeypatch, "ring", 16) == at_4
+
+
+def test_a_small_budget_raises_the_typed_error():
+    source = "def make():\n    def kernel(mpi):\n        while True:\n" \
+             "            pass\n    return kernel\n"
+    interp = Interp(budget=Budget(2_000), extra_sources={"spin": source})
+    program = interp.call_value(interp.load_program("spin", "make"), (), {})
+    with pytest.raises(BudgetExceeded) as blown:
+        interp.run_program(program, MpiProxy(0, 1))
+    assert isinstance(blown.value, AnalysisError)
+    assert interp.budget.ops < 0
+
+
+ORDER_PROBE = """
+import json
+from repro.analysis import COMM_KERNELS
+from tests.test_comm_analysis import commgraph_digest
+
+late = [("cg", 4), ("is", 4), ("samrai", 4), ("masterworker", 8)]
+names = [name for name, spec in COMM_KERNELS.items() if spec.module != "<trace>"]
+for name in names:
+    if name not in dict(late):
+        commgraph_digest(name, 2)
+out = {}
+for name in reversed(names):
+    if name in dict(late):
+        nprocs = dict(late)[name]
+        out[f"{name}/{nprocs}"] = [commgraph_digest(name, nprocs)
+                                   for _ in range(2)]
+print(json.dumps(out))
+"""
+
+
+def test_an_analysis_never_depends_on_the_ones_before_it():
+    """Reverse registry order, each twice, after every other kernel has
+    run at another rank count in the same process: the golden digests."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", ORDER_PROBE], env=env,
+                          cwd=root, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    golden = json.loads(DIGESTS_PATH.read_text())
+    digests = json.loads(done.stdout)
+    assert sorted(digests) == ["cg/4", "is/4", "masterworker/8", "samrai/4"]
+    for key, pair in digests.items():
+        assert pair == [golden[key], golden[key]], key
+
+
+def test_runaway_recursion_reaches_the_depth_guard():
+    """A closure tree nests fewer Python frames per interpreted call than
+    the 150-call guard needs to fire before Python's own limit does."""
+    source = textwrap.dedent("""
+        def make():
+            def down(n):
+                if n >= 0:
+                    return down(n + 1) + 1
+                else:
+                    return 0
+            def kernel(mpi):
+                down(0)
+            return kernel
+    """)
+    with pytest.raises(AnalysisError, match="call depth exceeded in 'down'"):
+        analyze_source(source, "make", nprocs=1)
