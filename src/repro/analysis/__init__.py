@@ -14,7 +14,7 @@ Three parts:
 
 * :mod:`repro.analysis.comm` — a static **communication-graph
   analyzer** (``python -m repro.analysis comm <kernel>``) that replays
-  each kernel generator per rank through a rank-symbolic abstract
+  each kernel generator for every rank through a rank-symbolic abstract
   interpreter, predicts the connection peers the run will need, and
   reports ``REPROC*`` diagnostics (unmatched send/recv, deadlock
   cycles, out-of-range ranks, unresolvable destinations).  The graph

@@ -2,7 +2,8 @@
 derived from source instead of measured at runtime).
 
 ``analyze_kernel("cg", nprocs=16)`` abstractly interprets the CG generator
-once per rank (:mod:`repro.analysis.interp`), expands every collective call
+once per class of ranks that take the same path
+(:mod:`repro.analysis.interp`), expands every collective call
 into the exact per-round point-to-point footprint of
 :mod:`repro.mpi.collectives`, and folds the event streams into a
 :class:`~repro.analysis.commgraph.CommGraph` with typed diagnostics:
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
+                    cast)
 
 from repro.analysis.commgraph import (
     CollEvent,
@@ -57,9 +59,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """How to instantiate one analyzable kernel program."""
+    """How to instantiate one analyzable kernel program; compared by
+    identity, so each registration is its own key for memoised graphs."""
 
     module: str
     factory: str
@@ -277,21 +280,47 @@ def coll_footprint(kind: str, rank: int, size: int, root: Optional[int],
 
 
 # ------------------------------------------------------------------------
-# per-rank abstract interpretation
+# abstract interpretation, one pass per class of ranks
 # ------------------------------------------------------------------------
 
-def _run_rank(spec: KernelSpec, rank: int, nprocs: int,
-              npb_class: Optional[str],
-              extra_sources: Optional[Dict[str, str]] = None) -> List[Event]:
-    interp = Interp(extra_sources=extra_sources)
-    factory = interp.load_program(spec.module, spec.factory)
+def _rank_outcomes(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
+                   extra_sources: Optional[Dict[str, str]] = None
+                   ) -> List[Union[List[Event], Exception]]:
+    """Every rank's events, or the error it stopped with, by rank: a
+    worklist of rank classes, each part a pass lets go interpreted again
+    from the top."""
     args: Tuple[Any, ...] = ()
     if spec.npb_class_arg and npb_class is not None:
         args = (npb_class,)
-    program = interp.call_value(factory, args, dict(spec.kwargs))
-    mpi = MpiProxy(rank, nprocs)
-    interp.run_program(program, mpi)
-    return mpi.events
+    outcomes: Dict[int, Union[List[Event], Exception]] = {}
+    work: List[Tuple[int, ...]] = [tuple(range(nprocs))]
+    while work:
+        work.sort()
+        ranks = work.pop(0)
+        interp = Interp(extra_sources=extra_sources)
+        mpi = MpiProxy(ranks, nprocs)
+        failure: Optional[Exception] = None
+        try:
+            factory = interp.load_program(spec.module, spec.factory)
+            program = interp.call_value(factory, args, dict(spec.kwargs))
+            interp.run_program(program, mpi)
+        except Exception as exc:  # that class's outcome, not ours to raise
+            failure = exc
+        work.extend(interp.split)
+        for rank, events in interp.finished(mpi):
+            outcomes[rank] = events if failure is None else failure
+    return [outcomes[rank] for rank in range(nprocs)]
+
+
+def _rank_events(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
+                 extra_sources: Optional[Dict[str, str]] = None
+                 ) -> List[List[Event]]:
+    """Every rank's events; the error of the lowest failing rank."""
+    outcomes = _rank_outcomes(spec, nprocs, npb_class, extra_sources)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return cast(List[List[Event]], outcomes)
 
 
 # ------------------------------------------------------------------------
@@ -623,11 +652,8 @@ def analyze_kernel(kernel: str, nprocs: int,
     if spec is None:
         known = ", ".join(sorted(COMM_KERNELS))
         raise KeyError(f"unknown kernel {kernel!r} (known: {known})")
-    per_rank = [
-        _run_rank(spec, rank, nprocs,
-                  npb_class if spec.npb_class_arg else None)
-        for rank in range(nprocs)
-    ]
+    per_rank = _rank_events(spec, nprocs,
+                            npb_class if spec.npb_class_arg else None)
     params: Dict[str, Any] = dict(spec.kwargs)
     if spec.npb_class_arg:
         params["npb_class"] = npb_class
@@ -714,31 +740,28 @@ def analyze_source(source: str, factory: str, nprocs: int,
     """Analyze an in-memory kernel source (for tests and ad-hoc checks)."""
     spec = KernelSpec(module=module_name, factory=factory,
                       kwargs=tuple(sorted((kwargs or {}).items())))
-    per_rank = [
-        _run_rank(spec, rank, nprocs, None,
-                  extra_sources={module_name: source})
-        for rank in range(nprocs)
-    ]
+    per_rank = _rank_events(spec, nprocs, None,
+                            extra_sources={module_name: source})
     return _build_graph(kernel, nprocs, dict(spec.kwargs), per_rank)
 
 
 @lru_cache(maxsize=256)
-def _cached_source_graph(kernel: str, nprocs: int,
-                         npb_class: str) -> CommGraph:
+def _cached_source_graph(kernel: str, spec: Optional[KernelSpec],
+                         nprocs: int, npb_class: str) -> CommGraph:
     return analyze_kernel(kernel, nprocs, npb_class=npb_class)
 
 
 def _cached_graph(kernel: str, nprocs: int, npb_class: str) -> CommGraph:
     """Graph lookup with caching for source-backed kernels only.
 
-    Trace-backed kernels bypass the lru_cache: a re-registration under
-    the same name must never serve a stale graph, and folding a trace
-    is cheap next to abstract interpretation.
+    The cache is keyed by the registration's spec, so a name registered
+    again is analyzed afresh; trace-backed kernels bypass it (folding a
+    trace is cheap next to abstract interpretation).
     """
-    defn = _registry.KERNEL_DEFS.get(kernel)
-    if defn is not None and defn.trace is not None:
+    spec = COMM_KERNELS.get(kernel)
+    if spec is not None and spec.module == "<trace>":
         return analyze_kernel(kernel, nprocs, npb_class=npb_class)
-    return _cached_source_graph(kernel, nprocs, npb_class)
+    return _cached_source_graph(kernel, spec, nprocs, npb_class)
 
 
 def predicted_peers_for(kernel: str, nprocs: int,

@@ -1,7 +1,7 @@
 """Communication-graph data model for the static comm analyzer.
 
 The abstract interpreter in :mod:`repro.analysis.interp` replays a kernel
-generator once per rank and records the communication operations it can see
+generator for every rank and records the communication operations it can see
 syntactically; :mod:`repro.analysis.comm` folds those per-rank event streams
 into a :class:`CommGraph` — per-rank destination sets, message-size bounds,
 collective footprints — plus typed ``REPROC*`` diagnostics.

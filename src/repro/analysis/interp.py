@@ -2,8 +2,8 @@
 
 ``repro`` kernels are plain-Python generator factories: ``make_cg("S")``
 returns ``prog(mpi)`` whose body mixes numpy compute with MPI facade calls.
-To predict the communication graph *statically* we execute that AST once per
-rank with ``rank``/``size`` bound to concrete integers while everything
+To predict the communication graph *statically* we execute that AST with
+``rank``/``size`` bound to concrete integers while everything
 data-dependent stays abstract:
 
 * Fully-concrete operations delegate to real Python/numpy — ``(rank + 1) %
@@ -16,6 +16,9 @@ data-dependent stays abstract:
 * A branch on an unknown condition runs *both* arms (events flagged
   uncertain, stores joined); a loop over an unknown iterable runs its body
   once under uncertainty and then havocs every name the body assigns.
+* One pass runs a class of ranks: ``mpi.rank`` is :class:`Ranked`, and so is
+  what is computed from it; where ranks would take different paths the pass
+  keeps those agreeing with its lowest rank (:meth:`Interp.narrow`).
 
 The interpreter never imports kernel modules for execution side effects:
 ``repro.apps.*`` sources are parsed and interpreted from their ASTs; only
@@ -32,10 +35,11 @@ import ast
 import builtins
 import importlib
 import importlib.util
+import math
 import operator
 from collections.abc import Iterator
 from functools import lru_cache
-from types import MethodType
+from types import BuiltinFunctionType, MethodType
 from typing import (AbstractSet, Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -51,6 +55,7 @@ __all__ = [
     "BudgetExceeded",
     "Interp",
     "MpiProxy",
+    "Ranked",
 ]
 
 
@@ -297,12 +302,48 @@ class UnknownIter:
     __slots__ = ()
 
 
+class Ranked:
+    """A value that differs by rank in a pass: ``values[p]`` is what the
+    rank at position ``p`` holds.  Never inside a container: a display of
+    one builds a container per rank, ``owned`` (stores go slot by slot)."""
+
+    __slots__ = ("values", "owned")
+
+    def __init__(self, values: List[Any], owned: bool = False) -> None:
+        self.values = values
+        self.owned = owned
+
+
 _WRAPPERS = (_Unknown, AbstractArray, RngVal, NumpyVal, NpFunc, DtypeVal,
-             FuncVal, ModuleProxy, UnknownIter)
+             FuncVal, ModuleProxy, UnknownIter, Ranked)
 
 #: exact types that are concrete on sight: no wrapper, no container
 _PLAIN = frozenset({int, float, str, bool, type(None), np.ndarray,
                     np.float64, np.int64})
+
+#: exact types whose values are equal when ``==`` says so
+_EQ_KINDS = frozenset({int, str, bool, bytes, type(None), slice, range})
+
+
+def _same(a: Any, b: Any) -> bool:
+    """``b`` may stand for ``a``: one object, or equal immutable values."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind in _EQ_KINDS:
+        return bool(a == b)
+    if kind is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if kind is float or kind is complex or isinstance(a, np.generic):
+        return repr(a) == repr(b)
+    if kind is AbstractArray:
+        return bool(a.shape == b.shape and a.dtype == b.dtype)
+    if kind in (NumpyVal, NpFunc, DtypeVal):  # a numpy name, stateless
+        return bool(getattr(a, kind.__slots__[0]) == getattr(
+            b, kind.__slots__[0]))
+    return kind is RngVal or kind is UnknownIter
 
 
 def is_concrete(value: Any, _depth: int = 0) -> bool:
@@ -445,7 +486,8 @@ def _restore(snap: List[Tuple[Env, Dict[str, Any]]]) -> None:
         env.vars = dict(saved)
 
 
-def _join_states(after_body: List[Tuple[Env, Dict[str, Any]]],
+def _join_states(interp: "Interp",
+                 after_body: List[Tuple[Env, Dict[str, Any]]],
                  after_else: List[Tuple[Env, Dict[str, Any]]]) -> None:
     """Merge two branch outcomes in place: disagreeing names go UNKNOWN."""
     else_by_env = {id(env): state for env, state in after_else}
@@ -455,11 +497,15 @@ def _join_states(after_body: List[Tuple[Env, Dict[str, Any]]],
         for name in sorted(set(body_state) | set(else_state)):
             if name in body_state and name in else_state:
                 b, e = body_state[name], else_state[name]
-                merged[name] = b if b is e else (
-                    b if _defs_equal(b, e) else UNKNOWN)
+                merged[name] = interp.lift(_merged, (b, e)) if Ranked in (
+                    type(b), type(e)) else _merged(b, e)
             else:
                 merged[name] = UNKNOWN
         env.vars = merged
+
+
+def _merged(b: Any, e: Any) -> Any:
+    return b if b is e or _defs_equal(b, e) else UNKNOWN
 
 
 def _defs_equal(a: Any, b: Any) -> bool:
@@ -474,34 +520,54 @@ def _defs_equal(a: Any, b: Any) -> bool:
 # ------------------------------------------------------------- MPI proxy ---
 
 
-class MpiProxy:
-    """Facade stand-in: records comm events instead of scheduling them."""
+def _msg_event(op: str, peer: Any, tag: Any, data: Any, any_source: bool,
+               certain: bool, line: Optional[int]) -> MsgEvent:
+    # a receive or probe from ANY_SOURCE is a wildcard with no peer
+    wildcard = any_source and _as_int(peer) == ANY_SOURCE
+    concrete = _as_int(tag)
+    return MsgEvent(
+        op=op, peer=None if wildcard else _as_int(peer), wildcard=wildcard,
+        # ANY_TAG means "match anything" in the pairing simulation: None
+        tag=None if concrete == ANY_TAG else concrete,
+        nbytes=_nbytes_of(data), certain=certain, line=line)
 
-    def __init__(self, rank: int, size: int) -> None:
-        self.rank = rank
+
+def _coll_event(kind: str, root: Any, buf: Any, certain: bool,
+                line: Optional[int]) -> CollEvent:
+    return CollEvent(kind=kind, root=_as_int(root), nbytes=_nbytes_of(buf),
+                     certain=certain, line=line)
+
+
+class MpiProxy:
+    """Facade stand-in: records comm events instead of scheduling them,
+    for one rank or a class of them (an event differing by rank is a
+    :class:`Ranked` of events)."""
+
+    def __init__(self, rank: Union[int, Sequence[int]], size: int) -> None:
+        self.ranks = (rank,) if isinstance(rank, int) else tuple(rank)
+        self.rank: Any = self.ranks[0] if len(self.ranks) == 1 \
+            else Ranked(list(self.ranks))
         self.size = size
-        self.events: List[Event] = []
+        self.events: List[Any] = []
         self._interp: Optional["Interp"] = None
 
     # -- helpers ----------------------------------------------------------
-    def _p2p(self, op: str, peer: Any, tag: Any, data: Any,
-             wildcard: bool = False) -> None:
+    def _record(self, make: Callable[..., Event], *fields: Any) -> Any:
         interp = self._interp
-        concrete = _as_int(tag)
-        self.events.append(MsgEvent(
-            op=op, peer=_as_int(peer), wildcard=wildcard,
-            # ANY_TAG means "match anything" in the pairing simulation: None
-            tag=None if concrete == ANY_TAG else concrete,
-            nbytes=_nbytes_of(data),
-            certain=interp.uncertain_depth == 0 if interp else True,
-            line=interp.current_line if interp else None))
+        fields += (interp.uncertain_depth == 0 if interp else True,
+                   interp.current_line if interp else None)
+        if interp is not None and Ranked in map(type, fields):
+            self.events.append(Ranked(interp.lift_raw(make, fields)))
+        else:
+            self.events.append(make(*fields))
+        return UNKNOWN  # what a request or a received value reads as
 
-    def _coll(self, kind: str, root: Any, buf: Any) -> None:
-        interp = self._interp
-        self.events.append(CollEvent(
-            kind=kind, root=_as_int(root), nbytes=_nbytes_of(buf),
-            certain=interp.uncertain_depth == 0 if interp else True,
-            line=interp.current_line if interp else None))
+    def _p2p(self, op: str, peer: Any, tag: Any, data: Any,
+             any_source: bool = False) -> Any:
+        return self._record(_msg_event, op, peer, tag, data, any_source)
+
+    def _coll(self, kind: str, root: Any, buf: Any) -> Any:
+        return self._record(_coll_event, kind, root, buf)
 
     # -- point to point ---------------------------------------------------
     def send(self, data: Any, dest: Any, tag: Any = 0, comm: Any = None,
@@ -511,53 +577,27 @@ class MpiProxy:
 
     def isend(self, data: Any, dest: Any, tag: Any = 0, comm: Any = None,
               mode: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return UNKNOWN
+        return self._p2p("send", dest, tag, data)
 
     # send-mode variants share the standard-send footprint
-    def ssend(self, data: Any, dest: Any, tag: Any = 0,
-              comm: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return None
-
-    bsend = rsend = ssend
-
-    def issend(self, data: Any, dest: Any, tag: Any = 0,
-               comm: Any = None) -> Any:
-        self._p2p("send", dest, tag, data)
-        return UNKNOWN
-
-    ibsend = issend
+    ssend = bsend = rsend = send
+    issend = ibsend = isend
 
     def recv(self, buf: Any = None, source: Any = ANY_SOURCE,
              tag: Any = ANY_TAG, comm: Any = None) -> Any:
-        self._recv(buf, source, tag)
-        return UNKNOWN
+        return self._p2p("recv", source, tag, buf, any_source=True)
 
     irecv = recv
-
-    def _recv(self, buf: Any, source: Any, tag: Any) -> None:
-        concrete = _as_int(source)
-        if concrete == ANY_SOURCE:
-            self._p2p("recv", None, tag, buf, wildcard=True)
-        else:
-            self._p2p("recv", source, tag, buf)
 
     def sendrecv(self, senddata: Any, dest: Any, recvbuf: Any = None,
                  source: Any = ANY_SOURCE, sendtag: Any = 0,
                  recvtag: Any = ANY_TAG, comm: Any = None) -> Any:
         self._p2p("send", dest, sendtag, senddata)
-        self._recv(recvbuf, source, recvtag)
-        return UNKNOWN
+        return self._p2p("recv", source, recvtag, recvbuf, any_source=True)
 
     def iprobe(self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG,
                comm: Any = None) -> Any:
-        concrete = _as_int(source)
-        if concrete == ANY_SOURCE:
-            self._p2p("probe", None, tag, None, wildcard=True)
-        else:
-            self._p2p("probe", source, tag, None)
-        return UNKNOWN
+        return self._p2p("probe", source, tag, None, any_source=True)
 
     # -- request completion (no comm edges) -------------------------------
     def wait(self, request: Any) -> Any:
@@ -574,45 +614,37 @@ class MpiProxy:
         return None
 
     def bcast(self, buf: Any, root: Any = 0, comm: Any = None) -> Any:
-        self._coll("bcast", root, buf)
-        return UNKNOWN
+        return self._coll("bcast", root, buf)
 
     def reduce(self, sendbuf: Any, recvbuf: Any = None, op: Any = None,
                root: Any = 0, comm: Any = None) -> Any:
-        self._coll("reduce", root, sendbuf)
-        return UNKNOWN
+        return self._coll("reduce", root, sendbuf)
 
     def allreduce(self, sendbuf: Any, recvbuf: Any = None, op: Any = None,
                   comm: Any = None) -> Any:
-        self._coll("allreduce", None, sendbuf)
-        return UNKNOWN
+        return self._coll("allreduce", None, sendbuf)
 
     def allgather(self, sendbuf: Any, recvbuf: Any = None,
                   comm: Any = None) -> Any:
-        self._coll("allgather", None, sendbuf)
-        return UNKNOWN
+        return self._coll("allgather", None, sendbuf)
 
     def alltoall(self, sendbuf: Any, recvbuf: Any = None,
                  comm: Any = None) -> Any:
-        self._coll("alltoall", None, sendbuf)
-        return UNKNOWN
+        return self._coll("alltoall", None, sendbuf)
 
     def alltoallv(self, sendbuf: Any, sendcounts: Any = None,
                   sdispls: Any = None, recvbuf: Any = None,
                   recvcounts: Any = None, rdispls: Any = None,
                   comm: Any = None) -> Any:
-        self._coll("alltoallv", None, sendbuf)
-        return UNKNOWN
+        return self._coll("alltoallv", None, sendbuf)
 
     def gather(self, sendbuf: Any, recvbuf: Any = None, root: Any = 0,
                comm: Any = None) -> Any:
-        self._coll("gather", root, sendbuf)
-        return UNKNOWN
+        return self._coll("gather", root, sendbuf)
 
     def scatter(self, sendbuf: Any, recvbuf: Any = None, root: Any = 0,
                 comm: Any = None) -> Any:
-        self._coll("scatter", root, sendbuf)
-        return UNKNOWN
+        return self._coll("scatter", root, sendbuf)
 
     # -- local ops --------------------------------------------------------
     def compute(self, us: Any) -> Any:
@@ -656,16 +688,11 @@ class Budget:
         self.ops = ops
 
 
-# A kernel is compiled once and run per rank: every AST node becomes a
-# closure ``(interp, env) -> value`` that has already done whatever
-# depends on the node alone (handler picked, fields and line read,
-# operator resolved, targets and arguments classified, children
-# compiled), so a run only charges the budget, records the line and
-# computes.  A closure captures what the AST says (names, constants,
-# operator functions, child closures, nodes) and never an Env, an Interp,
-# a Budget or a value: what rank k computes cannot depend on the ranks
-# and analyses before it.  ``_restore`` replaces ``env.vars`` wholesale,
-# so a closure re-reads it after running any child.
+# A kernel is compiled once and run per pass: every AST node becomes a
+# closure ``(interp, env) -> value`` that has done whatever depends on the
+# node alone, and captures only what the AST says — never an Env, an
+# Interp, a Budget or a value, so no pass depends on the ones before it.
+# ``_restore`` replaces ``env.vars``: a closure re-reads it after a child.
 
 Expr = Callable[["Interp", Env], Any]
 Stmt = Callable[["Interp", Env], None]
@@ -729,12 +756,13 @@ def _source_code(source: str) -> _Code:
     return _Code(ast.parse(source).body)
 
 
-def _bind_params(code: _Code, func: FuncVal, args: Tuple[Any, ...],
+def _bind_params(interp: "Interp", code: _Code, func: FuncVal,
+                 args: Tuple[Any, ...],
                  kwargs: Dict[str, Any]) -> Dict[str, Any]:
     names = code.names
     bound: Dict[str, Any] = dict(zip(names, args))
     if code.vararg is not None:
-        bound[code.vararg] = args[len(names):]
+        bound[code.vararg] = tuple(map(interp.uniform, args[len(names):]))
     kw_extra: Dict[str, Any] = {}
     for key, value in kwargs.items():
         if key in names or key in code.kwonly:
@@ -742,7 +770,8 @@ def _bind_params(code: _Code, func: FuncVal, args: Tuple[Any, ...],
         else:
             kw_extra[key] = value
     if code.kwarg is not None:
-        bound[code.kwarg] = kw_extra
+        bound[code.kwarg] = {key: interp.uniform(value)
+                             for key, value in kw_extra.items()}
     # positional defaults align to the tail of ``names``
     for name, value in zip(names[len(names) - len(func.pos_defaults):],
                            func.pos_defaults):
@@ -755,7 +784,7 @@ def _bind_params(code: _Code, func: FuncVal, args: Tuple[Any, ...],
 
 
 class Interp:
-    """One abstract interpretation context (typically: one rank)."""
+    """One abstract interpretation pass: one rank, or a class of ranks."""
 
     def __init__(self, budget: Optional[Budget] = None,
                  extra_sources: Optional[Dict[str, str]] = None) -> None:
@@ -765,6 +794,86 @@ class Interp:
         self.call_depth = 0
         self._modules: Dict[str, Any] = {}
         self._extra_sources = dict(extra_sources or {})
+        #: ranks by position, positions still run, classes let go
+        self.ranks: Tuple[int, ...] = (0,)
+        self.active: Tuple[int, ...] = (0,)
+        self.split: List[Tuple[int, ...]] = []
+
+    # ---------------------------------------------------- rank classes --
+    # Every rank of a pass enters the same nodes: one budget is each
+    # rank's.  Per-rank values are computed rank by rank (``lift``) where
+    # that cannot change which nodes run; elsewhere the pass narrows.
+
+    def narrow(self, outcomes: List[Any]) -> Any:
+        """Part the active ranks by ``outcomes[position]``; keep the part
+        holding the lowest rank and return its outcome."""
+        first = outcomes[self.active[0]]
+        parts: List[Tuple[Any, List[int]]] = [(first, [])]
+        for p in self.active:
+            for seen, part in parts:
+                if _same(seen, outcomes[p]):
+                    part.append(p)
+                    break
+            else:
+                parts.append((outcomes[p], [p]))
+        self.active = tuple(parts[0][1])
+        for _outcome, part in parts[1:]:
+            self.split.append(tuple([self.ranks[p] for p in part]))
+        return first
+
+    def uniform(self, value: Any) -> Any:
+        """``value`` as one value all the ranks kept agree on."""
+        return self.narrow(value.values) if type(value) is Ranked else value
+
+    def truth(self, value: Ranked) -> Optional[bool]:
+        """The truth of a condition, which every rank kept agrees on."""
+        return self.narrow(self.lift_raw(_truth, (value,)))
+
+    def lift_raw(self, fn: Callable[..., Any],
+                 args: Sequence[Any]) -> List[Any]:
+        """``fn`` rank by rank; ranks it raises for part ways with the rest."""
+        out: List[Any] = [None] * len(self.ranks)
+        errors: List[Any] = [None] * len(self.ranks)
+        for p in self.active:
+            try:
+                out[p] = fn(*[arg.values[p] if type(arg) is Ranked else arg
+                              for arg in args])
+            except Exception as exc:
+                errors[p] = exc
+        if any(errors) and self.narrow([None if e is None else (
+                type(e), str(e)) for e in errors]) is not None:
+            raise errors[self.active[0]]
+        return out
+
+    def collapse(self, out: List[Any], owned: bool = False) -> Any:
+        """One value when every active rank holds the same one."""
+        first = out[self.active[0]]
+        for p in self.active:
+            if out[p] is not first and not _same(first, out[p]):
+                return Ranked(out, owned)
+        return first
+
+    def lift(self, fn: Callable[..., Any], args: Sequence[Any],
+             owned: bool = False) -> Any:
+        return self.collapse(self.lift_raw(fn, args), owned)
+
+    def items(self, value: Ranked) -> Optional[List[Any]]:
+        """A per-rank iterable's items, as many for every rank kept."""
+        per_rank = Ranked(self.lift_raw(_iter_items, (value,)))
+        length = self.narrow([None if items is None else len(items)
+                              for items in per_rank.values])
+        if length is None:
+            return None
+        return [self.lift(operator.getitem, (per_rank, index))
+                for index in range(length)]
+
+    def finished(self, mpi: MpiProxy) -> List[Tuple[int, List[Event]]]:
+        """The ranks this pass ran to its end, each with its events."""
+        if mpi._interp is not self:  # stopped before the program ran
+            return [(rank, []) for rank in mpi.ranks]
+        return [(self.ranks[p], [event.values[p] if type(event) is Ranked
+                                 else event for event in mpi.events])
+                for p in self.active]
 
     # ---------------------------------------------------------- modules --
     def import_module(self, dotted: str) -> Any:
@@ -810,6 +919,8 @@ class Interp:
     def run_program(self, program: Any, mpi: MpiProxy) -> Any:
         """Call ``program(mpi)`` — the kernel generator — to completion."""
         mpi._interp = self
+        self.ranks = mpi.ranks
+        self.active = tuple(range(len(mpi.ranks)))
         try:
             return self.call_value(program, (mpi,), {})
         except RaiseSignal as sig:
@@ -830,21 +941,7 @@ class Interp:
         if kind is MethodType and type(func.__self__) is MpiProxy:
             return func(*args, **kwargs)
         if kind is not FuncVal:
-            if func is UNKNOWN or isinstance(func, UnknownIter):
-                return UNKNOWN
-            if isinstance(func, DtypeVal):
-                if args and is_concrete(args[0]):
-                    try:
-                        return np.dtype(func.name).type(args[0])
-                    except Exception:
-                        return UNKNOWN
-                return UNKNOWN
-            if isinstance(func, (_BoundArray, _BoundRng)) or isinstance(
-                    getattr(func, "__self__", None), MpiProxy):
-                return func(*args, **kwargs)
-            if callable(func):
-                return self._call_real(func, args, kwargs)
-            return UNKNOWN
+            return self._call_other(func, args, kwargs)
         # an interpreted function, in this frame: a recursive kernel must
         # reach the depth guard before Python's own recursion limit
         if self.call_depth > 150:
@@ -854,7 +951,7 @@ class Interp:
         if code.plain and not kwargs and len(args) == len(code.names):
             env.vars = dict(zip(code.names, args))
         else:
-            env.vars = _bind_params(code, func, args, kwargs)
+            env.vars = _bind_params(self, code, func, args, kwargs)
         self.call_depth += 1
         try:
             body = code.body
@@ -870,6 +967,61 @@ class Interp:
             return None
         finally:
             self.call_depth -= 1
+
+    def _call_other(self, func: Any, args: Tuple[Any, ...],
+                    kwargs: Dict[str, Any]) -> Any:
+        """Call anything but an interpreted function."""
+        if func is UNKNOWN or isinstance(func, UnknownIter):
+            return UNKNOWN
+        if isinstance(func, DtypeVal):
+            if args and is_concrete(args[0]):
+                try:
+                    return np.dtype(func.name).type(args[0])
+                except Exception:
+                    return UNKNOWN
+            return UNKNOWN
+        if isinstance(func, NpFunc):
+            return self._call_numpy(func.name, args, kwargs)
+        if isinstance(func, (_BoundArray, _BoundRng)) or isinstance(
+                getattr(func, "__self__", None), MpiProxy):
+            return func(*args, **kwargs)
+        if callable(func):
+            return self._call_real(func, args, kwargs)
+        return UNKNOWN
+
+    def _call_slot(self, func: Any, kwargs: Dict[str, Any],
+                   *args: Any) -> Any:
+        return self._call_other(func, args, kwargs)
+
+    def call_ranked(self, func: Any, args: Tuple[Any, ...],
+                    kwargs: Dict[str, Any]) -> Any:
+        """:meth:`call_value` with per-rank callee or arguments: pure code
+        runs rank by rank, the rest (or what reads an iterator) once."""
+        values = args + tuple(kwargs.values())
+        shared = any(isinstance(item, Iterator) for value in values for item
+                     in (value.values if type(value) is Ranked else (value,)))
+        if type(func) is Ranked:
+            for p in self.active:
+                if shared or not _pure(func.values[p], kwargs):
+                    func = self.uniform(func)
+                    break
+        if type(func) is not Ranked:
+            if type(func) is FuncVal or Ranked not in map(type, values) or (
+                    type(func) is MethodType
+                    and type(func.__self__) is MpiProxy):
+                return self.call_value(func, args, kwargs)
+        kwargs = {key: self.uniform(arg) for key, arg in kwargs.items()}
+        if type(func) is not Ranked and (shared or not _pure(func, kwargs)):
+            # e.g. ``shared.append(rank)``: one container, one value
+            return self.call_value(
+                func, tuple([self.uniform(arg) for arg in args]), kwargs)
+        budget = self.budget
+        budget.ops -= 1
+        if budget.ops < 0:
+            raise BudgetExceeded(_BUDGET_BLOWN)
+        return self.lift(self._call_slot, (func, kwargs) + args,
+                         owned=type(func) is not Ranked
+                         and func in (list, dict, set, sorted))
 
     def _call_real(self, func: Callable[..., Any], args: Tuple[Any, ...],
                    kwargs: Dict[str, Any]) -> Any:
@@ -1035,7 +1187,7 @@ class Interp:
             _restore(before)
             escape_else = self._run_branch(orelse, env)
             after_else = env.snapshot()
-            _join_states(after_body, after_else)
+            _join_states(self, after_body, after_else)
         finally:
             self.uncertain_depth -= 1
         if escape_body is not None and type(escape_body) is type(escape_else):
@@ -1078,14 +1230,18 @@ class Interp:
             emit(self, env)
             return True
         iterable, store, conds = gens[index]
-        items = _iter_items(iterable(self, env))
+        value = iterable(self, env)
+        items = self.items(value) if type(value) is Ranked \
+            else _iter_items(value)
         scope = Env(env)
         if items is None:
             self.uncertain_depth += 1
             try:
                 store(self, scope, UNKNOWN)
                 for cond in conds:
-                    if _truth(cond(self, scope)) is False:
+                    value = cond(self, scope)
+                    if (self.truth(value) if type(value) is Ranked
+                            else _truth(value)) is False:
                         break
                 else:
                     self._run_comp(gens, index + 1, scope, emit)
@@ -1098,7 +1254,9 @@ class Interp:
             keep = True
             unknown_filter = False
             for cond in conds:
-                truth = _truth(cond(self, scope))
+                value = cond(self, scope)
+                truth = self.truth(value) if type(value) is Ranked \
+                    else _truth(value)
                 if truth is False:
                     keep = False
                     break
@@ -1153,6 +1311,91 @@ def _set_of(values: List[Any]) -> Any:
 
 _DISPLAYS: Dict[type, Callable[[List[Any]], Any]] = {
     ast.Tuple: tuple, ast.List: list, ast.Set: _set_of}
+
+
+# ------------------------------------------------------- per-rank side ---
+
+def _built(build: Callable[[List[Any]], Any], *items: Any) -> Any:
+    return build(list(items))
+
+
+#: builtins, builtin methods and numpy functions known not to write into
+#: an argument or their object
+_PURE_BUILTINS = frozenset({
+    len, abs, divmod, min, max, sum, round, pow, sorted, isinstance, repr,
+    any, all, iter, int, float, bool, complex, str, list, tuple, dict, set,
+    frozenset, range, zip, enumerate, reversed, map, filter, type})
+_PURE_METHODS = frozenset("copy astype reshape sum max min tolist item ravel "
+                          "transpose get keys values items index count".split())
+_NP_MUTATING = frozenset("add.at copyto put place putmask fill_diagonal "
+                         "random.shuffle random.seed".split())
+
+
+def _pure(func: Any, kwargs: Dict[str, Any]) -> bool:
+    """Whether ``func`` runs no interpreted code and writes no argument."""
+    kind = type(func)
+    if "out" in kwargs or kind is FuncVal:
+        return False
+    if kind is NpFunc:
+        return func.name not in _NP_MUTATING
+    if kind is BuiltinFunctionType and func.__self__ is not builtins:
+        owner = func.__self__  # math, or a builtin method
+        return owner is math or func.__name__ in _PURE_METHODS \
+            or isinstance(owner, (str, bytes, int, float, tuple))
+    return kind in (DtypeVal, _BoundArray, _BoundRng, UnknownIter, _Unknown) \
+        or (kind in (BuiltinFunctionType, type) and func in _PURE_BUILTINS)
+
+
+def _unary(fn: Callable[[Any], Any], value: Any) -> Any:
+    if fn is operator.not_:
+        truth = _truth(value)
+        return UNKNOWN if truth is None else (not truth)
+    if isinstance(value, _WRAPPERS):
+        # the sign of an abstract array is that array, shape-wise
+        if isinstance(value, AbstractArray) and fn is not operator.invert:
+            return value
+        return UNKNOWN
+    try:
+        return fn(value)
+    except Exception:
+        return UNKNOWN
+
+
+def _compared(fn: Callable[[Any, Any], Any], left: Any, right: Any) -> Any:
+    """One link of a comparison chain: UNKNOWN, False or True."""
+    one = _compare(fn, left, right)
+    return UNKNOWN if one is UNKNOWN else one is not False
+
+
+def _slice(*values: Any) -> Any:
+    limits = [None if value is None else _as_int(value) for value in values]
+    for value, limit in zip(values, limits):
+        if value is not None and limit is None:
+            return UNKNOWN
+    return slice(*limits)
+
+
+def _unpacked(value: Any, count: int, index: int) -> Any:
+    ok = isinstance(value, (tuple, list)) and len(value) == count
+    return value[index] if ok else UNKNOWN
+
+
+def _store_item(obj: Any, key: Any, value: Any,
+                rebinds: bool) -> Optional[AbstractArray]:
+    plain = isinstance(obj, (dict, list))
+    array = isinstance(obj, np.ndarray)
+    if is_concrete(key) and (plain or (array and is_concrete(value))):
+        try:
+            obj[key] = value
+        except Exception:
+            pass
+    elif rebinds and array:
+        # abstract store into a real array: the contents are no longer
+        # trustworthy — degrade the *name* binding to an AbstractArray
+        return AbstractArray(tuple(obj.shape), str(obj.dtype))
+    # AbstractArray / UNKNOWN stores: shape unaffected, drop
+    return None
+
 
 _UNARYOPS: Dict[type, Callable[[Any], Any]] = {
     ast.Not: operator.not_, ast.USub: operator.neg,
@@ -1375,7 +1618,11 @@ def _compile_unpack(target: Union[ast.Tuple, ast.List]) -> Store:
 
     def store_unpack(interp: Interp, env: Env, value: Any) -> None:
         # a starred element stores UNKNOWN through its own closure
-        if not starred and isinstance(value, (tuple, list)) \
+        if type(value) is Ranked and not starred:
+            for index, store in enumerate(stores):
+                store(interp, env, interp.lift(
+                    _unpacked, (value, len(stores), index)))
+        elif not starred and isinstance(value, (tuple, list)) \
                 and len(value) == len(stores):
             for store, item in zip(stores, list(value)):
                 store(interp, env, item)
@@ -1405,18 +1652,21 @@ def _compile_store_subscript(target: ast.Subscript) -> Store:
     def store_subscript(interp: Interp, env: Env, value: Any) -> None:
         obj = container(interp, env)
         key = index(interp, env)
-        plain = isinstance(obj, (dict, list))
-        array = isinstance(obj, np.ndarray)
-        if is_concrete(key) and (plain or (array and is_concrete(value))):
-            try:
-                obj[key] = value
-            except Exception:
-                pass
-        elif owner is not None and array:
-            # abstract store into a real array: the contents are no longer
-            # trustworthy — degrade the *name* binding to an AbstractArray
-            env.assign(owner, AbstractArray(tuple(obj.shape), str(obj.dtype)))
-        # AbstractArray / UNKNOWN stores: shape unaffected, drop
+        if type(obj) is Ranked and not obj.owned:
+            obj = interp.uniform(obj)  # ranks may share what they mutate
+        if type(obj) is Ranked:
+            # a container each rank built for itself: store rank by rank
+            interp.lift_raw(_store_item, (obj, key, value, False))
+            return
+        if isinstance(obj, (dict, list, np.ndarray)):
+            # one container the ranks share: one key, one value
+            if type(key) is Ranked:
+                key = interp.uniform(key)
+            if type(value) is Ranked:
+                value = interp.uniform(value)
+        replacement = _store_item(obj, key, value, owner is not None)
+        if replacement is not None and owner is not None:
+            env.assign(owner, replacement)
     return store_subscript
 
 
@@ -1582,7 +1832,11 @@ def _s_AugAssign(node: ast.AugAssign) -> Stmt:
 
     def run(interp: Interp, env: Env) -> None:
         left = current(interp, env)
-        store(interp, env, _binop(fn, left, value(interp, env)))
+        right = value(interp, env)
+        if type(left) is Ranked or type(right) is Ranked:
+            store(interp, env, interp.lift(_binop, (fn, left, right)))
+        else:
+            store(interp, env, _binop(fn, left, right))
     return _metered(node, run)
 
 
@@ -1598,7 +1852,8 @@ def _s_If(node: ast.If) -> Stmt:
         if budget.ops < 0:
             raise BudgetExceeded(_BUDGET_BLOWN)
         interp.current_line = line
-        cond = _truth(test(interp, env))
+        value = test(interp, env)
+        cond = interp.truth(value) if type(value) is Ranked else _truth(value)
         if cond is None:
             interp._both_branches(body, orelse, env)
         else:
@@ -1615,7 +1870,9 @@ def _s_While(node: ast.While) -> Stmt:
 
     def run(interp: Interp, env: Env) -> None:
         for _ in range(1_000_000):
-            cond = _truth(test(interp, env))
+            value = test(interp, env)
+            cond = interp.truth(value) if type(value) is Ranked \
+                else _truth(value)
             if cond is False:
                 break
             if cond is None:
@@ -1643,7 +1900,9 @@ def _s_For(node: ast.For) -> Stmt:
     havoc = _block_assigned_names(node.body)
 
     def run(interp: Interp, env: Env) -> None:
-        items = _iter_items(iterable(interp, env))
+        value = iterable(interp, env)
+        items = interp.items(value) if type(value) is Ranked \
+            else _iter_items(value)
         if items is None:
             interp._unknown_loop(body, env, havoc, store)
             return
@@ -1806,6 +2065,8 @@ def _e_display(node: Union[ast.Tuple, ast.List, ast.Set]) -> Expr:
         out: List[Any] = []
         for elt in elts:
             out.append(elt(interp, env))
+        if Ranked in map(type, out):  # one container per rank
+            return interp.lift(_built, (build, *out), owned=True)
         return build(out)
     return _metered(node, run)
 
@@ -1820,10 +2081,13 @@ def _e_Dict(node: ast.Dict) -> Expr:
         for key_fn, value_fn in pairs:
             value = value_fn(interp, env)
             if key_fn is None:
+                if type(value) is Ranked:
+                    value = interp.uniform(value)
                 if isinstance(value, dict):
                     out.update(value)
                 continue
-            key = key_fn(interp, env)
+            key = interp.uniform(key_fn(interp, env))
+            value = interp.uniform(value)
             if not is_concrete(key):
                 return UNKNOWN
             try:
@@ -1848,7 +2112,7 @@ def _e_JoinedStr(node: ast.JoinedStr) -> Expr:
         out: List[str] = []
         for part in parts:
             if not isinstance(part, str):
-                value = part(interp, env)
+                value = interp.uniform(part(interp, env))
                 part = str(value) if is_concrete(value) else "<?>"
             out.append(part)
         return "".join(out)
@@ -1905,13 +2169,14 @@ def _e_IfExp(node: ast.IfExp) -> Expr:
     orelse = _compile_expr(node.orelse)
 
     def run(interp: Interp, env: Env) -> Any:
-        cond = _truth(test(interp, env))
+        value = test(interp, env)
+        cond = interp.truth(value) if type(value) is Ranked else _truth(value)
         if cond is True:
             return body(interp, env)
         if cond is False:
             return orelse(interp, env)
-        a = body(interp, env)
-        b = orelse(interp, env)
+        a = interp.uniform(body(interp, env))
+        b = interp.uniform(orelse(interp, env))
         return a if _defs_equal(a, b) else UNKNOWN
     return _metered(node, run)
 
@@ -1925,7 +2190,8 @@ def _e_BoolOp(node: ast.BoolOp) -> Expr:
         value: Any = None
         for operand in operands:
             value = operand(interp, env)
-            truth = _truth(value)
+            truth = interp.truth(value) if type(value) is Ranked \
+                else _truth(value)
             if truth is None:
                 return UNKNOWN
             if truth is stop:
@@ -1940,18 +2206,9 @@ def _e_UnaryOp(node: ast.UnaryOp) -> Expr:
 
     def run(interp: Interp, env: Env) -> Any:
         value = operand(interp, env)
-        if fn is operator.not_:
-            truth = _truth(value)
-            return UNKNOWN if truth is None else (not truth)
-        if isinstance(value, _WRAPPERS):
-            # the sign of an abstract array is that array, shape-wise
-            if isinstance(value, AbstractArray) and fn is not operator.invert:
-                return value
-            return UNKNOWN
-        try:
-            return fn(value)
-        except Exception:
-            return UNKNOWN
+        if type(value) is Ranked:
+            return interp.lift(_unary, (fn, value))
+        return _unary(fn, value)
     return _metered(node, run)
 
 
@@ -1974,6 +2231,8 @@ def _e_BinOp(node: ast.BinOp) -> Expr:
                 return fn(a, b)
             except Exception:
                 return UNKNOWN
+        if type(a) is Ranked or type(b) is Ranked:
+            return interp.lift(_binop, (fn, a, b))
         return _binop(fn, a, b)
     return run
 
@@ -1985,9 +2244,15 @@ def _e_Compare(node: ast.Compare) -> Expr:
 
     def run(interp: Interp, env: Env) -> Any:
         left = first(interp, env)
-        for fn, comparator in rest:
+        for link, (fn, comparator) in enumerate(rest, 1 - len(rest)):
             right = comparator(interp, env)
-            one = _compare(fn, left, right)
+            if type(left) is Ranked or type(right) is Ranked:
+                one = interp.lift(_compared, (fn, left, right))
+                if type(one) is Ranked and link == 0:  # the last link
+                    return one
+                one = interp.uniform(one)  # does the chain go on
+            else:
+                one = _compare(fn, left, right)
             if one is UNKNOWN:
                 return UNKNOWN
             if one is False:
@@ -2014,12 +2279,15 @@ def _e_Call(node: ast.Call) -> Expr:
             raise BudgetExceeded(_BUDGET_BLOWN)
         interp.current_line = line
         callee = func(interp, env)
+        ranked = type(callee) is Ranked
         args: List[Any] = []
         for arg, starred in positional:
             value = arg(interp, env)
             if not starred:
+                ranked = ranked or type(value) is Ranked
                 args.append(value)
-            elif isinstance(value, (list, tuple)):
+            # how many arguments there are must not differ by rank
+            elif isinstance(value := interp.uniform(value), (list, tuple)):
                 args.extend(value)
             else:
                 args.append(UNKNOWN)
@@ -2027,10 +2295,13 @@ def _e_Call(node: ast.Call) -> Expr:
         for key, arg in keywords:
             value = arg(interp, env)
             if key is not None:
+                ranked = ranked or type(value) is Ranked
                 kwargs[key] = value
-            elif isinstance(value, dict):
+            elif isinstance(value := interp.uniform(value), dict):
                 kwargs.update(
                     {k: v for k, v in value.items() if isinstance(k, str)})
+        if ranked:
+            return interp.call_ranked(callee, tuple(args), kwargs)
         return interp.call_value(callee, tuple(args), kwargs)
     return run
 
@@ -2046,7 +2317,10 @@ def _e_Attribute(node: ast.Attribute) -> Expr:
         if budget.ops < 0:
             raise BudgetExceeded(_BUDGET_BLOWN)
         interp.current_line = line
-        return _attr(value(interp, env), name)
+        obj = value(interp, env)
+        if type(obj) is Ranked:
+            return interp.lift(_attr, (obj, name))
+        return _attr(obj, name)
     return run
 
 
@@ -2062,7 +2336,10 @@ def _e_Subscript(node: ast.Subscript) -> Expr:
             raise BudgetExceeded(_BUDGET_BLOWN)
         interp.current_line = line
         obj = value(interp, env)
-        return _getitem(obj, index(interp, env))
+        key = index(interp, env)
+        if type(obj) is Ranked or type(key) is Ranked:
+            return interp.lift(_getitem, (obj, key))
+        return _getitem(obj, key)
     return run
 
 
@@ -2072,12 +2349,9 @@ def _e_Slice(node: ast.Slice) -> Expr:
 
     def run(interp: Interp, env: Env) -> Any:
         values = [bound(interp, env) if bound else None for bound in bounds]
-        limits = [None if value is None else _as_int(value)
-                  for value in values]
-        if any(value is not None and limit is None
-               for value, limit in zip(values, limits)):
-            return UNKNOWN
-        return slice(*limits)
+        if Ranked in map(type, values):
+            return interp.lift(_slice, values)
+        return _slice(*values)
     return _metered(node, run)
 
 
@@ -2102,6 +2376,9 @@ def _e_collecting_comp(
 
         if not interp._run_comp(gens, 0, env, emit):
             return UNKNOWN
+        if Ranked in map(type, out):  # one collection per rank
+            return interp.lift(
+                _built, (_set_of if as_set else list, *out), owned=True)
         return _set_of(out) if as_set else out
     return _metered(node, run)
 
@@ -2115,10 +2392,10 @@ def _e_DictComp(node: ast.DictComp) -> Expr:
         out: Dict[Any, Any] = {}
 
         def emit(interp: Interp, scope: Env) -> None:
-            key = key_fn(interp, scope)
+            key = interp.uniform(key_fn(interp, scope))
             if is_concrete(key):
                 try:
-                    out[key] = value_fn(interp, scope)
+                    out[key] = interp.uniform(value_fn(interp, scope))
                 except TypeError:
                     pass
 

@@ -1975,6 +1975,225 @@ _hand("while_iteration_cap", body("""
 """))
 
 
+# ------------------------------------------------------ divergent ranks ---
+# Kernels whose ranks part ways: per-rank loop counts, stores, aliasing,
+# errors on some ranks only.  They are pinned rank by rank (event stream
+# or error) in ``tests/golden/rank_events_digests.json``, not in the
+# graph golden above.
+
+#: name -> (source, analyze_source keyword arguments)
+DIVERGENT: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+
+
+def _divergent(name: str, source: str, **kwargs: Any) -> None:
+    assert name not in DIVERGENT, name
+    DIVERGENT[name] = (source, kwargs)
+
+
+_divergent("rank_loop_counts", body("""
+    total = 0
+    for i in range(rank):
+        total += i
+        yield from mpi.send(None, (rank + i) % size, tag=i)
+    SHOW(total)
+    k = 0
+    while k < rank % 3:
+        k += 1
+        yield from mpi.barrier()
+    SHOW(k)
+    lens = [j for j in range(rank)]
+    SHOW(len(lens))
+    sq = {j: j * rank for j in range(rank % 2 + 1)}
+    SHOW(len(sq) + sq[0])
+    picked = [p for p in range(size) if p != rank and (p + rank) % 2 == 0]
+    for p in picked:
+        yield from mpi.send(None, p, tag=7)
+    SHOW(sum(x * x for x in range(rank % 4)))
+"""))
+
+_divergent("rank_indexed_stores", body("""
+    slots = [0] * size
+    slots[rank] = rank + 1
+    SHOW(sum(slots))
+    table = {}
+    table[rank % 2] = rank
+    table["all"] = size
+    SHOW(len(table) + table[rank % 2])
+    grid = [[0] * 2 for _ in range(size)]
+    grid[rank][rank % 2] += 5
+    SHOW(sum(grid[rank]) + sum(grid[0]))
+    mine = [rank, rank + 1]
+    mine[0] = 7
+    mine.append(rank)
+    SHOW(mine[0] + mine[2] * 10 + len(mine))
+    coord = list((rank, size))
+    coord[0] += 3
+    SHOW(coord[0] + coord[1])
+    arr = np.full(3, float(rank))
+    arr[0] = 5.0
+    SHOW(int(arr.sum()))
+    d = {"r": rank}
+    d["s"] = rank * 2
+    SHOW(d["r"] + d["s"])
+"""))
+
+_divergent("aliased_rows", body("""
+    rows = [[0], [0], [0]]
+    row = rows[rank % 2]
+    row.append(rank)
+    SHOW(len(rows[0]) * 10 + len(rows[1]))
+    other = rows[(rank + 1) % 2]
+    SHOW(len(other))
+    again = rows[rank % 2]
+    again.append(1)
+    SHOW(len(row))
+    cells = [np.zeros(2), np.zeros(2)]
+    cell = cells[rank % 2]
+    cell[0] = rank + 1
+    SHOW(int(cells[0][0]) * 10 + int(cells[1][0]))
+"""))
+
+_divergent("fstring_rank", body("""
+    label = f"rank-{rank}"
+    SHOW(len(label))
+    parity = f"{rank % 2}"
+    SHOW(int(parity))
+    if label == "rank-1":
+        SHOW(1)
+    SHOW(len(f"{rank}{size}{undefined}"))
+    SHOW(len(f"{'x' * rank}"))
+"""))
+
+_divergent("divmod_unpack", body("""
+    i, j = divmod(rank, 2)
+    SHOW(i * 10 + j)
+    q, *rest = (rank, rank + 1, rank + 2)
+    SHOW(q)
+    SHOW(rest)
+    (a, b), c = (rank, size), rank % 3
+    SHOW(a + b + c)
+    u, v = rank
+    SHOW(u)
+    x, y = (rank, rank) if rank % 2 else (rank, rank, rank)
+    SHOW(x)
+    yield from mpi.sendrecv(None, (i + j) % size, None, (i - j) % size)
+"""))
+
+_divergent("raise_one_rank", body("""
+    yield from mpi.barrier()
+    if rank == 1:
+        raise RuntimeError("only one")
+    yield from mpi.send(None, (rank + 1) % size)
+"""))
+
+_divergent("budget_some_ranks", body("""
+    yield from mpi.barrier()
+    if rank == size - 1:
+        while True:
+            pass
+    SHOW(rank)
+"""))
+
+_divergent("depth_some_ranks", body("""
+    forever = lambda n: forever(n + 1)
+    yield from mpi.barrier()
+    if rank % 2 == 1:
+        forever(0)
+    if rank >= 2:
+        raise ValueError("late")
+    SHOW(rank)
+"""))
+
+_divergent("budget_before_depth", body("""
+    forever = lambda n: forever(n + 1)
+    if rank == 2:
+        forever(0)
+    if rank == 1:
+        while True:
+            pass
+    SHOW(rank)
+"""))
+
+_divergent("unknown_some_ranks", body("""
+    draw = rng.random(2)
+    x = draw[0] if rank % 2 else 1.0
+    if x > 0.5:
+        yield from mpi.send(None, (rank + 1) % size)
+    SHOW(1 if x else 0)
+    v = undefined if rank == 0 else 2
+    while v > 0:
+        v = v - 1
+        yield from mpi.barrier()
+    SHOW(v)
+    for t in (undefined if rank == 1 else range(2)):
+        yield from mpi.send(None, t)
+    w = rank if draw[1] > 0.5 else rank
+    SHOW(w)
+    n = 0
+    if draw[1] > 0.5:
+        n = rank + 1
+    else:
+        n = rank + 1
+    SHOW(n)
+    SHOW(rank if undefined else rank + 1)
+"""))
+
+_divergent("ifexp_boolop_effects", body("""
+    log = []
+    def note(v):
+        log.append(v)
+        return v
+    a = note(1) if rank % 2 else note(2)
+    b = rank > 0 and note(3)
+    c = rank or note(4)
+    SHOW(len(log) * 10 + a)
+    SHOW(b)
+    SHOW(c)
+    d = (lambda: note(5))() if rank == 1 else 0
+    SHOW(len(log) + d)
+    e = rank % 3 == 0 or rank % 3 == 1 and note(6)
+    SHOW(e)
+    SHOW(len(log))
+"""))
+
+_divergent("lifted_values", body("""
+    pick = [max, min][rank % 2]
+    SHOW(pick(3, 9))
+    def f(*a, **k):
+        return len(a) * 10 + len(k)
+    SHOW(f(*[rank] * (rank % 2 + 1)))
+    SHOW(f(x=rank, **{"y": rank}))
+    view = np.ones(size)[rank:rank + 1]
+    SHOW(int(view.copy().sum()))
+    SHOW(int(np.arange(rank + 1).sum()))
+    seq = sorted([rank, 0, size])
+    SHOW(seq[1])
+    s = str(rank) + "x"
+    SHOW(len(s.upper()))
+    SHOW(int(np.sqrt(float(rank * rank))))
+    t = (rank, [rank])
+    SHOW(t[1][0])
+    SHOW(-rank + ~rank + abs(-rank))
+    SHOW(not rank)
+    SHOW(1 if 0 <= rank < 2 else 0)
+    SHOW(rank < 1 < size)
+    g = np.random.default_rng(rank)
+    SHOW(g.random(rank + 1).nbytes)
+    h = rng.random((size, 2))[rank]
+    SHOW(h.nbytes)
+    sl = slice(rank, rank + 2)
+    SHOW(len([1, 2, 3, 4][sl]))
+    grow = []
+    grow.append(rank)
+    SHOW(grow[0])
+    tag = 3 if rank else 4
+    yield from mpi.send(np.zeros(rank + 1), (rank + 1) % size, tag=tag)
+    yield from mpi.recv(np.empty(rank + 1), ANY_SOURCE if rank % 2 else (rank - 1) % size)
+    yield from mpi.bcast(np.zeros(2), root=rank % 2)
+    yield from mpi.reduce(np.zeros(rank + 1), None, root=0)
+"""))
+
+
 # ---------------------------------------------------------- seeded grammar ---
 
 GENERATED_SEEDS = range(200)

@@ -259,5 +259,30 @@ class TestMatcherIndex:
         assert not keys
 
 
+def test_a_re_registered_source_kernel_is_analyzed_afresh():
+    """The memoised graph belongs to the kernel's definition, not its
+    name: re-registering a name must not serve the old graph."""
+    from repro.workloads import registry
+
+    name = "reregistered-pl"
+    chain = ((1,), (0, 2), (1, 3), (2,))
+    star = ((1, 2, 3), (0,), (0,), (0,))
+    try:
+        registry.register_kernel(registry.KernelDef(
+            name=name, module="repro.apps.skeletons", factory="pipeline",
+            kwargs=(("rounds", 1),)))
+        assert predicted_peers_for(name, 4) == chain
+        registry.register_kernel(registry.KernelDef(
+            name=name, module="repro.apps.skeletons",
+            factory="master_worker", kwargs=(("rounds", 1),)),
+            replace_existing=True)
+        assert analyze_kernel(name, 4).peers == star
+        assert predicted_peers_for(name, 4) == star
+        assert predicted_vi_demand(name, 4) == 3
+    finally:
+        registry.KERNEL_DEFS.pop(name, None)
+        COMM_KERNELS.pop(name, None)
+
+
 if __name__ == "__main__":
     DIGESTS_PATH.write_text(json.dumps(commgraph_digests(), indent=1) + "\n")

@@ -2,12 +2,13 @@
 and the inertness of what the analyzer caches between analyses.
 
 A kernel is compiled once per process — each AST node into a closure —
-and run once per rank.  What a run is charged (ops against ``Budget``)
-is part of the analyzer's contract: it decides where ``BudgetExceeded``
-fires.  What a run costs the host is Python frames inside
-``repro/analysis/interp.py``; compile work must not depend on the rank
-count, and nothing compiled may carry state from one analysis to the
-next.
+and run once per class of ranks that take the same path.  What a rank
+is charged (ops against ``Budget``, one per pass, so each rank's) is
+part of the analyzer's contract: it decides where ``BudgetExceeded``
+fires.  What a run costs the host is passes, ops charged and Python
+frames inside ``repro/analysis/interp.py``; compile work must not
+depend on the rank count, and nothing compiled may carry state from one
+analysis to the next.
 """
 
 from __future__ import annotations
@@ -43,13 +44,62 @@ LADDER_OPS = {
 }
 
 
-@pytest.mark.parametrize("kernel,nprocs", sorted(LADDER_OPS))
-def test_ops_charged_are_pinned(monkeypatch, kernel, nprocs):
+#: the same analyses as passes: (ranks each pass ran to the end, the ops
+#: the pass charged)
+LADDER_PASSES = {
+    ("ring", 16): [(16, 133)],
+    ("pipeline", 16): [(1, 332), (14, 359), (1, 323)],
+    ("masterworker", 8): [(1, 2_090), (7, 1_341)],
+    ("is", 4): [(4, 1_139)],
+    ("ft", 4): [(4, 980)],
+    ("lu", 4): [(1, 1_458), (1, 1_453), (1, 1_453), (1, 1_448)],
+}
+
+
+def _passes(monkeypatch, kernel, nprocs):
+    """(ranks finished, ops charged) of each pass of one analysis."""
     interps = record_instances(monkeypatch, comm, Interp)
     analyze_kernel(kernel, nprocs)
-    assert len(interps) == nprocs
-    charged = sum(Budget().ops - interp.budget.ops for interp in interps)
-    assert charged == LADDER_OPS[kernel, nprocs]
+    return [(len(interp.active), Budget().ops - interp.budget.ops)
+            for interp in interps]
+
+
+@pytest.mark.parametrize("kernel,nprocs", sorted(LADDER_OPS))
+def test_ops_charged_are_pinned(monkeypatch, kernel, nprocs):
+    passes = _passes(monkeypatch, kernel, nprocs)
+    # every rank is charged what it was charged alone ...
+    assert sum(ranks * ops for ranks, ops in passes) \
+        == LADDER_OPS[kernel, nprocs]
+    assert sum(ranks for ranks, _ops in passes) == nprocs
+    # ... and the host pays once per pass
+    assert passes == LADDER_PASSES[kernel, nprocs]
+
+
+def _charged(monkeypatch, kernel, nprocs):
+    return sum(ops for _ranks, ops in _passes(monkeypatch, kernel, nprocs))
+
+
+def test_the_six_analyses_charge_one_pass_per_class(monkeypatch):
+    charged = sum(_charged(monkeypatch, kernel, nprocs)
+                  for kernel, nprocs in LADDER_OPS)
+    assert charged <= 15_000  # 33 574 when every rank had its own pass
+
+
+def test_ops_charged_do_not_grow_with_the_rank_count(monkeypatch):
+    assert _charged(monkeypatch, "cg", 64) \
+        <= 1.1 * _charged(monkeypatch, "cg", 16)
+    assert _charged(monkeypatch, "ring", 64) \
+        == _charged(monkeypatch, "ring", 16)
+
+
+def test_frames_for_the_six_analyses_stay_under_the_class_budget():
+    for kernel, nprocs in LADDER_OPS:
+        analyze_kernel(kernel, nprocs)  # compiled once, outside the count
+    with count_frames("repro/analysis/interp.py") as seen:
+        for kernel, nprocs in LADDER_OPS:
+            analyze_kernel(kernel, nprocs)
+    # 71 430 with one pass per rank
+    assert seen.frames <= 40_000, seen.by_name.most_common(8)
 
 
 def test_frames_per_op_stay_under_the_budget():
