@@ -29,14 +29,12 @@ from typing import Any, Dict, Optional
 
 from repro.cluster.job import run_job
 from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import MpiConfig
+from repro.mpi.config import CONNECTION_MODES, MpiConfig
 from repro.telemetry import TelemetryConfig
 from repro.via.profiles import profile_by_name
 from repro.workloads import registry as workload_registry
 from repro.workloads.replay import CaptureConfig
 from repro.workloads.trace import CommTrace, load_trace
-
-CONNECTIONS = ("ondemand", "static-p2p", "static-cs", "predicted")
 
 
 def _build_config(connection: str, kernel: str, nprocs: int,
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
                         help="processes per node (default: fit)")
     parser.add_argument("--cls", default="S", dest="npb_class",
                         help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTIONS, default=None,
+    parser.add_argument("--connection", choices=CONNECTION_MODES, default=None,
                         help="connection mechanism (default ondemand, or "
                              "trace meta on replay)")
     parser.add_argument("--profile", choices=("clan", "berkeley"),

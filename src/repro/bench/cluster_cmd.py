@@ -37,6 +37,7 @@ from repro.bench.report import Experiment
 from repro.bench.runner import artifact_text, default_cache_dir
 from repro.cluster.sched import run_cluster_cell
 from repro.cluster.workload import CLUSTER_KERNELS
+from repro.mpi.conn import runs_on
 from repro.via.profiles import profile_by_name
 
 ALL_CONNECTIONS = ("ondemand", "static-p2p", "static-cs")
@@ -272,7 +273,7 @@ def main(argv=None) -> int:
     profile = profile_by_name(args.profile)
     connections = []
     for conn in args.connections:
-        if conn == "static-cs" and not profile.supports_client_server:
+        if not runs_on(conn, profile):
             print(f"  skip {conn}: profile {args.profile!r} has no "
                   "client/server model", file=sys.stderr)
             continue

@@ -29,14 +29,12 @@ import sys
 from repro.bench.report import Experiment
 from repro.cluster.job import run_job
 from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import MpiConfig
+from repro.mpi.config import CONNECTION_MODES, MpiConfig
 from repro.telemetry import TelemetryConfig, export_chrome_trace, export_jsonl
 from repro.telemetry.critpath import BUCKET_LABELS, BUCKETS, CritPathReport, analyze
 from repro.via.profiles import profile_by_name
 from repro.workloads import registry as workload_registry
 from repro.workloads.trace import load_trace
-
-CONNECTIONS = ("ondemand", "static-p2p", "static-cs", "predicted")
 
 
 def breakdown_experiment(report: CritPathReport, title: str) -> Experiment:
@@ -93,7 +91,7 @@ def main(argv=None) -> int:
                         help="processes per node (default: fit --np)")
     parser.add_argument("--cls", default="S", dest="npb_class",
                         help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTIONS,
+    parser.add_argument("--connection", choices=CONNECTION_MODES,
                         default="ondemand")
     parser.add_argument("--profile", choices=("clan", "berkeley"),
                         default="clan")

@@ -29,6 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.cache import ResultCache, canonical_json, config_fingerprint
 from repro.cluster.job import run_kernel_cell
+from repro.mpi.conn import runs_on
+from repro.via.profiles import profile_by_name
 
 #: connection mechanisms in sweep order
 ALL_CONNECTIONS = ("ondemand", "static-p2p", "static-cs")
@@ -98,6 +100,7 @@ class SweepMatrix:
         limits rather than failing mid-sweep)."""
         trace_info = {name: _trace_cell_info(path)
                       for name, path in self.traces}
+        profile = profile_by_name(self.profile)
         out: List[SweepCell] = []
         for kernel in self.kernels:
             trace = trace_info.get(kernel)
@@ -106,8 +109,8 @@ class SweepMatrix:
                     for seed in self.seeds:
                         if np_ > self.nodes * self.ppn:
                             continue
-                        if self.profile == "berkeley" and (
-                            conn == "static-cs" or np_ > self.nodes
+                        if not runs_on(conn, profile) or (
+                            self.profile == "berkeley" and np_ > self.nodes
                         ):
                             continue
                         if trace is not None and np_ != trace["nprocs"]:

@@ -25,7 +25,7 @@ from repro.metrics.resources import ResourceReport, collect_resources
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.communicator import Communicator
 from repro.mpi.config import MpiConfig
-from repro.mpi.conn import make_connection_manager
+from repro.mpi.conn import make_connection_manager, runs_on
 from repro.mpi.facade import MpiProcess
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -179,7 +179,13 @@ def run_job(
             f"per_rank_args has {len(per_rank_args)} entries "
             f"for {nprocs} ranks"
         )
-    if config.connection == "static-cs" and not spec.profile.supports_client_server:
+    if (config.predicted_peers is not None
+            and len(config.predicted_peers) != nprocs):
+        raise ValueError(
+            f"predicted_peers has {len(config.predicted_peers)} entries "
+            f"for {nprocs} ranks"
+        )
+    if not runs_on(config.connection, spec.profile):
         raise JobError(
             f"profile {spec.profile.name!r} does not support the "
             "client/server connection model"

@@ -59,7 +59,7 @@ from repro.metrics.resources import ResourceReport, collect_resources
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.communicator import Communicator
 from repro.mpi.config import MpiConfig
-from repro.mpi.conn import make_connection_manager
+from repro.mpi.conn import make_connection_manager, runs_on
 from repro.mpi.facade import MpiProcess
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -288,9 +288,15 @@ class ClusterScheduler:
         self._cpu_free: Dict[int, int] = {n: spec.ppn for n in range(spec.nodes)}
         self._vi_reserved: Dict[int, int] = {n: 0 for n in range(spec.nodes)}
 
-        # every job must be placeable on an *empty* cluster, or FCFS
-        # would head-block forever once it reaches the queue front
+        # every job must be runnable, and placeable on an *empty* cluster,
+        # or FCFS would head-block forever once it reaches the queue front
         for job in self.jobs:
+            if not runs_on(job.connection, spec.profile):
+                raise SchedulerError(
+                    f"job {job.job_id} ({job.connection}): profile "
+                    f"{spec.profile.name!r} does not support the "
+                    "client/server connection model"
+                )
             if self._place(job, self._cpu_free, self._vi_reserved) is None:
                 raise SchedulerError(
                     f"job {job.job_id} ({job.kernel}, np={job.nprocs}, "

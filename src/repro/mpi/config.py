@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: valid connection-manager names
-CONNECTION_MODES = ("ondemand", "static-p2p", "static-cs", "predicted")
+from repro.mpi.conn import MECHANISMS
+
+#: valid connection-manager names: the rows of the mechanism table
+CONNECTION_MODES = tuple(MECHANISMS)
 #: valid completion styles
 COMPLETION_MODES = ("polling", "spinwait")
 
@@ -20,7 +22,9 @@ class MpiConfig:
         ``"ondemand"`` — VIs created and peer-connected on first use
         (the paper's mechanism); ``"static-p2p"`` — fully connected in
         ``MPI_Init`` with peer-to-peer setup; ``"static-cs"`` — fully
-        connected with the serialized client/server setup.
+        connected with the serialized client/server setup;
+        ``"predicted"`` — ``MPI_Init`` connects exactly the
+        ``predicted_peers`` graph (see :mod:`repro.mpi.conn`).
     completion:
         ``"polling"`` — spin forever; ``"spinwait"`` — spin ``spincount``
         polls then block (cLAN's interrupt wait + wakeup penalty).
@@ -47,8 +51,11 @@ class MpiConfig:
     #: the statically analyzed communication graph
     #: (:func:`repro.analysis.comm.predicted_peers_for`).  The graph must
     #: be symmetric (the VIA peer-to-peer handshake needs both endpoints
-    #: to request); an unpredicted peer still connects lazily on first
-    #: use, on-demand style, so a sound over-approximation is enough.
+    #: to request), name only ranks in ``range(len(predicted_peers))``
+    #: and never the rank itself — rejected here, and ``run_job`` rejects
+    #: a graph whose length is not the job's size.  An unpredicted peer
+    #: still connects lazily on first use, on-demand style, so a sound
+    #: over-approximation is enough.
     predicted_peers: tuple[tuple[int, ...], ...] | None = None
     completion: str = "polling"
     eager_threshold: int = 5000
@@ -97,12 +104,28 @@ class MpiConfig:
                     "connection='predicted' needs predicted_peers (use "
                     "repro.analysis.comm.predicted_peers_for)"
                 )
-            for rank, peers in enumerate(self.predicted_peers):
+            graph = self.predicted_peers
+            edges = {(rank, peer) for rank, peers in enumerate(graph)
+                     for peer in peers}
+            for rank, peers in enumerate(graph):
+                if len(set(peers)) != len(peers):
+                    raise ValueError(
+                        f"predicted_peers[{rank}] lists a peer twice")
                 for peer in peers:
-                    if not isinstance(peer, int) or peer < 0:
+                    if not isinstance(peer, int) or not 0 <= peer < len(graph):
                         raise ValueError(
-                            f"predicted_peers[{rank}] holds {peer!r}; "
-                            "peers must be non-negative rank numbers"
+                            f"predicted_peers[{rank}] holds {peer!r}; peers "
+                            f"must be rank numbers in range({len(graph)})"
+                        )
+                    if peer == rank:
+                        raise ValueError(
+                            f"predicted_peers[{rank}] names rank {rank} "
+                            "itself")
+                    if (peer, rank) not in edges:
+                        raise ValueError(
+                            f"predicted_peers is asymmetric: rank {rank} "
+                            f"lists {peer} but rank {peer} does not list "
+                            f"{rank} (the peer-to-peer handshake needs both)"
                         )
         elif self.predicted_peers is not None:
             raise ValueError(

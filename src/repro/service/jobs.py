@@ -39,11 +39,8 @@ from repro.bench.runner import (
     compute_cell,
     matrix_from_dict,
 )
+from repro.mpi.config import CONNECTION_MODES
 from repro.service.protocol import RequestError
-
-#: connection mechanisms a request may name (the sweep CLI's three plus
-#: the PR 8 statically-predicted hybrid)
-KNOWN_CONNECTIONS = ("ondemand", "static-p2p", "static-cs", "predicted")
 
 KIND_KERNEL = "kernel"
 KIND_SWEEP = "sweep"
@@ -122,10 +119,10 @@ def kernel_request_cell(doc: Dict[str, Any]) -> SweepCell:
         raise RequestError(
             f"unknown kernel {kernel!r}; available: {sorted(KERNEL_DEFS)}")
     connection = str(doc.get("connection", "ondemand"))
-    if connection not in KNOWN_CONNECTIONS:
+    if connection not in CONNECTION_MODES:
         raise RequestError(
             f"unknown connection {connection!r}; "
-            f"available: {list(KNOWN_CONNECTIONS)}")
+            f"available: {list(CONNECTION_MODES)}")
     try:
         cell = SweepCell(
             kernel=kernel,
@@ -171,7 +168,7 @@ def sweep_request_matrix(doc: Dict[str, Any]):
     try:
         matrix = matrix_from_dict(matrix_doc)
         cells = matrix.cells()
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, KeyError, OSError) as exc:
         raise RequestError(f"bad sweep matrix: {exc}") from exc
     if not cells:
         raise RequestError(
@@ -200,10 +197,10 @@ def normalize_request(doc: Any) -> JobRequest:
     if kind == KIND_CLUSTER:
         _reject_unknown(doc, CLUSTER_FIELDS)
         connection = str(doc.get("connection", "ondemand"))
-        if connection not in KNOWN_CONNECTIONS:
+        if connection not in CONNECTION_MODES:
             raise RequestError(
                 f"unknown connection {connection!r}; "
-                f"available: {list(KNOWN_CONNECTIONS)}")
+                f"available: {list(CONNECTION_MODES)}")
         seed = int(doc.get("seed", 0))
         try:
             config = cluster_cell_config(

@@ -84,10 +84,10 @@ def test_signal_round_enters_eight_sim_frames():
     assert per_unit(signal_run, 8, 8, 2) == per_unit(signal_run, 64, 8, 2)
 
 
-def pingpong(messages, nbytes=64):
-    """Count a 2-rank static-p2p ping-pong of ``messages`` messages of
-    ``nbytes`` (64: eager); returns the frame count, the job result and
-    the devices' own count of their progress passes."""
+def pingpong(messages, nbytes=64, connection="static-p2p"):
+    """Count a 2-rank ping-pong of ``messages`` messages of ``nbytes``
+    (64: eager); returns the frame count, the job result and the
+    devices' own count of their progress passes."""
 
     def program(mpi):
         buf = np.zeros(nbytes, dtype=np.uint8)
@@ -104,7 +104,7 @@ def pingpong(messages, nbytes=64):
         devices = record_instances(patch, job_module, AbstractDevice)
         with count_frames("/repro/") as seen:
             result = mpi_rig.run(
-                program, nprocs=2, nodes=2, ppn=1, connection="static-p2p")
+                program, nprocs=2, nodes=2, ppn=1, connection=connection)
     return seen, result, sum(adi.device_checks for adi in devices)
 
 
@@ -137,6 +137,14 @@ def test_polls_enter_no_generator_but_are_all_counted(pingpong_pair):
                  if name == "progress_pass")
     assert passes > 4 * 220
     assert passes == device_checks
+
+
+@pytest.mark.parametrize("connection", ("static-p2p", "ondemand"))
+def test_a_progress_pass_enters_one_connection_progress_frame(connection):
+    seen, _, device_checks = pingpong(20, connection=connection)
+    progress = sum(count for (name, _caller), count in seen.by_name.items()
+                   if name == "progress")
+    assert progress == device_checks
 
 
 RNDV_BYTES = 64 * 1024

@@ -20,6 +20,7 @@ from repro.analysis import predicted_peers_for
 from repro.cluster import ClusterSpec, run_job
 from repro.cluster.job import JobError
 from repro.mpi import MpiConfig
+from repro.mpi.config import CONNECTION_MODES as ALL_CONNECTIONS
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.critpath import analyze as analyze_critical_path
 from repro.via.profiles import CLAN
@@ -35,8 +36,6 @@ from repro.workloads.trace import (
     TraceReplayError,
     parse_trace,
 )
-
-ALL_CONNECTIONS = ("ondemand", "static-p2p", "static-cs", "predicted")
 
 
 def _spec(nprocs, seed=0):
