@@ -29,11 +29,40 @@ library), :mod:`repro.cluster` (job runtime), :mod:`repro.apps`
 (workloads incl. NAS kernels), :mod:`repro.bench` (paper experiments).
 """
 
-from repro.cluster import ClusterSpec, JobResult, run_job
-from repro.mpi import MpiConfig
-from repro.via import BERKELEY, CLAN, ViaProfile, profile_by_name
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # pragma: no cover - the names keep their types
+    from repro.cluster import ClusterSpec, JobResult, run_job
+    from repro.mpi import MpiConfig
+    from repro.via import BERKELEY, CLAN, ViaProfile, profile_by_name
 
 __version__ = "0.1.0"
+
+#: public name -> defining subpackage, resolved on access (PEP 562): a
+#: layer loads only itself and what lies below it, so ``import repro.sim``
+#: must not pay for the job runtime, MPI, VIA and numpy.
+_SUBMODULE_OF = {
+    name: submodule
+    for submodule, names in (
+        ("cluster", "ClusterSpec JobResult run_job"),
+        ("mpi", "MpiConfig"),
+        ("via", "CLAN BERKELEY ViaProfile profile_by_name"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> Any:
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{submodule}"), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_SUBMODULE_OF))
+
 
 __all__ = [
     "ClusterSpec",

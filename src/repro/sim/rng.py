@@ -4,13 +4,18 @@ Determinism across the whole simulation requires that every consumer of
 randomness draws from its *own* stream, derived from the master seed and
 a stable name — never from a shared global generator whose consumption
 order depends on event interleaving.
+
+numpy is imported when the first stream is made, not with the module:
+the engine below it runs without numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class RngStreams:
@@ -37,6 +42,8 @@ class RngStreams:
         """Return (creating on first use) the stream for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             gen = np.random.default_rng(self.derive_seed(name))
             self._streams[name] = gen
         return gen

@@ -16,10 +16,12 @@ rank / node / link.
 from __future__ import annotations
 
 import json
-from typing import IO, List, Tuple, Union
+from typing import IO, TYPE_CHECKING, List, Tuple, Union
 
-from repro.bench.report import Experiment
 from repro.telemetry.core import Telemetry, Track
+
+if TYPE_CHECKING:  # pragma: no cover - the bench layer sits above this one
+    from repro.bench.report import Experiment
 
 #: track group -> Chrome pid (one "process" per layer of the stack)
 _GROUP_PIDS = {"rank": 1, "node": 2, "link": 3}
@@ -161,6 +163,8 @@ def export_chrome_trace(tel: Telemetry, dest: Union[str, IO[str]]) -> int:
 # ---------------------------------------------------------- summary table --
 def summary_experiment(tel: Telemetry, title: str = "telemetry summary") -> Experiment:
     """Render the metrics registry as a bench report table."""
+    from repro.bench.report import Experiment
+
     exp = Experiment(
         "telemetry", title, ["value", "count", "mean_us", "max_us"],
         notes=f"{len(tel.spans)} spans, {len(tel.instants)} instants "
