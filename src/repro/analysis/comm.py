@@ -798,24 +798,14 @@ def check_observed_subset(
     the predicted symmetric peer set.
     """
     # imported lazily: analysis must stay importable without the simulator
-    from repro.cluster.job import run_job
-    from repro.cluster.spec import ClusterSpec
-    from repro.mpi.config import MpiConfig
+    from repro.cluster.job import build_job, run_job
     from repro.telemetry import TelemetryConfig
-    from repro.via.profiles import profile_by_name
 
     graph = _cached_graph(kernel, nprocs, npb_class)
     spec = COMM_KERNELS[kernel]
-    program = _registry.build_program(kernel, npb_class=npb_class)
-    cluster = ClusterSpec(
-        nodes=nodes if nodes is not None else nprocs, ppn=ppn,
-        profile=profile_by_name(profile), seed=seed,
-    )
-    result = run_job(
-        cluster, nprocs, program,
-        config=MpiConfig(connection="ondemand"),
-        telemetry=TelemetryConfig(),
-    )
+    result = run_job(*build_job(kernel, npb_class, nprocs, nodes, ppn,
+                                profile, "ondemand", seed),
+                     telemetry=TelemetryConfig())
     report = result.critical_path()
     observed = observed_edges(report)
     violations = sorted(

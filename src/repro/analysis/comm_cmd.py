@@ -21,30 +21,16 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.comm import COMM_KERNELS, analyze_kernel, check_observed_subset
 from repro.analysis.commgraph import CommGraph, REPROC_RULES
+from repro.via.profiles import PROFILE_NAMES
 
 
 def _measure(kernel: str, nprocs: int, npb_class: str, nodes: Optional[int],
              ppn: int, profile: str, seed: int) -> Dict[str, Any]:
     """One simulated on-demand run; the measured side of Table 2."""
-    from repro.cluster.job import run_job
-    from repro.cluster.spec import ClusterSpec
-    from repro.mpi.config import MpiConfig
-    from repro.via.profiles import profile_by_name
-    import importlib
+    from repro.cluster.job import build_job, run_job
 
-    spec = COMM_KERNELS[kernel]
-    module = importlib.import_module(spec.module)
-    factory = getattr(module, spec.factory)
-    if spec.npb_class_arg:
-        program = factory(npb_class, **dict(spec.kwargs))
-    else:
-        program = factory(**dict(spec.kwargs))
-    cluster = ClusterSpec(
-        nodes=nodes if nodes is not None else nprocs, ppn=ppn,
-        profile=profile_by_name(profile), seed=seed,
-    )
-    res = run_job(cluster, nprocs, program,
-                  config=MpiConfig(connection="ondemand"))
+    res = run_job(*build_job(kernel, npb_class, nprocs, nodes, ppn, profile,
+                             "ondemand", seed))
     return {
         "total_connections": res.resources.total_connections,
         "avg_vis": res.resources.avg_vis,
@@ -91,8 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(default: nprocs)")
     parser.add_argument("--ppn", type=int, default=1,
                         help="processes per node (default 1)")
-    parser.add_argument("--profile", choices=("clan", "berkeley"),
-                        default="clan")
+    parser.add_argument("--profile", choices=PROFILE_NAMES, default="clan")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="print only the summary and diagnostics")

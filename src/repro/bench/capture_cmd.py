@@ -25,29 +25,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
+from repro.bench.flags import ONE_JOB, add_job_flags, build_job_or_exit
 from repro.cluster.job import run_job
-from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import CONNECTION_MODES, MpiConfig
 from repro.telemetry import TelemetryConfig
-from repro.via.profiles import profile_by_name
-from repro.workloads import registry as workload_registry
+from repro.workloads.registry import register_trace
 from repro.workloads.replay import CaptureConfig
 from repro.workloads.trace import CommTrace, load_trace
-
-
-def _build_config(connection: str, kernel: str, nprocs: int,
-                  npb_class: str) -> MpiConfig:
-    if connection == "predicted":
-        from repro.analysis.comm import predicted_peers_for
-
-        return MpiConfig(
-            connection="predicted",
-            predicted_peers=predicted_peers_for(
-                kernel, nprocs, npb_class=npb_class),
-        )
-    return MpiConfig(connection=connection)
 
 
 def replay_report(result: Any, trace: CommTrace,
@@ -89,20 +74,10 @@ def main(argv=None) -> int:
                              "(omit with --replay)")
     parser.add_argument("--replay", default=None, metavar="TRACE",
                         help="replay this trace file instead of capturing")
-    parser.add_argument("--np", type=int, default=4, dest="nprocs",
-                        help="number of MPI processes (capture; default 4)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="cluster nodes (default: --np, or trace meta)")
-    parser.add_argument("--ppn", type=int, default=None,
-                        help="processes per node (default: fit)")
-    parser.add_argument("--cls", default="S", dest="npb_class",
-                        help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTION_MODES, default=None,
-                        help="connection mechanism (default ondemand, or "
-                             "trace meta on replay)")
-    parser.add_argument("--profile", choices=("clan", "berkeley"),
-                        default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    # left unset, these come from the trace's metadata on replay; a
+    # capture runs one node per rank and ONE_JOB's other defaults
+    add_job_flags(parser, **{**ONE_JOB, "nodes": None, "connection": None,
+                             "profile": None, "seed": None})
     parser.add_argument("--out", default=None,
                         help="trace file to write (capture mode; default "
                              "<kernel>.trace.jsonl)")
@@ -118,31 +93,14 @@ def main(argv=None) -> int:
     return _capture(args, parser)
 
 
-def _cluster_spec(nodes: int, ppn: Optional[int], nprocs: int,
-                  profile: str, seed: int) -> ClusterSpec:
-    if ppn is None:
-        ppn = max(1, -(-nprocs // nodes))
-    return ClusterSpec(nodes=nodes, ppn=ppn,
-                       profile=profile_by_name(profile), seed=seed)
-
-
 def _capture(args: argparse.Namespace,
              parser: argparse.ArgumentParser) -> int:
     kernel = args.kernel
-    if kernel not in workload_registry.KERNEL_DEFS:
-        parser.error(f"unknown kernel {kernel!r}; available: "
-                     f"{','.join(sorted(workload_registry.KERNEL_DEFS))}")
-    connection = args.connection or "ondemand"
-    seed = 0 if args.seed is None else args.seed
-    nodes = args.nodes if args.nodes is not None else args.nprocs
-    spec = _cluster_spec(nodes, args.ppn, args.nprocs,
-                         args.profile or "clan", seed)
-    spec.validate_nprocs(args.nprocs)
-    program = workload_registry.build_program(kernel, args.npb_class)
+    args.connection = args.connection or ONE_JOB["connection"]
+    args.profile = args.profile or ONE_JOB["profile"]
+    args.seed = args.seed or ONE_JOB["seed"]
     result = run_job(
-        spec, args.nprocs, program,
-        config=_build_config(connection, kernel, args.nprocs,
-                             args.npb_class),
+        *build_job_or_exit(parser, args, kernel),
         capture=CaptureConfig(kernel=kernel,
                               meta={"npb_class": args.npb_class}),
     )
@@ -150,7 +108,7 @@ def _capture(args: argparse.Namespace,
     assert trace is not None
     out = args.out or f"{kernel}.trace.jsonl"
     trace.save(out)
-    print(f"captured {kernel} np={trace.nprocs} {connection}: "
+    print(f"captured {kernel} np={trace.nprocs} {args.connection}: "
           f"{trace.total_ops} ops, sim time {result.total_time_us:.1f}us")
     print(f"wrote {out} (sha256 {trace.digest()})")
     return 0
@@ -160,26 +118,23 @@ def _replay(args: argparse.Namespace,
             parser: argparse.ArgumentParser) -> int:
     trace = load_trace(args.replay)
     meta = trace.meta
-    connection = args.connection or str(meta.get("connection", "ondemand"))
-    seed = args.seed if args.seed is not None else int(meta.get("seed", 0))
-    nodes = args.nodes if args.nodes is not None \
-        else int(meta.get("nodes", trace.nprocs))
-    ppn = args.ppn if args.ppn is not None else meta.get("ppn")
-    profile = args.profile or str(meta.get("profile", "clan"))
+    args.connection = args.connection or str(meta.get("connection",
+                                                      "ondemand"))
+    if args.seed is None:
+        args.seed = int(meta.get("seed", 0))
+    if args.nodes is None:
+        args.nodes = int(meta.get("nodes", trace.nprocs))
+    if args.ppn is None:
+        args.ppn = meta.get("ppn")
+    args.profile = args.profile or str(meta.get("profile", "clan"))
+    args.nprocs = trace.nprocs
     kernel_name = f"{trace.kernel}-replay"
-    workload_registry.register_trace(trace, name=kernel_name)
-    spec = _cluster_spec(nodes, ppn, trace.nprocs, profile, seed)
-    spec.validate_nprocs(trace.nprocs)
-    program = workload_registry.build_program(kernel_name)
-    result = run_job(
-        spec, trace.nprocs, program,
-        config=_build_config(connection, kernel_name, trace.nprocs,
-                             args.npb_class),
-        telemetry=TelemetryConfig(),
-    )
-    doc = replay_report(result, trace, connection)
-    print(f"replayed {trace.kernel} np={trace.nprocs} under {connection}: "
-          f"sim time {result.total_time_us:.1f}us, "
+    register_trace(trace, name=kernel_name)
+    result = run_job(*build_job_or_exit(parser, args, kernel_name),
+                     telemetry=TelemetryConfig())
+    doc = replay_report(result, trace, args.connection)
+    print(f"replayed {trace.kernel} np={trace.nprocs} under "
+          f"{args.connection}: sim time {result.total_time_us:.1f}us, "
           f"{len(doc['flow_edges'])} flow edges, "
           f"{result.resources.total_connections} connections")
     if args.report:

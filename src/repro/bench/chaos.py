@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from repro.apps.npb import KERNELS
+from repro.bench.clock import now_s
 from repro.bench.report import Experiment
 from repro.chaos import FaultPlan
 from repro.cluster import ClusterSpec, run_job
@@ -110,11 +110,10 @@ def main(argv=None) -> int:
         help="full sweep (16 procs, 5 loss rates)",
     )
     args = parser.parse_args(argv)
-    # host wall-clock for operator progress only, never fed to the DES
-    start = time.time()  # repro: allow[REPRO001]
+    start = now_s()
     exp = chaos_sweep(smoke=not args.full)
     print(exp.render())
-    print(f"[chaos took {time.time() - start:.1f}s wall]")  # repro: allow[REPRO001]
+    print(f"[chaos took {now_s() - start:.1f}s wall]")
     bad = [r.label for r in exp.rows if not r.get("numerics_ok")]
     if bad:
         print(f"NUMERICS MISMATCH under faults: {bad}", file=sys.stderr)

@@ -26,14 +26,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.flags import ONE_JOB, add_job_flags, build_job_or_exit
 from repro.bench.report import Experiment
 from repro.cluster.job import run_job
-from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import CONNECTION_MODES, MpiConfig
 from repro.telemetry import TelemetryConfig, export_chrome_trace, export_jsonl
 from repro.telemetry.critpath import BUCKET_LABELS, BUCKETS, CritPathReport, analyze
-from repro.via.profiles import profile_by_name
-from repro.workloads import registry as workload_registry
+from repro.workloads.registry import register_trace
 from repro.workloads.trace import load_trace
 
 
@@ -83,19 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("--replay", default=None, metavar="TRACE",
                         help="register this captured trace file as the "
                              "workload before tracing it")
-    parser.add_argument("--np", type=int, default=4, dest="nprocs",
-                        help="number of MPI processes (default 4)")
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="cluster nodes (default 4)")
-    parser.add_argument("--ppn", type=int, default=None,
-                        help="processes per node (default: fit --np)")
-    parser.add_argument("--cls", default="S", dest="npb_class",
-                        help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTION_MODES,
-                        default="ondemand")
-    parser.add_argument("--profile", choices=("clan", "berkeley"),
-                        default="clan")
-    parser.add_argument("--seed", type=int, default=0)
+    add_job_flags(parser, **ONE_JOB)
     parser.add_argument("--pairs", type=int, default=8,
                         help="pairs to list in the first-vs-steady table")
     parser.add_argument("--jsonl", default=None,
@@ -106,38 +92,10 @@ def main(argv=None) -> int:
 
     if args.replay is not None:
         trace = load_trace(args.replay)
-        workload_registry.register_trace(trace, name=args.workload)
+        register_trace(trace, name=args.workload)
         args.nprocs = trace.nprocs
-    elif args.workload not in workload_registry.KERNEL_DEFS:
-        parser.error(
-            f"unknown workload {args.workload!r}; available: "
-            f"{','.join(sorted(workload_registry.KERNEL_DEFS))}")
-
-    ppn = args.ppn
-    if ppn is None:
-        ppn = max(1, -(-args.nprocs // args.nodes))
-    spec = ClusterSpec(
-        nodes=args.nodes, ppn=ppn,
-        profile=profile_by_name(args.profile), seed=args.seed,
-    )
-    spec.validate_nprocs(args.nprocs)
-
-    program = workload_registry.build_program(args.workload, args.npb_class)
-    if args.connection == "predicted":
-        from repro.analysis.comm import predicted_peers_for
-
-        config = MpiConfig(
-            connection="predicted",
-            predicted_peers=predicted_peers_for(
-                args.workload, args.nprocs, npb_class=args.npb_class),
-        )
-    else:
-        config = MpiConfig(connection=args.connection)
-    res = run_job(
-        spec, args.nprocs, program,
-        config=config,
-        telemetry=TelemetryConfig(),
-    )
+    job = build_job_or_exit(parser, args, args.workload)
+    res = run_job(*job, telemetry=TelemetryConfig())
     tel = res.telemetry
     assert tel is not None
     report = analyze(tel)

@@ -1,13 +1,15 @@
-"""Parallel sweep runner with content-addressed result caching.
+"""Parallel cell runner with content-addressed result caching.
 
 A :class:`SweepMatrix` declares an experiment grid — kernel × nprocs ×
 connection mechanism × seed on one cluster shape — and expands it into
 :class:`SweepCell` objects (invalid combinations, e.g. client/server on
-Berkeley VIA, are skipped at expansion).  :class:`SweepRunner` fans the
-cells out across ``multiprocessing`` workers through the worker-safe
-entry :func:`repro.cluster.job.run_kernel_cell`, consulting a
+Berkeley VIA, are skipped at expansion).  :func:`fan_out` is the one
+cached loop every fan-out command runs its cells through: the sweep's
+through :func:`compute_cell`, the cluster command's through
+:func:`compute_cluster_cell` (the ``repro.service`` worker pool calls
+the same two entries).  It consults a
 :class:`~repro.bench.cache.ResultCache` first so re-runs and resumed
-partially-failed sweeps only compute what is missing.
+partially-failed runs only compute what is missing.
 
 The merged artifact is byte-deterministic: cells are ordered by their
 configuration fingerprint, JSON keys are sorted, and per-cell host
@@ -22,13 +24,15 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cache import ResultCache, canonical_json, config_fingerprint
+from repro.bench.clock import now_s
 from repro.cluster.job import run_kernel_cell
+from repro.cluster.sched import run_cluster_cell
 from repro.mpi.conn import runs_on
 from repro.via.profiles import profile_by_name
 
@@ -221,7 +225,7 @@ def compute_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     by :func:`cell_params`.
     """
     key = params["key"]
-    started = time.perf_counter()  # repro: allow[REPRO001]
+    started = now_s()
     metrics = run_kernel_cell(
         kernel=params["kernel"], npb_class=params["npb_class"],
         nprocs=params["nprocs"], nodes=params["nodes"], ppn=params["ppn"],
@@ -229,7 +233,7 @@ def compute_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
         seed=params["seed"],
         trace_path=params.get("trace_path"),
     )
-    wall_s = time.perf_counter() - started  # repro: allow[REPRO001]
+    wall_s = now_s() - started
     metrics["wall_s"] = round(wall_s, 6)
     metrics["events_per_sec"] = round(metrics["events"] / wall_s, 1)
     return key, metrics
@@ -238,6 +242,117 @@ def compute_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
 def cell_params(cell: SweepCell) -> Dict[str, Any]:
     """The picklable parameter dict :func:`compute_cell` expects."""
     return {"key": cell.key(), **dataclasses.asdict(cell)}
+
+
+def cluster_cell_config(
+    *,
+    connection: str,
+    nodes: int = 4,
+    ppn: int = 2,
+    profile: str = "clan",
+    vi_quota: Optional[int] = 4,
+    policy: str = "fcfs",
+    placement: str = "spread",
+    njobs: int = 8,
+    mean_interarrival_us: float = 1500.0,
+    kernels: Tuple[str, ...] = ("ring", "allreduce"),
+    nprocs_choices: Tuple[int, ...] = (4,),
+    trace_shas: Tuple[Tuple[str, str], ...] = (),
+) -> Dict[str, Any]:
+    """The JSON-able config of one cluster mechanism cell (its cache
+    identity).
+
+    Plain-parameter form shared by the ``cluster`` command and
+    ``repro.service`` cluster requests, so a scenario submitted to the
+    server hashes to the *same* fingerprint as the direct CLI invocation
+    and the two share cache entries.  Replay cells carry the trace
+    *digests* (content identity) rather than paths; plain cells omit the
+    key entirely so historical fingerprints and artifacts are unchanged.
+    """
+    config: Dict[str, Any] = {
+        "experiment": "cluster",
+        "nodes": nodes,
+        "ppn": ppn,
+        "profile": profile,
+        "vi_quota": vi_quota,
+        "policy": policy,
+        "placement": placement,
+        "connection": connection,
+        "njobs": njobs,
+        "mean_interarrival_us": mean_interarrival_us,
+        "kernels": list(kernels),
+        "nprocs_choices": list(nprocs_choices),
+    }
+    if trace_shas:
+        config["trace_shas"] = dict(trace_shas)
+    return config
+
+
+def compute_cluster_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """Pool entry: compute one cluster mechanism cell and time it.
+
+    The cluster twin of :func:`compute_cell`, shared by the ``cluster``
+    command and the ``repro.service`` worker pool; ``params`` is
+    ``{"key", "config", "seed", "trace_paths"?}`` with ``config`` shaped
+    by :func:`cluster_cell_config`.
+    """
+    cfg = params["config"]
+    started = now_s()
+    report = run_cluster_cell(
+        nodes=cfg["nodes"], ppn=cfg["ppn"], profile=cfg["profile"],
+        vi_quota=cfg["vi_quota"], policy=cfg["policy"],
+        placement=cfg["placement"], connection=cfg["connection"],
+        njobs=cfg["njobs"],
+        mean_interarrival_us=cfg["mean_interarrival_us"],
+        kernels=tuple(cfg["kernels"]),
+        nprocs_choices=tuple(cfg["nprocs_choices"]),
+        seed=params["seed"],
+        trace_paths=tuple(params.get("trace_paths") or ()),
+    )
+    report["wall_s"] = round(now_s() - started, 6)
+    return params["key"], report
+
+
+def fan_out(
+    compute: Callable[[Dict[str, Any]], Tuple[str, Dict[str, Any]]],
+    cells: Sequence[Tuple[str, Dict[str, Any]]],
+    workers: int,
+    cache: Optional[ResultCache],
+    progress: Callable[[str], None],
+) -> Tuple[Dict[str, Dict[str, Any]], int]:
+    """Run ``(label, params)`` cells through a cache; return the results
+    by key and how many were computed.
+
+    Each cell's ``params["key"]`` is probed in ``cache`` first; the
+    misses run through ``compute`` (a top-level, picklable pool entry
+    returning ``(key, result)``), in this process or on ``workers``
+    processes.  Each result is put as it completes, not at the end,
+    which is what makes an interrupted or partially failed run
+    resumable: finished cells survive.
+    """
+    results: Dict[str, Dict[str, Any]] = {}
+    labels: Dict[str, str] = {}
+    misses: List[Dict[str, Any]] = []
+    for label, params in cells:
+        hit = None if cache is None else cache.get(params["key"])
+        if hit is not None:
+            results[params["key"]] = hit
+            progress(f"cache hit  {label}")
+        else:
+            labels[params["key"]] = label
+            misses.append(params)
+    parallel = workers > 1 and len(misses) > 1
+    with (multiprocessing.Pool(min(workers, len(misses))) if parallel
+          else nullcontext()) as pool:
+        completions = (pool.imap_unordered(compute, misses) if parallel
+                       else map(compute, misses))
+        for key, result in completions:
+            results[key] = result
+            if cache is not None:
+                cache.put(key, result)
+            progress(f"computed   {labels[key]}  "
+                     f"[{result['wall_s']:.2f}s wall]")
+    return results, len(misses)
 
 
 @dataclass
@@ -276,56 +391,16 @@ class SweepRunner:
         cells = self.matrix.cells()
         if not cells:
             raise ValueError(f"sweep matrix {self.matrix.name!r} expands to 0 cells")
-        keyed = [(cell.key(), cell) for cell in cells]
-        results: Dict[str, Dict[str, Any]] = {}
-
-        misses: List[Dict[str, Any]] = []
-        for key, cell in keyed:
-            hit = None if self.cache is None else self.cache.get(key)
-            if hit is not None:
-                results[key] = hit
-                self._progress(f"cache hit  {cell.label}")
-            else:
-                misses.append({"key": key, **dataclasses.asdict(cell)})
-
-        if misses:
-            by_key = {params["key"]: params for params in misses}
-            if self.workers == 1 or len(misses) == 1:
-                completions = map(compute_cell, misses)
-                for key, metrics in completions:
-                    self._on_computed(key, by_key[key], metrics, results)
-            else:
-                with multiprocessing.Pool(min(self.workers, len(misses))) as pool:
-                    for key, metrics in pool.imap_unordered(
-                        compute_cell, misses
-                    ):
-                        self._on_computed(key, by_key[key], metrics, results)
-
-        cell_by_key = dict(keyed)
-        ordered = sorted(results)
+        params = [cell_params(cell) for cell in cells]
+        results, computed = fan_out(
+            compute_cell, [(cell.label, p) for cell, p in zip(cells, params)],
+            self.workers, self.cache, self._progress)
+        cell_by_key = {p["key"]: cell for cell, p in zip(cells, params)}
         return SweepOutcome(
             matrix=self.matrix,
-            results=[(cell_by_key[k], results[k]) for k in ordered],
-            computed=len(misses),
-            cached=len(cells) - len(misses),
-        )
-
-    def _on_computed(
-        self,
-        key: str,
-        params: Dict[str, Any],
-        metrics: Dict[str, Any],
-        results: Dict[str, Dict[str, Any]],
-    ) -> None:
-        results[key] = metrics
-        if self.cache is not None:
-            # persisting immediately (not at sweep end) is what makes a
-            # partially-failed sweep resumable: finished cells survive
-            self.cache.put(key, metrics)
-        self._progress(
-            f"computed   {params['kernel']}.{params['npb_class']}"
-            f"/np={params['nprocs']}/{params['connection']}"
-            f"/seed={params['seed']}  [{metrics['wall_s']:.2f}s wall]"
+            results=[(cell_by_key[k], results[k]) for k in sorted(results)],
+            computed=computed,
+            cached=len(cells) - computed,
         )
 
 
@@ -385,8 +460,11 @@ __all__ = [
     "bench_artifact",
     "canonical_json",
     "cell_params",
+    "cluster_cell_config",
     "compute_cell",
+    "compute_cluster_cell",
     "default_cache_dir",
+    "fan_out",
     "matrix_from_dict",
     "write_bench_json",
 ]

@@ -1,6 +1,6 @@
 """``python -m repro.bench sanitize <workload>`` — sanitizer smoke run.
 
-Runs one NPB kernel twice — once plain, once under the full runtime
+Runs one registered kernel twice — once plain, once under the full runtime
 sanitizer plane — asserts the two runs are event-for-event identical
 (trace fingerprint match), and prints the sanitizer report: VI
 transitions checked, pinned-memory lifecycle accounting, and
@@ -20,15 +20,10 @@ import json
 import sys
 
 from repro.analysis.sanitizers import SanitizerConfig
-from repro.apps.npb import KERNELS
+from repro.bench.flags import ONE_JOB, add_job_flags, build_job_or_exit
 from repro.cluster.job import run_job
-from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import MpiConfig
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
-from repro.via.profiles import profile_by_name
-
-CONNECTIONS = ("ondemand", "static-p2p", "static-cs")
 
 
 def main(argv=None) -> int:
@@ -37,42 +32,17 @@ def main(argv=None) -> int:
         description="Run one workload under the runtime sanitizers and "
                     "verify the sanitized run perturbs nothing.",
     )
-    parser.add_argument("workload", choices=sorted(KERNELS),
-                        help="NPB kernel to run")
-    parser.add_argument("--np", type=int, default=4, dest="nprocs",
-                        help="number of MPI processes (default 4)")
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="cluster nodes (default 4)")
-    parser.add_argument("--ppn", type=int, default=None,
-                        help="processes per node (default: fit --np)")
-    parser.add_argument("--cls", default="S", dest="npb_class",
-                        help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTIONS,
-                        default="ondemand")
-    parser.add_argument("--profile", choices=("clan", "berkeley"),
-                        default="clan")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("workload", help="registered kernel to run")
+    add_job_flags(parser, **ONE_JOB)
     parser.add_argument("--json", default=None,
                         help="write the sanitizer report here (JSON)")
     args = parser.parse_args(argv)
-
-    ppn = args.ppn
-    if ppn is None:
-        ppn = max(1, -(-args.nprocs // args.nodes))
-    spec = ClusterSpec(
-        nodes=args.nodes, ppn=ppn,
-        profile=profile_by_name(args.profile), seed=args.seed,
-    )
-    spec.validate_nprocs(args.nprocs)
-    config = MpiConfig(connection=args.connection)
+    job = build_job_or_exit(parser, args, args.workload)
 
     def one_run(sanitize):
         recorder = TraceRecorder()
-        engine = Engine(trace=recorder)
-        result = run_job(
-            spec, args.nprocs, KERNELS[args.workload](args.npb_class),
-            config=config, engine=engine, sanitize=sanitize,
-        )
+        result = run_job(*job, engine=Engine(trace=recorder),
+                         sanitize=sanitize)
         return recorder.fingerprint(), result
 
     fp_plain, _ = one_run(None)

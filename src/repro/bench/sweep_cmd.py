@@ -25,97 +25,49 @@ identical artifact.
 from __future__ import annotations
 
 import argparse
-import signal
+import dataclasses
 import sys
-import time
 
+from repro.bench.clock import now_s
+from repro.bench.flags import (
+    add_fan_out_flags,
+    add_job_flags,
+    csv,
+    open_cache,
+    render_cache_stats,
+    report_progress,
+    run_resumable,
+)
 from repro.bench.report import Experiment
 from repro.bench.runner import (
-    ALL_CONNECTIONS,
     MATRICES,
-    ResultCache,
     SweepMatrix,
     SweepOutcome,
     SweepRunner,
-    default_cache_dir,
     write_bench_json,
 )
-
-
-def _csv(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _csv_int(text: str) -> tuple:
-    return tuple(int(part) for part in _csv(text))
-
-
-def _parse_replays(specs) -> tuple:
-    traces = []
-    for item in specs or ():
-        name, sep, path = item.partition("=")
-        if not sep or not name.strip() or not path.strip():
-            raise ValueError(
-                f"--replay needs NAME=FILE, got {item!r}")
-        traces.append((name.strip(), path.strip()))
-    return tuple(traces)
+from repro.workloads.registry import kernel_def
 
 
 def build_matrix(args: argparse.Namespace) -> SweepMatrix:
+    """The built-in matrix with the axes the command line overrides (each
+    flag's dest is the matrix field it sets); raises the registry's error
+    for a kernel nobody registered."""
     base = MATRICES[args.matrix]
-    overrides = {}
-    if args.kernels:
-        overrides["kernels"] = _csv(args.kernels)
-    traces = _parse_replays(getattr(args, "replay", None))
-    if traces:
-        overrides["traces"] = traces
-        kernels = tuple(overrides.get("kernels", base.kernels))
-        missing = tuple(n for n, _ in traces if n not in kernels)
-        overrides["kernels"] = kernels + missing
-    if args.nprocs:
-        overrides["nprocs"] = _csv_int(args.nprocs)
-    if args.connections:
-        overrides["connections"] = _csv(args.connections)
-    if args.seeds:
-        overrides["seeds"] = _csv_int(args.seeds)
-    if args.nodes is not None:
-        overrides["nodes"] = args.nodes
-    if args.ppn is not None:
-        overrides["ppn"] = args.ppn
-    if args.profile:
-        overrides["profile"] = args.profile
-    if args.npb_class:
-        overrides["npb_class"] = args.npb_class
-    if args.name:
-        overrides["name"] = args.name
-    if not overrides:
-        return base
-    import dataclasses
-
-    return dataclasses.replace(base, **overrides)
-
-
-def render_cache_stats(cache: ResultCache) -> str:
-    """One-line hit/miss digest of a sweep's cache traffic.
-
-    The counters are the :class:`ResultCache`'s own (`hits`/`misses`
-    accumulate across every ``get``) — the same counters the service
-    exports as its cache-hit-rate metric, so the CLI line and the
-    server's ``service.cache.*`` gauges always agree on semantics.
-    """
-    lookups = cache.hits + cache.misses
-    rate = (100.0 * cache.hits / lookups) if lookups else 0.0
-    line = (f"[cache: {cache.hits} hits / {cache.misses} misses "
-            f"({rate:.0f}% hit rate)")
-    if cache.corrupt_recovered:
-        line += f", {cache.corrupt_recovered} corrupt entries recovered"
-    return line + "]"
-
-
-def _raise_keyboard_interrupt(signum, frame):
-    """SIGTERM handler: reuse the SIGINT unwind path (finally-blocks
-    run, the worker pool is terminated, completed cells stay cached)."""
-    raise KeyboardInterrupt
+    axes = {field.name for field in dataclasses.fields(SweepMatrix)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in axes and value not in (None, "", ())}
+    if args.replay:
+        overrides["traces"] = tuple(args.replay)
+        kernels = overrides.get("kernels", base.kernels)
+        overrides["kernels"] = kernels + tuple(
+            name for name, _ in args.replay if name not in kernels)
+    matrix = dataclasses.replace(base, **overrides)
+    replayed = [name for name, _ in matrix.traces]
+    for kernel in matrix.kernels:
+        if kernel not in replayed:
+            kernel_def(kernel)
+    return matrix
 
 
 def render_outcome(outcome: SweepOutcome) -> str:
@@ -149,72 +101,30 @@ def main(argv=None) -> int:
                     "with content-addressed result caching.",
     )
     parser.add_argument("--matrix", choices=sorted(MATRICES), default="mini",
-                        help="built-in sweep matrix (default mini)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes (default 1)")
-    parser.add_argument("--kernels", default=None,
-                        help="comma-separated kernel override (e.g. cg,mg)")
-    parser.add_argument("--replay", action="append", default=None,
-                        metavar="NAME=FILE",
-                        help="register a captured trace file as sweep "
-                             "kernel NAME (repeatable)")
-    parser.add_argument("--np", dest="nprocs", default=None,
-                        help="comma-separated process counts (e.g. 4,8,16)")
-    parser.add_argument("--connections", default=None,
-                        help="comma-separated connection mechanisms "
-                             f"({','.join(ALL_CONNECTIONS)})")
-    parser.add_argument("--seeds", default=None,
-                        help="comma-separated seeds (e.g. 0,1,2)")
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--ppn", type=int, default=None)
-    parser.add_argument("--profile", choices=("clan", "berkeley"), default=None)
-    parser.add_argument("--cls", dest="npb_class", default=None,
-                        help="NPB problem class (default from matrix)")
+                        help="built-in sweep matrix (default mini); the "
+                             "flags below override its axes")
+    parser.add_argument("--kernels", type=csv, default=None,
+                        help="comma-separated kernels (e.g. cg,mg)")
+    add_job_flags(parser, swept=("np", "connection", "seed"), np=None,
+                  nodes=None, ppn=None, cls=None, connection=None,
+                  profile=None, seed=None)
     parser.add_argument("--name", default=None,
                         help="artifact name override (BENCH_<name>.json)")
-    parser.add_argument("--out-dir", default=".",
-                        help="directory for BENCH_<name>.json (default .)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default .bench-cache, "
-                             "or $REPRO_BENCH_CACHE)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not populate the cache")
+    add_fan_out_flags(parser)
     args = parser.parse_args(argv)
 
     try:
         matrix = build_matrix(args)
     except ValueError as exc:
         parser.error(str(exc))
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-
-    runner = SweepRunner(
-        matrix, workers=args.workers, cache=cache,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr),
-    )
-    # graceful kill: SIGTERM joins SIGINT's KeyboardInterrupt unwind —
-    # in-flight cells are abandoned (the pool is terminated by the
-    # context manager), completed cells are already on disk via the
-    # cache's atomic writes, and re-running the same command resumes
-    try:
-        prev_term = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-    except ValueError:  # not the main thread (e.g. driven from a test rig)
-        prev_term = None
-    # host wall-clock for operator progress only, never fed to the DES
-    started = time.time()  # repro: allow[REPRO001]
-    try:
-        outcome = runner.run()
-    except KeyboardInterrupt:
-        print("\nsweep interrupted — completed cells remain cached; "
-              "re-run the same command to resume", file=sys.stderr)
-        if cache is not None:
-            print(render_cache_stats(cache), file=sys.stderr)
+    cache = open_cache(args)
+    runner = SweepRunner(matrix, workers=args.workers, cache=cache,
+                         progress=report_progress)
+    started = now_s()
+    outcome = run_resumable("sweep", cache, runner.run)
+    if outcome is None:
         return 130
-    finally:
-        if prev_term is not None:
-            signal.signal(signal.SIGTERM, prev_term)
-    wall = time.time() - started  # repro: allow[REPRO001]
+    wall = now_s() - started
 
     path = write_bench_json(outcome, args.out_dir)
     print(render_outcome(outcome))

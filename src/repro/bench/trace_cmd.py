@@ -17,19 +17,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.npb import KERNELS
+from repro.bench.flags import ONE_JOB, add_job_flags, build_job_or_exit, csv
 from repro.cluster.job import run_job
-from repro.cluster.spec import ClusterSpec
-from repro.mpi.config import MpiConfig
 from repro.telemetry import (
     TelemetryConfig,
     export_chrome_trace,
     export_jsonl,
     summary_experiment,
 )
-from repro.via.profiles import profile_by_name
-
-CONNECTIONS = ("ondemand", "static-p2p", "static-cs")
 
 
 def main(argv=None) -> int:
@@ -37,23 +32,8 @@ def main(argv=None) -> int:
         prog="repro-bench trace",
         description="Run one workload with telemetry and export a trace.",
     )
-    parser.add_argument(
-        "workload", choices=sorted(KERNELS),
-        help="NPB kernel to trace",
-    )
-    parser.add_argument("--np", type=int, default=4, dest="nprocs",
-                        help="number of MPI processes (default 4)")
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="cluster nodes (default 4)")
-    parser.add_argument("--ppn", type=int, default=None,
-                        help="processes per node (default: fit --np)")
-    parser.add_argument("--cls", default="S", dest="npb_class",
-                        help="NPB problem class (default S)")
-    parser.add_argument("--connection", choices=CONNECTIONS,
-                        default="ondemand")
-    parser.add_argument("--profile", choices=("clan", "berkeley"),
-                        default="clan")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("workload", help="registered kernel to trace")
+    add_job_flags(parser, **ONE_JOB)
     parser.add_argument("--out", default=None,
                         help="Chrome trace output path "
                              "(default <workload>.trace.json)")
@@ -63,27 +43,10 @@ def main(argv=None) -> int:
                         help="comma-separated span categories to keep "
                              "(conn,mpi,coll,nic,fabric,via); default all")
     args = parser.parse_args(argv)
+    job = build_job_or_exit(parser, args, args.workload)
 
-    ppn = args.ppn
-    if ppn is None:
-        ppn = max(1, -(-args.nprocs // args.nodes))
-    spec = ClusterSpec(
-        nodes=args.nodes, ppn=ppn,
-        profile=profile_by_name(args.profile), seed=args.seed,
-    )
-    spec.validate_nprocs(args.nprocs)
-
-    categories = None
-    if args.categories:
-        categories = tuple(c.strip() for c in args.categories.split(",") if c.strip())
-    cfg = TelemetryConfig(categories=categories)
-
-    program = KERNELS[args.workload](args.npb_class)
-    res = run_job(
-        spec, args.nprocs, program,
-        config=MpiConfig(connection=args.connection),
-        telemetry=cfg,
-    )
+    categories = csv(args.categories) if args.categories else None
+    res = run_job(*job, telemetry=TelemetryConfig(categories=categories))
     tel = res.telemetry
     assert tel is not None
 

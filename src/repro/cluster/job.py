@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.sanitizers import Sanitizer, SanitizerConfig, SanitizerReport
 from repro.chaos import FaultInjector, FaultPlan
@@ -397,6 +397,77 @@ def run_job(
     )
 
 
+# -- one job from scalars ---------------------------------------------------
+#
+# Every bench command, the sweep worker entry below and the analyzer's
+# measured runs describe a job by the same scalars; build_job is the one
+# place they become a ClusterSpec, a rank program and an MpiConfig.
+
+class KernelJob(NamedTuple):
+    """A registered kernel bound to a cluster and a connection mechanism.
+
+    Its fields are :func:`run_job`'s first four arguments, so
+    ``run_job(*job, telemetry=...)`` runs it with any run_job keywords.
+    """
+
+    spec: ClusterSpec
+    nprocs: int
+    program: RankProgram
+    config: MpiConfig
+
+
+def mechanism_config(connection: str, kernel: str, nprocs: int,
+                     npb_class: str = "S") -> MpiConfig:
+    """The :class:`MpiConfig` selecting ``connection`` for one job.
+
+    ``predicted`` pre-establishes, in MPI_Init, the edges the comm
+    analyzer proves for this exact (kernel, class, nprocs); the analyzer
+    is imported only then, so a plain run never loads it.
+    """
+    if connection != "predicted":
+        return MpiConfig(connection=connection)
+    from repro.analysis.comm import predicted_peers_for
+
+    return MpiConfig(
+        connection="predicted",
+        predicted_peers=predicted_peers_for(kernel, nprocs,
+                                            npb_class=npb_class),
+    )
+
+
+def build_job(
+    kernel: str,
+    npb_class: str = "S",
+    nprocs: int = 4,
+    nodes: Optional[int] = None,
+    ppn: Optional[int] = None,
+    profile: str = "clan",
+    connection: str = "ondemand",
+    seed: int = 0,
+) -> KernelJob:
+    """The job a registered kernel runs as, from plain scalars.
+
+    ``nodes`` defaults to one node per rank and ``ppn`` to the fewest
+    CPUs per node that hold ``nprocs``.  Bad input raises ``ValueError``
+    before anything runs: an unknown kernel (the registry's
+    :class:`~repro.workloads.registry.UnknownKernel`) or a job that does
+    not fit the cluster.
+    """
+    from repro.via.profiles import profile_by_name
+    from repro.workloads.registry import build_program
+
+    program = build_program(kernel, npb_class)
+    if nodes is None:
+        nodes = nprocs
+    if ppn is None:
+        ppn = max(1, -(-nprocs // nodes))
+    spec = ClusterSpec(nodes=nodes, ppn=ppn,
+                       profile=profile_by_name(profile), seed=seed)
+    spec.validate_nprocs(nprocs)
+    return KernelJob(spec, nprocs, program,
+                     mechanism_config(connection, kernel, nprocs, npb_class))
+
+
 # -- worker-safe sweep entry ------------------------------------------------
 #
 # run_kernel_cell is the multiprocessing boundary of repro.bench.runner:
@@ -437,38 +508,15 @@ def run_kernel_cell(
     """
     from repro.cluster.build import make_engine
     from repro.sim.trace import TraceRecorder
-    from repro.via.profiles import profile_by_name
-    from repro.workloads import registry as workload_registry
+    from repro.workloads.registry import register_trace
     from repro.workloads.trace import load_trace
 
     if trace_path is not None:
-        workload_registry.register_trace(load_trace(trace_path), name=kernel)
-    if kernel not in workload_registry.KERNEL_DEFS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; available: "
-            f"{sorted(workload_registry.KERNEL_DEFS)}")
+        register_trace(load_trace(trace_path), name=kernel)
+    job = build_job(kernel, npb_class, nprocs, nodes, ppn, profile,
+                    connection, seed)
     recorder = TraceRecorder() if record_fingerprint else None
-    engine = make_engine(trace=recorder)
-    spec = ClusterSpec(
-        nodes=nodes, ppn=ppn, profile=profile_by_name(profile), seed=seed
-    )
-    if connection == "predicted":
-        # static-analysis hybrid: MPI_Init pre-establishes the edges the
-        # comm analyzer proved for this exact (kernel, class, nprocs)
-        from repro.analysis.comm import predicted_peers_for
-
-        config = MpiConfig(
-            connection="predicted",
-            predicted_peers=predicted_peers_for(
-                kernel, nprocs, npb_class=npb_class),
-        )
-    else:
-        config = MpiConfig(connection=connection)
-    res = run_job(
-        spec, nprocs, workload_registry.build_program(kernel, npb_class),
-        config=config,
-        engine=engine,
-    )
+    res = run_job(*job, engine=make_engine(trace=recorder))
     cell: Dict[str, Any] = {
         "sim_time_us": res.total_time_us,
         "finished_at_us": res.finished_at_us,

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.build import ClusterStack, build_cluster
+from repro.cluster.job import mechanism_config
 from repro.cluster.oob import OobBoard
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.workload import JobSpec
@@ -58,7 +59,6 @@ from repro.memory.registry import MemoryRegistry
 from repro.metrics.resources import ResourceReport, collect_resources
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.communicator import Communicator
-from repro.mpi.config import MpiConfig
 from repro.mpi.conn import make_connection_manager, runs_on
 from repro.mpi.facade import MpiProcess
 from repro.sim.engine import Engine
@@ -451,17 +451,9 @@ class ClusterScheduler:
         job = running.job
         engine = self.engine
         nprocs = job.nprocs
-        if job.connection == "predicted":
-            # inject the analyzed communication graph the admission
-            # decision was made against (lazy import, as in workload)
-            from repro.analysis.comm import predicted_peers_for
-
-            config = MpiConfig(
-                connection="predicted",
-                predicted_peers=predicted_peers_for(job.kernel, nprocs),
-            )
-        else:
-            config = MpiConfig(connection=job.connection)
+        # predicted: the analyzed graph the admission decision was made
+        # against
+        config = mechanism_config(job.connection, job.kernel, nprocs)
         vi_config = ViConfig(
             prepost_count=config.prepost_count,
             send_pool_count=config.send_pool_count,

@@ -9,7 +9,7 @@ instead of poisoning a pool worker.
 
 The compute entries are the *same* top-level functions the CLIs use
 (:func:`repro.bench.runner.compute_cell`,
-:func:`repro.bench.cluster_cmd.compute_cluster_cell`), so a request
+:func:`repro.bench.runner.compute_cluster_cell`), so a request
 submitted to the server produces byte-for-byte the result the direct
 CLI would have cached, under the same SHA-256 identity.
 
@@ -32,15 +32,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from repro.bench.cache import config_fingerprint
-from repro.bench.cluster_cmd import cluster_cell_config, compute_cluster_cell
 from repro.bench.runner import (
     SweepCell,
     cell_params,
+    cluster_cell_config,
     compute_cell,
+    compute_cluster_cell,
     matrix_from_dict,
 )
+from repro.cluster.sched import PLACEMENTS, POLICIES
 from repro.mpi.config import CONNECTION_MODES
 from repro.service.protocol import RequestError
+from repro.via.profiles import PROFILE_NAMES
 
 KIND_KERNEL = "kernel"
 KIND_SWEEP = "sweep"
@@ -136,7 +139,7 @@ def kernel_request_cell(doc: Dict[str, Any]) -> SweepCell:
         )
     except (TypeError, ValueError) as exc:
         raise RequestError(f"bad kernel request: {exc}") from exc
-    if cell.profile not in ("clan", "berkeley"):
+    if cell.profile not in PROFILE_NAMES:
         raise RequestError(f"unknown profile {cell.profile!r}")
     if cell.nprocs < 1 or cell.nodes < 1 or cell.ppn < 1:
         raise RequestError("kernel request sizes must be >= 1")
@@ -222,9 +225,9 @@ def normalize_request(doc: Any) -> JobRequest:
             )
         except (TypeError, ValueError) as exc:
             raise RequestError(f"bad cluster request: {exc}") from exc
-        if config["policy"] not in ("fcfs", "easy"):
+        if config["policy"] not in POLICIES:
             raise RequestError(f"unknown policy {config['policy']!r}")
-        if config["placement"] not in ("packed", "spread"):
+        if config["placement"] not in PLACEMENTS:
             raise RequestError(
                 f"unknown placement {config['placement']!r}")
         key = config_fingerprint(config, seed=seed)

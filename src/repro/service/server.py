@@ -19,7 +19,7 @@ event-loop thread (no locks):
 - the **worker pool**: a ``ProcessPoolExecutor`` of simulation
   processes fed through the exact picklable entries the CLIs use
   (:func:`repro.bench.runner.compute_cell`,
-  :func:`repro.bench.cluster_cmd.compute_cluster_cell`), so results —
+  :func:`repro.bench.runner.compute_cluster_cell`), so results —
   and their SHA-256 cache identities — are byte-identical to direct
   CLI runs.
 - the **subscriber queues**: per-job progress events (queued/started/

@@ -156,6 +156,9 @@ BERKELEY = ViaProfile(
 
 _PROFILES = {p.name: p for p in (CLAN, BERKELEY)}
 
+#: the names :func:`profile_by_name` accepts, in declaration order
+PROFILE_NAMES = tuple(_PROFILES)
+
 
 def profile_by_name(name: str) -> ViaProfile:
     """Look up a built-in profile ("clan" or "berkeley")."""

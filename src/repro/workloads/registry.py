@@ -36,6 +36,7 @@ from repro.workloads.trace import CommTrace
 __all__ = [
     "KernelDef",
     "KERNEL_DEFS",
+    "UnknownKernel",
     "collective_vi_demand",
     "register_kernel",
     "register_trace",
@@ -144,11 +145,18 @@ def register_kernel(defn: KernelDef, replace_existing: bool = False) -> KernelDe
     return defn
 
 
+class UnknownKernel(KeyError, ValueError):
+    """No kernel is registered under the name: a failed lookup, and a
+    bad argument to every function that takes a kernel name."""
+
+    __str__ = ValueError.__str__
+
+
 def kernel_def(name: str) -> KernelDef:
     defn = KERNEL_DEFS.get(name)
     if defn is None:
         known = ", ".join(sorted(KERNEL_DEFS))
-        raise KeyError(f"unknown kernel {name!r} (known: {known})")
+        raise UnknownKernel(f"unknown kernel {name!r} (known: {known})")
     return defn
 
 

@@ -5,9 +5,11 @@ A layer loads only itself and the layers below it.  The bottom two,
 ``repro.memory``.  The package root and ``repro.analysis`` resolve their
 names on first access (PEP 562), so ``import repro.sim`` pays for the
 engine alone.  The job runtime imports ``repro.analysis.sanitizers``
-but never the analyzer behind ``repro.analysis.comm``: six call sites
+but never the analyzer behind ``repro.analysis.comm``: three call sites
 import that inside the function that needs it, so a plain run never
-pays for it.
+pays for it.  The service's worker path (``repro.service.jobs`` and the
+bench runner behind it) loads neither the analyzer nor the bench
+commands' flag vocabulary.
 """
 
 import json
@@ -54,6 +56,10 @@ loaded = [name for name in ("interp", "comm", "commgraph", "lint")
           if "repro.analysis." + name in sys.modules]
 assert not loaded, loaded
 assert "repro.analysis.sanitizers" in sys.modules  # cluster.job needs it
+import repro.service.jobs
+loaded = [name for name in ("analysis.comm", "bench.flags")
+          if "repro." + name in sys.modules]
+assert not loaded, loaded
 
 import repro.analysis
 from repro.analysis import CommGraph, SanitizerConfig, analyze_kernel, lint_source
