@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - the typed island keeps its types
     from repro.analysis.comm import (
         AnalysisError,
-        COMM_KERNELS,
         analyze_kernel,
         analyze_source,
         check_observed_subset,
@@ -74,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - the typed island keeps its types
 _SUBMODULE_OF = {
     name: submodule
     for submodule, names in (
-        ("comm", "AnalysisError COMM_KERNELS analyze_kernel analyze_source "
+        ("comm", "AnalysisError analyze_kernel analyze_source "
                  "check_observed_subset observed_edges predicted_peers_for "
                  "predicted_vi_demand"),
         ("commgraph", "CommDiagnostic CommGraph REPROC_RULES"),
@@ -96,7 +95,6 @@ def __getattr__(name: str) -> Any:
 
 __all__ = [
     "AnalysisError",
-    "COMM_KERNELS",
     "CommDiagnostic",
     "CommGraph",
     "REPROC_RULES",

@@ -24,7 +24,6 @@ tracing to assert observed edges are a subset of the predicted ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
                     cast)
@@ -42,12 +41,10 @@ from repro.analysis.interp import (
     Interp,
     MpiProxy,
 )
-from repro.workloads import registry as _registry
+from repro.workloads.registry import KernelDef, kernel_def
 from repro.workloads.trace import CommTrace
 
 __all__ = [
-    "KernelSpec",
-    "COMM_KERNELS",
     "AnalysisError",
     "analyze_kernel",
     "analyze_source",
@@ -57,41 +54,6 @@ __all__ = [
     "observed_edges",
     "check_observed_subset",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """How to instantiate one analyzable kernel program; compared by
-    identity, so each registration is its own key for memoised graphs."""
-
-    module: str
-    factory: str
-    #: keyword arguments passed to the factory (hashable pairs)
-    kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: whether the factory takes ``npb_class`` as its first argument
-    npb_class_arg: bool = False
-
-
-#: Every kernel the analyzer knows how to build — a live mirror of
-#: :data:`repro.workloads.registry.KERNEL_DEFS` (the single source of
-#: truth), so the analyzer's parameterization can never drift from the
-#: runtime's.  Trace-backed kernels appear with the ``<trace>`` module
-#: sentinel; :func:`analyze_kernel` derives their graph from the
-#: recorded timeline instead of source.
-COMM_KERNELS: Dict[str, KernelSpec] = {}
-
-
-def _mirror_kernel_def(defn: "_registry.KernelDef") -> None:
-    if defn.trace is not None:
-        COMM_KERNELS[defn.name] = KernelSpec(
-            module="<trace>", factory=defn.name)
-    else:
-        COMM_KERNELS[defn.name] = KernelSpec(
-            module=defn.module or "", factory=defn.factory or "",
-            kwargs=defn.kwargs, npb_class_arg=defn.npb_class_arg)
-
-
-_registry.attach_mirror(_mirror_kernel_def)
 
 
 # ------------------------------------------------------------------------
@@ -283,7 +245,7 @@ def coll_footprint(kind: str, rank: int, size: int, root: Optional[int],
 # abstract interpretation, one pass per class of ranks
 # ------------------------------------------------------------------------
 
-def _rank_outcomes(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
+def _rank_outcomes(spec: KernelDef, nprocs: int, npb_class: Optional[str],
                    extra_sources: Optional[Dict[str, str]] = None
                    ) -> List[Union[List[Event], Exception]]:
     """Every rank's events, or the error it stopped with, by rank: a
@@ -301,7 +263,8 @@ def _rank_outcomes(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
         mpi = MpiProxy(ranks, nprocs)
         failure: Optional[Exception] = None
         try:
-            factory = interp.load_program(spec.module, spec.factory)
+            factory = interp.load_program(spec.module or "",
+                                          spec.factory or "")
             program = interp.call_value(factory, args, dict(spec.kwargs))
             interp.run_program(program, mpi)
         except Exception as exc:  # that class's outcome, not ours to raise
@@ -312,7 +275,7 @@ def _rank_outcomes(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
     return [outcomes[rank] for rank in range(nprocs)]
 
 
-def _rank_events(spec: KernelSpec, nprocs: int, npb_class: Optional[str],
+def _rank_events(spec: KernelDef, nprocs: int, npb_class: Optional[str],
                  extra_sources: Optional[Dict[str, str]] = None
                  ) -> List[List[Event]]:
     """Every rank's events; the error of the lowest failing rank."""
@@ -641,23 +604,22 @@ def analyze_kernel(kernel: str, nprocs: int,
     """
     if nprocs < 1:
         raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-    defn = _registry.KERNEL_DEFS.get(kernel)
-    if defn is not None and defn.trace is not None:
+    return _analyze_def(kernel_def(kernel), nprocs, npb_class)
+
+
+def _analyze_def(defn: KernelDef, nprocs: int, npb_class: str) -> CommGraph:
+    if defn.trace is not None:
         if nprocs != defn.trace.nprocs:
             raise ValueError(
-                f"trace kernel {kernel!r} was captured at "
+                f"trace kernel {defn.name!r} was captured at "
                 f"{defn.trace.nprocs} ranks; cannot analyze at {nprocs}")
-        return analyze_trace(defn.trace, kernel=kernel)
-    spec = COMM_KERNELS.get(kernel)
-    if spec is None:
-        known = ", ".join(sorted(COMM_KERNELS))
-        raise KeyError(f"unknown kernel {kernel!r} (known: {known})")
-    per_rank = _rank_events(spec, nprocs,
-                            npb_class if spec.npb_class_arg else None)
-    params: Dict[str, Any] = dict(spec.kwargs)
-    if spec.npb_class_arg:
+        return analyze_trace(defn.trace, kernel=defn.name)
+    per_rank = _rank_events(defn, nprocs,
+                            npb_class if defn.npb_class_arg else None)
+    params: Dict[str, Any] = dict(defn.kwargs)
+    if defn.npb_class_arg:
         params["npb_class"] = npb_class
-    return _build_graph(kernel, nprocs, params, per_rank)
+    return _build_graph(defn.name, nprocs, params, per_rank)
 
 
 def _trace_events(rank_ops: Sequence[Dict[str, Any]]) -> List[Event]:
@@ -738,30 +700,31 @@ def analyze_source(source: str, factory: str, nprocs: int,
                    module_name: str = "commtest",
                    kernel: str = "<source>") -> CommGraph:
     """Analyze an in-memory kernel source (for tests and ad-hoc checks)."""
-    spec = KernelSpec(module=module_name, factory=factory,
-                      kwargs=tuple(sorted((kwargs or {}).items())))
+    spec = KernelDef(name=kernel, module=module_name, factory=factory,
+                     kwargs=tuple(sorted((kwargs or {}).items())))
     per_rank = _rank_events(spec, nprocs, None,
                             extra_sources={module_name: source})
     return _build_graph(kernel, nprocs, dict(spec.kwargs), per_rank)
 
 
 @lru_cache(maxsize=256)
-def _cached_source_graph(kernel: str, spec: Optional[KernelSpec],
-                         nprocs: int, npb_class: str) -> CommGraph:
-    return analyze_kernel(kernel, nprocs, npb_class=npb_class)
+def _cached_source_graph(defn: KernelDef, nprocs: int,
+                         npb_class: str) -> CommGraph:
+    return _analyze_def(defn, nprocs, npb_class)
 
 
 def _cached_graph(kernel: str, nprocs: int, npb_class: str) -> CommGraph:
     """Graph lookup with caching for source-backed kernels only.
 
-    The cache is keyed by the registration's spec, so a name registered
-    again is analyzed afresh; trace-backed kernels bypass it (folding a
-    trace is cheap next to abstract interpretation).
+    The cache is keyed by the registration (a :class:`KernelDef`, hashed
+    by identity), so a name registered again is analyzed afresh;
+    trace-backed kernels bypass it (folding a trace is cheap next to
+    abstract interpretation).
     """
-    spec = COMM_KERNELS.get(kernel)
-    if spec is not None and spec.module == "<trace>":
+    defn = kernel_def(kernel)
+    if defn.trace is not None:
         return analyze_kernel(kernel, nprocs, npb_class=npb_class)
-    return _cached_source_graph(kernel, spec, nprocs, npb_class)
+    return _cached_source_graph(defn, nprocs, npb_class)
 
 
 def predicted_peers_for(kernel: str, nprocs: int,
@@ -802,7 +765,7 @@ def check_observed_subset(
     from repro.telemetry import TelemetryConfig
 
     graph = _cached_graph(kernel, nprocs, npb_class)
-    spec = COMM_KERNELS[kernel]
+    defn = kernel_def(kernel)
     result = run_job(*build_job(kernel, npb_class, nprocs, nodes, ppn,
                                 profile, "ondemand", seed),
                      telemetry=TelemetryConfig())
@@ -815,7 +778,7 @@ def check_observed_subset(
     return {
         "kernel": kernel,
         "nprocs": nprocs,
-        "npb_class": npb_class if spec.npb_class_arg else None,
+        "npb_class": npb_class if defn.npb_class_arg else None,
         "seed": seed,
         "observed_edges": sorted(observed),
         "predicted_max_degree": graph.max_degree,

@@ -19,9 +19,10 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.comm import COMM_KERNELS, analyze_kernel, check_observed_subset
+from repro.analysis.comm import analyze_kernel, check_observed_subset
 from repro.analysis.commgraph import CommGraph, REPROC_RULES
 from repro.via.profiles import PROFILE_NAMES
+from repro.workloads.registry import KERNEL_DEFS
 
 
 def _measure(kernel: str, nprocs: int, npb_class: str, nodes: Optional[int],
@@ -58,7 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Static communication-graph analysis "
                     "(predicted connection peers, REPROC diagnostics).",
     )
-    parser.add_argument("kernel", choices=sorted(COMM_KERNELS),
+    parser.add_argument("kernel", choices=sorted(KERNEL_DEFS),
                         help="registered kernel to analyze")
     parser.add_argument("--nprocs", type=int, default=4,
                         help="job size to analyze for (default 4)")

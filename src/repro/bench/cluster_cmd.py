@@ -48,7 +48,7 @@ from repro.bench.runner import (
     fan_out,
 )
 from repro.cluster.sched import PLACEMENTS, POLICIES
-from repro.cluster.workload import CLUSTER_KERNELS
+from repro.cluster.workload import schedulable_kernels
 from repro.mpi.conn import runs_on
 from repro.via.profiles import profile_by_name
 
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
                         help="mean exponential inter-arrival, us")
     parser.add_argument("--kernels", type=csv, default="ring,allreduce",
                         help="comma-separated workload kernels "
-                             f"({','.join(sorted(CLUSTER_KERNELS))})")
+                             f"({','.join(schedulable_kernels())})")
     parser.add_argument("--name", default="contention",
                         help="artifact name (CLUSTER_<name>.json)")
     add_fan_out_flags(parser)
@@ -162,7 +162,8 @@ def main(argv=None) -> int:
         args.trace_shas.sort()
         args.kernels += tuple(n for n, _ in args.replay
                               if n not in args.kernels)
-    unknown = [k for k in args.kernels if k not in CLUSTER_KERNELS]
+    known = schedulable_kernels()
+    unknown = [k for k in args.kernels if k not in known]
     if unknown:
         parser.error(f"unknown kernels: {unknown}")
 

@@ -365,10 +365,6 @@ class SweepOutcome:
     computed: int
     cached: int
 
-    @property
-    def total_wall_s(self) -> float:
-        return sum(r["wall_s"] for _, r in self.results)
-
 
 class SweepRunner:
     """Fan a :class:`SweepMatrix` out over worker processes, with caching."""

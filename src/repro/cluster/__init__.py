@@ -22,12 +22,7 @@ from repro.cluster.spec import ClusterSpec, rank_to_node
 from repro.cluster.build import ClusterStack, build_cluster
 from repro.cluster.job import JobResult, run_job
 from repro.cluster.oob import OobBoard
-from repro.cluster.workload import (
-    CLUSTER_KERNELS,
-    JobSpec,
-    WorkloadSpec,
-    with_connection,
-)
+from repro.cluster.workload import JobSpec, WorkloadSpec, with_connection
 from repro.cluster.sched import (
     ClusterReport,
     ClusterResult,
@@ -41,7 +36,7 @@ from repro.cluster.sched import (
 __all__ = [
     "ClusterSpec", "rank_to_node", "JobResult", "run_job", "OobBoard",
     "ClusterStack", "build_cluster",
-    "CLUSTER_KERNELS", "JobSpec", "WorkloadSpec", "with_connection",
+    "JobSpec", "WorkloadSpec", "with_connection",
     "ClusterReport", "ClusterResult", "ClusterScheduler", "JobRecord",
     "SchedulerError", "run_cluster", "run_cluster_cell",
 ]

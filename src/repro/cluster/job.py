@@ -1,10 +1,15 @@
 """Job execution: build the stack, run rank programs, collect results.
 
 One :func:`run_job` call simulates one ``mpirun``: it instantiates the
-fabric, NICs, kernel agents, per-process providers and ADI devices,
-spawns every rank program as a DES coroutine wrapped in
-``MPI_Init`` / ``MPI_Finalize``, runs the engine to quiescence, and
-returns a :class:`JobResult`.
+fabric, NICs and kernel agents, hands the ranks to :func:`launch_ranks`,
+runs the engine to quiescence, and returns a :class:`JobResult`.
+
+:func:`launch_ranks` is the one rank lifecycle: it builds every rank's
+stack (registry, provider, device, connection manager, facade) on one
+out-of-band board and spawns each rank program wrapped in
+``MPI_Init`` / ``MPI_Finalize``.  The cluster scheduler launches its
+co-scheduled jobs through it too, so a job's init times and resource
+snapshot mean the same thing alone and on a shared cluster.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.analysis.sanitizers import Sanitizer, SanitizerConfig, SanitizerReport
 from repro.chaos import FaultInjector, FaultPlan
-from repro.cluster.build import build_cluster
+from repro.cluster.build import ClusterStack, build_cluster
 from repro.cluster.oob import OobBoard
 from repro.cluster.spec import ClusterSpec
 from repro.memory.registry import MemoryRegistry
@@ -28,6 +33,7 @@ from repro.mpi.config import MpiConfig
 from repro.mpi.conn import make_connection_manager, runs_on
 from repro.mpi.facade import MpiProcess
 from repro.sim.engine import Engine
+from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.via.provider import ViConfig, ViaProvider
@@ -62,7 +68,7 @@ class JobResult:
     total_time_us: float
     #: resource snapshot taken before finalize teardown
     resources: ResourceReport
-    #: NIC drop counters (must be zero unless failure injection is on)
+    #: NIC drop counters (always zero: a job whose NICs drop raises JobError)
     dropped_messages: int
     events_processed: int
     #: fault/recovery counters; None unless a fault plan was active
@@ -122,7 +128,6 @@ def run_job(
     program_args: tuple = (),
     per_rank_args: Optional[List[tuple]] = None,
     engine: Optional[Engine] = None,
-    allow_drops: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     telemetry: Optional[Any] = None,
     sanitize: Optional[Any] = None,
@@ -137,8 +142,6 @@ def run_job(
         in ``JobResult.returns``.
     per_rank_args:
         Optional per-rank argument tuples (overrides ``program_args``).
-    allow_drops:
-        Permit NIC message drops (failure-injection tests only).
     fault_plan:
         Optional :class:`~repro.chaos.FaultPlan`; its randomness is
         seeded from ``spec.seed``.  An inactive plan (all zero) is
@@ -210,16 +213,7 @@ def run_job(
                 config, connect_timeout_us=CHAOS_CONNECT_TIMEOUT_US)
 
     engine = engine or Engine()
-
-    tel: Optional[Telemetry] = None
-    if isinstance(telemetry, Telemetry):
-        tel = telemetry if telemetry.config.enabled else None
-    elif isinstance(telemetry, TelemetryConfig):
-        tel = Telemetry(engine, telemetry) if telemetry.enabled else None
-    elif telemetry is not None:
-        raise TypeError(
-            "telemetry must be a TelemetryConfig or Telemetry instance"
-        )
+    tel = resolve_telemetry(engine, telemetry)
 
     san: Optional[Sanitizer] = None
     if isinstance(sanitize, Sanitizer):
@@ -242,94 +236,32 @@ def run_job(
 
     rng = RngStreams(spec.seed)
     injector = None
+    retry_rngs = None
     if chaos_active:
         injector = FaultInjector(engine, fault_plan, rng.stream("chaos.fabric"))
+        # per-rank jitter streams: drawn only on actual connect retries,
+        # deterministic per (seed, rank)
+        retry_rngs = [rng.stream(f"chaos.conn-retry.r{rank}")
+                      for rank in range(nprocs)]
     stack = build_cluster(engine, spec, telemetry=tel, injector=injector)
-    network, nics, agents = stack.network, stack.nics, stack.agents
+    network, nics = stack.network, stack.nics
 
-    oob = OobBoard(engine, nprocs)
-    vi_config = ViConfig(
-        prepost_count=config.prepost_count,
-        send_pool_count=config.send_pool_count,
-        eager_buffer_size=config.eager_threshold,
+    ranks = launch_ranks(
+        engine, stack, spec, config, program,
+        ([program_args] * nprocs if per_rank_args is None
+         else per_rank_args),
+        [spec.node_of(rank) for rank in range(nprocs)],
+        jitter_seed=spec.seed, snapshot_nics=nics, telemetry=tel,
+        sanitizer=san, capture=cap, retry_rngs=retry_rngs,
     )
-
-    devices: Dict[int, AbstractDevice] = {}
-    facades: Dict[int, MpiProcess] = {}
-    providers: List[ViaProvider] = []
-    for rank in range(nprocs):
-        node = spec.node_of(rank)
-        registry = MemoryRegistry(
-            costs=spec.profile.registration, label=f"rank{rank}"
-        )
-        if san is not None:
-            san.watch_registry(registry)
-        provider = ViaProvider(
-            engine, nics[node], agents[node], registry, rank,
-            job_id=0, config=vi_config,
-        )
-        provider.telemetry = tel
-        provider.sanitizer = san
-        providers.append(provider)
-        adi = AbstractDevice(
-            engine, provider, config, rank, nprocs,
-            rank_to_node=spec.node_of,
-        )
-        adi.telemetry = tel
-        adi.conn = make_connection_manager(config.connection, adi)
-        if chaos_active:
-            # per-rank jitter stream: drawn only on actual connect
-            # retries, deterministic per (seed, rank)
-            adi.retry_rng = rng.stream(f"chaos.conn-retry.r{rank}")
-        world = Communicator(range(nprocs), rank, context_base=0)
-        if cap is not None:
-            facades[rank] = cap.facade(adi, world, jitter_seed=spec.seed)
-        else:
-            facades[rank] = MpiProcess(adi, world, jitter_seed=spec.seed)
-        facades[rank]._oob = oob
-        devices[rank] = adi
-
-    returns: List[Any] = [None] * nprocs
-    init_times: List[float] = [0.0] * nprocs
-    finish_times: List[float] = [0.0] * nprocs
-    resources_box: List[Optional[ResourceReport]] = [None]
-
-    def rank_main(rank: int):
-        mpi = facades[rank]
-        adi = devices[rank]
-
-        def _span(name: str):
-            return nullcontext() if tel is None else tel.span(name, ("rank", rank))
-
-        # ---- MPI_Init: out-of-band bootstrap + connection setup policy
-        yield from oob.barrier("init-enter")
-        adi.init_started_at = engine.now
-        with _span("mpi.init"):
-            yield from adi.conn.init_phase()
-        adi.init_done_at = engine.now
-        init_times[rank] = adi.init_done_at - adi.init_started_at
-        # ---- user program
-        args = per_rank_args[rank] if per_rank_args is not None else program_args
-        returns[rank] = yield from program(mpi, *args)
-        finish_times[rank] = engine.now
-        # ---- MPI_Finalize: drain outbound work (weak progress means
-        # nobody else will), OOB sync, snapshot resources, tear down
-        with _span("mpi.finalize"):
-            yield from adi.drain()
-            yield from oob.progressive_barrier("finalize", adi)
-            if rank == 0:
-                resources_box[0] = collect_resources(devices, nics)
-            yield from oob.progressive_barrier("teardown", adi)
-            yield from adi.conn.finalize_phase()
-
-    procs = [engine.process(rank_main(r)) for r in range(nprocs)]
     engine.run()
 
-    failures = [(p.name, p.value) for p in procs if p.processed and not p.ok]
+    failures = [(p.name, p.value) for p in ranks.procs
+                if p.processed and not p.ok]
     if failures:
         name, exc = failures[0]
         raise JobError(f"rank program {name} failed: {exc!r}") from exc
-    alive = [p for p in procs if not p.processed]
+    alive = [p for p in ranks.procs if not p.processed]
     if alive:
         raise JobError(
             f"job deadlocked: {len(alive)}/{nprocs} ranks never finished "
@@ -339,27 +271,29 @@ def run_job(
     drops = sum(
         nic.dropped_no_recv_descriptor + nic.dropped_bad_vi for nic in nics
     )
-    if drops and not allow_drops:
+    if drops:
         raise JobError(
             f"{drops} messages dropped at NICs — flow control violated"
         )
 
     chaos_report = None
     if chaos_active:
-        chaos_report = collect_chaos(network.injector, nics, devices)
+        chaos_report = collect_chaos(network.injector, nics, ranks.devices)
 
     san_report: Optional[SanitizerReport] = None
     if san is not None:
         # passive fold-up; raises typed PinnedMemoryLeak on leaked
         # regions/VIs when the config says to fail on them
-        san_report = san.finish(providers)
+        san_report = san.finish(
+            [adi.provider for adi in ranks.devices.values()])
 
-    assert resources_box[0] is not None
+    resources = ranks.resources
+    assert resources is not None
     if tel is not None:
         # close stragglers, then make the registry the one-stop numeric
         # surface: legacy report views, job gauges, init histogram
         tel.finish(engine.now)
-        resources_box[0].to_metrics(tel.metrics)
+        resources.to_metrics(tel.metrics)
         if chaos_report is not None:
             chaos_report.to_metrics(tel.metrics)
         m = tel.metrics
@@ -368,7 +302,7 @@ def run_job(
         m.gauge("fabric.packets_delivered").set(network.packets_delivered)
         m.gauge("fabric.bytes_delivered").set(network.bytes_delivered)
         init_hist = m.histogram("mpi.init.us")
-        for t in init_times:
+        for t in ranks.init_times:
             init_hist.observe(t)
     comm_trace = None
     if cap is not None:
@@ -383,11 +317,11 @@ def run_job(
         nprocs=nprocs,
         config=config,
         spec=spec,
-        returns=returns,
-        init_times_us=init_times,
-        finished_at_us=max(finish_times),
+        returns=ranks.returns,
+        init_times_us=ranks.init_times,
+        finished_at_us=max(ranks.finish_times),
         total_time_us=engine.now,
-        resources=resources_box[0],
+        resources=resources,
         dropped_messages=drops,
         events_processed=engine.events_processed,
         chaos=chaos_report,
@@ -395,6 +329,145 @@ def run_job(
         sanitizer=san_report,
         trace=comm_trace,
     )
+
+
+def resolve_telemetry(engine: Engine, telemetry: Any) -> Optional[Telemetry]:
+    """The plane a job records into: a
+    :class:`~repro.telemetry.TelemetryConfig` builds one on ``engine``, a
+    :class:`~repro.telemetry.Telemetry` is shared as is; None, or a
+    disabled plane, records nothing."""
+    if isinstance(telemetry, Telemetry):
+        return telemetry if telemetry.config.enabled else None
+    if isinstance(telemetry, TelemetryConfig):
+        return Telemetry(engine, telemetry) if telemetry.enabled else None
+    if telemetry is not None:
+        raise TypeError(
+            "telemetry must be a TelemetryConfig or Telemetry instance"
+        )
+    return None
+
+
+@dataclass
+class Ranks:
+    """The rank processes of one launched job and what their lifecycle
+    records while the engine runs."""
+
+    procs: List[Process]
+    devices: Dict[int, AbstractDevice]
+    #: per-rank return values of the rank programs
+    returns: List[Any]
+    #: per-rank MPI_Init duration, µs
+    init_times: List[float]
+    #: simulated time each rank left its program body, µs
+    finish_times: List[float]
+    #: snapshot rank 0 takes before finalize teardown
+    resources: Optional[ResourceReport] = None
+    #: ranks that have finished MPI_Finalize
+    exited: int = 0
+
+
+def launch_ranks(
+    engine: Engine,
+    stack: ClusterStack,
+    spec: ClusterSpec,
+    config: MpiConfig,
+    program: RankProgram,
+    rank_args: Sequence[tuple],
+    nodes: Sequence[int],
+    *,
+    job_id: int = 0,
+    label: str = "rank",
+    jitter_seed: int,
+    snapshot_nics: Optional[Sequence[Any]] = None,
+    telemetry: Optional[Telemetry] = None,
+    sanitizer: Optional[Sanitizer] = None,
+    capture: Optional[Any] = None,
+    retry_rngs: Optional[Sequence[Any]] = None,
+    on_exit: Optional[Callable[[Ranks], None]] = None,
+) -> Ranks:
+    """Build every rank's stack on ``stack`` and spawn its lifecycle.
+
+    Rank ``r`` runs on node ``nodes[r]`` with ``program(mpi,
+    *rank_args[r])`` as its body: ``MPI_Init`` (out-of-band barrier, then
+    the connection manager's init phase), the program, then
+    ``MPI_Finalize`` (drain, finalize barrier, rank 0's resource snapshot
+    over ``snapshot_nics``, teardown).  Its memory registry is labelled
+    ``f"{label}{r}"`` and its provider carries ``job_id``.  The optional
+    planes (``telemetry``, ``sanitizer``, a trace ``capture``, per-rank
+    connect ``retry_rngs``) observe every rank.  The last rank out calls
+    ``on_exit`` with the returned :class:`Ranks`.
+    """
+    nprocs = len(nodes)
+    oob = OobBoard(engine, nprocs)
+    vi_config = ViConfig(
+        prepost_count=config.prepost_count,
+        send_pool_count=config.send_pool_count,
+        eager_buffer_size=config.eager_threshold,
+    )
+    ranks = Ranks(procs=[], devices={}, returns=[None] * nprocs,
+                  init_times=[0.0] * nprocs, finish_times=[0.0] * nprocs)
+    devices = ranks.devices
+    facade = MpiProcess if capture is None else capture.facade
+    facades: Dict[int, MpiProcess] = {}
+    for rank in range(nprocs):
+        node = nodes[rank]
+        registry = MemoryRegistry(
+            costs=spec.profile.registration, label=f"{label}{rank}"
+        )
+        if sanitizer is not None:
+            sanitizer.watch_registry(registry)
+        provider = ViaProvider(
+            engine, stack.nics[node], stack.agents[node], registry, rank,
+            job_id=job_id, config=vi_config,
+        )
+        provider.telemetry = telemetry
+        provider.sanitizer = sanitizer
+        adi = AbstractDevice(
+            engine, provider, config, rank, nprocs,
+            rank_to_node=nodes.__getitem__,
+        )
+        adi.telemetry = telemetry
+        adi.conn = make_connection_manager(config.connection, adi)
+        if retry_rngs is not None:
+            adi.retry_rng = retry_rngs[rank]
+        world = Communicator(range(nprocs), rank, context_base=0)
+        facades[rank] = facade(adi, world, jitter_seed=jitter_seed)
+        facades[rank]._oob = oob
+        devices[rank] = adi
+
+    def rank_main(rank: int):
+        mpi = facades[rank]
+        adi = devices[rank]
+
+        def _span(name: str):
+            return (nullcontext() if telemetry is None
+                    else telemetry.span(name, ("rank", rank)))
+
+        # ---- MPI_Init: out-of-band bootstrap + connection setup policy
+        yield from oob.barrier("init-enter")
+        adi.init_started_at = engine.now
+        with _span("mpi.init"):
+            yield from adi.conn.init_phase()
+        adi.init_done_at = engine.now
+        ranks.init_times[rank] = adi.init_done_at - adi.init_started_at
+        # ---- user program
+        ranks.returns[rank] = yield from program(mpi, *rank_args[rank])
+        ranks.finish_times[rank] = engine.now
+        # ---- MPI_Finalize: drain outbound work (weak progress means
+        # nobody else will), OOB sync, snapshot resources, tear down
+        with _span("mpi.finalize"):
+            yield from adi.drain()
+            yield from oob.progressive_barrier("finalize", adi)
+            if rank == 0:
+                ranks.resources = collect_resources(devices, snapshot_nics)
+            yield from oob.progressive_barrier("teardown", adi)
+            yield from adi.conn.finalize_phase()
+        ranks.exited += 1
+        if ranks.exited == nprocs and on_exit is not None:
+            on_exit(ranks)
+
+    ranks.procs = [engine.process(rank_main(r)) for r in range(nprocs)]
+    return ranks
 
 
 # -- one job from scalars ---------------------------------------------------

@@ -51,20 +51,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.build import ClusterStack, build_cluster
-from repro.cluster.job import mechanism_config
-from repro.cluster.oob import OobBoard
+from repro.cluster.job import (
+    Ranks,
+    launch_ranks,
+    mechanism_config,
+    resolve_telemetry,
+)
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.workload import JobSpec
-from repro.memory.registry import MemoryRegistry
-from repro.metrics.resources import ResourceReport, collect_resources
-from repro.mpi.adi import AbstractDevice
-from repro.mpi.communicator import Communicator
-from repro.mpi.conn import make_connection_manager, runs_on
-from repro.mpi.facade import MpiProcess
+from repro.metrics.resources import ResourceReport
+from repro.mpi.conn import runs_on
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.telemetry import Telemetry, TelemetryConfig
-from repro.via.provider import ViConfig, ViaProvider
+from repro.telemetry import Telemetry
+from repro.workloads.registry import build_program
 
 POLICIES = ("fcfs", "easy")
 PLACEMENTS = ("packed", "spread")
@@ -226,8 +226,8 @@ class ClusterResult:
 class _RunningJob:
     """Book-keeping for one admitted job."""
 
-    __slots__ = ("job", "record", "assign", "per_node", "done_ranks",
-                 "est_end_us", "procs")
+    __slots__ = ("job", "record", "assign", "per_node", "est_end_us",
+                 "procs")
 
     def __init__(self, job: JobSpec, record: JobRecord,
                  assign: Tuple[int, ...], start_us: float):
@@ -237,7 +237,6 @@ class _RunningJob:
         self.per_node: Dict[int, int] = {}
         for node in assign:
             self.per_node[node] = self.per_node.get(node, 0) + 1
-        self.done_ranks = 0
         self.est_end_us = start_us + job.est_runtime_us
         self.procs: list = []
 
@@ -269,17 +268,8 @@ class ClusterScheduler:
         #: deterministic service order: arrival time, then job id
         self.jobs = sorted(jobs, key=lambda j: (j.arrival_us, j.job_id))
         self.engine = engine or Engine()
-
-        self.tel: Optional[Telemetry] = None
-        if isinstance(telemetry, Telemetry):
-            self.tel = telemetry if telemetry.config.enabled else None
-        elif isinstance(telemetry, TelemetryConfig):
-            self.tel = (Telemetry(self.engine, telemetry)
-                        if telemetry.enabled else None)
-        elif telemetry is not None:
-            raise TypeError(
-                "telemetry must be a TelemetryConfig or Telemetry instance")
-
+        self.tel: Optional[Telemetry] = resolve_telemetry(self.engine,
+                                                          telemetry)
         self.stack: ClusterStack = build_cluster(
             self.engine, spec, telemetry=self.tel)
         self._rng = RngStreams(spec.seed)
@@ -449,71 +439,23 @@ class ClusterScheduler:
 
     def _launch(self, running: _RunningJob) -> None:
         job = running.job
-        engine = self.engine
-        nprocs = job.nprocs
-        # predicted: the analyzed graph the admission decision was made
-        # against
-        config = mechanism_config(job.connection, job.kernel, nprocs)
-        vi_config = ViConfig(
-            prepost_count=config.prepost_count,
-            send_pool_count=config.send_pool_count,
-            eager_buffer_size=config.eager_threshold,
-        )
-        oob = OobBoard(engine, nprocs)
-        nics, agents = self.stack.nics, self.stack.agents
-        jitter_seed = self._rng.derive_seed(
-            f"job{job.job_id}.jitter") & 0x7FFFFFFF
 
-        devices: Dict[int, AbstractDevice] = {}
-        facades: Dict[int, MpiProcess] = {}
-        for rank in range(nprocs):
-            node = running.assign[rank]
-            registry = MemoryRegistry(
-                costs=self.spec.profile.registration,
-                label=f"j{job.job_id}r{rank}",
-            )
-            provider = ViaProvider(
-                engine, nics[node], agents[node], registry, rank,
-                job_id=job.job_id, config=vi_config,
-            )
-            provider.telemetry = self.tel
-            adi = AbstractDevice(
-                engine, provider, config, rank, nprocs,
-                rank_to_node=running.assign.__getitem__,
-            )
-            adi.telemetry = self.tel
-            adi.conn = make_connection_manager(config.connection, adi)
-            world = Communicator(range(nprocs), rank, context_base=0)
-            facades[rank] = MpiProcess(adi, world, jitter_seed=jitter_seed)
-            facades[rank]._oob = oob
-            devices[rank] = adi
+        def on_exit(ranks: Ranks) -> None:
+            running.record.resources = ranks.resources
+            running.record.init_max_us = max(ranks.init_times)
+            self._finish(running)
 
-        program = job.program()
-        init_times = [0.0] * nprocs
-
-        def rank_main(rank: int):
-            mpi = facades[rank]
-            adi = devices[rank]
-            yield from oob.barrier("init-enter")
-            adi.init_started_at = engine.now
-            yield from adi.conn.init_phase()
-            adi.init_done_at = engine.now
-            init_times[rank] = adi.init_done_at - adi.init_started_at
-            yield from program(mpi)
-            yield from adi.drain()
-            yield from oob.progressive_barrier("finalize", adi)
-            if rank == 0:
-                running.record.resources = collect_resources(devices)
-            yield from oob.progressive_barrier("teardown", adi)
-            yield from adi.conn.finalize_phase()
-            running.done_ranks += 1
-            if running.done_ranks == nprocs:
-                running.record.init_max_us = max(init_times)
-                self._finish(running)
-
-        running.procs = [
-            engine.process(rank_main(r)) for r in range(nprocs)
-        ]
+        running.procs = launch_ranks(
+            self.engine, self.stack, self.spec,
+            # predicted: the analyzed graph the admission decision was
+            # made against
+            mechanism_config(job.connection, job.kernel, job.nprocs),
+            build_program(job.kernel), [()] * job.nprocs, running.assign,
+            job_id=job.job_id, label=f"j{job.job_id}r",
+            jitter_seed=self._rng.derive_seed(
+                f"job{job.job_id}.jitter") & 0x7FFFFFFF,
+            telemetry=self.tel, on_exit=on_exit,
+        ).procs
 
     def _finish(self, running: _RunningJob) -> None:
         now = self.engine.now
@@ -549,9 +491,8 @@ class ClusterScheduler:
         engine.run()
 
         failures = [
-            (p.name, p.value)
-            for rj_procs in (rj.procs for rj in self._running.values())
-            for p in rj_procs if p.processed and not p.ok
+            (p.name, p.value) for rj in self._running.values()
+            for p in rj.procs if p.processed and not p.ok
         ]
         if failures:
             name, exc = failures[0]

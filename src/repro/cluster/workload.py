@@ -20,70 +20,35 @@ quota mid-run — while a static job must reserve the full ``n-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.mpi.conn import init_vi_demand
 from repro.sim.rng import RngStreams
-from repro.workloads import registry as _registry
-from repro.workloads.registry import collective_vi_demand as _collective_vi_demand
+from repro.workloads.registry import KERNEL_DEFS, KernelDef
 
 __all__ = [
-    "ClusterKernel",
-    "CLUSTER_KERNELS",
-    "KERNEL_EST_US_PER_RANK",
     "JobSpec",
     "WorkloadSpec",
+    "schedulable_kernels",
     "with_connection",
 ]
 
 
-@dataclass(frozen=True)
-class ClusterKernel:
-    """One schedulable program: factory plus its per-process VI bound."""
-
-    name: str
-    #: builds the rank program for an ``n``-process job
-    factory: Callable[[int], Callable]
-    #: most VIs one process attaches under on-demand management
-    vi_demand: Callable[[int], int]
-    min_procs: int = 2
-    #: fixed upper size (trace replays only run at capture size)
-    max_procs: Optional[int] = None
-
-    def clamp_nprocs(self, nprocs: int) -> int:
-        nprocs = max(nprocs, self.min_procs)
-        if self.max_procs is not None:
-            nprocs = min(nprocs, self.max_procs)
-        return nprocs
+def schedulable_kernels() -> List[str]:
+    """Every registered kernel the scheduler can run (it has a VI bound
+    and a backfill estimate), sorted.  The registry is the workload
+    vocabulary, so a kernel registered at runtime — a captured trace
+    included — is schedulable at once."""
+    return sorted(name for name, defn in KERNEL_DEFS.items()
+                  if defn.schedulable)
 
 
-#: the workload vocabulary — a live mirror of every *schedulable*
-#: definition in :data:`repro.workloads.registry.KERNEL_DEFS` (the
-#: single source of truth), so a kernel registered once (including a
-#: captured trace registered at runtime) is immediately schedulable
-#: with the exact same parameterization the analyzer sees.  Jobs are
-#: deliberately small — a cluster scenario runs dozens inside one DES.
-CLUSTER_KERNELS: Dict[str, ClusterKernel] = {}
-
-#: crude per-kernel runtime scale for EASY-backfill estimates, µs per rank
-KERNEL_EST_US_PER_RANK: Dict[str, float] = {}
-
-
-def _mirror_kernel_def(defn: "_registry.KernelDef") -> None:
-    if not defn.schedulable:
-        return
-    assert defn.vi_demand is not None and defn.est_us_per_rank is not None
-    CLUSTER_KERNELS[defn.name] = ClusterKernel(
-        name=defn.name,
-        factory=lambda n, _name=defn.name: _registry.build_program(_name),
-        vi_demand=defn.vi_demand,
-        min_procs=defn.min_procs,
-        max_procs=defn.max_procs,
-    )
-    KERNEL_EST_US_PER_RANK[defn.name] = defn.est_us_per_rank
-
-
-_registry.attach_mirror(_mirror_kernel_def)
+def _cluster_kernel(name: str) -> KernelDef:
+    defn = KERNEL_DEFS.get(name)
+    if defn is None or not defn.schedulable:
+        raise ValueError(f"unknown cluster kernel {name!r}; "
+                         f"available: {schedulable_kernels()}")
+    return defn
 
 
 @dataclass(frozen=True)
@@ -100,12 +65,7 @@ class JobSpec:
     est_runtime_us: float = 50_000.0
 
     def __post_init__(self) -> None:
-        if self.kernel not in CLUSTER_KERNELS:
-            raise ValueError(
-                f"unknown cluster kernel {self.kernel!r}; "
-                f"available: {sorted(CLUSTER_KERNELS)}"
-            )
-        kern = CLUSTER_KERNELS[self.kernel]
+        kern = _cluster_kernel(self.kernel)
         if self.nprocs < kern.min_procs:
             raise ValueError(
                 f"kernel {self.kernel!r} needs >= {kern.min_procs} "
@@ -142,13 +102,12 @@ class JobSpec:
                 predicted_degree=predicted_vi_demand(
                     self.kernel, self.nprocs),
             )
+        vi_demand = _cluster_kernel(self.kernel).vi_demand
+        assert vi_demand is not None
         return max(
             init_vi_demand(self.connection, self.nprocs),
-            CLUSTER_KERNELS[self.kernel].vi_demand(self.nprocs),
+            vi_demand(self.nprocs),
         )
-
-    def program(self):
-        return CLUSTER_KERNELS[self.kernel].factory(self.nprocs)
 
 
 @dataclass(frozen=True)
@@ -176,8 +135,7 @@ class WorkloadSpec:
         if self.mean_interarrival_us < 0:
             raise ValueError("mean_interarrival_us must be >= 0")
         for k in self.kernels:
-            if k not in CLUSTER_KERNELS:
-                raise ValueError(f"unknown cluster kernel {k!r}")
+            _cluster_kernel(k)
         if not self.kernels or not self.nprocs_choices or not self.connections:
             raise ValueError("kernels/nprocs_choices/connections are empty")
 
@@ -193,7 +151,9 @@ class WorkloadSpec:
                 self.nprocs_choices[int(arr.integers(len(self.nprocs_choices)))]
             )
             conn = self.connections[int(arr.integers(len(self.connections)))]
-            nprocs = CLUSTER_KERNELS[kernel].clamp_nprocs(nprocs)
+            defn = _cluster_kernel(kernel)
+            nprocs = defn.clamp_nprocs(nprocs)
+            assert defn.est_us_per_rank is not None
             jobs.append(
                 JobSpec(
                     job_id=jid,
@@ -201,7 +161,7 @@ class WorkloadSpec:
                     kernel=kernel,
                     nprocs=nprocs,
                     connection=conn,
-                    est_runtime_us=KERNEL_EST_US_PER_RANK[kernel] * nprocs,
+                    est_runtime_us=defn.est_us_per_rank * nprocs,
                 )
             )
         return tuple(jobs)
@@ -212,7 +172,9 @@ def with_connection(jobs: Sequence[JobSpec], connection: str) -> Tuple[JobSpec, 
     the apples-to-apples sweep of the ``repro.bench cluster`` CLI."""
     out = []
     for job in jobs:
-        est = (KERNEL_EST_US_PER_RANK[job.kernel] * job.nprocs
-               if job.kernel in KERNEL_EST_US_PER_RANK else job.est_runtime_us)
+        defn = KERNEL_DEFS.get(job.kernel)
+        est = (defn.est_us_per_rank * job.nprocs
+               if defn is not None and defn.est_us_per_rank is not None
+               else job.est_runtime_us)
         out.append(replace(job, connection=connection, est_runtime_us=est))
     return tuple(out)

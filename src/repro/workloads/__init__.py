@@ -1,8 +1,8 @@
 """Workloads: the kernel registry plus trace capture/replay.
 
 * :mod:`repro.workloads.registry` — every kernel (NPB, micro, pattern,
-  skeleton, captured trace) as one :class:`KernelDef`; the legacy
-  ``CLUSTER_KERNELS`` / ``COMM_KERNELS`` tables are live mirrors.
+  skeleton, captured trace) as one :class:`KernelDef`, read directly
+  by the bench, the cluster scheduler and the analyzer.
 * :mod:`repro.workloads.trace` — the versioned byte-deterministic
   JSONL trace format.
 * :mod:`repro.workloads.replay` — recording facade (capture) and the
@@ -12,7 +12,6 @@
 from repro.workloads.registry import (
     KERNEL_DEFS,
     KernelDef,
-    attach_mirror,
     build_program,
     kernel_def,
     register_kernel,
@@ -29,7 +28,6 @@ from repro.workloads.trace import (
 __all__ = [
     "KERNEL_DEFS",
     "KernelDef",
-    "attach_mirror",
     "build_program",
     "kernel_def",
     "register_kernel",

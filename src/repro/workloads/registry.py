@@ -1,15 +1,12 @@
 """The single source of truth for kernel registration.
 
-Before this module existed the repo had three independent kernel
-tables — ``repro.apps.npb.KERNELS`` (bench sweeps),
-``repro.cluster.workload.CLUSTER_KERNELS`` (scheduler admission) and
-``repro.analysis.comm.COMM_KERNELS`` (static analyzer) — whose
-parameterizations had to be kept in sync by hand.  Now every kernel is
-one :class:`KernelDef` in :data:`KERNEL_DEFS`, and the legacy tables
-are *mirrors*: they attach themselves with :func:`attach_mirror` and
-are updated on every (re-)registration, so a kernel registered once —
-including a replayed trace registered at runtime — is immediately
-schedulable, sweepable, and analyzable, and the views can't drift.
+Every kernel is one :class:`KernelDef` in :data:`KERNEL_DEFS`, and every
+consumer reads that table directly: bench sweeps build programs with
+:func:`build_program`, the cluster scheduler admits against a
+definition's ``vi_demand``/``est_us_per_rank``, and the static analyzer
+interprets its ``module``/``factory`` (or folds its ``trace``).  A kernel
+registered once — including a replayed trace registered at runtime — is
+immediately schedulable, sweepable and analyzable.
 
 Two kinds of definition:
 
@@ -28,8 +25,8 @@ level, so it is safe to import from both sides.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.workloads.trace import CommTrace
 
@@ -40,7 +37,6 @@ __all__ = [
     "collective_vi_demand",
     "register_kernel",
     "register_trace",
-    "attach_mirror",
     "kernel_def",
     "build_program",
 ]
@@ -57,14 +53,14 @@ def collective_vi_demand(n: int) -> int:
     return n - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelDef:
-    """One kernel, every consumer's view of it.
+    """One kernel, every consumer's view of it; compared by identity, so
+    each registration is its own key for memoised analyzer graphs.
 
-    ``vi_demand`` + ``est_us_per_rank`` make a kernel *schedulable*
-    (it appears in ``CLUSTER_KERNELS`` / the backfill estimator);
-    ``module``/``factory`` or ``trace`` make it *runnable* and
-    *analyzable* (it appears in ``COMM_KERNELS``).
+    ``vi_demand`` + ``est_us_per_rank`` make a kernel *schedulable* (the
+    cluster scheduler admits and backfills it); ``module``/``factory`` or
+    ``trace`` make it *runnable* and *analyzable*.
     """
 
     name: str
@@ -125,23 +121,10 @@ def _pipeline_peers(n: int) -> int:
 #: name -> definition, in registration order (deterministic)
 KERNEL_DEFS: Dict[str, KernelDef] = {}
 
-_MIRRORS: List[Callable[[KernelDef], None]] = []
-
-
-def attach_mirror(update: Callable[[KernelDef], None]) -> None:
-    """Register a view-updater: called once per existing definition now
-    and once per future (re-)registration."""
-    _MIRRORS.append(update)
-    for defn in KERNEL_DEFS.values():
-        update(defn)
-
-
 def register_kernel(defn: KernelDef, replace_existing: bool = False) -> KernelDef:
     if defn.name in KERNEL_DEFS and not replace_existing:
         raise ValueError(f"kernel {defn.name!r} is already registered")
     KERNEL_DEFS[defn.name] = defn
-    for update in _MIRRORS:
-        update(defn)
     return defn
 
 
@@ -170,7 +153,7 @@ def register_trace(
     The kernel replays at exactly ``trace.nprocs`` ranks; its admission
     bound is derived from the trace's analyzed communication graph
     (lazily, so registration never drags the analyzer in).  Re-using a
-    name replaces the previous registration in every mirror.
+    name replaces the previous registration.
     """
     trace.validate()
     kname = name if name is not None else f"{trace.kernel}-replay"
@@ -279,9 +262,3 @@ def _register_builtins() -> None:
 
 _register_builtins()
 
-
-def replace_est(name: str, est_us_per_rank: float) -> KernelDef:
-    """Adjust a kernel's backfill estimate (sweep tuning hook)."""
-    return register_kernel(
-        replace(kernel_def(name), est_us_per_rank=est_us_per_rank),
-        replace_existing=True)

@@ -18,7 +18,6 @@ def run(
     completion: str = "polling",
     profile=CLAN,
     seed: int = 0,
-    allow_drops: bool = False,
     per_rank_args: Optional[List[tuple]] = None,
     fault_plan=None,
     telemetry=None,
@@ -31,8 +30,8 @@ def run(
     )
     return run_job(
         spec, nprocs, program, config,
-        allow_drops=allow_drops, per_rank_args=per_rank_args,
-        fault_plan=fault_plan, telemetry=telemetry,
+        per_rank_args=per_rank_args, fault_plan=fault_plan,
+        telemetry=telemetry,
     )
 
 

@@ -11,7 +11,6 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    COMM_KERNELS,
     analyze_kernel,
     analyze_source,
     predicted_peers_for,
@@ -19,6 +18,7 @@ from repro.analysis import (
 )
 from repro.analysis import comm
 from repro.analysis.__main__ import main as analysis_main
+from repro.workloads.registry import KERNEL_DEFS
 
 from tests.counting import count_calls
 
@@ -46,8 +46,8 @@ def commgraph_digest(kernel, nprocs):
 def commgraph_digests():
     return {
         f"{kernel}/{nprocs}": commgraph_digest(kernel, nprocs)
-        for kernel, spec in sorted(COMM_KERNELS.items())
-        if spec.module != "<trace>"
+        for kernel, defn in sorted(KERNEL_DEFS.items())
+        if defn.trace is None
         for nprocs in DIGEST_NPROCS
     }
 
@@ -136,9 +136,10 @@ class TestNpbKernels:
         assert 0 < graph.max_degree <= 3
 
     def test_registry_covers_cluster_kernels(self):
-        from repro.cluster.workload import CLUSTER_KERNELS
+        from repro.cluster.workload import schedulable_kernels
 
-        assert set(CLUSTER_KERNELS) <= set(COMM_KERNELS)
+        for name in schedulable_kernels():
+            assert analyze_kernel(name, 4).nprocs == 4
 
     def test_cg_degree_well_below_full_mesh_at_np16(self):
         # the paper's Table-2 story: CG needs ~4-5 VIs, not 15
@@ -281,7 +282,6 @@ def test_a_re_registered_source_kernel_is_analyzed_afresh():
         assert predicted_vi_demand(name, 4) == 3
     finally:
         registry.KERNEL_DEFS.pop(name, None)
-        COMM_KERNELS.pop(name, None)
 
 
 if __name__ == "__main__":

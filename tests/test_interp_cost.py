@@ -155,11 +155,11 @@ def test_a_small_budget_raises_the_typed_error():
 
 ORDER_PROBE = """
 import json
-from repro.analysis import COMM_KERNELS
+from repro.workloads.registry import KERNEL_DEFS
 from tests.test_comm_analysis import commgraph_digest
 
 late = [("cg", 4), ("is", 4), ("samrai", 4), ("masterworker", 8)]
-names = [name for name, spec in COMM_KERNELS.items() if spec.module != "<trace>"]
+names = [name for name, defn in KERNEL_DEFS.items() if defn.trace is None]
 for name in names:
     if name not in dict(late):
         commgraph_digest(name, 2)

@@ -36,11 +36,11 @@ def test_benchmarks_and_examples_are_lint_clean():
 
 
 def test_shard_package_is_lint_clean():
-    # the pod fan-out is exactly where a stray wall-clock read or a
-    # hash-ordered merge of worker results would silently break
-    # determinism, so it gets its own targeted gate (the whole-tree
-    # gate covers it too)
-    report = _lint("src/repro/cluster/pods.py")
+    # the one multi-process fan-out is exactly where a stray wall-clock
+    # read or a hash-ordered merge of worker results would silently
+    # break determinism, so it gets its own targeted gate (the
+    # whole-tree gate covers it too)
+    report = _lint("src/repro/bench/runner.py")
     assert report.files_checked == 1
     assert report.ok, _explain(report)
 

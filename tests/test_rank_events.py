@@ -27,9 +27,10 @@ import pathlib
 
 import pytest
 
-from repro.analysis import COMM_KERNELS, analyze_source
+from repro.analysis import analyze_source
 from repro.analysis import comm
 from repro.analysis.interp import Interp, MpiProxy
+from repro.workloads.registry import KERNEL_DEFS, KernelDef
 
 from tests.interp_corpus import DIVERGENT, GENERATED_SEEDS, HAND, generated_kernel
 
@@ -80,16 +81,15 @@ def reference_outcomes(module, factory, nprocs, args=(), kwargs=(),
 def class_outcomes(module, factory, nprocs, args=(), kwargs=(),
                    extra_sources=None):
     """The same through the analyzer's rank classes."""
-    spec = comm.KernelSpec(module=module, factory=factory,
-                           kwargs=tuple(kwargs),
-                           npb_class_arg=bool(args))
+    spec = KernelDef(name="<source>", module=module, factory=factory,
+                     kwargs=tuple(kwargs), npb_class_arg=bool(args))
     outcomes = comm._rank_outcomes(spec, nprocs, args[0] if args else None,
                                    extra_sources)
     return [_outcome(value) for value in outcomes]
 
 
 def _registry_case(name):
-    spec = COMM_KERNELS[name]
+    spec = KERNEL_DEFS[name]
     return dict(module=spec.module, factory=spec.factory,
                 args=("S",) if spec.npb_class_arg else (),
                 kwargs=spec.kwargs)
@@ -116,8 +116,8 @@ def corpus_cases():
 
 def golden_digests():
     out = {}
-    for name, spec in sorted(COMM_KERNELS.items()):
-        if spec.module == "<trace>":
+    for name, spec in sorted(KERNEL_DEFS.items()):
+        if spec.trace is not None:
             continue
         for nprocs in REGISTRY_NPROCS:
             ranks = reference_outcomes(nprocs=nprocs, **_registry_case(name))
@@ -159,8 +159,8 @@ def test_registry_kernel_ranks(golden, name, nprocs):
 
 def test_golden_covers_every_builtin_kernel(golden):
     kernels = {key.split("/")[1] for key in golden if key.startswith("kernel/")}
-    assert kernels == {name for name, spec in COMM_KERNELS.items()
-                       if spec.module.startswith("repro.apps.")}
+    assert kernels == {name for name, spec in KERNEL_DEFS.items()
+                       if (spec.module or "").startswith("repro.apps.")}
 
 
 @pytest.mark.parametrize("name", sorted(HAND))
