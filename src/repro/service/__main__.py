@@ -138,16 +138,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     else:
         print("submit needs --json or --kernel", file=sys.stderr)
         return 2
-    client = ServiceClient(args.socket, timeout_s=args.timeout_s)
-    resp = client.submit(request)
-    print(json.dumps(resp, sort_keys=True))
-    if args.wait:
-        text = client.wait_and_fetch(resp["id"], timeout_s=args.timeout_s)
-        if args.out:
-            Path(args.out).write_text(text)
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(text)
+    with ServiceClient(args.socket, timeout_s=args.timeout_s) as client:
+        resp = client.submit(request)
+        print(json.dumps(resp, sort_keys=True))
+        if args.wait:
+            text = client.wait_and_fetch(resp["id"], timeout_s=args.timeout_s)
+            if args.out:
+                Path(args.out).write_text(text)
+                print(f"wrote {args.out}", file=sys.stderr)
+            else:
+                sys.stdout.write(text)
     return 0
 
 
@@ -184,25 +184,25 @@ def main(argv=None) -> int:
             return _cmd_submit(args)
         if args.cmd == "swarm":
             return _cmd_swarm(args)
-        client = ServiceClient(args.socket)
-        if args.cmd == "ping":
-            print(json.dumps(client.ping(), sort_keys=True))
-        elif args.cmd == "status":
-            print(json.dumps(client.status(args.id), sort_keys=True))
-        elif args.cmd == "fetch":
-            text = client.fetch(args.id)
-            if args.out:
-                Path(args.out).write_text(text)
-                print(f"wrote {args.out}", file=sys.stderr)
-            else:
-                sys.stdout.write(text)
-        elif args.cmd == "subscribe":
-            for event in client.subscribe(args.id):
-                print(json.dumps(event, sort_keys=True), flush=True)
-        elif args.cmd == "metrics":
-            print(json.dumps(client.metrics(), sort_keys=True, indent=2))
-        elif args.cmd == "shutdown":
-            print(json.dumps(client.shutdown(), sort_keys=True))
+        with ServiceClient(args.socket) as client:
+            if args.cmd == "ping":
+                print(json.dumps(client.ping(), sort_keys=True))
+            elif args.cmd == "status":
+                print(json.dumps(client.status(args.id), sort_keys=True))
+            elif args.cmd == "fetch":
+                text = client.fetch(args.id)
+                if args.out:
+                    Path(args.out).write_text(text)
+                    print(f"wrote {args.out}", file=sys.stderr)
+                else:
+                    sys.stdout.write(text)
+            elif args.cmd == "subscribe":
+                for event in client.subscribe(args.id):
+                    print(json.dumps(event, sort_keys=True), flush=True)
+            elif args.cmd == "metrics":
+                print(json.dumps(client.metrics(), sort_keys=True, indent=2))
+            elif args.cmd == "shutdown":
+                print(json.dumps(client.shutdown(), sort_keys=True))
         return 0
     except ServiceBusy as exc:
         print(f"ServiceBusy: {exc} "

@@ -1,10 +1,25 @@
 """Synchronous client library for the simulation job service.
 
 A :class:`ServiceClient` talks newline-delimited JSON to a running
-server over its unix socket.  Each call opens a short-lived connection
-(one line out, one line in) except :meth:`subscribe`, which holds its
-connection open and yields streamed progress events until the job's
-final event arrives.
+server over its unix socket.  It keeps **one connection per calling
+thread**: opened on the thread's first call, held in a
+``threading.local`` and reused by every later op, ``subscribe`` streams
+included — the way an MPI process sets up a VI the first time it needs
+a peer and then keeps it, rather than reconnecting per message.
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes every
+connection the client opened, on any thread.
+
+Two rules keep a kept connection honest:
+
+- *Stale connections.*  A kept connection that turns out dead — the
+  send fails, or EOF arrives before any response byte, because the
+  server dropped it while it sat idle — is replaced once and the line
+  resent.  Every op is idempotent (a job id is its content-addressed
+  key), so the resend never runs anything twice.
+- *Unfinished streams.*  A ``subscribe`` stream owns its connection
+  until its final event.  A stream left early (the caller stops
+  iterating, or :meth:`ServiceClient.wait` times out) discards the
+  connection, so a stale event is never read as the next op's response.
 
 Typed errors from the server (``ServiceBusy``, ``Draining``,
 ``UnknownJob``, ...) are re-raised as the matching
@@ -15,47 +30,130 @@ matching — the swarm's retry/backoff loop is the canonical example.
 
 from __future__ import annotations
 
+import json
 import socket
+import threading
 import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.service.clock import now_s
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     NotDone,
+    RequestError,
     ServiceError,
     error_to_exception,
     encode,
 )
 
 
+class _Conn:
+    """One kept connection: the socket and its buffered line reader."""
+
+    __slots__ = ("sock", "lines")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        # a buffered reader: a subscribe ack and its terminal event may
+        # arrive coalesced in one recv, and each readline() must yield
+        # exactly one protocol line
+        self.lines = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.lines.close()
+        self.sock.close()
+
+
 class ServiceClient:
-    """A small blocking client; safe to construct per-thread."""
+    """A small blocking client; one connection per calling thread."""
 
     def __init__(self, socket_path: str, timeout_s: float = 120.0):
         self.socket_path = socket_path
         self.timeout_s = timeout_s
+        #: this thread's connection, as ``.conn`` (absent until first use)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: every open connection of this client, whatever thread holds it
+        self._conns: Set[_Conn] = set()
+
+    def close(self) -> None:
+        """Close every connection this client opened.  The client stays
+        usable: a later call opens a fresh connection."""
+        with self._lock:
+            conns, self._conns = self._conns, set()
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.close()
 
     # -- plumbing -----------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _open(self) -> _Conn:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout_s)
-        sock.connect(self.socket_path)
-        return sock
+        try:
+            sock.settimeout(self.timeout_s)
+            sock.connect(self.socket_path)
+        except BaseException:
+            sock.close()
+            raise
+        conn = _Conn(sock)
+        with self._lock:
+            self._conns.add(conn)
+        return conn
+
+    def _discard(self, conn: _Conn) -> None:
+        with self._lock:
+            self._conns.discard(conn)
+        if getattr(self._local, "conn", None) is conn:
+            self._local.conn = None
+        conn.close()
+
+    def _send(self, doc: Dict[str, Any],
+              deadline: Optional[float] = None) -> Tuple[_Conn, bytes]:
+        """Send one request line on this thread's connection; return the
+        connection and the first response line.  Past ``deadline`` (host
+        seconds) the read raises ``socket.timeout``."""
+        line = encode(doc)
+        if len(line) - 1 > MAX_LINE_BYTES:
+            raise RequestError(
+                f"request line of {len(line) - 1} bytes exceeds "
+                f"{MAX_LINE_BYTES}")
+        while True:
+            conn = getattr(self._local, "conn", None)
+            kept = conn is not None
+            if not kept:
+                conn = self._local.conn = self._open()
+            try:
+                if deadline is not None:
+                    conn.sock.settimeout(max(deadline - now_s(), 1e-3))
+                conn.sock.sendall(line)
+                first = conn.lines.readline()
+            except socket.timeout:
+                self._discard(conn)
+                raise
+            except OSError:
+                if not kept:
+                    self._discard(conn)
+                    raise
+                first = b""
+            if first:
+                return conn, first
+            self._discard(conn)
+            if not kept:
+                raise ServiceError("connection closed by server mid-response")
+            # the server dropped the kept connection while it sat idle:
+            # go round once more on a fresh one
 
     def _roundtrip(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        with self._connect() as sock:
-            sock.sendall(encode(doc))
-            with sock.makefile("rb") as stream:
-                line = stream.readline()
-        return self._check(line)
+        return self._check(self._send(doc)[1])
 
     @staticmethod
     def _check(line: bytes) -> Dict[str, Any]:
-        import json
-
-        if not line:
-            raise ServiceError("connection closed by server mid-response")
         resp = json.loads(line.decode("utf-8"))
         # streamed progress events carry no "ok" field; only an explicit
         # "ok": false document is a typed error
@@ -103,30 +201,29 @@ class ServiceClient:
                 deadline: Optional[float]) -> Iterator[Dict[str, Any]]:
         """The ``subscribe`` stream; past ``deadline`` (host seconds) a
         read raises ``socket.timeout`` instead of blocking on."""
-        with self._connect() as sock:
-            sock.sendall(encode({"op": "subscribe", "id": job_id}))
-            # a buffered reader: the ack and a terminal event may arrive
-            # coalesced in one recv, and each readline() must yield
-            # exactly one protocol line
-            with sock.makefile("rb") as stream:
-
-                def next_line() -> bytes:
-                    if deadline is not None:
-                        sock.settimeout(max(deadline - now_s(), 1e-3))
-                    return stream.readline()
-
-                ack = self._check(next_line())
-                if ack.get("final"):
-                    yield ack
-                    return
-                while True:
-                    event = next_line()
-                    if not event:
-                        return  # server went away mid-stream
-                    doc = self._check(event)
-                    yield doc
-                    if doc.get("final"):
-                        return
+        conn, ack = self._send({"op": "subscribe", "id": job_id}, deadline)
+        # the stream owns the connection until its final event: an op
+        # this thread makes meanwhile opens a connection of its own
+        self._local.conn = None
+        final = False
+        try:
+            self._check(ack)
+            while not final:
+                if deadline is not None:
+                    conn.sock.settimeout(max(deadline - now_s(), 1e-3))
+                line = conn.lines.readline()
+                if not line:
+                    return  # server went away mid-stream
+                doc = self._check(line)
+                final = bool(doc.get("final"))
+                yield doc
+        finally:
+            if final and getattr(self._local, "conn", None) is None:
+                if deadline is not None:
+                    conn.sock.settimeout(self.timeout_s)
+                self._local.conn = conn
+            else:
+                self._discard(conn)
 
     def wait(self, job_id: str, poll_s: float = 0.05,
              timeout_s: Optional[float] = None) -> Dict[str, Any]:

@@ -16,6 +16,9 @@ Canonical names:
 ``service.rejected_busy``       typed ServiceBusy admission rejections
 ``service.executions``          worker-pool executions completed OK
 ``service.failed``              executions that raised
+``service.connections``         client connections accepted (a client keeps
+                                one per thread, so this counts threads,
+                                not requests)
 ``service.queue_depth``         gauge: jobs waiting for a worker
 ``service.running``             gauge: jobs currently on the pool
 ``service.draining``            gauge: 1 once shutdown has begun
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.bench.cache import ResultCache
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 #: fixed host-millisecond bucket edges (1/2/5 decades, 1 ms .. 10 min);
 #: wall histograms are operator-facing, so coarse edges are plenty
@@ -54,7 +57,8 @@ def make_service_registry(workers: int, queue_bound: int) -> MetricsRegistry:
     reg = MetricsRegistry()
     for name in ("service.submits", "service.accepted", "service.dedup_joined",
                  "service.cache_hits", "service.rejected_busy",
-                 "service.executions", "service.failed"):
+                 "service.executions", "service.failed",
+                 "service.connections"):
         reg.counter(name)
     reg.gauge("service.workers").set(workers)
     reg.gauge("service.queue_bound").set(queue_bound)
@@ -101,8 +105,3 @@ def histogram_percentile(
         if cumulative >= threshold:
             return float(edges[i]) if i < len(edges) else float(edges[-1])
     return float(edges[-1])
-
-
-def percentile_of(hist: Histogram, q: float) -> float:
-    """:func:`histogram_percentile` over a live registry histogram."""
-    return histogram_percentile(hist.edges, hist.counts, q)

@@ -5,6 +5,14 @@ object on one line.  The only multi-line exchange is ``subscribe``,
 where the server streams event objects (each ``{"event": ...}``) and
 terminates with a final object carrying ``"final": true``.
 
+A connection carries any number of requests, one after another: the
+server answers each line in order and serves the connection until the
+client closes it (or a ``shutdown`` is answered).  A request line is at
+most :data:`MAX_LINE_BYTES` bytes before its newline; the server checks
+that before decoding, answers a longer line with one typed
+``BadRequest``, drops it through its newline and goes on serving the
+same connection.
+
 Requests::
 
     {"op": "ping"}
@@ -37,6 +45,10 @@ from typing import Any, Dict
 
 #: protocol schema generation, echoed by ``ping``
 PROTOCOL_VERSION = 2
+
+#: longest request line the server reads, newline excluded (the
+#: server's stream-reader limit; the client refuses to send longer)
+MAX_LINE_BYTES = 64 * 1024
 
 #: typed error names a response's ``error`` field may carry
 ERROR_TYPES = (

@@ -21,15 +21,17 @@ event-loop thread (no locks):
   (:func:`repro.bench.runner.compute_cell`,
   :func:`repro.bench.runner.compute_cluster_cell`), so results —
   and their SHA-256 cache identities — are byte-identical to direct
-  CLI runs.
+  CLI runs.  A pool process that dies fails the jobs the pool held
+  (typed, ``BrokenProcessPool``) and the pool is replaced once.
 - the **subscriber queues**: per-job progress events (queued/started/
   per-cell progress/terminal) streamed to any client that subscribed.
 
 Shutdown is a graceful drain: stop admitting (typed ``Draining``
 rejections), let queued + running work finish within the grace period,
 then abandon what remains (the cache's atomic writes mean abandoning
-mid-cell never corrupts an entry).  Signal-initiated shutdown exits
-nonzero; a second signal hard-kills.
+mid-cell never corrupts an entry), close the connections clients still
+hold, and only then wait for the listener.  Signal-initiated shutdown
+exits nonzero; a second signal hard-kills.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import asyncio
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -59,6 +62,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import fold_cache_counters, make_service_registry
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     NotDone,
     RequestError,
@@ -187,7 +191,7 @@ class ServiceServer:
             sock.unlink()
         sock.parent.mkdir(parents=True, exist_ok=True)
         server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(sock))
+            self._handle_connection, path=str(sock), limit=MAX_LINE_BYTES)
         if install_signal_handlers:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 loop.add_signal_handler(
@@ -214,11 +218,16 @@ class ServiceServer:
         await asyncio.gather(
             *self._sweep_tasks, *self._worker_tasks,
             return_exceptions=True)
+        # clients keep their connections between requests, and since
+        # Python 3.12 wait_closed() waits for every open one: stop
+        # listening, close the handlers (idle ones sit in a read), and
+        # only then wait for the listener
         server.close()
-        await server.wait_closed()
-        for task in list(self._conn_tasks):
+        handlers = list(self._conn_tasks)
+        for task in handlers:
             task.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await server.wait_closed()
         self._pool.shutdown(wait=clean, cancel_futures=not clean)
         try:
             sock.unlink()
@@ -389,9 +398,10 @@ class ServiceServer:
             self._update_gauges()
             self._publish(job, {"event": "started", "state": STATE_RUNNING})
             fn = COMPUTE_FNS[job.kind]
+            pool = self._pool
             try:
                 _key, result = await self._loop.run_in_executor(
-                    self._pool, fn, job.params)
+                    pool, fn, job.params)
             except asyncio.CancelledError:
                 self._running -= 1
                 if not job.terminal:
@@ -399,6 +409,13 @@ class ServiceServer:
                 raise
             except Exception as exc:  # worker raised: typed job failure
                 self._running -= 1
+                if isinstance(exc, BrokenProcessPool) and pool is self._pool:
+                    # a pool process died (SIGKILL, OOM) and the executor
+                    # refuses all work from now on: the first feeder to
+                    # see it replaces it; the jobs it held fail typed
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.config.workers)
+                    pool.shutdown(wait=False)
                 self._finish_failed(job, f"{type(exc).__name__}: {exc}")
             else:
                 self._running -= 1
@@ -483,18 +500,28 @@ class ServiceServer:
     # -- protocol -----------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        """Serve a connection's request lines in order until the client
+        closes it (clients keep one connection for many requests)."""
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks[task] = None
+        self.metrics.counter("service.connections").inc()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: b"" or an unterminated line
+                except asyncio.LimitOverrunError as exc:
+                    await self._reject_oversized(reader, writer, exc.consumed)
+                    continue
                 if not line:
                     break
                 stop = await self._serve_line(line, writer)
                 if stop:
                     break
-        except (ConnectionResetError, BrokenPipeError):
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             pass  # server teardown closes lingering connections quietly
@@ -506,6 +533,22 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    @staticmethod
+    async def _reject_oversized(reader, writer, skip: int) -> None:
+        """A request line over ``MAX_LINE_BYTES``: one typed
+        ``BadRequest``, then drop the line through its newline (``skip``
+        bytes of it are buffered) — the connection stays usable."""
+        writer.write(encode(error_response(RequestError(
+            f"request line exceeds {MAX_LINE_BYTES} bytes"))))
+        await writer.drain()
+        while True:
+            await reader.readexactly(skip)
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as exc:
+                skip = exc.consumed
 
     async def _serve_line(self, line: bytes, writer) -> bool:
         """Serve one request line; True means close the connection."""

@@ -74,11 +74,11 @@ def swarm_plan(seed: int, clients: int,
 
 
 def _client_worker(
-    socket_path: str, requests: List[Dict[str, Any]], timeout_s: float
+    client: ServiceClient, requests: List[Dict[str, Any]], timeout_s: float
 ) -> List[Dict[str, Any]]:
-    """One swarm client: submit each request (retrying ServiceBusy),
+    """One swarm client, on its own thread (so on its own connection of
+    the shared ``client``): submit each request (retrying ServiceBusy),
     wait for completion, record the outcome."""
-    client = ServiceClient(socket_path, timeout_s=timeout_s)
     outcomes = []
     for request in requests:
         retries = 0
@@ -118,18 +118,18 @@ def run_swarm(
     ``report`` is the deterministic document (see module docstring);
     ``timing`` carries the host-time measurements.
     """
-    probe = ServiceClient(socket_path, timeout_s=timeout_s)
-    probe.ping()
-    before = probe.metrics()["counters"]
+    with ServiceClient(socket_path, timeout_s=timeout_s) as client:
+        client.ping()
+        before = client.metrics()["counters"]
 
-    plan = swarm_plan(seed, clients, requests_per_client)
-    with ThreadPoolExecutor(max_workers=clients) as pool:
-        per_client = list(pool.map(
-            lambda reqs: _client_worker(socket_path, reqs, timeout_s),
-            plan,
-        ))
+        plan = swarm_plan(seed, clients, requests_per_client)
+        with ThreadPoolExecutor(max_workers=clients) as pool:
+            per_client = list(pool.map(
+                lambda reqs: _client_worker(client, reqs, timeout_s),
+                plan,
+            ))
 
-    after_full = probe.metrics()
+        after_full = client.metrics()
     after = after_full["counters"]
     outcomes = [o for client_out in per_client for o in client_out]
 

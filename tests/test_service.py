@@ -8,8 +8,15 @@ path ``python -m repro.service`` uses.
 """
 
 import asyncio
+import json
+import logging
+import os
+import signal
+import socket
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -21,15 +28,18 @@ from repro.bench.runner import (
     bench_artifact,
     matrix_from_dict,
 )
+import repro.service.server as server_module
 from repro.service.client import ServiceClient
 from repro.service.jobs import normalize_request
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     JobFailed,
     NotDone,
     RequestError,
     ServiceBusy,
     ServiceDraining,
     UnknownJob,
+    encode,
 )
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.service.swarm import run_swarm
@@ -69,16 +79,16 @@ def running_server(tmp_path, *, workers=2, queue_bound=8, cache=True,
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert ready.wait(10), "server did not come up"
-    client = ServiceClient(sock, timeout_s=120.0)
-    try:
-        yield server, client, exit_box
-    finally:
+    with ServiceClient(sock, timeout_s=120.0) as client:
         try:
-            client.shutdown()
-        except OSError:
-            pass  # already drained; socket is gone
-        thread.join(60)
-        assert not thread.is_alive(), "server failed to drain"
+            yield server, client, exit_box
+        finally:
+            try:
+                client.shutdown()
+            except OSError:
+                pass  # already drained; socket is gone
+            thread.join(60)
+            assert not thread.is_alive(), "server failed to drain"
 
 
 # -- protocol & basic lifecycle ---------------------------------------------
@@ -140,8 +150,8 @@ def test_single_flight_collapses_identical_submissions(tmp_path):
         request = {"type": "noop", "duration_ms": 400, "nonce": "collapse"}
 
         def submit(_i):
-            return ServiceClient(client.socket_path, timeout_s=60).submit(
-                request)
+            with ServiceClient(client.socket_path, timeout_s=60) as own:
+                return own.submit(request)
 
         n = 8
         with ThreadPoolExecutor(max_workers=n) as pool:
@@ -323,12 +333,227 @@ def test_graceful_drain_finishes_inflight_work(tmp_path):
         resp = client.submit(PINGPONG)
         client.shutdown()
         # new work is refused the moment draining begins
-        with pytest.raises((ServiceDraining, OSError)):
-            ServiceClient(client.socket_path, timeout_s=10).submit(
-                {"type": "noop", "duration_ms": 10, "nonce": "late"})
+        with pytest.raises((ServiceDraining, OSError)), ServiceClient(
+                client.socket_path, timeout_s=10) as late:
+            late.submit({"type": "noop", "duration_ms": 10, "nonce": "late"})
 
     assert exit_box["code"] == 0
     assert ResultCache(str(tmp_path / "cache")).get(resp["id"]) is not None
+
+
+def test_drain_closes_idle_kept_connections(tmp_path):
+    """A client idling on its kept connection does not hold up the
+    drain (since Python 3.12 ``wait_closed`` waits for open
+    connections, so the server must close them first)."""
+    grace_s = 5.0
+    with running_server(tmp_path, drain_grace_s=grace_s) as (
+            _s, client, exit_box), ServiceClient(
+                client.socket_path, timeout_s=10) as idle:
+        idle.ping()
+        client.shutdown()
+        deadline = time.monotonic() + grace_s
+        while "code" not in exit_box:
+            assert time.monotonic() < deadline, "drain waited on an idle client"
+            time.sleep(0.01)
+        assert exit_box["code"] == 0
+        with pytest.raises(OSError):
+            idle.ping()  # its connection was closed, the socket is gone
+
+
+# -- connections: one per client thread, kept -------------------------------
+
+
+def _connections(client):
+    return client.metrics()["counters"]["service.connections"]
+
+
+def _drop_connections(server):
+    """Close every connection the server holds, as if it had dropped
+    them while they sat idle, and wait until they are closed."""
+    async def drop():
+        handlers = list(server._conn_tasks)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+
+    asyncio.run_coroutine_threadsafe(drop(), server._loop).result(10)
+
+
+def _asyncio_errors(caplog):
+    return [r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+
+def test_one_thread_keeps_one_connection(tmp_path):
+    """Twenty ops of every kind from one thread ride one connection."""
+    with running_server(tmp_path) as (_s, probe, _e):
+        before = _connections(probe)
+        with ServiceClient(probe.socket_path, timeout_s=60) as client:
+            job_id = client.submit(PINGPONG)["id"]
+            assert list(client.subscribe(job_id))[-1]["final"] is True
+            assert job_id in client.fetch(job_id)
+            assert client.status(job_id)["state"] == "done"
+            assert client.metrics()["counters"]["service.executions"] == 1
+            for _ in range(15):
+                assert client.ping()["pong"] is True
+        assert _connections(probe) - before == 1
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+def test_threads_sharing_a_client_hold_one_connection_each(
+        tmp_path, threads):
+    """Each thread gets its own connection and only its own replies,
+    with thread switches forced far more often than usual."""
+    with running_server(tmp_path, queue_bound=16) as (_s, probe, _e):
+        before = _connections(probe)
+        with ServiceClient(probe.socket_path, timeout_s=60) as shared:
+            together = threading.Barrier(threads)
+
+            def work(i):
+                together.wait(10)
+                job_id = shared.submit(
+                    {"type": "noop", "nonce": f"thread-{i}"})["id"]
+                return job_id, [shared.status(job_id)["id"]
+                                for _ in range(10)]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    done = [pool.submit(work, i) for i in range(threads)]
+                    replies = [f.result(timeout=60) for f in done]
+            finally:
+                sys.setswitchinterval(interval)
+            for job_id, seen in replies:
+                assert seen == [job_id] * 10
+            assert len({job_id for job_id, _seen in replies}) == threads
+        assert _connections(probe) - before == threads
+        assert not shared._conns  # close() closed every thread's
+
+
+def test_dropped_connection_is_replaced_exactly_once(tmp_path):
+    with running_server(tmp_path) as (server, client, _e):
+        before = _connections(client)
+        _drop_connections(server)
+        assert client.ping()["pong"] is True  # resent on a new connection
+        assert client.ping()["pong"] is True
+        assert _connections(client) - before == 1
+
+
+def test_abandoned_subscribe_leaks_no_stale_line(tmp_path):
+    """A stream left before its final event takes its connection with
+    it: the next op never reads the stream's leftover event."""
+    with running_server(tmp_path, workers=1) as (_s, client, _e):
+        client.submit({"type": "noop", "duration_ms": 300, "nonce": "ahead"})
+        queued = client.submit(
+            {"type": "noop", "duration_ms": 200, "nonce": "behind"})["id"]
+        stream = client.subscribe(queued)
+        started = next(stream)
+        assert started["event"] == "started" and "final" not in started
+        stream.close()
+        status = client.status(queued)  # the "done" event lands meanwhile
+        assert status["kind"] == "noop" and "final" not in status
+        assert client.wait(queued, timeout_s=60)["state"] == "done"
+        assert client.ping()["pong"] is True
+
+
+def test_wait_timeout_leaks_no_stale_line(tmp_path):
+    with running_server(tmp_path) as (_s, client, _e):
+        slow = client.submit(
+            {"type": "noop", "duration_ms": 400, "nonce": "slow"})["id"]
+        with pytest.raises(NotDone):
+            client.wait(slow, timeout_s=0.1)
+        assert client.wait(slow, timeout_s=60)["state"] == "done"
+        status = client.status(slow)
+        assert status["kind"] == "noop" and "final" not in status
+        assert client.ping()["pong"] is True
+
+
+def test_client_vanishing_mid_subscribe_leaves_server_serving(
+        tmp_path, caplog):
+    with running_server(tmp_path) as (_s, client, _e):
+        job_id = client.submit(
+            {"type": "noop", "duration_ms": 300, "nonce": "vanish"})["id"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10)
+            raw.connect(client.socket_path)
+            raw.sendall(encode({"op": "subscribe", "id": job_id}))
+            assert b'"subscribed"' in raw.recv(4096)
+        # gone before the terminal event
+        assert client.wait(job_id, timeout_s=60)["state"] == "done"
+        assert client.ping()["pong"] is True
+        assert client.submit(PINGPONG)["id"]
+    assert not _asyncio_errors(caplog)
+
+
+# -- hostile input and dying workers ----------------------------------------
+
+
+def _ping_line(size):
+    """A ping request line of exactly ``size`` bytes before its newline
+    (the server ignores the unknown ``pad`` field of a ping)."""
+    head, tail = b'{"op":"ping","pad":"', b'"}'
+    return head + b"x" * (size - len(head) - len(tail)) + tail + b"\n"
+
+
+def test_oversized_line_is_one_bad_request_on_a_live_connection(
+        tmp_path, caplog):
+    with running_server(tmp_path) as (_s, client, _e):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10)
+            raw.connect(client.socket_path)
+            raw.sendall(_ping_line(MAX_LINE_BYTES)
+                        + _ping_line(MAX_LINE_BYTES + 1)
+                        + _ping_line(4 * MAX_LINE_BYTES)
+                        + encode({"op": "ping"}))
+            with raw.makefile("rb") as lines:
+                replies = [json.loads(lines.readline()) for _ in range(4)]
+        assert replies[0]["pong"] is True  # at the limit: served
+        for refused in replies[1:3]:
+            assert refused["ok"] is False
+            assert refused["error"] == "BadRequest"
+            assert str(MAX_LINE_BYTES) in refused["message"]
+        assert replies[3]["pong"] is True  # same connection, still serving
+        # the client refuses to send such a line at all
+        with pytest.raises(RequestError, match="exceeds"):
+            client.submit(
+                {"type": "noop", "nonce": "x" * MAX_LINE_BYTES})
+        assert client.ping()["pong"] is True
+    assert not _asyncio_errors(caplog)
+
+
+def test_dead_pool_worker_fails_typed_and_the_pool_is_rebuilt_once(
+        tmp_path, monkeypatch):
+    """SIGKILL a pool process under two running jobs: both feeders see
+    the broken pool, both jobs fail typed, the pool is replaced once,
+    and the next kernel job runs."""
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "ProcessPoolExecutor", CountedPool)
+    with running_server(tmp_path, workers=2, cache=False) as (
+            server, client, _e):
+        doomed = [client.submit({"type": "noop", "duration_ms": 20_000,
+                                 "nonce": f"doomed-{i}"})["id"]
+                  for i in range(2)]
+        for _ in range(1000):
+            if all(client.status(j)["state"] == "running" for j in doomed) \
+                    and server._pool._processes:
+                break
+            time.sleep(0.01)
+        os.kill(next(iter(server._pool._processes)), signal.SIGKILL)
+        for job_id in doomed:
+            assert client.wait(job_id, timeout_s=60)["state"] == "failed"
+            with pytest.raises(JobFailed, match="BrokenProcessPool"):
+                client.fetch(job_id)
+        assert len(pools) == 2
+        resp = client.submit(PINGPONG)
+        assert client.wait(resp["id"], timeout_s=60)["state"] == "done"
+        assert len(pools) == 2
 
 
 # -- swarm ------------------------------------------------------------------
@@ -353,7 +578,8 @@ def test_swarm_report_is_deterministic_across_cold_servers(tmp_path):
         assert ready.wait(10)
         report, timing = run_swarm(sock, seed=7, clients=20,
                                    requests_per_client=3, timeout_s=300)
-        ServiceClient(sock).shutdown()
+        with ServiceClient(sock) as closer:
+            closer.shutdown()
         thread.join(60)
         assert report["states"] == {"done": report["requests"]}
         assert report["executions"] == report["unique_keys"]
