@@ -17,8 +17,17 @@ data-dependent stays abstract:
   uncertain, stores joined); a loop over an unknown iterable runs its body
   once under uncertainty and then havocs every name the body assigns.
 * One pass runs a class of ranks: ``mpi.rank`` is :class:`Ranked`, and so is
-  what is computed from it; where ranks would take different paths the pass
-  keeps those agreeing with its lowest rank (:meth:`Interp.narrow`).
+  what is computed from it.  An ``if``, a conditional expression or an
+  ``and``/``or`` whose condition is true for some ranks and false for the
+  others *forks* (:meth:`Interp.fork`): each arm runs in the same pass for
+  its own ranks, and the names the arms assign re-join as one value per
+  rank.  An arm that could leave the block or change something in place
+  (``return``, ``break``, a subscript store, ``list.append``...) is refused
+  from its AST, and a fork whose arm changes something in place anyway is
+  abandoned and undone.  Refused, abandoned, or on any other rank-dependent
+  path (a loop count, a condition unknown for some ranks), the pass keeps
+  the ranks agreeing with its lowest rank (:meth:`Interp.narrow`) and lets
+  the others go to passes of their own.
 
 The interpreter never imports kernel modules for execution side effects:
 ``repro.apps.*`` sources are parsed and interpreted from their ASTs; only
@@ -37,11 +46,12 @@ import importlib
 import importlib.util
 import math
 import operator
+from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
-from types import BuiltinFunctionType, MethodType
-from typing import (AbstractSet, Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from types import BuiltinFunctionType, FunctionType, MethodType
+from typing import (AbstractSet, Any, Callable, Collection, Dict, List,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -139,7 +149,7 @@ class AbstractArray:
     __slots__ = ("shape", "dtype")
 
     def __init__(self, shape: Shape, dtype: str = "float64") -> None:
-        self.shape = tuple(int(d) for d in shape) if shape is not None else None
+        self.shape = tuple(map(int, shape)) if shape is not None else None
         self.dtype = dtype
 
     def __repr__(self) -> str:
@@ -355,15 +365,26 @@ def is_concrete(value: Any, _depth: int = 0) -> bool:
     if isinstance(value, _WRAPPERS) or isinstance(value, MpiProxy):
         return False
     if isinstance(value, (list, tuple, set, frozenset)):
-        return all(is_concrete(v, _depth + 1) for v in value)
+        return _all_concrete(value, _depth + 1)
     if isinstance(value, dict):
-        return all(is_concrete(k, _depth + 1) and is_concrete(v, _depth + 1)
-                   for k, v in value.items())
+        return _all_concrete(value, _depth + 1) and _all_concrete(
+            value.values(), _depth + 1)
+    return True
+
+
+def _all_concrete(values: Collection[Any], _depth: int = 0) -> bool:
+    if _depth > 6:  # nothing this deep is concrete
+        return not values
+    for value in values:
+        if type(value) not in _PLAIN and not is_concrete(value, _depth):
+            return False
     return True
 
 
 def _as_int(value: Any) -> Optional[int]:
     """Concrete integer view of a value, else None."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
@@ -417,6 +438,12 @@ class RaiseSignal(_Signal):
         super().__init__(detail)
         self.detail = detail
         self.line = line
+
+
+class _Abandon(BaseException):
+    """An arm of a fork changed something its other arms could see: the
+    fork is undone and narrows instead.  Not an ``Exception``, so no
+    ``except Exception`` on the way takes it for an analysis error."""
 
 
 # ----------------------------------------------------------- environment ---
@@ -497,7 +524,10 @@ def _join_states(interp: "Interp",
         for name in sorted(set(body_state) | set(else_state)):
             if name in body_state and name in else_state:
                 b, e = body_state[name], else_state[name]
-                merged[name] = interp.lift(_merged, (b, e)) if Ranked in (
+                # an unchanged per-rank value keeps the ranks outside a
+                # fork's arm (``lift`` would fill only the arm's)
+                merged[name] = b if b is e else interp.lift(
+                    _merged, (b, e)) if Ranked in (
                     type(b), type(e)) else _merged(b, e)
             else:
                 merged[name] = UNKNOWN
@@ -515,6 +545,21 @@ def _defs_equal(a: Any, b: Any) -> bool:
         return bool(a == b)
     except Exception:
         return False
+
+
+#: a name with no binding in a scope, as a fork saves and joins it
+_UNBOUND = object()
+#: what :meth:`Interp.fork` returns when the caller must narrow instead
+_NARROW = object()
+
+
+def _rebind(env: Env, names: Sequence[str], values: Sequence[Any]) -> None:
+    """Put back what ``names`` were bound to in ``env`` alone."""
+    for name, value in zip(names, values):
+        if value is _UNBOUND:
+            env.vars.pop(name, None)
+        else:
+            env.vars[name] = value
 
 
 # ------------------------------------------------------------- MPI proxy ---
@@ -541,7 +586,8 @@ def _coll_event(kind: str, root: Any, buf: Any, certain: bool,
 class MpiProxy:
     """Facade stand-in: records comm events instead of scheduling them,
     for one rank or a class of them (an event differing by rank is a
-    :class:`Ranked` of events)."""
+    :class:`Ranked` of events; inside an arm of a fork, a :class:`Ranked`
+    with None for the ranks outside the arm)."""
 
     def __init__(self, rank: Union[int, Sequence[int]], size: int) -> None:
         self.ranks = (rank,) if isinstance(rank, int) else tuple(rank)
@@ -558,6 +604,12 @@ class MpiProxy:
                    interp.current_line if interp else None)
         if interp is not None and Ranked in map(type, fields):
             self.events.append(Ranked(interp.lift_raw(make, fields)))
+        elif interp is not None and interp.fresh:  # in an arm of a fork
+            event = make(*fields)
+            values: List[Any] = [None] * len(interp.ranks)
+            for p in interp.active:
+                values[p] = event
+            self.events.append(Ranked(values))
         else:
             self.events.append(make(*fields))
         return UNKNOWN  # what a request or a received value reads as
@@ -675,7 +727,35 @@ _MUTATORS = frozenset({
     "appendleft", "extendleft", "discard",
 })
 
+#: methods that change their object in place: an arm calling one by name
+#: refuses to fork, and one run on a real container abandons the fork
+_IN_PLACE = _MUTATORS | frozenset(
+    "pop popitem popleft remove clear sort reverse rotate fill resize put "
+    "itemset setflags partition byteswap __setitem__ __delitem__".split())
+
+#: real objects a call may change in place
+_CONTAINERS = (list, dict, set, bytearray, deque, np.ndarray)
+
 _BUDGET_BLOWN = "abstract-interpretation op budget exceeded"
+
+
+@lru_cache(maxsize=256)
+def _numpy_target(name: str) -> Any:
+    """What a dotted numpy name runs when its arguments are concrete;
+    None when numpy has no such name."""
+    target: Any = np
+    try:
+        for part in name.split("."):
+            target = getattr(target, part)
+    except AttributeError:
+        return None
+    if name == "random.default_rng":
+        return RngVal
+    if name.rsplit(".", 1)[-1] in ("empty", "empty_like"):
+        # np.empty leaves contents uninitialized, which would make the
+        # analysis nondeterministic — use zeros (same shape)
+        return np.zeros if name.endswith("empty") else np.zeros_like
+    return target
 
 
 class Budget:
@@ -784,13 +864,28 @@ def _bind_params(interp: "Interp", code: _Code, func: FuncVal,
 
 
 class Interp:
-    """One abstract interpretation pass: one rank, or a class of ranks."""
+    """One abstract interpretation pass: one rank, or a class of ranks.
+
+    The pass runs every rank in ``active`` through the same nodes.  Where
+    a condition parts them true and false it forks (:meth:`fork`): both
+    arms run, each for its own ranks, and re-join.  Where it cannot — an
+    arm the AST refuses, a fork abandoned, a rank-dependent loop count —
+    it narrows (:meth:`narrow`) to the ranks agreeing with the lowest one
+    and lets the others go (``split``) to be run again from the top.
+
+    The budget is each rank's: every rank is charged the ops it would be
+    charged alone.  Ranks that ran different arms differ by what the arms
+    cost (``spent``), and the counter stands for the rank charged most,
+    so it runs out where that rank's own would; the ranks charged less
+    are then let go to passes of their own."""
 
     def __init__(self, budget: Optional[Budget] = None,
                  extra_sources: Optional[Dict[str, str]] = None) -> None:
         self.budget = budget or Budget()
         self.uncertain_depth = 0
-        self.current_line: Optional[int] = None
+        #: the line of the node entered last (:class:`Ranked` after a
+        #: fork that ended on different lines, until the next node)
+        self.current_line: Any = None
         self.call_depth = 0
         self._modules: Dict[str, Any] = {}
         self._extra_sources = dict(extra_sources or {})
@@ -798,11 +893,24 @@ class Interp:
         self.ranks: Tuple[int, ...] = (0,)
         self.active: Tuple[int, ...] = (0,)
         self.split: List[Tuple[int, ...]] = []
+        self.mpi: Optional[MpiProxy] = None
+        #: per position, the ops charged since the program started up to
+        #: the counter reading ``_mark``; ``_base`` is the reading then
+        self.spent: List[int] = []
+        self._start = self._base = self._mark = self.budget.ops
+        #: ops the counter was handed back when it moved to another rank
+        self.rebated = 0
+        #: forks joined: until the first, every active rank is charged alike
+        self.joined = 0
+        #: one entry per fork whose arms are running: the iterators made
+        #: inside it (an arm may use those up; any older one abandons it)
+        self.fresh: List[Dict[int, Any]] = []
 
     # ---------------------------------------------------- rank classes --
-    # Every rank of a pass enters the same nodes: one budget is each
-    # rank's.  Per-rank values are computed rank by rank (``lift``) where
-    # that cannot change which nodes run; elsewhere the pass narrows.
+    # Every rank of a pass enters the same nodes, but for the arms of a
+    # fork.  Per-rank values are computed rank by rank (``lift``) where
+    # that cannot change which nodes run; elsewhere the pass forks or
+    # narrows.
 
     def narrow(self, outcomes: List[Any]) -> Any:
         """Part the active ranks by ``outcomes[position]``; keep the part
@@ -816,7 +924,12 @@ class Interp:
                     break
             else:
                 parts.append((outcomes[p], [p]))
-        self.active = tuple(parts[0][1])
+        if self.joined and len(parts) > 1:
+            self._sync()
+            self.active = tuple(parts[0][1])
+            self._rebase()
+        else:
+            self.active = tuple(parts[0][1])
         for _outcome, part in parts[1:]:
             self.split.append(tuple([self.ranks[p] for p in part]))
         return first
@@ -829,18 +942,45 @@ class Interp:
         """The truth of a condition, which every rank kept agrees on."""
         return self.narrow(self.lift_raw(_truth, (value,)))
 
-    def lift_raw(self, fn: Callable[..., Any],
-                 args: Sequence[Any]) -> List[Any]:
-        """``fn`` rank by rank; ranks it raises for part ways with the rest."""
+    def lift_raw(self, fn: Callable[..., Any], args: Sequence[Any],
+                 own: bool = False) -> List[Any]:
+        """``fn`` rank by rank; ranks it raises for part ways with the rest.
+        Ranks whose arguments are the very same objects share one call
+        and its outcome, as the ranks of a class share every value —
+        unless each must ``own`` what it gets (a container it may change)."""
         out: List[Any] = [None] * len(self.ranks)
-        errors: List[Any] = [None] * len(self.ranks)
+        errors: Optional[List[Any]] = None
+        columns = [(index, arg.values) for index, arg in enumerate(args)
+                   if type(arg) is Ranked]
+        call = list(args)
+        index = 0
+        column: Optional[List[Any]] = None
+        if len(columns) == 1:
+            index, column = columns[0]
+        first: Dict[Any, int] = {}
         for p in self.active:
+            if column is not None:
+                key: Any = id(column[p])
+                call[index] = column[p]
+            else:
+                key = ()
+                for at, values in columns:
+                    key += (id(values[p]),)
+                    call[at] = values[p]
+            if not own:
+                q = first.setdefault(key, p)
+                if q != p:
+                    out[p] = out[q]
+                    if errors is not None:
+                        errors[p] = errors[q]
+                    continue
             try:
-                out[p] = fn(*[arg.values[p] if type(arg) is Ranked else arg
-                              for arg in args])
+                out[p] = fn(*call)
             except Exception as exc:
+                if errors is None:
+                    errors = [None] * len(self.ranks)
                 errors[p] = exc
-        if any(errors) and self.narrow([None if e is None else (
+        if errors is not None and self.narrow([None if e is None else (
                 type(e), str(e)) for e in errors]) is not None:
             raise errors[self.active[0]]
         return out
@@ -855,7 +995,7 @@ class Interp:
 
     def lift(self, fn: Callable[..., Any], args: Sequence[Any],
              owned: bool = False) -> Any:
-        return self.collapse(self.lift_raw(fn, args), owned)
+        return self.collapse(self.lift_raw(fn, args, owned), owned)
 
     def items(self, value: Ranked) -> Optional[List[Any]]:
         """A per-rank iterable's items, as many for every rank kept."""
@@ -867,18 +1007,212 @@ class Interp:
         return [self.lift(operator.getitem, (per_rank, index))
                 for index in range(length)]
 
+    # ----------------------------------------------------------- forks --
+    def branch(self, value: Ranked, env: Env, plan: "_ForkPlan",
+               arms: Tuple[Callable[[], Any], Callable[[], Any]],
+               first: bool = True) -> Tuple[bool, Any]:
+        """A condition whose truth differs by rank: ``(True, result)``
+        when the ranks for which it is ``first`` ran ``arms[0]``, the
+        others ``arms[1]``, and they re-joined (:meth:`fork`); else
+        ``(False, truth)`` for the ranks :meth:`narrow` kept — when a
+        rank's truth is unknown, or the fork refused or was abandoned."""
+        values = value.values
+        truths: List[Any] = [None] * len(values)
+        ones: List[int] = []
+        twos: List[int] = []
+        known = True
+        for p in self.active:
+            truth = values[p]
+            if truth is not True and truth is not False:
+                truth = _truth(truth)
+            truths[p] = truth
+            if truth is first:
+                ones.append(p)
+            elif truth is None:
+                known = False
+            else:
+                twos.append(p)
+        if known and ones and twos:
+            out = self.fork(env, plan, (tuple(ones), tuple(twos)), arms)
+            if out is not _NARROW:
+                return True, out
+        return False, self.narrow(truths)
+
+    def fork(self, env: Env, plan: "_ForkPlan",
+             parts: Tuple[Tuple[int, ...], Tuple[int, ...]],
+             arms: Tuple[Callable[[], Any], Callable[[], Any]]) -> Any:
+        """Run ``arms[k]`` in this pass for the ranks at ``parts[k]``,
+        then re-join: each name the arms assign (``plan``) becomes one
+        value per rank, and so do the arms' results, which are returned.
+        Returns ``_NARROW`` — and leaves nothing it did behind — when it
+        refuses (a name bound outside this scope, or unbound here and not
+        assigned by both arms) or when an arm raises or changes something
+        in place (:class:`_Abandon`); the caller then narrows."""
+        names, partial = plan
+        scope = env.vars
+        for name in partial:
+            if name not in scope:
+                return _NARROW
+        if (env.global_names or env.nonlocal_names) and not (
+                env.global_names | env.nonlocal_names).isdisjoint(names):
+            return _NARROW
+        before = [scope.get(name, _UNBOUND) for name in names]
+        mpi = self.mpi
+        assert mpi is not None
+        budget = self.budget
+        spent = self.spent
+        self._sync()
+        saved = (self.active, len(self.split), len(mpi.events), budget.ops,
+                 spent[:], self.rebated, self.current_line)
+        kept: List[Tuple[int, ...]] = []
+        results: List[Any] = []
+        lines: List[Any] = []
+        states: List[List[Any]] = []
+        self.fresh.append({})
+        try:
+            for positions, run in zip(parts, arms):
+                if kept and names:
+                    _rebind(env, names, before)
+                self.active = positions
+                self._rebase()
+                results.append(run())
+                lines.append(self.current_line)
+                used = self._mark - budget.ops  # what the arm charged
+                for p in self.active:
+                    spent[p] += used
+                kept.append(self.active)
+                if names:
+                    scope = env.vars
+                    states.append([scope.get(name, _UNBOUND)
+                                   for name in names])
+            for index in range(len(names)):
+                if (states[0][index] is _UNBOUND) is not (
+                        states[1][index] is _UNBOUND):
+                    raise _Abandon()  # bound after one arm only
+        except BudgetExceeded:
+            # the arm's ranks charged most ran out where they would alone;
+            # running it again would cost the budget twice: the fork's
+            # other ranks are let go instead, and the error goes on
+            self.fresh.pop()
+            rest = tuple([self.ranks[p] for p in saved[0]
+                          if p not in positions])
+            if rest:
+                self.split.append(rest)
+            raise
+        except (Exception, _Abandon):
+            self.fresh.pop()
+            self._undo(env, names, before, saved)
+            return _NARROW
+        made = self.fresh.pop()
+        if self.fresh and made:  # new to the fork around this one too
+            self.fresh[-1].update(made)
+        self.active = tuple(sorted(kept[0] + kept[1]))
+        scope = env.vars
+        for index, name in enumerate(names):  # O(names), not the scope
+            value = self._joined(states[0][index], states[1][index], kept)
+            if value is _UNBOUND:
+                scope.pop(name, None)
+            else:
+                scope[name] = value
+        # an event later in the same expression carries, rank by rank,
+        # the line its own arm ended on
+        self.current_line = self._joined(lines[0], lines[1], kept)
+        self.joined += 1
+        self._rebase()
+        return self._joined(results[0], results[1], kept)
+
+    def _joined(self, one: Any, two: Any,
+                parts: List[Tuple[int, ...]]) -> Any:
+        """One value per rank from each arm's value for its own ranks."""
+        if type(one) is not Ranked and (one is two or (
+                type(one) is int and type(two) is int and one == two)):
+            return one
+        out: List[Any] = [None] * len(self.ranks)
+        owned = True  # only if no two ranks can share a container
+        for value, part in zip((one, two), parts):
+            if type(value) is Ranked:
+                owned = owned and value.owned
+                for p in part:
+                    out[p] = value.values[p]
+            else:
+                owned = False
+                for p in part:
+                    out[p] = value
+        return self.collapse(out, owned)
+
+    def _undo(self, env: Env, names: Tuple[str, ...], before: List[Any],
+              saved: Tuple[Any, ...]) -> None:
+        assert self.mpi is not None
+        (self.active, splits, events, self.budget.ops, self.spent,
+         self.rebated, self.current_line) = saved
+        self._mark = self.budget.ops
+        del self.split[splits:]
+        del self.mpi.events[events:]
+        _rebind(env, names, before)
+
+    def _sync(self) -> None:
+        """Charge the active ranks what the counter ran since ``_mark``."""
+        used = self._mark - self.budget.ops
+        if used:
+            spent = self.spent
+            for p in self.active:
+                spent[p] += used
+            self._mark = self.budget.ops
+
+    def _rebase(self) -> None:
+        """Point the counter at the active rank charged most (after a
+        ``_sync``): the first rank to run out is the first it sees."""
+        ops = self._base - max(map(self.spent.__getitem__, self.active))
+        self.rebated += ops - self.budget.ops
+        self.budget.ops = self._mark = ops
+
+    def charges(self) -> List[int]:
+        """The ops each active rank has been charged, by position."""
+        self._sync()
+        return [self._start - self._base + self.spent[p]
+                for p in self.active]
+
+    def uses_up(self, value: Any) -> None:
+        """Inside a fork's arm: abandon it if iterating ``value`` uses up
+        an iterator made before the fork."""
+        fresh = self.fresh[-1]
+        for one in (value.values if type(value) is Ranked else (value,)):
+            if type(one) not in _PLAIN and isinstance(one, Iterator) \
+                    and id(one) not in fresh:
+                raise _Abandon()
+
+    def _check_call(self, func: Any, args: Tuple[Any, ...],
+                    kwargs: Dict[str, Any]) -> None:
+        """Inside a fork's arm: abandon it before a real call that may
+        change, in place, something made before the fork."""
+        owner = getattr(func, "__self__", None)
+        if isinstance(owner, _CONTAINERS) and getattr(
+                func, "__name__", "") in _IN_PLACE or "out" in kwargs:
+            raise _Abandon()
+        values = (owner,) + args + tuple(kwargs.values())
+        for value in values:
+            self.uses_up(value)
+        if type(func) in (FunctionType, MethodType) and any(
+                isinstance(value, _CONTAINERS) for value in values):
+            raise _Abandon()  # Python code may write into what it is given
+
     def finished(self, mpi: MpiProxy) -> List[Tuple[int, List[Event]]]:
-        """The ranks this pass ran to its end, each with its events."""
+        """The ranks this pass ran to its end, each with its events (an
+        arm's event is None for the ranks outside the arm)."""
         if mpi._interp is not self:  # stopped before the program ran
             return [(rank, []) for rank in mpi.ranks]
-        return [(self.ranks[p], [event.values[p] if type(event) is Ranked
-                                 else event for event in mpi.events])
-                for p in self.active]
+        events = mpi.events
+        return [(self.ranks[p], [event for event in [
+            event.values[p] if type(event) is Ranked else event
+            for event in events] if event is not None])
+            for p in self.active]
 
     # ---------------------------------------------------------- modules --
     def import_module(self, dotted: str) -> Any:
         if dotted in self._modules:
             return self._modules[dotted]
+        if self.fresh:  # an arm would charge the import to its ranks alone
+            raise _Abandon()
         if dotted == "numpy":
             value: Any = NumpyVal()
         elif dotted in self._extra_sources:
@@ -919,14 +1253,33 @@ class Interp:
     def run_program(self, program: Any, mpi: MpiProxy) -> Any:
         """Call ``program(mpi)`` — the kernel generator — to completion."""
         mpi._interp = self
+        self.mpi = mpi
         self.ranks = mpi.ranks
         self.active = tuple(range(len(mpi.ranks)))
+        self.spent = [0] * len(mpi.ranks)
+        self._base = self._mark = self.budget.ops
         try:
             return self.call_value(program, (mpi,), {})
         except RaiseSignal as sig:
             raise AnalysisError(
                 f"kernel raised on the interpreted path: {sig.detail}"
                 + (f" (line {sig.line})" if sig.line else "")) from None
+        except BudgetExceeded:
+            if self.budget.ops < 0:  # not a loop's cap, which is every rank's
+                self._let_go_unspent()
+            raise
+
+    def _let_go_unspent(self) -> None:
+        """The counter ran out for the ranks charged most; the others
+        still have ops left and are let go to passes of their own."""
+        self._sync()
+        most = max(map(self.spent.__getitem__, self.active))
+        rest = tuple([self.ranks[p] for p in self.active
+                      if self.spent[p] < most])
+        if rest:
+            self.active = tuple([p for p in self.active
+                                 if self.spent[p] == most])
+            self.split.append(rest)
 
     # ------------------------------------------------------------- calls --
     def call_value(self, func: Any, args: Tuple[Any, ...],
@@ -998,8 +1351,11 @@ class Interp:
         """:meth:`call_value` with per-rank callee or arguments: pure code
         runs rank by rank, the rest (or what reads an iterator) once."""
         values = args + tuple(kwargs.values())
-        shared = any(isinstance(item, Iterator) for value in values for item
-                     in (value.values if type(value) is Ranked else (value,)))
+        shared = False
+        for value in values:
+            for item in (value.values if type(value) is Ranked else (value,)):
+                if type(item) not in _PLAIN and isinstance(item, Iterator):
+                    shared = True
         if type(func) is Ranked:
             for p in self.active:
                 if shared or not _pure(func.values[p], kwargs):
@@ -1027,6 +1383,8 @@ class Interp:
                    kwargs: Dict[str, Any]) -> Any:
         # structure-preserving mutators on real containers may store
         # abstract values (the container stays tracked, values opaque)
+        if self.fresh:
+            self._check_call(func, args, kwargs)
         name = getattr(func, "__name__", "")
         bound_self = getattr(func, "__self__", None)
         if (isinstance(bound_self, (list, dict, set, bytearray))
@@ -1040,12 +1398,15 @@ class Interp:
         if func in (int, float, bool, complex, str) and args:
             if not is_concrete(args[0]):
                 return UNKNOWN
-        if all(is_concrete(a) for a in args) and all(
-                is_concrete(v) for v in kwargs.values()):
+        if _all_concrete(args) and (
+                not kwargs or _all_concrete(kwargs.values())):
             try:
-                return func(*args, **kwargs)
+                result = func(*args, **kwargs)
             except Exception:
                 return UNKNOWN
+            if self.fresh and isinstance(result, Iterator):
+                self.fresh[-1][id(result)] = result  # kept: ids stay unique
+            return result
         if func in (list, tuple, sorted, set, dict, min, max, sum, abs,
                     range, zip, enumerate, reversed, map, filter):
             return UNKNOWN if func not in (zip, enumerate, map, filter) \
@@ -1069,25 +1430,19 @@ class Interp:
     # ------------------------------------------------------------- numpy --
     def _call_numpy(self, name: str, args: Tuple[Any, ...],
                     kwargs: Dict[str, Any]) -> Any:
-        if all(is_concrete(a) for a in args) and all(
-                is_concrete(v) for k, v in kwargs.items() if k != "dtype"):
-            target: Any = np
-            try:
-                for part in name.split("."):
-                    target = getattr(target, part)
-            except AttributeError:
+        if self.fresh and (name in _NP_MUTATING or "out" in kwargs):
+            raise _Abandon()
+        if _all_concrete(args) and (not kwargs or _all_concrete(
+                [v for k, v in kwargs.items() if k != "dtype"])):
+            target = _numpy_target(name)
+            if target is None:
                 return UNKNOWN
-            if name == "random.default_rng":
+            if target is RngVal:
                 return RngVal()
-            if name.rsplit(".", 1)[-1] in ("empty", "empty_like"):
-                # np.empty leaves contents uninitialized, which would make
-                # the analysis nondeterministic — use zeros (same shape)
-                target = np.zeros if name.endswith("empty") else np.zeros_like
-            real_kwargs = dict(kwargs)
-            if isinstance(real_kwargs.get("dtype"), DtypeVal):
-                real_kwargs["dtype"] = real_kwargs["dtype"].name
+            if isinstance(kwargs.get("dtype"), DtypeVal):
+                kwargs = dict(kwargs, dtype=kwargs["dtype"].name)
             try:
-                return target(*args, **real_kwargs)
+                return target(*args, **kwargs)
             except Exception:
                 return UNKNOWN
         return self._numpy_abstract(name, args, kwargs)
@@ -1231,6 +1586,8 @@ class Interp:
             return True
         iterable, store, conds = gens[index]
         value = iterable(self, env)
+        if self.fresh:
+            self.uses_up(value)
         items = self.items(value) if type(value) is Ranked \
             else _iter_items(value)
         scope = Env(env)
@@ -1656,9 +2013,11 @@ def _compile_store_subscript(target: ast.Subscript) -> Store:
             obj = interp.uniform(obj)  # ranks may share what they mutate
         if type(obj) is Ranked:
             # a container each rank built for itself: store rank by rank
-            interp.lift_raw(_store_item, (obj, key, value, False))
+            interp.lift_raw(_store_item, (obj, key, value, False), own=True)
             return
         if isinstance(obj, (dict, list, np.ndarray)):
+            if interp.fresh:  # the other arms of a fork would see it
+                raise _Abandon()
             # one container the ranks share: one key, one value
             if type(key) is Ranked:
                 key = interp.uniform(key)
@@ -1753,6 +2112,8 @@ def _s_scope(node: Union[ast.Global, ast.Nonlocal]) -> Stmt:
         else "nonlocal_names"
 
     def run(interp: Interp, env: Env) -> None:
+        if interp.fresh:  # its stores would reach past what a fork joins
+            raise _Abandon()
         setattr(env, which, getattr(env, which) | declared)
     return _metered(node, run)
 
@@ -1840,11 +2201,71 @@ def _s_AugAssign(node: ast.AugAssign) -> Stmt:
     return _metered(node, run)
 
 
+#: statements no arm of a fork may hold: they leave the block, bind
+#: names the join does not see, or import (charged to the arm's ranks)
+_ARM_REFUSED = (ast.Return, ast.Break, ast.Continue, ast.Raise, ast.Global,
+                ast.Nonlocal, ast.Import, ast.ImportFrom, ast.Try, ast.With,
+                ast.ClassDef, ast.Delete)
+
+#: (the names either arm may assign, those of them not both arms do)
+_ForkPlan = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
+def _plain_target(target: ast.expr) -> bool:
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return all(map(_plain_target, target.elts))
+    if isinstance(target, ast.Starred):
+        return _plain_target(target.value)
+    return isinstance(target, ast.Name)
+
+
+def _arm_names(nodes: Sequence[ast.AST]) -> Optional[Tuple[str, ...]]:
+    """The names an arm of a fork assigns, or None when its AST refuses:
+    it may leave the block, store into something other than a name, or
+    call an in-place method (nested ``def``s and lambdas are not looked
+    into; what they do is checked when they run)."""
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _ARM_REFUSED):
+            return None
+        targets: Sequence[ast.expr] = ()
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and node.func.attr in _IN_PLACE:
+            return None
+        if not all(map(_plain_target, targets)):
+            return None
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return _block_assigned_names(nodes)
+
+
+def _fork_plan(first: Sequence[ast.AST],
+               second: Sequence[ast.AST]) -> Optional[_ForkPlan]:
+    """What a fork of these two arms joins; None if either refuses."""
+    one, two = _arm_names(first), _arm_names(second)
+    if one is None or two is None:
+        return None
+    names = tuple(dict.fromkeys(one + two))
+    return names, tuple([name for name in names
+                         if name not in one or name not in two])
+
+
+def _run_body(interp: Interp, env: Env, body: Body) -> None:
+    for stmt in body:
+        stmt(interp, env)
+
+
 def _s_If(node: ast.If) -> Stmt:
     line = node.lineno
     test = _compile_expr(node.test)
     body = _compile_body(node.body)
     orelse = _compile_body(node.orelse)
+    plan = _fork_plan(node.body, node.orelse)
 
     def run(interp: Interp, env: Env) -> None:
         budget = interp.budget
@@ -1853,7 +2274,16 @@ def _s_If(node: ast.If) -> Stmt:
             raise BudgetExceeded(_BUDGET_BLOWN)
         interp.current_line = line
         value = test(interp, env)
-        cond = interp.truth(value) if type(value) is Ranked else _truth(value)
+        if type(value) is not Ranked:
+            cond = _truth(value)
+        elif plan is None:
+            cond = interp.truth(value)
+        else:
+            joined, cond = interp.branch(value, env, plan, (
+                lambda: _run_body(interp, env, body),
+                lambda: _run_body(interp, env, orelse)))
+            if joined:
+                return
         if cond is None:
             interp._both_branches(body, orelse, env)
         else:
@@ -1901,6 +2331,8 @@ def _s_For(node: ast.For) -> Stmt:
 
     def run(interp: Interp, env: Env) -> None:
         value = iterable(interp, env)
+        if interp.fresh:
+            interp.uses_up(value)
         items = interp.items(value) if type(value) is Ranked \
             else _iter_items(value)
         if items is None:
@@ -2167,10 +2599,19 @@ def _e_IfExp(node: ast.IfExp) -> Expr:
     test = _compile_expr(node.test)
     body = _compile_expr(node.body)
     orelse = _compile_expr(node.orelse)
+    plan = _fork_plan([node.body], [node.orelse])
 
     def run(interp: Interp, env: Env) -> Any:
         value = test(interp, env)
-        cond = interp.truth(value) if type(value) is Ranked else _truth(value)
+        if type(value) is not Ranked:
+            cond = _truth(value)
+        elif plan is None:
+            cond = interp.truth(value)
+        else:
+            joined, cond = interp.branch(value, env, plan, (
+                lambda: body(interp, env), lambda: orelse(interp, env)))
+            if joined:
+                return cond  # the arms' values, joined
         if cond is True:
             return body(interp, env)
         if cond is False:
@@ -2185,19 +2626,34 @@ def _e_BoolOp(node: ast.BoolOp) -> Expr:
     operands = _compile_exprs(node.values)
     # ``and`` stops at the first false operand, ``or`` at the first true
     stop = isinstance(node.op, ast.Or)
+    # the ranks an operand stops run no more; the others run the rest
+    plan = _fork_plan([], node.values[1:])
+    last = len(operands) - 1
 
-    def run(interp: Interp, env: Env) -> Any:
+    def rest(interp: Interp, env: Env, first: int = 0) -> Any:
         value: Any = None
-        for operand in operands:
-            value = operand(interp, env)
-            truth = interp.truth(value) if type(value) is Ranked \
-                else _truth(value)
+        for index in range(first, last + 1):
+            value = operands[index](interp, env)
+            if type(value) is not Ranked:
+                truth = _truth(value)
+            elif plan is None:
+                truth = interp.truth(value)
+            else:
+                stopped = value
+                # past the last operand the arms have nothing left to run:
+                # every rank's value is its result
+                joined, truth = interp.branch(value, env, plan, (
+                    lambda: stopped,
+                    (lambda: stopped) if index == last
+                    else lambda: rest(interp, env, index + 1)), stop)
+                if joined:
+                    return truth  # the arms' values, joined
             if truth is None:
                 return UNKNOWN
             if truth is stop:
                 return value
         return value
-    return _metered(node, run)
+    return _metered(node, rest)
 
 
 def _e_UnaryOp(node: ast.UnaryOp) -> Expr:
@@ -2641,8 +3097,9 @@ def _target_names(target: ast.expr) -> List[str]:
     return []
 
 
-def _block_assigned_names(body: Sequence[ast.stmt]) -> Tuple[str, ...]:
-    """Names (re)bound anywhere in a statement block, for loop havoc."""
+def _block_assigned_names(body: Sequence[ast.AST]) -> Tuple[str, ...]:
+    """Names (re)bound anywhere in a block (statements, or the
+    expressions of a fork's arm), for loop havoc and fork joins."""
     names: Dict[str, None] = {}
 
     def visit(node: ast.AST) -> None:

@@ -2194,6 +2194,327 @@ _divergent("lifted_values", body("""
 """))
 
 
+# Merge hazards: where the ranks of a pass part on a condition, both
+# arms run in one pass and re-join (``Interp.fork``).  Each kernel below
+# exercises a way that join could go wrong, or a refusal that must send
+# the pass back to narrowing.
+
+_divergent("join_lu_grid", body("""
+    rows, cols = (3, 2) if size >= 6 else (1, size)
+    if rank < rows * cols:
+        i, j = divmod(rank, cols)
+        north = (i - 1) * cols + j if i > 0 else None
+        south = (i + 1) * cols + j if i < rows - 1 else None
+        west = rank - 1 if j > 0 else None
+        east = rank + 1 if j < cols - 1 else None
+        seen = 0
+
+        def sweep(first, second, later, last, tag):
+            nonlocal seen
+            top = np.zeros(4)
+            left = np.zeros(4)
+            if first is not None:
+                top = np.empty(4)
+                yield from mpi.recv(top, source=first, tag=tag)
+                seen += 1
+            if second is not None:
+                left = np.empty(4)
+                yield from mpi.recv(left, source=second, tag=tag + 1)
+            out = top + left
+            if later is not None:
+                yield from mpi.send(out, later, tag=tag)
+            if last is not None:
+                yield from mpi.send(out[:2], last, tag=tag + 1)
+            return out
+
+        for _ in range(2):
+            got = yield from sweep(north, west, south, east, 60)
+            yield from sweep(south, east, north, west, 62)
+        SHOW(seen)
+        SHOW(len(got))
+        SHOW(north if north is not None else -1)
+        SHOW(east if east is not None else -2)
+    yield from mpi.barrier()
+"""))
+
+_divergent("join_loop_carried", body("""
+    acc = 0
+    last = -1
+    for k in range(4):
+        if (rank + k) % 3 == 0:
+            acc = acc + k
+            last = k
+        else:
+            acc = acc - 1
+        SHOW(acc + 10)
+        yield from mpi.send(None, (rank + acc) % size, tag=k)
+    SHOW(last + 1)
+    hops = 0
+    peer = rank
+    while hops < 3:
+        peer = peer + 1 if peer % 2 else peer + 2
+        hops += 1
+    SHOW(peer)
+"""))
+
+_divergent("join_one_arm_binding", body("""
+    if rank % 2:
+        fresh = rank * 3
+    SHOW(fresh)
+    outer = 1
+
+    def inner():
+        if rank > 1:
+            outer = 7
+        return outer
+    SHOW(inner())
+    if rank == 0:
+        both = 1
+        extra = 2
+    else:
+        both = 2
+        extra = 3
+    SHOW(both * 10 + extra)
+    for k in range(2):
+        if (rank + k) % 2:
+            late = k
+    SHOW(late)
+"""))
+
+_divergent("join_inplace_containers", body("""
+    shared = [0]
+    alias = shared
+    if rank % 2:
+        shared.append(rank)
+    SHOW(len(alias))
+    arr = np.zeros(3)
+    view = arr
+    if rank > 0:
+        arr += 1
+    SHOW(int(arr.sum()) * 10 + int(view.sum()))
+    lst = [1]
+    other = lst
+    if rank < 2:
+        lst += [rank]
+    SHOW(len(lst) * 10 + len(other))
+    grid = [[0], [0]]
+    if rank % 2 == 0:
+        row = grid[0]
+    else:
+        row = grid[1]
+    row.append(rank)
+    SHOW(len(grid[0]) * 10 + len(grid[1]))
+    table = {"k": 0}
+    if rank == 1:
+        table["k"] = 5
+    SHOW(table["k"])
+"""))
+
+_divergent("join_helper_mutates_closure", body("""
+    log = []
+
+    def note(v):
+        log.append(v)
+        return v
+    if rank % 2:
+        a = note(rank)
+    else:
+        a = 0
+    SHOW(len(log) * 10 + a)
+    counter = {"n": 0}
+
+    def bump():
+        counter["n"] = counter["n"] + 1
+    if rank > 1:
+        bump()
+    SHOW(counter["n"])
+    seq = iter(range(10))
+    if rank % 3 == 0:
+        first = next(seq)
+    else:
+        first = -1
+    SHOW(first + 1)
+    SHOW(next(seq))
+    pairs = [(0, 1), (2, 3)]
+    if rank % 2:
+        total = sum(x for x, _ in zip([1, 2], pairs))
+    else:
+        total = len(list(enumerate(pairs)))
+    SHOW(total)
+
+    def set_outer():
+        nonlocal a
+        a = 99
+    if rank == 1:
+        set_outer()
+    SHOW(a)
+"""))
+
+_divergent("join_escapes", body("""
+    total = 0
+    for k in range(5):
+        if k == rank % 4:
+            break
+        if (k + rank) % 2:
+            continue
+        total = total + k
+    SHOW(total)
+
+    def early(x):
+        if x > 2:
+            return x * 2
+        y = x + 1
+        return y
+    SHOW(early(rank))
+    try:
+        if rank == 2:
+            raise ValueError("two")
+        note = 1
+    except ValueError:
+        note = 2
+    SHOW(note)
+    if rank == size - 1:
+        return
+    SHOW(rank)
+"""))
+
+_divergent("join_nested", body("""
+    if rank % 2 == 0:
+        if rank % 4 == 0:
+            kind = 0
+            yield from mpi.send(None, (rank + 1) % size, tag=1)
+        else:
+            kind = 1
+        tag = 10
+    else:
+        kind = 2 if rank > 2 else 3
+        tag = 20
+    SHOW(kind * 100 + tag)
+    yield from mpi.send(None, (rank + kind) % size, tag=tag)
+    if rank > 0:
+        if rank > 2:
+            if rank > 4:
+                depth = 3
+            else:
+                depth = 2
+        else:
+            depth = 1
+    else:
+        depth = 0
+    SHOW(depth)
+"""))
+
+_divergent("join_exprs_with_calls", body("""
+    made = []
+
+    def peer(k):
+        yield from mpi.send(None, (rank + k) % size, tag=k)
+        return k
+
+    def keep(v):
+        made.append(v)
+        return v
+    a = (yield from peer(1)) if rank % 2 else (yield from peer(2))
+    SHOW(a)
+    b = rank > 1 and (yield from peer(3))
+    SHOW(b)
+    c = (rank % 3 == 0) or (yield from peer(4)) or (yield from peer(5))
+    SHOW(c)
+    d = len([rank] * rank) if rank else abs(-5)
+    SHOW(d)
+    e = (rank < 2 and (w := rank + 10)) or size
+    SHOW(e)
+    f = keep(rank) if rank % 2 else 0
+    SHOW(len(made) * 10 + f)
+    g = rank % 2 == 0 and keep(7)
+    SHOW(len(made))
+    SHOW(g)
+    yield from mpi.bcast(np.zeros(2), root=0 if rank % 2 else 0)
+"""))
+
+_divergent("join_budget_arm", body("""
+    yield from mpi.barrier()
+    if rank % 3 == 1:
+        yield from mpi.send(None, (rank + 1) % size, tag=3)
+        while True:
+            pass
+    else:
+        yield from mpi.recv(None, (rank - 1) % size, tag=3)
+    SHOW(rank)
+"""))
+
+
+_divergent("join_uncertain_inside_arm", body("""
+    peer = (rank + 1) % size
+    draw = rng.random(2)
+    if rank % 2:
+        if draw[0] > 0.5:
+            x = 1
+        else:
+            x = 2
+    else:
+        x = 3
+    SHOW(peer)
+    yield from mpi.send(None, peer, tag=1)
+    SHOW(x)
+"""))
+
+_divergent("join_nonlocal_callee", body("""
+    a = rank
+
+    def set_outer():
+        nonlocal a
+        a = 99
+    if rank == 1:
+        set_outer()
+    SHOW(a)
+"""))
+
+_divergent("join_bound_at_run_time", body("""
+    if rank % 2:
+        if size > 100:
+            late = 1
+    else:
+        late = 2
+    SHOW(1 if late is None else 3)
+"""))
+
+_divergent("join_numpy_writes", body("""
+    buf = np.zeros(2)
+    acc = np.zeros(2)
+
+    def fill(v):
+        np.copyto(buf, v)
+    if rank % 2:
+        fill(np.ones(2))
+    SHOW(int(buf.sum()))
+    if rank > 1:
+        np.add(acc, 1.0, out=acc)
+    SHOW(int(acc.sum()))
+"""))
+
+_divergent("join_owned_per_rank", body("""
+    k = rank // 2
+    row = [k, k]
+    row[0] = rank
+    SHOW(row[0] * 10 + row[1])
+    cells = {"k": k}
+    cells["k"] = rank
+    SHOW(cells["k"])
+"""))
+
+_divergent("join_shared_rows", body("""
+    rows = [[0], [0]]
+    if rank % 2:
+        row = rows[rank // 2 % 2]
+    else:
+        row = rows[(rank // 2 + 1) % 2]
+    row[0] = rank
+    SHOW(row[0])
+    SHOW(rows[0][0] * 10 + rows[1][0])
+"""))
+
+
 # ---------------------------------------------------------- seeded grammar ---
 
 GENERATED_SEEDS = range(200)

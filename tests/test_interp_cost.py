@@ -2,20 +2,24 @@
 and the inertness of what the analyzer caches between analyses.
 
 A kernel is compiled once per process — each AST node into a closure —
-and run once per class of ranks that take the same path.  What a rank
-is charged (ops against ``Budget``, one per pass, so each rank's) is
-part of the analyzer's contract: it decides where ``BudgetExceeded``
-fires.  What a run costs the host is passes, ops charged and Python
-frames inside ``repro/analysis/interp.py``; compile work must not
-depend on the rank count, and nothing compiled may carry state from one
-analysis to the next.
+and run once per class of ranks: where a condition parts the class,
+both arms run in the same pass and re-join, unless an arm is refused.
+What a rank is charged (ops against ``Budget``, each rank its own, the
+arms it ran and no others) is part of the analyzer's contract: it
+decides where ``BudgetExceeded`` fires.  What a run costs the host is
+passes, the ops a pass ran and Python frames inside
+``repro/analysis/interp.py``; compile work must not depend on the rank
+count, and nothing compiled may carry state from one analysis to the
+next.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -23,11 +27,13 @@ import textwrap
 import pytest
 
 import repro
+import repro.apps as repro_apps
 from repro.analysis import analyze_kernel, analyze_source
 from repro.analysis import comm
 from repro.analysis import interp as interp_module
 from repro.analysis.interp import (AnalysisError, Budget, BudgetExceeded,
                                    Interp, MpiProxy)
+from repro.workloads.registry import KERNEL_DEFS, register_kernel
 
 from tests.counting import count_calls, count_frames, record_instances
 from tests.test_comm_analysis import DIGESTS_PATH
@@ -45,34 +51,133 @@ LADDER_OPS = {
 
 
 #: the same analyses as passes: (ranks each pass ran to the end, the ops
-#: the pass charged)
+#: the pass ran — both arms of every fork it joined)
 LADDER_PASSES = {
     ("ring", 16): [(16, 133)],
-    ("pipeline", 16): [(1, 332), (14, 359), (1, 323)],
+    ("pipeline", 16): [(16, 359)],
     ("masterworker", 8): [(1, 2_090), (7, 1_341)],
     ("is", 4): [(4, 1_139)],
     ("ft", 4): [(4, 980)],
-    ("lu", 4): [(1, 1_458), (1, 1_453), (1, 1_453), (1, 1_448)],
+    ("lu", 4): [(4, 1_790)],
 }
 
 
-def _passes(monkeypatch, kernel, nprocs):
-    """(ranks finished, ops charged) of each pass of one analysis."""
+def _analyze(monkeypatch, kernel, nprocs):
     interps = record_instances(monkeypatch, comm, Interp)
     analyze_kernel(kernel, nprocs)
-    return [(len(interp.active), Budget().ops - interp.budget.ops)
-            for interp in interps]
+    return interps
+
+
+def _passes(monkeypatch, kernel, nprocs):
+    """(ranks finished, ops the host ran) of each pass of one analysis."""
+    return [(len(interp.active),
+             Budget().ops - interp.budget.ops + interp.rebated)
+            for interp in _analyze(monkeypatch, kernel, nprocs)]
+
+
+def _rank_charges(interps, nprocs):
+    """The ops charged to each rank, by rank, read from its own pass."""
+    out = {}
+    for interp in interps:
+        out.update(zip([interp.ranks[p] for p in interp.active],
+                       interp.charges()))
+    return [out[rank] for rank in range(nprocs)]
 
 
 @pytest.mark.parametrize("kernel,nprocs", sorted(LADDER_OPS))
 def test_ops_charged_are_pinned(monkeypatch, kernel, nprocs):
-    passes = _passes(monkeypatch, kernel, nprocs)
     # every rank is charged what it was charged alone ...
-    assert sum(ranks * ops for ranks, ops in passes) \
-        == LADDER_OPS[kernel, nprocs]
-    assert sum(ranks for ranks, _ops in passes) == nprocs
+    assert sum(_rank_charges(_analyze(monkeypatch, kernel, nprocs),
+                             nprocs)) == LADDER_OPS[kernel, nprocs]
     # ... and the host pays once per pass
+    passes = _passes(monkeypatch, kernel, nprocs)
+    assert sum(ranks for ranks, _ops in passes) == nprocs
     assert passes == LADDER_PASSES[kernel, nprocs]
+
+
+def _alone(module, factory, nprocs, args=(), kwargs=(), extra_sources=None):
+    """The ops each rank is charged when it is interpreted on its own."""
+    out = []
+    for rank in range(nprocs):
+        interp = Interp(extra_sources=extra_sources)
+        program = interp.call_value(interp.load_program(module, factory),
+                                    args, dict(kwargs))
+        interp.run_program(program, MpiProxy(rank, nprocs))
+        out.append(Budget().ops - interp.budget.ops)
+    return out
+
+
+@pytest.mark.parametrize("kernel,nprocs", [("lu", 4), ("lu", 9),
+                                           ("pipeline", 16)])
+def test_each_rank_is_charged_what_it_is_charged_alone(monkeypatch, kernel,
+                                                        nprocs):
+    spec = KERNEL_DEFS[kernel]
+    assert _rank_charges(_analyze(monkeypatch, kernel, nprocs), nprocs) \
+        == _alone(spec.module, spec.factory, nprocs,
+                  ("S",) if spec.npb_class_arg else (), spec.kwargs)
+
+
+#: arms that would charge an import to the first arm's ranks only, and a
+#: name bound in one arm only
+ARM_HAZARDS = textwrap.dedent("""
+    def make():
+        def load():
+            from repro.apps.skeletons import pipeline
+            return pipeline
+
+        def kernel(mpi):
+            rank = mpi.rank
+            if rank % 2:
+                made = load()
+            else:
+                made = load()
+            yield from mpi.barrier()
+            if rank > 1:
+                fresh = rank * 3
+            yield from mpi.send(None, (rank + 1) % mpi.size)
+        return kernel
+""")
+
+
+def test_an_arm_charges_no_rank_what_it_would_not_pay_alone(monkeypatch):
+    """The first import in an arm would be paid by that arm's ranks
+    alone: the fork is abandoned, and every rank pays it, as alone; the
+    name bound by one arm only is refused before either arm runs."""
+    interps = record_instances(monkeypatch, comm, Interp)
+    undone = count_calls(monkeypatch, Interp, "_undo")
+    analyze_source(ARM_HAZARDS, "make", nprocs=4, module_name="hazards")
+    assert _rank_charges(interps, 4) == _alone(
+        "hazards", "make", 4, extra_sources={"hazards": ARM_HAZARDS})
+    assert undone[0] == 1  # the import, not the unbound name
+
+
+@pytest.mark.parametrize("kernel,nprocs", [
+    ("lu", 4), ("lu", 9), ("lu", 16), ("lu", 64), ("pipeline", 16),
+    ("pipeline", 64)])
+def test_a_grid_of_boundary_ranks_runs_in_one_pass(monkeypatch, kernel,
+                                                   nprocs):
+    """Corner, edge and interior ranks part at every ``if north is not
+    None`` and re-join: one pass, whose host ops do not grow with N."""
+    passes = _passes(monkeypatch, kernel, nprocs)
+    assert [ranks for ranks, _ops in passes] == [nprocs]
+    assert passes[0][1] == LADDER_PASSES[kernel, 4 if kernel == "lu"
+                                         else 16][0][1]
+
+
+def test_refused_arms_run_once(monkeypatch):
+    """``if rank == 0: ... return total`` is refused from its AST before
+    either arm runs: no fork is tried, and masterworker costs the host
+    no more than it cost before forks (2 090 and 1 341 ops; 6 294 frames
+    in ``interp.py`` on CPython 3.11)."""
+    forks = count_calls(monkeypatch, Interp, "fork")
+    analyze_kernel("masterworker", 8)  # compiled outside the count
+    assert _passes(monkeypatch, "masterworker", 8) \
+        == LADDER_PASSES["masterworker", 8]
+    assert forks[0] == 0
+    with count_frames("repro/analysis/interp.py") as seen:
+        analyze_kernel("masterworker", 8)
+    if sys.version_info[:2] == (3, 11):  # frame counts are per version
+        assert seen.frames <= 6_294, seen.by_name.most_common(8)
 
 
 def _charged(monkeypatch, kernel, nprocs):
@@ -131,6 +236,36 @@ def _compile_work(monkeypatch, kernel, nprocs):
                 for name in ("_compile_stmt", "_compile_expr")]
     analyze_kernel(kernel, nprocs)
     return sum(calls[0] for calls in counters)
+
+
+def test_the_analyzer_caches_stay_bounded():
+    """Parses, compiled forms and memoised graphs are kept per source,
+    per package module and per registration — each under a bound, however
+    many sources and registrations a long-lived process sees."""
+    for name, spec in KERNEL_DEFS.items():
+        if spec.trace is None:
+            try:
+                analyze_kernel(name, 4)
+            except AnalysisError:
+                pass  # a kernel that rejects 4 ranks still parsed its module
+    for n in range(300):
+        source = ("def make():\n    def kernel(mpi):\n"
+                  f"        yield from mpi.send(None, (mpi.rank + {n}) % 2)\n"
+                  "    return kernel\n")
+        analyze_source(source, "make", nprocs=2)
+    base = KERNEL_DEFS["ring"]
+    try:
+        for _ in range(300):
+            register_kernel(dataclasses.replace(base, name="ring-again"),
+                            replace_existing=True)
+            assert comm.predicted_peers_for("ring-again", 2) == ((1,), (0,))
+    finally:
+        KERNEL_DEFS.pop("ring-again", None)
+    apps = ["repro.apps"] + [module.name for module in pkgutil.walk_packages(
+        repro_apps.__path__, "repro.apps.")]
+    assert interp_module._source_code.cache_info().currsize <= 8
+    assert comm._cached_source_graph.cache_info().currsize <= 256
+    assert interp_module._module_code.cache_info().currsize <= len(apps)
 
 
 def test_compile_work_is_paid_once_whatever_the_rank_count(monkeypatch):

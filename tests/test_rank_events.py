@@ -29,7 +29,7 @@ import pytest
 
 from repro.analysis import analyze_source
 from repro.analysis import comm
-from repro.analysis.interp import Interp, MpiProxy
+from repro.analysis.interp import Budget, Interp, MpiProxy
 from repro.workloads.registry import KERNEL_DEFS, KernelDef
 
 from tests.interp_corpus import DIVERGENT, GENERATED_SEEDS, HAND, generated_kernel
@@ -201,6 +201,53 @@ def test_the_lowest_failing_rank_names_the_error(golden, name):
             assert failed and _outcome(exc) == failed[0]
         else:
             assert not failed
+
+
+#: arms of different costs, so that after they re-join the ranks of one
+#: pass have been charged different ops
+UNEVEN_ARMS = """
+def make():
+    def kernel(mpi):
+        rank = mpi.rank
+        if rank % 2:
+            x = rank + 1 + 2 + 3
+        else:
+            x = 0
+        yield from mpi.send(None, x % mpi.size, tag=1)
+        if rank > 1:
+            y = x * 2 if rank % 3 else x
+            yield from mpi.send(None, y % mpi.size, tag=2)
+        yield from mpi.barrier()
+    return kernel
+"""
+
+
+def test_each_rank_runs_out_of_budget_where_it_would_alone(monkeypatch):
+    """Budget by budget up to the kernel's cost: the ranks a shared pass
+    runs out for, and the events of those it finishes, are what each
+    rank gives on its own."""
+    sources = {"uneven": UNEVEN_ARMS}
+    budget = [0]
+    monkeypatch.setattr(comm, "Interp", lambda extra_sources=None: Interp(
+        budget=Budget(budget[0]), extra_sources=extra_sources))
+    outcomes = set()
+    for budget[0] in range(0, 70):
+        solo = []
+        for rank in range(5):
+            interp = Interp(budget=Budget(budget[0]), extra_sources=sources)
+            mpi = MpiProxy(rank, 5)
+            try:
+                interp.run_program(interp.call_value(
+                    interp.load_program("uneven", "make"), (), {}), mpi)
+            except Exception as exc:  # noqa: BLE001 - the error is the oracle
+                solo.append(_outcome(exc))
+            else:
+                solo.append(stream_digest(mpi.events))
+        assert class_outcomes("uneven", "make", 5,
+                              extra_sources=sources) == solo, budget[0]
+        outcomes.add(tuple(map(_is_error, solo)))
+    # the sweep saw ranks run out apart from one another
+    assert len(outcomes) > 2
 
 
 if __name__ == "__main__":
