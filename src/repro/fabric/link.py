@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.engine import Engine
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -49,10 +47,10 @@ class LinkParams:
 def conservative_lookahead_us(params: LinkParams) -> float:
     """Lower bound on the delay of any cross-node fabric event.
 
-    Derivation: a remote delivery is scheduled at
-    ``schedule_rx(bytes, egress_done + hop)`` where
-    ``egress_done >= now + tx_time(bytes)`` (egress occupancy starts no
-    earlier than now), ``hop = wire_latency_us`` for any remote
+    Derivation: a remote delivery lands when the receiver's ingress is
+    done with a packet whose first byte arrives at ``egress_done + hop``,
+    where ``egress_done >= now + tx_time(bytes)`` (egress occupancy starts
+    no earlier than now), ``hop = wire_latency_us`` for any remote
     transfer, and ingress occupancy only pushes the time later — so
     every cross-node event lands at least ``wire_latency_us`` after the
     instant that created it.  Chaos verdicts only ever add delay; drops
@@ -61,55 +59,25 @@ def conservative_lookahead_us(params: LinkParams) -> float:
     return params.wire_latency_us
 
 
-class _Direction:
-    """One serial direction of a port (egress or ingress)."""
-
-    __slots__ = ("busy_until",)
-
-    def __init__(self) -> None:
-        self.busy_until = 0.0
-
-    def occupy(self, now: float, duration: float) -> float:
-        """Reserve the direction; returns the completion time."""
-        start = max(now, self.busy_until)
-        self.busy_until = start + duration
-        return self.busy_until
-
-
 class Port:
-    """A full-duplex NIC port belonging to one node."""
+    """A full-duplex NIC port belonging to one node.
 
-    __slots__ = ("engine", "node_id", "params", "egress", "ingress",
+    Each direction is a serial resource, free from its ``*_busy_until``
+    time on; :meth:`repro.fabric.Network.send` reserves both directions
+    and keeps the counters.
+    """
+
+    __slots__ = ("node_id", "egress_busy_until", "ingress_busy_until",
                  "packets_sent", "packets_received", "bytes_sent", "bytes_received")
 
-    def __init__(self, engine: Engine, node_id: int, params: LinkParams):
-        self.engine = engine
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.params = params
-        self.egress = _Direction()
-        self.ingress = _Direction()
+        self.egress_busy_until = 0.0
+        self.ingress_busy_until = 0.0
         self.packets_sent = 0
         self.packets_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    def schedule_tx(self, wire_bytes: int, *, loopback: bool) -> float:
-        """Reserve egress for a packet; returns when the last byte leaves."""
-        tx = self.params.tx_time(wire_bytes)
-        done = self.egress.occupy(self.engine.now, tx)
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
-        return done
-
-    def schedule_rx(self, wire_bytes: int, first_byte_arrival: float) -> float:
-        """Reserve ingress starting no earlier than ``first_byte_arrival``;
-        returns when the packet is fully received."""
-        tx = self.params.tx_time(wire_bytes)
-        start = max(first_byte_arrival, self.ingress.busy_until)
-        self.ingress.busy_until = start + tx
-        self.packets_received += 1
-        self.bytes_received += wire_bytes
-        return self.ingress.busy_until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port node={self.node_id} sent={self.packets_sent} rcvd={self.packets_received}>"

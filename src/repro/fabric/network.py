@@ -52,7 +52,7 @@ class Network:
         """Create the port for ``node_id`` and register its delivery handler."""
         if node_id in self._ports:
             raise ValueError(f"node {node_id} already attached to {self.name}")
-        port = Port(self.engine, node_id, self.params)
+        port = Port(node_id)
         self._ports[node_id] = port
         self._handlers[node_id] = handler
         return port
@@ -62,10 +62,6 @@ class Network:
             return self._ports[node_id]
         except KeyError:
             raise KeyError(f"node {node_id} not attached to {self.name}") from None
-
-    @property
-    def node_count(self) -> int:
-        return len(self._ports)
 
     # -- transfer ------------------------------------------------------------
     def send(self, packet: Packet) -> Event:
@@ -80,13 +76,25 @@ class Network:
         except KeyError as missing:
             raise KeyError(
                 f"node {missing.args[0]} not attached to {self.name}") from None
-        loopback = packet.src == packet.dst
-        packet.injected_at = self.engine.now
+        engine = self.engine
+        now = engine.now
+        packet.injected_at = now
         verdict = None if self.injector is None else self.injector.judge(packet)
 
-        egress_done = src_port.schedule_tx(packet.wire_bytes, loopback=loopback)
+        # the per-packet path: LinkParams.tx_time and both port
+        # reservations inline, each direction a FIFO serial resource
+        params = self.params
+        wire_bytes = packet.wire_bytes
+        tx = params.per_packet_overhead_us + wire_bytes / params.bandwidth_bytes_per_us
+        start = src_port.egress_busy_until
+        if start < now:
+            start = now
+        egress_done = src_port.egress_busy_until = start + tx
+        src_port.packets_sent += 1
+        src_port.bytes_sent += wire_bytes
         hop = (
-            self.params.loopback_latency_us if loopback else self.params.wire_latency_us
+            params.loopback_latency_us if packet.src == packet.dst
+            else params.wire_latency_us
         )
         tel = self.telemetry
         if verdict is not None and verdict.drop:
@@ -97,9 +105,8 @@ class Network:
                 )
                 tel.counter("fabric.chaos.dropped").inc()
             # the sender's egress was still occupied; the switch eats it
-            ev = self.engine.event(name=f"{self.name}.chaos-drop.{packet.kind}")
-            ev.succeed(packet, delay=egress_done - self.engine.now)
-            return ev
+            return engine.timeout(egress_done - now, packet,
+                                  f"{self.name}.chaos-drop.{packet.kind}")
         if verdict is not None:
             hop += verdict.extra_delay_us
             if tel is not None and verdict.extra_delay_us:
@@ -108,42 +115,53 @@ class Network:
                     dst=packet.dst, kind=packet.kind,
                     extra_us=verdict.extra_delay_us,
                 )
-        delivered = dst_port.schedule_rx(packet.wire_bytes, egress_done + hop)
+        arrival = egress_done + hop  # of the first byte
+        start = dst_port.ingress_busy_until
+        if start < arrival:
+            start = arrival
+        delivered = dst_port.ingress_busy_until = start + tx
+        dst_port.packets_received += 1
+        dst_port.bytes_received += wire_bytes
 
         name = self._deliver_names.get(packet.kind)
         if name is None:
             name = f"{self.name}.deliver.{packet.kind}"
             self._deliver_names[packet.kind] = name
-        ev = Event(self.engine, name)
-
-        def _deliver(_ev: Event) -> None:
-            packet.delivered_at = self.engine.now
-            self.packets_delivered += 1
-            self.bytes_delivered += packet.wire_bytes
-            if self.telemetry is not None:
-                self.telemetry.complete(
-                    "fabric.hop", ("link", packet.src),
-                    packet.injected_at, self.engine.now,
-                    dst=packet.dst, kind=packet.kind, bytes=packet.wire_bytes,
-                    flow=packet.flow_id,
-                )
-            self._handlers[packet.dst](packet)
-
-        ev.callbacks.append(_deliver)
-        ev.succeed(packet, delay=delivered - self.engine.now)
+        ev = engine.timeout(delivered - now, packet, name)
+        ev.callbacks.append(self._deliver)
         if verdict is not None and verdict.duplicate:
             if tel is not None:
                 tel.instant(
                     "fabric.chaos.dup", ("link", packet.src),
                     dst=packet.dst, kind=packet.kind,
                 )
-            dup_at = dst_port.schedule_rx(
-                packet.wire_bytes, egress_done + hop + verdict.dup_extra_us
-            )
-            dup = self.engine.event(name=f"{self.name}.deliver-dup.{packet.kind}")
-            dup.add_callback(_deliver)
-            dup.succeed(packet, delay=dup_at - self.engine.now)
+            arrival += verdict.dup_extra_us
+            start = dst_port.ingress_busy_until
+            if start < arrival:
+                start = arrival
+            dup_at = dst_port.ingress_busy_until = start + tx
+            dst_port.packets_received += 1
+            dst_port.bytes_received += wire_bytes
+            engine.timeout(dup_at - now, packet,
+                           f"{self.name}.deliver-dup.{packet.kind}"
+                           ).callbacks.append(self._deliver)
         return ev
+
+    def _deliver(self, ev: Event) -> None:
+        """Hand the packet an event carries (its value, read from the
+        slot on this per-packet path) to the destination's handler."""
+        packet = ev._value
+        now = self.engine.now
+        packet.delivered_at = now
+        self.packets_delivered += 1
+        self.bytes_delivered += packet.wire_bytes
+        if self.telemetry is not None:
+            self.telemetry.complete(
+                "fabric.hop", ("link", packet.src), packet.injected_at, now,
+                dst=packet.dst, kind=packet.kind, bytes=packet.wire_bytes,
+                flow=packet.flow_id,
+            )
+        self._handlers[packet.dst](packet)
 
     def one_way_time(self, wire_bytes: int, *, loopback: bool = False) -> float:
         """Unloaded one-way fabric time for a packet of ``wire_bytes``

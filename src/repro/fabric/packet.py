@@ -7,10 +7,7 @@ upper layer's header estimate); the fabric itself adds nothing.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
-
-_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -34,8 +31,8 @@ class Packet:
         Filled in by the fabric (diagnostics).
     """
 
-    __slots__ = ("src", "dst", "wire_bytes", "payload", "kind", "packet_id",
-                 "flow_id", "injected_at", "delivered_at")
+    __slots__ = ("src", "dst", "wire_bytes", "payload", "kind", "flow_id",
+                 "injected_at", "delivered_at")
 
     def __init__(self, src: int, dst: int, wire_bytes: int, payload: Any,
                  kind: str = "data", flow_id: int = 0):
@@ -46,7 +43,6 @@ class Packet:
         self.wire_bytes = wire_bytes
         self.payload = payload
         self.kind = kind
-        self.packet_id = next(_packet_ids)
         self.flow_id = flow_id
         self.injected_at = -1.0
         self.delivered_at = -1.0

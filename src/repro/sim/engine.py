@@ -66,20 +66,16 @@ class Event:
     available as :attr:`value`.
 
     Events are single-use: triggering twice raises
-    :class:`SimulationError`.
+    :class:`SimulationError`.  ``_ok`` is ``None`` while it is pending.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered", "_processed",
-                 "name")
-
-    PENDING = object()
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "_processed", "name")
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.callbacks: list[Callable[["Event"], None]] = []
-        self._value: Any = Event.PENDING
+        self._value: Any = None
         self._ok: Optional[bool] = None
-        self._triggered = False
         self._processed = False
         self.name = name
 
@@ -87,7 +83,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled for processing."""
-        return self._triggered
+        return self._ok is not None
 
     @property
     def processed(self) -> bool:
@@ -102,32 +98,41 @@ class Event:
     @property
     def value(self) -> Any:
         """The success value or failure exception."""
-        if self._value is Event.PENDING:
+        if self._ok is None:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
     # -- triggering ------------------------------------------------------
+    # With Engine.timeout and Engine.schedule, the only places that push
+    # onto the heap: each inline, at ``now + delay`` from the caller's
+    # own operand, after the checks every public entry keeps.
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Mark the event successful and schedule callback processing
         ``delay`` microseconds from now."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError(f"{self!r} already triggered")
-        self._triggered = True
+        if delay < 0:
+            raise NegativeDelayError(delay, "succeed")
         self._ok = True
         self._value = value
-        self.engine._push(delay, self)
+        engine = self.engine
+        engine._seq += 1
+        heapq.heappush(engine._heap, (engine.now + delay, engine._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Mark the event failed; waiting processes receive ``exception``."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() needs an exception instance")
-        self._triggered = True
+        if delay < 0:
+            raise NegativeDelayError(delay, "fail")
         self._ok = False
         self._value = exception
-        self.engine._push(delay, self)
+        engine = self.engine
+        engine._seq += 1
+        heapq.heappush(engine._heap, (engine.now + delay, engine._seq, self))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -143,7 +148,7 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed" if self._processed
-            else "triggered" if self._triggered
+            else "triggered" if self._ok is not None
             else "pending"
         )
         label = f" {self.name!r}" if self.name else ""
@@ -184,16 +189,13 @@ class Engine:
         """
         if delay < 0:
             raise NegativeDelayError(delay, "timeout")
-        # inlined Event() + succeed(): the slots below are exactly what
-        # the two leave on a fresh event, minus the already-triggered
-        # check that cannot fire here (hot path: one timeout per yield
-        # of every simulated process, so no __init__ frame either)
+        # Event() + succeed() inline, less the double-trigger check that
+        # cannot fire here: one timeout per yield of every process
         ev = Event.__new__(Event)
         ev.engine = self
         ev.callbacks = []
         ev._value = value
         ev._ok = True
-        ev._triggered = True
         ev._processed = False
         ev.name = name or "timeout"
         self._seq += 1
@@ -213,7 +215,6 @@ class Engine:
         ev.callbacks = [lambda _ev: fn()]
         ev._value = None
         ev._ok = True
-        ev._triggered = True
         ev._processed = False
         ev.name = getattr(fn, "__name__", "scheduled")
         self._seq += 1
@@ -226,13 +227,6 @@ class Engine:
 
         return Process(self, generator)
 
-    # -- queue internals ---------------------------------------------------
-    def _push(self, delay: float, event: Event) -> None:
-        if delay < 0:
-            raise NegativeDelayError(delay, "_push")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
     # -- execution ---------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
@@ -243,7 +237,7 @@ class Engine:
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
         t, _seq, ev = heapq.heappop(self._heap)
-        if t < self.now:  # pragma: no cover - guarded by _push
+        if t < self.now:  # pragma: no cover - guarded by every trigger
             raise SimulationError("time went backwards")
         self.now = t
         ev._processed = True
@@ -327,26 +321,44 @@ class Engine:
         return event.value
 
 
+class _AnyOf(Event):
+    """The event :func:`any_of` returns.  Its bound :meth:`_fire` is the
+    one callback every input carries: no closure per input."""
+
+    __slots__ = ()
+
+    def _fire(self, ev: Event) -> None:
+        if self._ok is None:
+            if ev._ok:
+                self.succeed(ev._value)
+            else:
+                self.fail(ev._value)
+
+
 def any_of(engine: "Engine", events: list) -> "Event":
     """An event that succeeds when the *first* of ``events`` fires.
 
-    Late firings of the other events are absorbed (their callbacks find
-    the combined event already triggered).  The value is the value of
-    the first event to fire.
+    Late firings of the other events are absorbed (the combined event is
+    already triggered).  The value is the value of the first event to
+    fire; if that one failed, the combined event fails with its
+    exception.  An empty ``events`` raises :class:`ValueError`: nothing
+    could ever fire it.
     """
-    combo = engine.event(name="any-of")
-
-    def arm(ev: Event) -> None:
-        def fire(e: Event) -> None:
-            if not combo.triggered:
-                if e.ok:
-                    combo.succeed(e.value)
-                else:
-                    combo.fail(e.value)
-        ev.add_callback(fire)
-
+    if not events:
+        raise ValueError("any_of() needs at least one event; an empty race never fires")
+    combo = _AnyOf.__new__(_AnyOf)  # pending, without an __init__ frame
+    combo.engine = engine
+    combo.callbacks = []
+    combo._value = None
+    combo._ok = None
+    combo._processed = False
+    combo.name = "any-of"
+    fire = combo._fire
     for ev in events:
-        arm(ev)
+        if ev._processed:
+            fire(ev)
+        else:
+            ev.callbacks.append(fire)
     return combo
 
 

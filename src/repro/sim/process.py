@@ -45,9 +45,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         #: what every awaited event calls back: bound once, not per yield
         self._park = self._resume
-        boot = engine.event(name=f"{self.name}.start")
-        boot.callbacks.append(self._park)
-        boot.succeed()
+        engine.timeout(0.0, None, f"{self.name}.start").callbacks.append(self._park)
 
     @property
     def is_alive(self) -> bool:
@@ -80,9 +78,8 @@ class Process(Event):
         thrown = Event(self.engine)
         thrown._ok = False
         thrown._value = Interrupt(cause)
-        kick = self.engine.event(name=f"{self.name}.interrupt")
-        kick.callbacks.append(lambda _kick: self._resume(thrown))
-        kick.succeed()
+        self.engine.timeout(0.0, None, f"{self.name}.interrupt").callbacks.append(
+            lambda _kick: self._resume(thrown))
 
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -42,18 +42,26 @@ class Signal:
         If a fire happened while nobody was waiting, the returned event
         succeeds immediately (consuming the pending pulse).
         """
-        ev = Event(self.engine, self._wait_name)
         if self._pending:
             self._pending = False
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return self.engine.timeout(0.0, None, self._wait_name)
+        # a fresh pending Event, built without an __init__ frame (the
+        # MPI progress loop parks here on every unproductive poll)
+        ev = Event.__new__(Event)
+        ev.engine = self.engine
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = None
+        ev._processed = False
+        ev.name = self._wait_name
+        self._waiters.append(ev)
         return ev
 
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken.
 
-        With no waiters, arms the pending pulse instead.
+        With no waiters, arms the pending pulse instead.  A waiter that
+        was triggered by hand makes this raise :class:`SimulationError`.
         """
         self.fires += 1
         if not self._waiters:

@@ -8,6 +8,8 @@ is the difference between a short and a long run of the same program
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.cluster import build as build_module
 from repro.cluster import job as job_module
 from repro.memory.arena import StagingCache
 from repro.mpi.adi import AbstractDevice, as_bytes
-from repro.sim import Engine, Signal
+from repro.sim import Engine, Signal, any_of
 from repro.via import nic as nic_module
 
 from tests import mpi_rig
@@ -78,10 +80,51 @@ def test_timeout_yield_enters_two_sim_frames():
     assert per_unit(timeout_run, 8, 2, 1) == per_unit(timeout_run, 64, 2, 1)
 
 
-def test_signal_round_enters_eight_sim_frames():
-    # waiter: _resume, wait, Event();  firer: _resume, timeout;
-    # fire: fire, succeed, _push
-    assert per_unit(signal_run, 8, 8, 2) == per_unit(signal_run, 64, 8, 2)
+def test_signal_round_enters_six_sim_frames():
+    # waiter: _resume, wait;  firer: _resume, timeout;  fire: fire, succeed
+    assert per_unit(signal_run, 8, 6, 2) == per_unit(signal_run, 64, 6, 2)
+
+
+def race_run(pairs, rounds):
+    """The same for ``rounds`` rounds in each of ``pairs`` ping-pong
+    pairs whose every wait is an ``any_of`` race between the signal and
+    a guard timeout that loses and is absorbed later."""
+    engine = Engine()
+
+    def player(mine, theirs, serve):
+        if serve:
+            theirs.fire()
+        for _ in range(rounds):
+            yield any_of(engine, [mine.wait(), engine.timeout(50.0)])
+            yield engine.timeout(1.0)
+            theirs.fire()
+
+    for pair in range(pairs):
+        a, b = Signal(engine, f"a{pair}"), Signal(engine, f"b{pair}")
+        engine.process(player(a, b, True))
+        engine.process(player(b, a, False))
+    with count_frames("repro/sim") as seen:
+        engine.run()
+    return seen.frames, engine.events_processed
+
+
+def test_any_of_race_enters_a_fixed_number_of_sim_frames():
+    # per player and round (4 events: wait, any-of, think, guard):
+    # _resume twice, wait, timeout twice, any_of, fire, succeed for the
+    # waiter, the race's callback twice (the guard is absorbed) and its
+    # succeed: 11
+    assert per_unit(race_run, 8, 22, 8) == per_unit(race_run, 64, 22, 8)
+
+
+def test_any_of_inputs_share_one_bound_callback():
+    engine = Engine()
+    signal = Signal(engine)
+    waited, guard = signal.wait(), engine.timeout(5.0)
+    any_of(engine, [waited, guard])
+    (on_wait,), (on_guard,) = waited.callbacks, guard.callbacks
+    # no closure per input: one bound method, the same for both inputs
+    assert on_wait is on_guard
+    assert isinstance(on_wait, types.MethodType)
 
 
 def pingpong(messages, nbytes=64, connection="static-p2p"):
@@ -117,11 +160,13 @@ def test_eager_message_frame_and_event_budget(pingpong_pair):
     (short, short_result, _), (long, long_result, _) = pingpong_pair
     events = long_result.events_processed - short_result.events_processed
     assert events == 9 * 200
-    assert (long.frames - short.frames) / 200 <= 140
+    assert (long.frames - short.frames) / 200 <= 125
     # the two layers that own the message (the rest: sim, fabric,
     # memory, and the rank program's own generator in cluster)
     assert (long.by_layer["mpi"] - short.by_layer["mpi"]) / 200 <= 66
     assert (long.by_layer["via"] - short.by_layer["via"]) / 200 <= 27
+    # Network.send, Packet() and the delivery callback
+    assert (long.by_layer["fabric"] - short.by_layer["fabric"]) / 200 <= 3
 
 
 def test_eager_message_numpy_calls(pingpong_pair):
