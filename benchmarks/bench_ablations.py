@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_ablation_spincount(benchmark):
-    exp = run_once(benchmark, ablations.ablation_spincount, fast=True)
+    exp = run_once(benchmark, ablations.ablation_spincount)
     print("\n" + exp.render())
     spin = {row.get("spincount"): row.get("spinwait_us") for row in exp.rows}
     polling = exp.rows[0].get("polling_us")
@@ -19,7 +19,7 @@ def test_ablation_spincount(benchmark):
 
 
 def test_ablation_dynamic_flow_control(benchmark):
-    exp = run_once(benchmark, ablations.ablation_dynamic, fast=True)
+    exp = run_once(benchmark, ablations.ablation_dynamic)
     print("\n" + exp.render())
     static_row = exp.row("static window")
     small = exp.row("I=2")
@@ -30,7 +30,7 @@ def test_ablation_dynamic_flow_control(benchmark):
 
 
 def test_ablation_threshold(benchmark):
-    exp = run_once(benchmark, ablations.ablation_threshold, fast=True)
+    exp = run_once(benchmark, ablations.ablation_threshold)
     print("\n" + exp.render())
     # a 4 KiB message does better when it stays eager (threshold 5000)
     # than when forced through rendezvous (threshold 2000)
@@ -40,7 +40,7 @@ def test_ablation_threshold(benchmark):
 
 
 def test_ablation_credits(benchmark):
-    exp = run_once(benchmark, ablations.ablation_credits, fast=True)
+    exp = run_once(benchmark, ablations.ablation_credits)
     print("\n" + exp.render())
     times = {row.get("credits"): row.get("time_us") for row in exp.rows}
     # starved flow control throttles the stream
@@ -51,7 +51,7 @@ def test_ablation_credits(benchmark):
 
 
 def test_ablation_rndv_window(benchmark):
-    exp = run_once(benchmark, ablations.ablation_rndv_window, fast=True)
+    exp = run_once(benchmark, ablations.ablation_rndv_window)
     print("\n" + exp.render())
     bw = {row.get("window"): row.get("bandwidth") for row in exp.rows}
     # serialized handshakes (window 1) lose to pipelined rendezvous
@@ -59,7 +59,7 @@ def test_ablation_rndv_window(benchmark):
 
 
 def test_ablation_placement(benchmark):
-    exp = run_once(benchmark, ablations.ablation_placement, fast=True)
+    exp = run_once(benchmark, ablations.ablation_placement)
     print("\n" + exp.render())
     times = [row.get("time_ms") for row in exp.rows]
     # both placements complete, in the same ballpark

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure1(benchmark):
-    exp = run_once(benchmark, figures.figure1, fast=True)
+    exp = run_once(benchmark, figures.figure1)
     print("\n" + exp.render())
 
     vis = np.array(exp.column("active_vis"), dtype=float)

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure2(benchmark):
-    exp = run_once(benchmark, figures.figure2, fast=True)
+    exp = run_once(benchmark, figures.figure2)
     print("\n" + exp.render())
 
     polling = np.array(exp.column("clan/static-polling"), dtype=float)

@@ -7,7 +7,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure3(benchmark):
-    exp = run_once(benchmark, figures.figure3, fast=True)
+    exp = run_once(benchmark, figures.figure3)
     print("\n" + exp.render())
 
     sizes = exp.column("size")

@@ -7,7 +7,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure4(benchmark):
-    exp = run_once(benchmark, figures.figure4, fast=True)
+    exp = run_once(benchmark, figures.figure4)
     print("\n" + exp.render())
 
     n = exp.column("nprocs")

@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure5(benchmark):
-    exp = run_once(benchmark, figures.figure5, fast=True)
+    exp = run_once(benchmark, figures.figure5)
     print("\n" + exp.render())
 
     n = exp.column("nprocs")
@@ -25,6 +25,6 @@ def test_figure5(benchmark):
     # BVIA benefits from the on-demand VI reduction
     assert bvia_od[8] < bvia[8]
     # allreduce costs a bit more than barrier (it moves data)
-    fig4 = figures.figure4(fast=True)
+    fig4 = figures.figure4()
     barrier16 = fig4.row("P=16").get("clan/static-polling")
     assert poll[16] > barrier16

@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure6(benchmark):
-    exp = run_once(benchmark, figures.figure6, fast=True)
+    exp = run_once(benchmark, figures.figure6)
     print("\n" + exp.render())
 
     for row in exp.rows:

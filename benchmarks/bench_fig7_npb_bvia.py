@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure7(benchmark):
-    exp = run_once(benchmark, figures.figure7, fast=True)
+    exp = run_once(benchmark, figures.figure7)
     print("\n" + exp.render())
 
     ratios = {row.label: row.get("on-demand") for row in exp.rows}

@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_figure8(benchmark):
-    exp = run_once(benchmark, figures.figure8, fast=True)
+    exp = run_once(benchmark, figures.figure8)
     print("\n" + exp.render())
 
     n = exp.column("nprocs")

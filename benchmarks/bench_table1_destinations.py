@@ -18,7 +18,7 @@ TOLERANCES = {
 
 
 def test_table1(benchmark):
-    exp = run_once(benchmark, tables.table1, fast=True)
+    exp = run_once(benchmark, tables.table1)
     print("\n" + exp.render())
 
     for row in exp.rows:

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_once
 
 
 def test_table2(benchmark):
-    exp = run_once(benchmark, tables.table2, fast=True)
+    exp = run_once(benchmark, tables.table2)
     print("\n" + exp.render())
 
     for row in exp.rows:

@@ -6,7 +6,7 @@ from benchmarks.conftest import run_once
 
 
 def test_table3(benchmark):
-    exp = run_once(benchmark, tables.table3, fast=True)
+    exp = run_once(benchmark, tables.table3)
     print("\n" + exp.render())
 
     for row in exp.rows:

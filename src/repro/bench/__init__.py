@@ -6,14 +6,14 @@ and records the paper's reference values next to the measured ones.
 
 Run everything from the command line::
 
-    python -m repro.bench all            # scaled (fast) parameters
+    python -m repro.bench all            # every table and figure
     python -m repro.bench fig4 table2    # a subset
-    python -m repro.bench all --full     # the paper's parameters
+    python -m repro.bench all ablations  # and the ablation studies
 
 or from Python::
 
     from repro.bench import figures
-    exp = figures.figure4(fast=True)
+    exp = figures.figure4()
     print(exp.render())
 """
 

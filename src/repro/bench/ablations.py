@@ -32,9 +32,8 @@ def _two_nodes() -> ClusterSpec:
     return ClusterSpec(nodes=2, ppn=1, profile=CLAN)
 
 
-def ablation_threshold(fast: bool = True) -> Experiment:
+def ablation_threshold() -> Experiment:
     """Bandwidth at fixed sizes as the eager/rendezvous threshold moves."""
-    thresholds = [2000, 5000, 10000] if fast else [1000, 2000, 5000, 8000, 12000, 20000]
     probe_sizes = [4096, 8192, 16384]
     exp = Experiment(
         "Ablation: eager threshold",
@@ -43,7 +42,7 @@ def ablation_threshold(fast: bool = True) -> Experiment:
         notes=("§5.3: the paper expects thresholds above 5000 B to help — "
                "mid-size messages avoid the rendezvous handshake."),
     )
-    for threshold in thresholds:
+    for threshold in (2000, 5000, 10000):
         res = run_job(_two_nodes(), 2, micro.bandwidth(probe_sizes),
                       MpiConfig(eager_threshold=threshold))
         row = {f"{s}B": bw for (s, bw) in res.returns[0]}
@@ -51,9 +50,8 @@ def ablation_threshold(fast: bool = True) -> Experiment:
     return exp
 
 
-def ablation_credits(fast: bool = True) -> Experiment:
+def ablation_credits() -> Experiment:
     """One-way small-message stream throughput vs. credit count."""
-    counts = [2, 6, 15] if fast else [1, 2, 4, 8, 15, 24, 32]
     n = 150
 
     def one_way(mpi):
@@ -75,7 +73,7 @@ def ablation_credits(fast: bool = True) -> Experiment:
         ["credits", "time_us", "pinned_per_vi_kB"],
         notes="Fewer credits throttle the stream; more pin more memory.",
     )
-    for credits in counts:
+    for credits in (2, 6, 15):
         cfg = MpiConfig(data_credits=credits)
         res = run_job(_two_nodes(), 2, one_way, cfg)
         per_vi = (cfg.prepost_count + cfg.send_pool_count) * cfg.eager_threshold
@@ -85,16 +83,15 @@ def ablation_credits(fast: bool = True) -> Experiment:
     return exp
 
 
-def ablation_rndv_window(fast: bool = True) -> Experiment:
+def ablation_rndv_window() -> Experiment:
     """Large-message bandwidth vs. outstanding-rendezvous window."""
-    windows = [1, 4] if fast else [1, 2, 4, 8]
     exp = Experiment(
         "Ablation: rendezvous window",
         "64 KiB-message bandwidth (MB/s) vs. RTS window",
         ["window", "bandwidth"],
         notes="Window 1 serializes handshakes; a few in flight pipeline.",
     )
-    for window in windows:
+    for window in (1, 4):
         res = run_job(_two_nodes(), 2,
                       micro.bandwidth([65536], window=8, iterations=4),
                       MpiConfig(rndv_window=window))
@@ -102,9 +99,8 @@ def ablation_rndv_window(fast: bool = True) -> Experiment:
     return exp
 
 
-def ablation_spincount(fast: bool = True) -> Experiment:
+def ablation_spincount() -> Experiment:
     """Barrier latency vs. spincount: where spinwait tips over."""
-    counts = [20, 100, 400] if fast else [10, 20, 50, 100, 200, 400, 1000]
     nprocs = 16
     exp = Experiment(
         "Ablation: spincount",
@@ -116,7 +112,7 @@ def ablation_spincount(fast: bool = True) -> Experiment:
     spec = ClusterSpec(nodes=8, ppn=2)
     polling = run_job(spec, nprocs, micro.barrier_latency(iterations=50),
                       MpiConfig(completion="polling"))
-    for spincount in counts:
+    for spincount in (20, 100, 400):
         res = run_job(spec, nprocs, micro.barrier_latency(iterations=50),
                       MpiConfig(completion="spinwait", spincount=spincount))
         blocks = sum(p.blocking_waits for p in res.resources.per_process)
@@ -126,9 +122,8 @@ def ablation_spincount(fast: bool = True) -> Experiment:
     return exp
 
 
-def ablation_dynamic(fast: bool = True) -> Experiment:
+def ablation_dynamic() -> Experiment:
     """§6 extension: initial window size vs. memory and runtime."""
-    initials = [2, 8] if fast else [1, 2, 4, 8, 15]
     nprocs = 16
     exp = Experiment(
         "Ablation: dynamic flow control",
@@ -142,7 +137,7 @@ def ablation_dynamic(fast: bool = True) -> Experiment:
     exp.add("static window", initial=MpiConfig().data_credits,
             pinned_MB=base.resources.total_pinned_peak_bytes / 1e6,
             time_ms=base.returns[0].time_us / 1e3)
-    for initial in initials:
+    for initial in (2, 8):
         cfg = MpiConfig(dynamic_buffers=True, initial_credits=initial)
         res = run_job(spec, nprocs, KERNELS["cg"]("S"), cfg)
         exp.add(f"I={initial}", initial=initial,
@@ -151,7 +146,7 @@ def ablation_dynamic(fast: bool = True) -> Experiment:
     return exp
 
 
-def ablation_placement(fast: bool = True) -> Experiment:
+def ablation_placement() -> Experiment:
     """Block vs. cyclic rank placement for CG (loopback locality)."""
     exp = Experiment(
         "Ablation: rank placement",
@@ -162,8 +157,7 @@ def ablation_placement(fast: bool = True) -> Experiment:
     )
     for placement in ("cyclic", "block"):
         spec = ClusterSpec(nodes=8, ppn=2, placement=placement)
-        res = run_job(spec, 16, KERNELS["cg"]("S" if fast else "A"),
-                      MpiConfig())
+        res = run_job(spec, 16, KERNELS["cg"]("S"), MpiConfig())
         exp.add(placement, placement=placement,
                 time_ms=res.returns[0].time_us / 1e3)
     return exp

@@ -6,9 +6,8 @@ packets, and reports recovery work (retransmissions, connect retries)
 plus whether the numerics still match the lossless baseline.  This is
 the observability end of the fault-injection acceptance criteria: the
 same jobs that complete bit-correct under loss also show their
-retries in the metrics.
-
-``--smoke`` shrinks the sweep to seconds for CI.
+retries in the metrics.  The sweep (8 processes, 3 loss rates) runs in
+seconds.
 """
 
 from __future__ import annotations
@@ -45,19 +44,17 @@ def barrier_loop(iters: int):
     return prog
 
 
-def _workloads(smoke: bool):
-    iters = 4 if smoke else 10
+def _workloads():
     return [
-        ("barrier", barrier_loop(iters), lambda r: r.returns),
+        ("barrier", barrier_loop(4), lambda r: r.returns),
         ("cg.S", KERNELS["cg"]("S"),
          lambda r: [x.verification for x in r.returns]),
     ]
 
 
-def chaos_sweep(smoke: bool = True) -> Experiment:
+def chaos_sweep() -> Experiment:
     """Loss-rate x manager sweep; every row checks numerics vs loss=0."""
-    losses = (0.0, 0.02, 0.05) if smoke else (0.0, 0.01, 0.02, 0.05, 0.10)
-    nprocs = 8 if smoke else 16
+    nprocs = 8
     spec = ClusterSpec(nodes=nprocs, ppn=1, profile=BERKELEY, seed=7)
     exp = Experiment(
         "chaos",
@@ -69,11 +66,11 @@ def chaos_sweep(smoke: bool = True) -> Experiment:
                "lossless run of the same manager; rtx/conn_retries are "
                "the recovery work the faults forced."),
     )
-    for wl_name, program, extract in _workloads(smoke):
+    for wl_name, program, extract in _workloads():
         for conn in MANAGERS:
             config = MpiConfig(connection=conn)
             baseline = None
-            for loss in losses:
+            for loss in (0.0, 0.02, 0.05):
                 plan = FaultPlan(loss=loss) if loss else None
                 res = run_job(spec, nprocs, program, config,
                               fault_plan=plan)
@@ -101,17 +98,9 @@ def main(argv=None) -> int:
         prog="repro-bench chaos",
         description="Fault-injection sweep: loss x connection manager.",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small sweep (8 procs, 3 loss rates) for CI",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="full sweep (16 procs, 5 loss rates)",
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     start = now_s()
-    exp = chaos_sweep(smoke=not args.full)
+    exp = chaos_sweep()
     print(exp.render())
     print(f"[chaos took {now_s() - start:.1f}s wall]")
     bad = [r.label for r in exp.rows if not r.get("numerics_ok")]

@@ -1,9 +1,8 @@
 """Command-line harness: ``python -m repro.bench`` / ``repro-bench``.
 
 ``python -m repro.bench fig4 fig8 table2`` regenerates the paper's tables
-and figures (``all`` for every one, ``ablations`` for the ablation
-studies, ``--full`` for the paper's parameters, ``--large`` for table1's
-256-process column).  A first word naming one of :data:`COMMANDS` runs
+and figures in the order named (``all`` for every one, ``ablations`` for
+the ablation studies).  A first word naming one of :data:`COMMANDS` runs
 that command instead, with its own flags::
 """
 
@@ -19,11 +18,17 @@ from repro.bench.figures import ALL_FIGURES
 from repro.bench.tables import ALL_TABLES
 
 EXPERIMENTS = {**ALL_FIGURES, **ALL_TABLES, **ALL_ABLATIONS}
+#: the words that stand for a list of experiment ids; 'all' covers the
+#: paper's tables and figures, ablations are opt-in
+GROUPS = {
+    "all": sorted(set(EXPERIMENTS) - set(ALL_ABLATIONS)),
+    "ablations": sorted(ALL_ABLATIONS),
+}
 
 #: subcommand -> (the module whose ``main(argv)`` runs it, example
 #: arguments, what it does)
 COMMANDS = {
-    "chaos": ("repro.bench.chaos", "--smoke", "fault-injection sweep"),
+    "chaos": ("repro.bench.chaos", "", "fault-injection sweep"),
     "trace": ("repro.bench.trace_cmd", "cg --np 4", "telemetry + Chrome trace"),
     "flow": ("repro.bench.flow_cmd", "cg --np 8", "where did the time go?"),
     "capture": ("repro.bench.capture_cmd", "cg --np 4",
@@ -51,37 +56,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiments", nargs="+",
-        help=f"experiment ids ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="use the paper's full parameters (slow)",
-    )
-    parser.add_argument(
-        "--large", action="store_true",
-        help="table1: add the 256-process scaling column",
+        help=(f"experiment ids ({', '.join(sorted(EXPERIMENTS))}), "
+              "'all' or 'ablations'"),
     )
     args = parser.parse_args(argv)
 
-    if "all" in args.experiments:
-        # 'all' covers the paper's tables and figures; ablations are
-        # opt-in by name (or via 'ablations')
-        names = sorted(set(EXPERIMENTS) - set(ALL_ABLATIONS))
-    elif "ablations" in args.experiments:
-        names = sorted(ALL_ABLATIONS)
-    else:
-        names = args.experiments
+    # each id runs once, where it first appears
+    names = list(dict.fromkeys(
+        name for word in args.experiments
+        for name in GROUPS.get(word, [word])))
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
 
     for name in names:
         start = now_s()
-        runner = EXPERIMENTS[name]
-        if name == "table1":
-            exp = runner(fast=not args.full, large=args.large)
-        else:
-            exp = runner(fast=not args.full)
+        exp = EXPERIMENTS[name]()
         print(exp.render())
         print(f"[{name} took {now_s() - start:.1f}s wall]\n")
     return 0

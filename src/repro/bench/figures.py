@@ -1,12 +1,13 @@
 """Figure runners: Figures 1–8 of the paper.
 
-Every function takes ``fast`` (default True): scaled iteration counts and
-process sets that finish in seconds; ``fast=False`` uses the paper's
-parameters (1000-iteration barriers, the full class/process matrix).
+Each runs one parameter set, scaled so that the whole paper regenerates
+in minutes: fewer iterations than the paper's, and NPB classes and
+process counts a pure-Python simulator finishes in seconds.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List
 
 from repro.apps import micro
@@ -22,6 +23,10 @@ MODES = {
     "static-spinwait": ("static-p2p", "spinwait"),
     "on-demand": ("ondemand", "polling"),
 }
+#: the paper's curves on Berkeley VIA, which has no separate spinwait mode
+BVIA_MODES = ("static-polling", "on-demand")
+#: the columns of every figure that plots all curves of both fabrics
+CURVES = [f"clan/{m}" for m in MODES] + [f"bvia/{m}" for m in BVIA_MODES]
 
 
 def clan_spec(nodes: int = 8, ppn: int = 4) -> ClusterSpec:
@@ -38,164 +43,127 @@ def _config(mode: str) -> MpiConfig:
 
 
 # --------------------------------------------------------------- Figure 1 --
-def figure1(fast: bool = True) -> Experiment:
+def figure1() -> Experiment:
     """BVIA one-way latency as a function of the number of active VIs."""
-    counts = [0, 4, 8, 16, 24] if fast else [0, 4, 8, 16, 24, 32, 40, 48, 56]
-    iterations = 10 if fast else 50
     exp = Experiment(
         "Figure 1", "Latency vs. active VIs (Berkeley VIA; cLAN contrast)",
         ["active_vis", "bvia_latency_us", "clan_latency_us"],
         notes=("Paper: BVIA latency grows roughly linearly with active VIs; "
                "a hardware-VIA cLAN datapath is flat."),
     )
-    for extra in counts:
+    for extra in (0, 4, 8, 16, 24):
         nodes = 2 + extra
         row = {}
         for profile, key in ((BERKELEY, "bvia_latency_us"),
                              (CLAN, "clan_latency_us")):
             spec = ClusterSpec(nodes=nodes, ppn=1, profile=profile)
             res = run_job(spec, nodes,
-                          micro.dormant_vi_pingpong(extra, iterations=iterations),
+                          micro.dormant_vi_pingpong(extra, iterations=10),
                           MpiConfig(connection="ondemand"))
             row[key] = res.returns[0]
         exp.add(f"{extra + 1} VIs", active_vis=extra + 1, **row)
     return exp
 
 
-# --------------------------------------------------------------- Figure 2 --
-def figure2(fast: bool = True) -> Experiment:
+# ----------------------------------------------------------- Figures 2, 3 --
+def _size_figure(exp_id: str, title: str, notes: str, sizes: List[int],
+                 program) -> Experiment:
+    """One two-rank ``program`` per curve; rank 0 returns (size, value)."""
+    exp = Experiment(exp_id, title, ["size"] + CURVES, notes=notes)
+    series: Dict[str, List[float]] = {}
+    for fabric, spec, modes in (("clan", clan_spec(2, 1), MODES),
+                                ("bvia", bvia_spec(2), BVIA_MODES)):
+        for mode in modes:
+            res = run_job(spec, 2, program, _config(mode))
+            series[f"{fabric}/{mode}"] = [value for _s, value in res.returns[0]]
+    for i, size in enumerate(sizes):
+        exp.add(f"{size}B", size=size,
+                **{k: v[i] for k, v in series.items()})
+    return exp
+
+
+def figure2() -> Experiment:
     """Small-message latency vs. size, three modes, both fabrics."""
     # sizes stay small: latency plots are a small-message story, and past
     # the spin window spinwait diverges by construction (see notes)
-    sizes = [4, 64, 256, 512] if fast else [4, 16, 64, 128, 256, 512, 1024]
-    iterations = 10 if fast else 100
-    exp = Experiment(
+    sizes = [4, 64, 256, 512]
+    return _size_figure(
         "Figure 2", "Pingpong latency (µs) vs. message size",
-        ["size"]
-        + [f"clan/{m}" for m in MODES]
-        + ["bvia/static-polling", "bvia/on-demand"],
-        notes=("Paper: on cLAN all three curves coincide; BVIA is slower "
-               "overall and has no separate spinwait mode."),
+        ("Paper: on cLAN all three curves coincide; BVIA is slower "
+         "overall and has no separate spinwait mode."),
+        sizes, micro.pingpong(sizes, iterations=10),
     )
-    series: Dict[str, List[float]] = {}
-    for mode in MODES:
-        res = run_job(clan_spec(2, 1), 2,
-                      micro.pingpong(sizes, iterations=iterations),
-                      _config(mode))
-        series[f"clan/{mode}"] = [lat for _s, lat in res.returns[0]]
-    for mode in ("static-polling", "on-demand"):
-        res = run_job(bvia_spec(2), 2,
-                      micro.pingpong(sizes, iterations=iterations),
-                      _config(mode))
-        series[f"bvia/{mode}"] = [lat for _s, lat in res.returns[0]]
-    for i, size in enumerate(sizes):
-        exp.add(f"{size}B", size=size,
-                **{k: v[i] for k, v in series.items()})
-    return exp
 
 
-# --------------------------------------------------------------- Figure 3 --
-def figure3(fast: bool = True) -> Experiment:
+def figure3() -> Experiment:
     """Bandwidth vs. size; the eager→rendezvous dip at 5000 bytes."""
-    sizes = ([1024, 4096, 4999, 5002, 16384, 65536] if fast else
-             [256, 1024, 2048, 4096, 4999, 5002, 8192, 16384, 65536, 262144])
-    iterations = 3 if fast else 10
-    exp = Experiment(
+    sizes = [1024, 4096, 4999, 5002, 16384, 65536]
+    return _size_figure(
         "Figure 3", "Bandwidth (MB/s) vs. message size",
-        ["size"]
-        + [f"clan/{m}" for m in MODES]
-        + ["bvia/static-polling", "bvia/on-demand"],
-        notes=("Paper: a jump/dip around the 5000-byte eager→rendezvous "
-               "threshold; all modes coincide per fabric."),
+        ("Paper: a jump/dip around the 5000-byte eager→rendezvous "
+         "threshold; all modes coincide per fabric."),
+        sizes, micro.bandwidth(sizes, iterations=3),
     )
-    series: Dict[str, List[float]] = {}
-    for mode in MODES:
-        res = run_job(clan_spec(2, 1), 2,
-                      micro.bandwidth(sizes, iterations=iterations),
-                      _config(mode))
-        series[f"clan/{mode}"] = [bw for _s, bw in res.returns[0]]
-    for mode in ("static-polling", "on-demand"):
-        res = run_job(bvia_spec(2), 2,
-                      micro.bandwidth(sizes, iterations=iterations),
-                      _config(mode))
-        series[f"bvia/{mode}"] = [bw for _s, bw in res.returns[0]]
-    for i, size in enumerate(sizes):
-        exp.add(f"{size}B", size=size,
-                **{k: v[i] for k, v in series.items()})
-    return exp
 
 
-# --------------------------------------------------------------- Figure 4 --
-def _collective_figure(exp_id: str, title: str, program_factory,
-                       fast: bool, iterations: int) -> Experiment:
-    clan_procs = [2, 3, 4, 6, 8, 12, 16] if fast else [2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32]
-    bvia_procs = [2, 4, 8] if fast else [2, 3, 4, 5, 6, 7, 8]
+# ----------------------------------------------------------- Figures 4, 5 --
+def _collective_figure(exp_id: str, title: str, program) -> Experiment:
     exp = Experiment(
-        exp_id, title,
-        ["nprocs"]
-        + [f"clan/{m}" for m in MODES]
-        + ["bvia/static-polling", "bvia/on-demand"],
+        exp_id, title, ["nprocs"] + CURVES,
         notes=("Paper: on-demand == static-polling on cLAN, both beat "
                "spinwait; on-demand beats static on BVIA (fewer VIs); "
                "non-power-of-two sizes fluctuate upward."),
     )
-    for n in clan_procs:
+    for n in (2, 3, 4, 6, 8, 12, 16):
         row = {"nprocs": n}
         for mode in MODES:
-            res = run_job(clan_spec(), n, program_factory(iterations),
-                          _config(mode))
+            res = run_job(clan_spec(), n, program, _config(mode))
             row[f"clan/{mode}"] = res.returns[0]
-        if n in bvia_procs:
-            for mode in ("static-polling", "on-demand"):
-                res = run_job(bvia_spec(), n, program_factory(iterations),
-                              _config(mode))
+        if n in (2, 4, 8):
+            for mode in BVIA_MODES:
+                res = run_job(bvia_spec(), n, program, _config(mode))
                 row[f"bvia/{mode}"] = res.returns[0]
         exp.add(f"P={n}", **row)
     return exp
 
 
-def figure4(fast: bool = True) -> Experiment:
+def figure4() -> Experiment:
     """Barrier latency vs. process count."""
-    return _collective_figure(
-        "Figure 4", "MPI_Barrier latency (µs)",
-        lambda it: micro.barrier_latency(iterations=it),
-        fast, 50 if fast else 1000,
-    )
+    return _collective_figure("Figure 4", "MPI_Barrier latency (µs)",
+                              micro.barrier_latency(iterations=50))
 
 
-# --------------------------------------------------------------- Figure 5 --
-def figure5(fast: bool = True) -> Experiment:
+def figure5() -> Experiment:
     """Allreduce (MPI_SUM) latency vs. process count (llcbench style)."""
-    return _collective_figure(
-        "Figure 5", "MPI_Allreduce latency (µs)",
-        lambda it: micro.allreduce_latency(iterations=it),
-        fast, 20 if fast else 100,
-    )
+    return _collective_figure("Figure 5", "MPI_Allreduce latency (µs)",
+                              micro.allreduce_latency(iterations=20))
 
 
-# --------------------------------------------------------------- Figure 6 --
-#: the class.procs combos of Table 3 (cLAN section)
-CLAN_NPB_COMBOS_FULL = [
-    ("cg", "A", 16), ("cg", "B", 16), ("cg", "A", 32), ("cg", "B", 32),
-    ("cg", "C", 32),
-    ("mg", "A", 16), ("mg", "B", 16), ("mg", "A", 32), ("mg", "B", 32),
-    ("mg", "C", 32),
-    ("is", "A", 16), ("is", "B", 16), ("is", "A", 32), ("is", "B", 32),
-    ("is", "C", 32),
-    ("sp", "A", 16), ("sp", "B", 16),
-    ("bt", "A", 16), ("bt", "B", 16),
-]
-CLAN_NPB_COMBOS_FAST = [
+# ----------------------------------------------------------- Figures 6, 7 --
+#: the (kernel, class, procs) cells of Figure 6 and Table 3's cLAN rows
+CLAN_NPB_COMBOS = [
     ("cg", "W", 16), ("cg", "A", 16),
     ("mg", "A", 16), ("mg", "B", 16),
     ("is", "A", 16), ("is", "B", 16),
     ("sp", "A", 16), ("bt", "A", 16),
 ]
+#: the cells of Figure 7 and Table 3's Berkeley VIA rows
+BVIA_NPB_COMBOS = [
+    ("is", "A", 8), ("cg", "W", 8), ("ep", "A", 8),
+    ("bt", "A", 4), ("sp", "A", 4),
+]
 
 
-def _npb_time(name: str, cls: str, nprocs: int, spec: ClusterSpec,
-              config: MpiConfig) -> float:
-    res = run_job(spec, nprocs, KERNELS[name](cls), config)
+@lru_cache(maxsize=len(MODES) * len(CLAN_NPB_COMBOS)
+           + len(BVIA_MODES) * len(BVIA_NPB_COMBOS))
+def npb_time_us(name: str, cls: str, nprocs: int, fabric: str,
+                mode: str) -> float:
+    """Simulated CPU time of one NPB cell on ``fabric`` ("clan" or "bvia").
+
+    Figures 6 and 7 and Table 3 report the same runs, so a process
+    simulates each cell once."""
+    spec = clan_spec() if fabric == "clan" else bvia_spec()
+    res = run_job(spec, nprocs, KERNELS[name](cls), _config(mode))
     first = res.returns[0]
     result = first[0] if isinstance(first, tuple) else first
     if not result.verified:
@@ -203,20 +171,17 @@ def _npb_time(name: str, cls: str, nprocs: int, spec: ClusterSpec,
     return result.time_us
 
 
-def figure6(fast: bool = True) -> Experiment:
+def figure6() -> Experiment:
     """NPB normalized CPU time on cLAN under the three modes."""
-    combos = CLAN_NPB_COMBOS_FAST if fast else CLAN_NPB_COMBOS_FULL
     exp = Experiment(
         "Figure 6", "NPB on cLAN: CPU time normalized to static-polling",
         ["static-spinwait", "on-demand", "static-polling"],
         notes=("Paper: on-demand within ~2% of static-polling (sometimes "
                "better); spinwait worst for collective-heavy codes."),
     )
-    for name, cls, nprocs in combos:
-        times = {
-            mode: _npb_time(name, cls, nprocs, clan_spec(), _config(mode))
-            for mode in MODES
-        }
+    for name, cls, nprocs in CLAN_NPB_COMBOS:
+        times = {mode: npb_time_us(name, cls, nprocs, "clan", mode)
+                 for mode in MODES}
         base = times["static-polling"]
         exp.add(
             f"{name.upper()}.{cls}.{nprocs}",
@@ -229,31 +194,16 @@ def figure6(fast: bool = True) -> Experiment:
     return exp
 
 
-# --------------------------------------------------------------- Figure 7 --
-BVIA_NPB_COMBOS_FULL = [
-    ("is", "A", 8), ("is", "B", 8), ("cg", "A", 8), ("cg", "B", 8),
-    ("ep", "A", 8),
-    ("cg", "A", 4), ("is", "A", 4), ("bt", "A", 4), ("sp", "A", 4),
-]
-BVIA_NPB_COMBOS_FAST = [
-    ("is", "A", 8), ("cg", "W", 8), ("ep", "A", 8),
-    ("bt", "A", 4), ("sp", "A", 4),
-]
-
-
-def figure7(fast: bool = True) -> Experiment:
+def figure7() -> Experiment:
     """NPB on Berkeley VIA: on-demand vs. static polling (≤8 procs)."""
-    combos = BVIA_NPB_COMBOS_FAST if fast else BVIA_NPB_COMBOS_FULL
     exp = Experiment(
         "Figure 7", "NPB on Berkeley VIA: time normalized to static-polling",
         ["on-demand", "static-polling"],
         notes="Paper: on-demand consistently better (fewer VIs on the NIC).",
     )
-    for name, cls, nprocs in combos:
-        times = {
-            mode: _npb_time(name, cls, nprocs, bvia_spec(), _config(mode))
-            for mode in ("on-demand", "static-polling")
-        }
+    for name, cls, nprocs in BVIA_NPB_COMBOS:
+        times = {mode: npb_time_us(name, cls, nprocs, "bvia", mode)
+                 for mode in BVIA_MODES}
         base = times["static-polling"]
         exp.add(
             f"{name.upper()}.{cls}.{nprocs}",
@@ -263,10 +213,8 @@ def figure7(fast: bool = True) -> Experiment:
 
 
 # --------------------------------------------------------------- Figure 8 --
-def figure8(fast: bool = True) -> Experiment:
+def figure8() -> Experiment:
     """MPI_Init time vs. process count, per connection manager."""
-    clan_procs = [2, 4, 8, 16] if fast else [2, 4, 8, 16, 24, 32]
-    bvia_procs = [2, 4, 8]
 
     def idle(mpi):
         yield from mpi.compute(0.0)
@@ -278,14 +226,14 @@ def figure8(fast: bool = True) -> Experiment:
         notes=("Paper: serialized client/server ≫ static peer-to-peer ≫ "
                "on-demand (which creates nothing at init)."),
     )
-    for n in clan_procs:
+    for n in (2, 4, 8, 16):
         row = {"nprocs": n}
         for label, conn in (("client-server", "static-cs"),
                             ("peer-to-peer", "static-p2p"),
                             ("on-demand", "ondemand")):
             res = run_job(clan_spec(), n, idle, MpiConfig(connection=conn))
             row[f"clan/{label}"] = res.avg_init_time_us
-        if n in bvia_procs:
+        if n in (2, 4, 8):
             for label, conn in (("peer-to-peer", "static-p2p"),
                                 ("on-demand", "ondemand")):
                 res = run_job(bvia_spec(), n, idle, MpiConfig(connection=conn))

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
+import math
 
 from repro.apps import micro
 from repro.apps.npb import KERNELS
 from repro.apps.patterns import PATTERNS
 from repro.bench.figures import (
-    BVIA_NPB_COMBOS_FAST,
-    BVIA_NPB_COMBOS_FULL,
-    CLAN_NPB_COMBOS_FAST,
-    CLAN_NPB_COMBOS_FULL,
+    BVIA_MODES,
+    BVIA_NPB_COMBOS,
+    CLAN_NPB_COMBOS,
     MODES,
-    _config,
-    _npb_time,
-    bvia_spec,
-    clan_spec,
+    npb_time_us,
 )
 from repro.bench.report import Experiment
 from repro.cluster import ClusterSpec, run_job
@@ -29,35 +26,19 @@ TABLE1_PAPER_64 = {
 }
 
 
-def table1(fast: bool = True, large: bool = False) -> Experiment:
-    """Average distinct destinations per process (paper Table 1).
-
-    ``large=True`` additionally measures a 256-process point (the paper
-    quotes bounds for 1024; a pure-Python DES makes 1024-process SMG
-    runs minutes-long, so the scaling column is 256 by default)."""
+def table1() -> Experiment:
+    """Average distinct destinations per process (paper Table 1)."""
     exp = Experiment(
         "Table 1", "Average distinct destinations per process",
-        ["measured@64", "paper@64"] + (["measured@256"] if large else []),
+        ["measured@64", "paper@64"],
         notes="Pattern generators per the published characterizations.",
     )
     spec64 = ClusterSpec(nodes=16, ppn=4)
-    spec256 = ClusterSpec(nodes=64, ppn=4)
-    for name, make in PATTERNS.items():
-        res = run_job(spec64, 64, make(), MpiConfig())
-        row = {"measured@64": res.resources.avg_distinct_destinations,
-               "paper@64": TABLE1_PAPER_64[name]}
-        if large:
-            res256 = run_job(spec256, 256, make(), MpiConfig())
-            row["measured@256"] = res256.resources.avg_distinct_destinations
-        exp.add(name, **row)
     # CG appears in Table 1 too (its NPB pattern)
-    res = run_job(spec64, 64, KERNELS["cg"]("S"), MpiConfig())
-    row = {"measured@64": res.resources.avg_distinct_destinations,
-           "paper@64": TABLE1_PAPER_64["CG"]}
-    if large:
-        res256 = run_job(spec256, 256, KERNELS["cg"]("B"), MpiConfig())
-        row["measured@256"] = res256.resources.avg_distinct_destinations
-    exp.add("CG", **row)
+    for name, make in {**PATTERNS, "CG": lambda: KERNELS["cg"]("S")}.items():
+        res = run_job(spec64, 64, make(), MpiConfig())
+        exp.add(name, **{"measured@64": res.resources.avg_distinct_destinations,
+                         "paper@64": TABLE1_PAPER_64[name]})
     return exp
 
 
@@ -79,25 +60,20 @@ TABLE2_PAPER = {
 }
 
 
-def _table2_workloads(fast: bool):
-    cls = "S" if fast else "A"
-    return {
-        "Ring": lambda: micro.ring(),
-        "Barrier": lambda: micro.barrier_latency(iterations=20),
-        "Allreduce": lambda: micro.allreduce_latency(iterations=10),
-        "Alltoall": lambda: micro.alltoall_loop(iterations=5),
-        "Allgather": lambda: micro.allgather_loop(iterations=10),
-        "Bcast": lambda: micro.bcast_loop(iterations=20),
-        "CG": lambda: KERNELS["cg"](cls),
-        "MG": lambda: KERNELS["mg"](cls),
-        "IS": lambda: KERNELS["is"](cls),
-        "SP": lambda: KERNELS["sp"](cls),
-        "BT": lambda: KERNELS["bt"](cls),
-        "EP": lambda: KERNELS["ep"](cls),
-    }
+#: Table 2's rows: workload -> program factory
+TABLE2_WORKLOADS = {
+    "Ring": lambda: micro.ring(),
+    "Barrier": lambda: micro.barrier_latency(iterations=20),
+    "Allreduce": lambda: micro.allreduce_latency(iterations=10),
+    "Alltoall": lambda: micro.alltoall_loop(iterations=5),
+    "Allgather": lambda: micro.allgather_loop(iterations=10),
+    "Bcast": lambda: micro.bcast_loop(iterations=20),
+    **{name.upper(): (lambda name=name: KERNELS[name]("S"))
+       for name in ("cg", "mg", "is", "sp", "bt", "ep")},
+}
 
 
-def table2(fast: bool = True) -> Experiment:
+def table2() -> Experiment:
     """Average VIs per process and resource utilization (paper Table 2)."""
     exp = Experiment(
         "Table 2", "Average VIs per process & utilization",
@@ -106,8 +82,7 @@ def table2(fast: bool = True) -> Experiment:
         notes=("SP/BT run at 16 and 36 (square counts); everything else "
                "at 16 and 32, like the paper."),
     )
-    workloads = _table2_workloads(fast)
-    for name, make in workloads.items():
+    for name, make in TABLE2_WORKLOADS.items():
         sizes = (16, 36) if name in ("SP", "BT") else (16, 32)
         for nprocs in sizes:
             spec = ClusterSpec(nodes=9 if nprocs == 36 else 8,
@@ -125,18 +100,17 @@ def table2(fast: bool = True) -> Experiment:
     return exp
 
 
-def table2_memory(nprocs: int = 1024) -> Experiment:
+def table2_memory() -> Experiment:
     """The §1 pinned-memory argument: unused pre-posted buffers under the
     static mechanism for a CG-patterned job (the paper's "119 GB at
     1024 nodes" computation, done from a measured CG connection set)."""
     # measure CG's used-connection count at a feasible scale, then apply
     # the paper's own extrapolation (used connections stay ~log-scale)
+    nprocs = 1024
     spec = ClusterSpec(nodes=32, ppn=4)
     res = run_job(spec, 128, KERNELS["cg"]("B"), MpiConfig())
     used = res.resources.avg_vis_used
     per_vi = res.resources.per_process[0].pinned_per_vi_bytes
-    import math
-
     used_at_n = used + math.log2(nprocs / 128)  # log-scale growth
     unused_bytes = (nprocs - 1 - used_at_n) * per_vi * nprocs
     exp = Experiment(
@@ -176,12 +150,13 @@ TABLE3_PAPER_BVIA = {
 }
 
 
-def table3(fast: bool = True) -> Experiment:
+def table3() -> Experiment:
     """Actual NPB CPU times (paper Table 3).
 
     Our absolute times are simulated µs on scaled problem classes, so
     only relative comparisons (mode vs. mode per row) are meaningful;
-    the paper's seconds are shown as the ratio reference.
+    the paper's seconds are shown as the ratio reference.  The cells are
+    those of Figures 6 and 7, read from the same runs.
     """
     exp = Experiment(
         "Table 3", "NPB CPU time (simulated ms) per completion/conn mode",
@@ -189,42 +164,30 @@ def table3(fast: bool = True) -> Experiment:
          "od/poll", "paper od/poll"],
         notes="cLAN rows then Berkeley VIA rows (spinwait n/a on BVIA).",
     )
-    combos = CLAN_NPB_COMBOS_FAST if fast else CLAN_NPB_COMBOS_FULL
-    for name, cls, nprocs in combos:
-        times = {mode: _npb_time(name, cls, nprocs, clan_spec(), _config(mode))
-                 for mode in MODES}
-        key = f"{name.upper()}.{cls}.{nprocs}"
-        paper = TABLE3_PAPER_CLAN.get(key)
-        paper_ratio = paper[1] / paper[2] if paper else None
-        exp.add(
-            f"clan {key}",
-            spinwait_ms=times["static-spinwait"] / 1e3,
-            ondemand_ms=times["on-demand"] / 1e3,
-            polling_ms=times["static-polling"] / 1e3,
-            **{"od/poll": times["on-demand"] / times["static-polling"],
-               "paper od/poll": paper_ratio},
-        )
-    bcombos = BVIA_NPB_COMBOS_FAST if fast else BVIA_NPB_COMBOS_FULL
-    for name, cls, nprocs in bcombos:
-        times = {mode: _npb_time(name, cls, nprocs, bvia_spec(), _config(mode))
-                 for mode in ("on-demand", "static-polling")}
-        key = f"{name.upper()}.{cls}.{nprocs}"
-        paper = TABLE3_PAPER_BVIA.get(key)
-        paper_ratio = paper[0] / paper[1] if paper else None
-        exp.add(
-            f"bvia {key}",
-            spinwait_ms=None,
-            ondemand_ms=times["on-demand"] / 1e3,
-            polling_ms=times["static-polling"] / 1e3,
-            **{"od/poll": times["on-demand"] / times["static-polling"],
-               "paper od/poll": paper_ratio},
-        )
+    for fabric, combos, modes, paper_times in (
+            ("clan", CLAN_NPB_COMBOS, MODES, TABLE3_PAPER_CLAN),
+            ("bvia", BVIA_NPB_COMBOS, BVIA_MODES, TABLE3_PAPER_BVIA)):
+        for name, cls, nprocs in combos:
+            times = {mode: npb_time_us(name, cls, nprocs, fabric, mode)
+                     for mode in modes}
+            key = f"{name.upper()}.{cls}.{nprocs}"
+            # the paper's last two columns are on-demand, then polling
+            paper = paper_times.get(key)
+            spin = times.get("static-spinwait")
+            exp.add(
+                f"{fabric} {key}",
+                spinwait_ms=None if spin is None else spin / 1e3,
+                ondemand_ms=times["on-demand"] / 1e3,
+                polling_ms=times["static-polling"] / 1e3,
+                **{"od/poll": times["on-demand"] / times["static-polling"],
+                   "paper od/poll": paper[-2] / paper[-1] if paper else None},
+            )
     return exp
 
 
 ALL_TABLES = {
     "table1": table1,
     "table2": table2,
-    "table2mem": lambda fast=True: table2_memory(),
+    "table2mem": table2_memory,
     "table3": table3,
 }

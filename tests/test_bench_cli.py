@@ -60,7 +60,7 @@ SCENARIOS: Dict[str, List[List[str]]] = {
     "sweep": [SWEEP_CI, SWEEP_CI],
     "cluster": [CLUSTER_CI + ["--workers", "3"], CLUSTER_CI],
     "golden": [["golden", "--check"]],
-    "chaos": [["chaos", "--smoke"]],
+    "chaos": [["chaos"]],
 }
 
 WALL = re.compile(r"\[[^\]\n]*\bwall\b[^\]\n]*\]")

@@ -64,3 +64,93 @@ class TestRunnerRegistry:
         assert main(["fig1"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out and "took" in out
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """Every experiment replaced by a stub that records its id."""
+    from repro.bench import cli
+
+    ran = []
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, name,
+            lambda name=name, **_: ran.append(name) or Experiment(name, "", []))
+    return ran
+
+
+def _paper_and_ablations():
+    from repro.bench.ablations import ALL_ABLATIONS
+    from repro.bench.cli import EXPERIMENTS
+
+    return (sorted(set(EXPERIMENTS) - set(ALL_ABLATIONS)),
+            sorted(ALL_ABLATIONS))
+
+
+class TestCliExperimentList:
+    def test_a_group_after_an_id_keeps_the_id(self, ran, capsys):
+        from repro.bench.cli import main
+
+        assert main(["fig1", "ablations"]) == 0
+        assert ran == ["fig1"] + _paper_and_ablations()[1]
+
+    def test_two_groups_run_both_in_order(self, ran, capsys):
+        from repro.bench.cli import main
+
+        paper, abl = _paper_and_ablations()
+        assert main(["all", "ablations"]) == 0
+        assert ran == paper + abl
+
+    def test_each_id_runs_once(self, ran, capsys):
+        from repro.bench.cli import main
+
+        paper, _ = _paper_and_ablations()
+        assert main(["table3", "all", "fig6"]) == 0
+        assert ran == ["table3"] + [n for n in paper if n != "table3"]
+
+
+class TestOneSimulationPerNpbCell:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The bench modules' ``run_job`` counts its calls and simulates
+        nothing; the NPB memo starts and ends empty, so no fake time
+        outlives the test."""
+        from types import SimpleNamespace
+
+        from repro.bench import ablations, chaos, figures, tables
+
+        calls = []
+
+        def fake_run_job(spec, nprocs, program, config, **kwargs):
+            calls.append(nprocs)
+            return SimpleNamespace(
+                returns=[SimpleNamespace(verified=True, time_us=1e3)])
+
+        for module in (figures, tables, ablations, chaos):
+            monkeypatch.setattr(module, "run_job", fake_run_job)
+        figures.npb_time_us.cache_clear()
+        yield calls
+        figures.npb_time_us.cache_clear()
+
+    def test_table3_reads_the_figures_runs(self, calls, capsys):
+        from repro.bench import figures
+        from repro.bench.cli import main
+
+        assert main(["fig6", "fig7"]) == 0
+        figures_only = len(calls)
+        assert figures_only == 8 * 3 + 5 * 2  # cLAN cells x 3 modes, BVIA x 2
+        figures.npb_time_us.cache_clear()
+        calls.clear()
+        assert main(["fig6", "fig7", "table3"]) == 0
+        assert len(calls) == figures_only
+
+    @pytest.mark.parametrize("argv", [["all", "--full"], ["all", "--large"],
+                                      ["chaos", "--smoke"],
+                                      ["chaos", "--full"]])
+    def test_the_scaled_paper_duality_is_gone(self, calls, argv, capsys):
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert not calls
