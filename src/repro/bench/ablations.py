@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.apps import micro
 from repro.apps.npb import KERNELS
-from repro.bench.report import Experiment
+from repro.bench.report import Claims, Experiment, Record
 from repro.cluster import ClusterSpec, run_job
 from repro.mpi import MpiConfig
 from repro.via.profiles import CLAN
@@ -48,6 +48,12 @@ def ablation_threshold() -> Experiment:
         row = {f"{s}B": bw for (s, bw) in res.returns[0]}
         exp.add(f"T={threshold}", threshold=threshold, **row)
     return exp
+
+
+def _threshold_shape(claim: Claims) -> None:
+    claim(claim.exp.row("T=5000").get("4096B")
+          > claim.exp.row("T=2000").get("4096B"), "T=5000",
+          "a 4 KiB message does better eager than forced through rendezvous")
 
 
 def ablation_credits() -> Experiment:
@@ -83,6 +89,13 @@ def ablation_credits() -> Experiment:
     return exp
 
 
+def _credits_shape(claim: Claims) -> None:
+    times = claim.by("credits", "time_us")
+    pinned = claim.by("credits", "pinned_per_vi_kB")
+    claim(times[2] > times[15], "C=2", "starved flow control throttles the stream")
+    claim(pinned[15] > pinned[2], "C=15", "memory grows with the credit count")
+
+
 def ablation_rndv_window() -> Experiment:
     """Large-message bandwidth vs. outstanding-rendezvous window."""
     exp = Experiment(
@@ -97,6 +110,11 @@ def ablation_rndv_window() -> Experiment:
                       MpiConfig(rndv_window=window))
         exp.add(f"W={window}", window=window, bandwidth=res.returns[0][0][1])
     return exp
+
+
+def _rndv_window_shape(claim: Claims) -> None:
+    bw = claim.by("window", "bandwidth")
+    claim(bw[4] > bw[1], "W=4", "pipelined rendezvous beats serialized handshakes")
 
 
 def ablation_spincount() -> Experiment:
@@ -120,6 +138,17 @@ def ablation_spincount() -> Experiment:
                 spinwait_us=res.returns[0], polling_us=polling.returns[0],
                 blocking_waits=blocks)
     return exp
+
+
+def _spincount_shape(claim: Claims) -> None:
+    spin = claim.by("spincount", "spinwait_us")
+    blocks = claim.by("spincount", "blocking_waits")
+    polling = claim.exp.rows[0].get("polling_us")
+    claim(spin[20] > 2.0 * polling, "S=20",
+          "a short spin window blows the barrier up (> 2x polling)")
+    claim(abs(spin[400] - polling) / polling < 0.05, "S=400",
+          "a long spin window converges to polling (5 %)")
+    claim(blocks[20] > blocks[400], "S=20", "a short spin window blocks more")
 
 
 def ablation_dynamic() -> Experiment:
@@ -146,6 +175,14 @@ def ablation_dynamic() -> Experiment:
     return exp
 
 
+def _dynamic_shape(claim: Claims) -> None:
+    static, small = claim.exp.row("static window"), claim.exp.row("I=2")
+    claim(small.get("pinned_MB") < 0.7 * static.get("pinned_MB"), "I=2",
+          "a small initial window pins much less memory (< 70 %)")
+    claim(small.get("time_ms") < 1.3 * static.get("time_ms"), "I=2",
+          "for a modest slowdown while the window ramps (< 130 %)")
+
+
 def ablation_placement() -> Experiment:
     """Block vs. cyclic rank placement for CG (loopback locality)."""
     exp = Experiment(
@@ -163,11 +200,17 @@ def ablation_placement() -> Experiment:
     return exp
 
 
+def _placement_shape(claim: Claims) -> None:
+    times = claim.exp.column("time_ms")
+    claim(max(times) < 2.0 * min(times), "every row",
+          "both placements land in the same ballpark (< 2x)")
+
+
 ALL_ABLATIONS = {
-    "abl-threshold": ablation_threshold,
-    "abl-credits": ablation_credits,
-    "abl-rndv": ablation_rndv_window,
-    "abl-spin": ablation_spincount,
-    "abl-dynamic": ablation_dynamic,
-    "abl-placement": ablation_placement,
+    "abl-threshold": Record(ablation_threshold, _threshold_shape),
+    "abl-credits": Record(ablation_credits, _credits_shape),
+    "abl-rndv": Record(ablation_rndv_window, _rndv_window_shape),
+    "abl-spin": Record(ablation_spincount, _spincount_shape),
+    "abl-dynamic": Record(ablation_dynamic, _dynamic_shape),
+    "abl-placement": Record(ablation_placement, _placement_shape),
 }

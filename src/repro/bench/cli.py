@@ -17,6 +17,7 @@ from repro.bench.clock import now_s
 from repro.bench.figures import ALL_FIGURES
 from repro.bench.tables import ALL_TABLES
 
+#: experiment id -> its :class:`~repro.bench.report.Record`
 EXPERIMENTS = {**ALL_FIGURES, **ALL_TABLES, **ALL_ABLATIONS}
 #: the words that stand for a list of experiment ids; 'all' covers the
 #: paper's tables and figures, ablations are opt-in
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
 
     for name in names:
         start = now_s()
-        exp = EXPERIMENTS[name]()
+        exp = EXPERIMENTS[name].run()
         print(exp.render())
         print(f"[{name} took {now_s() - start:.1f}s wall]\n")
     return 0

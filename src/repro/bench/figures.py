@@ -10,9 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List
 
+import numpy as np
+
 from repro.apps import micro
 from repro.apps.npb import KERNELS
-from repro.bench.report import Experiment
+from repro.bench.report import Claims, Experiment, Record
 from repro.cluster import ClusterSpec, run_job
 from repro.mpi import MpiConfig
 from repro.via.profiles import BERKELEY, CLAN
@@ -65,6 +67,23 @@ def figure1() -> Experiment:
     return exp
 
 
+def _figure1_shape(claim: Claims) -> None:
+    rows = claim.exp.rows
+    vis = claim.exp.column("active_vis")
+    bvia = claim.exp.column("bvia_latency_us")
+    clan = claim.exp.column("clan_latency_us")
+    for prev, row in zip(rows, rows[1:]):
+        claim(row.get("bvia_latency_us") > prev.get("bvia_latency_us"),
+              row.label, "BVIA latency grows with the VI count")
+    claim(np.corrcoef(vis, bvia)[0, 1] > 0.99, "every row",
+          "BVIA latency is linear in the VI count (correlation > 0.99)")
+    claim(max(clan) - min(clan) < 0.5, "every row",
+          "the hardware-VIA cLAN datapath is flat (spread < 0.5 µs)")
+    slope = (bvia[-1] - bvia[0]) / (vis[-1] - vis[0])
+    claim(abs(slope - 2 * BERKELEY.nic_per_vi_us) < 0.5, "first to last row",
+          "the slope is the profile's per-VI doorbell scan on both NICs")
+
+
 # ----------------------------------------------------------- Figures 2, 3 --
 def _size_figure(exp_id: str, title: str, notes: str, sizes: List[int],
                  program) -> Experiment:
@@ -95,6 +114,24 @@ def figure2() -> Experiment:
     )
 
 
+def _figure2_shape(claim: Claims) -> None:
+    rows = claim.exp.rows
+    poll = "clan/static-polling"
+    for row in rows:
+        for mode in ("static-spinwait", "on-demand"):
+            claim(np.isclose(row.get(poll), row.get(f"clan/{mode}"), rtol=0.02),
+                  row.label, f"cLAN {mode} coincides with static-polling (2 %)")
+        bvia = row.get("bvia/static-polling")
+        claim(bvia > row.get(poll), row.label, "BVIA is slower than cLAN")
+        claim(np.isclose(bvia, row.get("bvia/on-demand"), rtol=0.02), row.label,
+              "BVIA on-demand coincides with static-polling (2 %)")
+    for prev, row in zip(rows, rows[1:]):
+        claim(row.get(poll) > prev.get(poll), row.label,
+              "latency grows with size")
+    claim(5.0 < rows[0].get(poll) < 20.0, rows[0].label,
+          "cLAN small-message latency is 5-20 µs")
+
+
 def figure3() -> Experiment:
     """Bandwidth vs. size; the eager→rendezvous dip at 5000 bytes."""
     sizes = [1024, 4096, 4999, 5002, 16384, 65536]
@@ -104,6 +141,24 @@ def figure3() -> Experiment:
          "threshold; all modes coincide per fabric."),
         sizes, micro.bandwidth(sizes, iterations=3),
     )
+
+
+def _figure3_shape(claim: Claims) -> None:
+    clan = claim.by("size", "clan/static-polling")
+    clan_od = claim.by("size", "clan/on-demand")
+    bvia = claim.by("size", "bvia/static-polling")
+    claim(clan[4096] > clan[1024], "4096B",
+          "bandwidth grows through the eager range")
+    for fabric, bw in (("cLAN", clan), ("BVIA", bvia)):
+        claim(bw[5002] < bw[4999], "5002B",
+              f"{fabric} dips at the 5000-byte eager/rendezvous switch")
+    claim(clan[65536] > clan[5002], "65536B", "rendezvous recovers past the dip")
+    for size, bw in clan.items():
+        claim(abs(clan_od[size] - bw) / bw < 0.02, f"{size}B",
+              "cLAN on-demand equals static once connected (2 %)")
+    claim(90.0 < clan[65536] < 125.0, "65536B",
+          "cLAN peaks near its ~110 MB/s hardware envelope")
+    claim(bvia[65536] < clan[65536], "65536B", "BVIA peaks lower than cLAN")
 
 
 # ----------------------------------------------------------- Figures 4, 5 --
@@ -127,16 +182,59 @@ def _collective_figure(exp_id: str, title: str, program) -> Experiment:
     return exp
 
 
+def _collective_shape(claim: Claims) -> Dict[str, Dict[int, float]]:
+    """The claims Figures 4 and 5 share; returns each curve by nprocs."""
+    curve = {name: claim.by("nprocs", name) for name in CURVES}
+    poll = curve["clan/static-polling"]
+    for n, t in poll.items():
+        claim(abs(curve["clan/on-demand"][n] - t) / t < 0.03, f"P={n}",
+              "cLAN on-demand equals static-polling (3 %)")
+    claim(curve["clan/static-spinwait"][16] > 2.0 * poll[16], "P=16",
+          "spinwait blows up at scale (> 2x static-polling)")
+    claim(curve["bvia/on-demand"][8] < curve["bvia/static-polling"][8], "P=8",
+          "BVIA on-demand beats static (fewer VIs to scan)")
+    return curve
+
+
+#: the paper's 8-node Berkeley VIA barrier (µs) per curve, and the band
+#: Figure 4's P=8 cell must land in: (paper, low, high)
+BVIA_BARRIER_8_PAPER = {"static-polling": (196.0, 150.0, 240.0),
+                        "on-demand": (161.0, 120.0, 200.0)}
+
+
 def figure4() -> Experiment:
     """Barrier latency vs. process count."""
     return _collective_figure("Figure 4", "MPI_Barrier latency (µs)",
                               micro.barrier_latency(iterations=50))
 
 
+def _figure4_shape(claim: Claims) -> None:
+    curve = _collective_shape(claim)
+    poll, spin = curve["clan/static-polling"], curve["clan/static-spinwait"]
+    claim(poll[16] > poll[8] > poll[4] > poll[2], "P=2, 4, 8, 16",
+          "barrier latency grows with P")
+    claim(poll[3] > poll[4], "P=3", "a non-power of two costs extra")
+    claim(poll[6] > poll[8], "P=6", "a non-power of two costs extra")
+    for n, t in poll.items():
+        claim(spin[n] >= t * 0.99, f"P={n}", "spinwait never beats polling")
+    for mode, (paper_us, low, high) in claim.paper.items():
+        claim(low < curve[f"bvia/{mode}"][8] < high, "P=8",
+              f"BVIA {mode} lands near the paper's {paper_us:g} µs")
+
+
 def figure5() -> Experiment:
     """Allreduce (MPI_SUM) latency vs. process count (llcbench style)."""
     return _collective_figure("Figure 5", "MPI_Allreduce latency (µs)",
                               micro.allreduce_latency(iterations=20))
+
+
+def _figure5_shape(claim: Claims) -> None:
+    poll = _collective_shape(claim)["clan/static-polling"]
+    claim(poll[16] > poll[4] > poll[2], "P=2, 4, 16",
+          "allreduce latency grows with P")
+    barrier = claim.seen["fig4"].row("P=16").get("clan/static-polling")
+    claim(poll[16] > barrier, "P=16",
+          "allreduce costs more than Figure 4's barrier (it moves data)")
 
 
 # ----------------------------------------------------------- Figures 6, 7 --
@@ -194,6 +292,20 @@ def figure6() -> Experiment:
     return exp
 
 
+def _figure6_shape(claim: Claims) -> None:
+    worst: Dict[str, float] = {}
+    for row in claim.exp.rows:
+        spin = row.get("static-spinwait")
+        claim(0.95 < row.get("on-demand") < 1.05, row.label,
+              "on-demand within 5 % of static-polling")
+        claim(spin >= 0.99, row.label, "spinwait never beats polling")
+        name = row.label.split(".")[0]
+        worst[name] = max(worst.get(name, spin), spin)
+    claim(max(worst["CG"], worst["MG"]) > max(worst["SP"], worst["BT"]),
+          "CG, MG vs. SP, BT",
+          "spinwait hurts the collective-heavy codes more than the sweeps")
+
+
 def figure7() -> Experiment:
     """NPB on Berkeley VIA: on-demand vs. static polling (≤8 procs)."""
     exp = Experiment(
@@ -210,6 +322,16 @@ def figure7() -> Experiment:
             **{"on-demand": times["on-demand"] / base, "static-polling": 1.0},
         )
     return exp
+
+
+def _figure7_shape(claim: Claims) -> None:
+    for row in claim.exp.rows:
+        claim(row.get("on-demand") <= 1.01, row.label,
+              "on-demand never loses on BVIA (1 %)")
+    cg8 = next(row for row in claim.exp.rows
+               if row.label.startswith("CG") and row.label.endswith(".8"))
+    claim(cg8.get("on-demand") < 0.97, cg8.label,
+          "on-demand wins visibly where static opens many unused VIs")
 
 
 # --------------------------------------------------------------- Figure 8 --
@@ -242,13 +364,28 @@ def figure8() -> Experiment:
     return exp
 
 
+def _figure8_shape(claim: Claims) -> None:
+    cs, p2p, od = (claim.by("nprocs", f"clan/{label}") for label in
+                   ("client-server", "peer-to-peer", "on-demand"))
+    for n in (4, 8, 16):
+        claim(cs[n] > p2p[n] > od[n], f"P={n}",
+              "client-server > peer-to-peer > on-demand")
+        claim(od[n] < 10.0, f"P={n}", "on-demand creates nothing at init")
+    claim(cs[16] / cs[4] > 16 / 4, "P=16",
+          "the serialized client/server dialog grows superlinearly")
+    claim(p2p[16] > p2p[8] > p2p[4], "P=4, 8, 16", "peer-to-peer grows with P")
+    claim(claim.by("nprocs", "bvia/peer-to-peer")[8]
+          > claim.by("nprocs", "bvia/on-demand")[8], "P=8",
+          "BVIA shows the same static vs. on-demand gap")
+
+
 ALL_FIGURES = {
-    "fig1": figure1,
-    "fig2": figure2,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
+    "fig1": Record(figure1, _figure1_shape),
+    "fig2": Record(figure2, _figure2_shape),
+    "fig3": Record(figure3, _figure3_shape),
+    "fig4": Record(figure4, _figure4_shape, paper=BVIA_BARRIER_8_PAPER),
+    "fig5": Record(figure5, _figure5_shape),
+    "fig6": Record(figure6, _figure6_shape),
+    "fig7": Record(figure7, _figure7_shape),
+    "fig8": Record(figure8, _figure8_shape),
 }

@@ -1,9 +1,9 @@
-"""Experiment result containers and text rendering."""
+"""Experiment result containers, text rendering and paper records."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Mapping
 
 
 @dataclass
@@ -66,3 +66,41 @@ class Experiment:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+class ShapeError(AssertionError):
+    """An experiment's rows break one of the paper's shape claims."""
+
+
+@dataclass(frozen=True)
+class Claims:
+    """What a shape predicate reads: the experiment, the paper values its
+    record quotes and, for claims across experiments, every experiment
+    the same run produced (by id).  Calling it states one claim."""
+
+    exp: Experiment
+    paper: Any
+    seen: Mapping[str, Experiment]
+
+    def __call__(self, ok: Any, row: str, claim: str) -> None:
+        # a raise, not an assert: ``python -O`` keeps it
+        if not ok:
+            raise ShapeError(f"{self.exp.exp_id}, {row}: {claim}")
+
+    def by(self, key: str, column: str) -> Dict[Any, Any]:
+        """``column`` keyed by the ``key`` column, e.g. latency by nprocs."""
+        return dict(zip(self.exp.column(key), self.exp.column(column)))
+
+
+@dataclass(frozen=True)
+class Record:
+    """One experiment of the paper's evaluation: its runner, the paper
+    values it quotes and the shape predicate its rows must satisfy."""
+
+    run: Callable[[], Experiment]
+    #: raises :class:`ShapeError` on the first claim the rows break
+    shape: Callable[[Claims], None]
+    paper: Any = None
+
+    def check(self, exp: Experiment, seen: Mapping[str, Experiment]) -> None:
+        self.shape(Claims(exp, self.paper, seen))

@@ -17,7 +17,7 @@ of a declared size between ports.  All VIA semantics (descriptors,
 doorbells, connections) live in :mod:`repro.via`.
 """
 
-from repro.fabric.link import LinkParams, Port, conservative_lookahead_us
+from repro.fabric.link import LinkParams, Port
 from repro.fabric.packet import Packet
 from repro.fabric.network import Network
 
@@ -26,5 +26,4 @@ __all__ = [
     "Port",
     "Packet",
     "Network",
-    "conservative_lookahead_us",
 ]

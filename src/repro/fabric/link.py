@@ -44,21 +44,6 @@ class LinkParams:
         return self.per_packet_overhead_us + wire_bytes / self.bandwidth_bytes_per_us
 
 
-def conservative_lookahead_us(params: LinkParams) -> float:
-    """Lower bound on the delay of any cross-node fabric event.
-
-    Derivation: a remote delivery lands when the receiver's ingress is
-    done with a packet whose first byte arrives at ``egress_done + hop``,
-    where ``egress_done >= now + tx_time(bytes)`` (egress occupancy starts
-    no earlier than now), ``hop = wire_latency_us`` for any remote
-    transfer, and ingress occupancy only pushes the time later — so
-    every cross-node event lands at least ``wire_latency_us`` after the
-    instant that created it.  Chaos verdicts only ever add delay; drops
-    stay on the sender's node.
-    """
-    return params.wire_latency_us
-
-
 class Port:
     """A full-duplex NIC port belonging to one node.
 

@@ -36,7 +36,7 @@ from repro.telemetry.export import (
     jsonl_lines,
     summary_experiment,
 )
-from repro.telemetry.flow import build_flow_index, flow_links, flow_of
+from repro.telemetry.flow import build_flow_index, flow_of
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_EDGES_US,
     Counter,
@@ -63,7 +63,6 @@ __all__ = [
     "export_chrome_trace",
     "summary_experiment",
     "build_flow_index",
-    "flow_links",
     "flow_of",
     "analyze_critical_path",
     "CritPathReport",

@@ -67,15 +67,3 @@ def build_flow_index(tel: Telemetry) -> Dict[int, List[FlowRecord]]:
     for records in index.values():
         records.sort(key=lambda r: (record_time(r), r.seq))
     return index
-
-
-def flow_links(tel: Telemetry) -> Dict[int, List[int]]:
-    """Per flow, the ``seq`` chain of its records (export/debug helper).
-
-    The adjacency (consecutive pairs) is exactly what the Chrome export
-    binds together with Perfetto flow arrows via ``bind_id``.
-    """
-    return {
-        fid: [r.seq for r in records]
-        for fid, records in sorted(build_flow_index(tel).items())
-    }

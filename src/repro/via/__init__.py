@@ -28,7 +28,6 @@ per simulated process, whose method names shadow the VIP API
 """
 
 from repro.via.constants import (
-    ConnectionModel,
     DescriptorOp,
     DescriptorStatus,
     ViState,
@@ -45,7 +44,6 @@ from repro.via.agent import ConnectionAgent
 from repro.via.provider import ViaProvider
 
 __all__ = [
-    "ConnectionModel",
     "DescriptorOp",
     "DescriptorStatus",
     "ViState",

@@ -33,13 +33,6 @@ class DescriptorStatus(enum.Enum):
     FLUSHED = "flushed"
 
 
-class ConnectionModel(enum.Enum):
-    """The two VIA connection-establishment models (paper §3.2)."""
-
-    CLIENT_SERVER = "client-server"
-    PEER_TO_PEER = "peer-to-peer"
-
-
 class ViaError(RuntimeError):
     """Base class for VIA provider errors."""
 

@@ -68,14 +68,16 @@ class TestRunnerRegistry:
 
 @pytest.fixture
 def ran(monkeypatch):
-    """Every experiment replaced by a stub that records its id."""
+    """Every experiment's runner replaced by a stub that records its id."""
+    from dataclasses import replace
+
     from repro.bench import cli
 
     ran = []
-    for name in cli.EXPERIMENTS:
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, name,
-            lambda name=name, **_: ran.append(name) or Experiment(name, "", []))
+    for name, record in cli.EXPERIMENTS.items():
+        monkeypatch.setitem(cli.EXPERIMENTS, name, replace(
+            record,
+            run=lambda name=name: ran.append(name) or Experiment(name, "", [])))
     return ran
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.apps.npb import KERNELS
 from repro.chaos import FaultInjector, FaultPlan
 from repro.cluster import ClusterSpec, run_job
-from repro.fabric import LinkParams, Network, Packet, conservative_lookahead_us
+from repro.fabric import LinkParams, Network, Packet
 from repro.mpi import MpiConfig
 from repro.sim import Engine
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -172,9 +172,10 @@ def _hop_durations(tel):
 
 
 class TestLookaheadBound:
-    """No cross-node delivery lands sooner than
-    ``conservative_lookahead_us`` after the send that caused it — the
-    window any process-parallel engine would synchronize on."""
+    """No cross-node delivery lands sooner than ``wire_latency_us`` after
+    the send that caused it: egress starts no earlier than the send, the
+    hop adds the wire latency, and ingress occupancy and chaos verdicts
+    only add delay."""
 
     def test_random_traffic_under_every_chaos_verdict(self):
         eng = Engine()
@@ -197,7 +198,7 @@ class TestLookaheadBound:
         assert min(stats.dropped, stats.duplicated,
                    stats.reordered, stats.spiked) > 0
         remote, loopback = _hop_durations(net.telemetry)
-        bound = conservative_lookahead_us(net.params)
+        bound = net.params.wire_latency_us
         # the bound holds and is not vacuous: small uncontended
         # packets land within a factor of two of it
         assert len(remote) > 200 and bound <= min(remote) < 2 * bound
@@ -214,4 +215,4 @@ class TestLookaheadBound:
                       telemetry=TelemetryConfig(), fault_plan=plan)
         remote, loopback = _hop_durations(res.telemetry)
         assert len(remote) > 1000 and loopback
-        assert min(remote) >= conservative_lookahead_us(spec.profile.link)
+        assert min(remote) >= spec.profile.link.wire_latency_us

@@ -27,10 +27,10 @@ from repro.telemetry import (
     chrome_trace,
     export_chrome_trace,
     export_jsonl,
-    flow_links,
     flow_of,
 )
 from repro.telemetry.core import InstantRecord, SpanRecord
+from repro.telemetry.flow import record_time
 
 from tests.mpi_rig import ALL_CONNECTIONS, run
 
@@ -119,10 +119,14 @@ class TestFlowLinkage:
         assert {"mpi.rndv.cts", "mpi.rndv.fin"} <= flow_names
 
     def test_flow_links_chains_are_seq_ordered(self):
-        tel = _traced_cg().telemetry
-        links = flow_links(tel)
-        assert links
-        assert all(len(chain) >= 1 for chain in links.values())
+        # a flow reads as its causal chain: records in (time, seq) order,
+        # each record in one flow only
+        index = build_flow_index(_traced_cg().telemetry)
+        seqs = [r.seq for records in index.values() for r in records]
+        assert len(seqs) == len(set(seqs))
+        for records in index.values():
+            keys = [(record_time(r), r.seq) for r in records]
+            assert keys == sorted(keys)
 
 
 class TestDeterminismAndExport:
