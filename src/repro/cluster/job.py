@@ -28,7 +28,7 @@ from repro.memory.registry import MemoryRegistry
 from repro.metrics.chaos import ChaosReport, collect_chaos
 from repro.metrics.resources import ResourceReport, collect_resources
 from repro.mpi.adi import AbstractDevice
-from repro.mpi.communicator import Communicator
+from repro.mpi.communicator import Communicator, Group
 from repro.mpi.config import MpiConfig
 from repro.mpi.conn import make_connection_manager, runs_on
 from repro.mpi.facade import MpiProcess
@@ -236,13 +236,8 @@ def run_job(
 
     rng = RngStreams(spec.seed)
     injector = None
-    retry_rngs = None
     if chaos_active:
         injector = FaultInjector(engine, fault_plan, rng.stream("chaos.fabric"))
-        # per-rank jitter streams: drawn only on actual connect retries,
-        # deterministic per (seed, rank)
-        retry_rngs = [rng.stream(f"chaos.conn-retry.r{rank}")
-                      for rank in range(nprocs)]
     stack = build_cluster(engine, spec, telemetry=tel, injector=injector)
     network, nics = stack.network, stack.nics
 
@@ -251,8 +246,8 @@ def run_job(
         ([program_args] * nprocs if per_rank_args is None
          else per_rank_args),
         [spec.node_of(rank) for rank in range(nprocs)],
-        jitter_seed=spec.seed, snapshot_nics=nics, telemetry=tel,
-        sanitizer=san, capture=cap, retry_rngs=retry_rngs,
+        streams=rng, snapshot_nics=nics, telemetry=tel,
+        sanitizer=san, capture=cap,
     )
     engine.run()
 
@@ -377,12 +372,11 @@ def launch_ranks(
     *,
     job_id: int = 0,
     label: str = "rank",
-    jitter_seed: int,
+    streams: RngStreams,
     snapshot_nics: Optional[Sequence[Any]] = None,
     telemetry: Optional[Telemetry] = None,
     sanitizer: Optional[Sanitizer] = None,
     capture: Optional[Any] = None,
-    retry_rngs: Optional[Sequence[Any]] = None,
     on_exit: Optional[Callable[[Ranks], None]] = None,
 ) -> Ranks:
     """Build every rank's stack on ``stack`` and spawn its lifecycle.
@@ -392,10 +386,13 @@ def launch_ranks(
     the connection manager's init phase), the program, then
     ``MPI_Finalize`` (drain, finalize barrier, rank 0's resource snapshot
     over ``snapshot_nics``, teardown).  Its memory registry is labelled
-    ``f"{label}{r}"`` and its provider carries ``job_id``.  The optional
-    planes (``telemetry``, ``sanitizer``, a trace ``capture``, per-rank
-    connect ``retry_rngs``) observe every rank.  The last rank out calls
-    ``on_exit`` with the returned :class:`Ranks`.
+    ``f"{label}{r}"`` and its provider carries ``job_id``.  Per-rank
+    randomness comes from the job's ``streams``: compute jitter is
+    seeded from its master seed, connect-retry jitter from its
+    ``chaos.conn-retry.r{r}`` stream, each made at its first draw.  The
+    optional planes (``telemetry``, ``sanitizer``, a trace ``capture``)
+    observe every rank.  The last rank out calls ``on_exit`` with the
+    returned :class:`Ranks`.
     """
     nprocs = len(nodes)
     oob = OobBoard(engine, nprocs)
@@ -409,6 +406,7 @@ def launch_ranks(
     devices = ranks.devices
     facade = MpiProcess if capture is None else capture.facade
     facades: Dict[int, MpiProcess] = {}
+    world_group = Group(range(nprocs))
     for rank in range(nprocs):
         node = nodes[rank]
         registry = MemoryRegistry(
@@ -424,14 +422,12 @@ def launch_ranks(
         provider.sanitizer = sanitizer
         adi = AbstractDevice(
             engine, provider, config, rank, nprocs,
-            rank_to_node=nodes.__getitem__,
+            rank_to_node=nodes.__getitem__, streams=streams,
         )
         adi.telemetry = telemetry
         adi.conn = make_connection_manager(config.connection, adi)
-        if retry_rngs is not None:
-            adi.retry_rng = retry_rngs[rank]
-        world = Communicator(range(nprocs), rank, context_base=0)
-        facades[rank] = facade(adi, world, jitter_seed=jitter_seed)
+        world = Communicator(world_group, rank, context_base=0)
+        facades[rank] = facade(adi, world, jitter_seed=streams.master_seed)
         facades[rank]._oob = oob
         devices[rank] = adi
 

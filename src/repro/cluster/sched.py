@@ -452,8 +452,8 @@ class ClusterScheduler:
             mechanism_config(job.connection, job.kernel, job.nprocs),
             build_program(job.kernel), [()] * job.nprocs, running.assign,
             job_id=job.job_id, label=f"j{job.job_id}r",
-            jitter_seed=self._rng.derive_seed(
-                f"job{job.job_id}.jitter") & 0x7FFFFFFF,
+            streams=RngStreams(self._rng.derive_seed(
+                f"job{job.job_id}.jitter") & 0x7FFFFFFF),
             telemetry=self.tel, on_exit=on_exit,
         ).procs
 

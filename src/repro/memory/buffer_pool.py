@@ -121,6 +121,10 @@ class BufferPool:
         ever handed out can have been written.
         """
         dirty = len(self._buffers) * self.size if reusable else None
+        # every buffer handed out points back at its pool: forgetting
+        # them ends the cycle, so the pool is freed by reference counting
+        self._buffers = []
+        self._free = []
         return self.registry.deregister(self.region, dirty_bytes=dirty)
 
     # -- inspection ------------------------------------------------------------

@@ -69,7 +69,7 @@ class MemoryRegion:
         if nbytes < 0:
             raise ValueError(f"negative region size {nbytes}")
         if backing is not None:
-            if backing.dtype != np.uint8 or backing.ndim != 1:
+            if backing.dtype != _UINT8 or backing.ndim != 1:
                 raise TypeError("backing array must be a 1-D uint8 array")
             if backing.nbytes != nbytes:
                 raise ValueError(

@@ -53,11 +53,14 @@ class RegistrationCosts:
     deregister_base_us: float = 15.0
     deregister_per_page_us: float = 0.5
 
+    # pages_for inlined: one call per registration and deregistration
     def register_cost(self, nbytes: int) -> float:
-        return self.register_base_us + self.register_per_page_us * pages_for(nbytes)
+        return (self.register_base_us
+                + self.register_per_page_us * max(1, -(-nbytes // PAGE_SIZE)))
 
     def deregister_cost(self, nbytes: int) -> float:
-        return self.deregister_base_us + self.deregister_per_page_us * pages_for(nbytes)
+        return (self.deregister_base_us
+                + self.deregister_per_page_us * max(1, -(-nbytes // PAGE_SIZE)))
 
 
 @dataclass
@@ -112,11 +115,12 @@ class MemoryRegistry:
         arena cache (:mod:`repro.memory.arena`): all zero, but possibly
         the recycled arena of an earlier registration.
         """
+        stats = self.stats
         if self.pin_limit_bytes is not None:
-            if self.stats.pinned_bytes + nbytes > self.pin_limit_bytes:
+            if stats.pinned_bytes + nbytes > self.pin_limit_bytes:
                 raise RegistrationError(
                     f"{self.label or 'registry'}: pin limit exceeded "
-                    f"({self.stats.pinned_bytes} + {nbytes} > {self.pin_limit_bytes})"
+                    f"({stats.pinned_bytes} + {nbytes} > {self.pin_limit_bytes})"
                 )
         if backing is None:
             if nbytes < 0:
@@ -128,12 +132,11 @@ class MemoryRegistry:
             region = MemoryRegion(nbytes, protection_tag, backing, owner_label)
         self._regions[region.handle] = region
         cost = self.costs.register_cost(nbytes)
-        self.stats.registrations += 1
-        self.stats.pinned_bytes += nbytes
-        self.stats.peak_pinned_bytes = max(
-            self.stats.peak_pinned_bytes, self.stats.pinned_bytes
-        )
-        self.stats.total_register_us += cost
+        stats.registrations += 1
+        pinned = stats.pinned_bytes = stats.pinned_bytes + nbytes
+        if pinned > stats.peak_pinned_bytes:
+            stats.peak_pinned_bytes = pinned
+        stats.total_register_us += cost
         if self.observer is not None:
             self.observer.on_register(self, region)
         return region, cost
@@ -161,9 +164,10 @@ class MemoryRegistry:
         del self._regions[region.handle]
         region.state = RegionState.DEREGISTERED
         cost = self.costs.deregister_cost(region.nbytes)
-        self.stats.deregistrations += 1
-        self.stats.pinned_bytes -= region.nbytes
-        self.stats.total_deregister_us += cost
+        stats = self.stats
+        stats.deregistrations += 1
+        stats.pinned_bytes -= region.nbytes
+        stats.total_deregister_us += cost
         if self.observer is not None:
             self.observer.on_deregister(self, region)
         if dirty_bytes is not None and region.from_arena:

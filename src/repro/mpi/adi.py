@@ -54,6 +54,7 @@ from repro.mpi.headers import (
 from repro.mpi.matching import MatchingEngine, UnexpectedMessage
 from repro.mpi.request import Request, RequestKind
 from repro.sim.engine import Engine
+from repro.sim.rng import RngStreams
 from repro.via.constants import DescriptorOp
 from repro.via.provider import ViaProvider
 
@@ -69,6 +70,7 @@ class AbstractDevice:
         rank: int,
         size: int,
         rank_to_node: Callable[[int], int],
+        streams: RngStreams,
     ):
         self.engine = engine
         self.provider = provider
@@ -96,10 +98,9 @@ class AbstractDevice:
         self.conn = None  # type: ignore[assignment]
         #: optional telemetry plane; None = untraced (zero overhead)
         self.telemetry = None
-        #: RNG for connect-retry jitter; the job runtime replaces this
-        #: with a per-rank seeded stream.  Only drawn on actual retries,
-        #: so fault-free runs consume nothing from it.
-        self.retry_rng = np.random.default_rng(0)
+        #: the job's named random streams; connect-retry jitter draws
+        #: from this rank's own (see :meth:`retry_jitter`)
+        self.streams = streams
         # metrics
         self.init_started_at = -1.0
         self.init_done_at = -1.0
@@ -115,6 +116,14 @@ class AbstractDevice:
     def charge(self, us: float) -> None:
         """Accumulate host time; flushed as one timeout per yield point."""
         self._cost_us += us
+
+    def retry_jitter(self) -> float:
+        """One uniform draw in [0, 1) from this rank's connect-retry
+        stream, ``chaos.conn-retry.r{rank}`` of the job's streams.  The
+        stream is made at the first draw, so a job without retries
+        builds no Generator."""
+        return float(
+            self.streams.stream(f"chaos.conn-retry.r{self.rank}").random())
 
     def flush_cost(self):
         """Event charging all accumulated host time (possibly zero)."""
@@ -148,7 +157,7 @@ class AbstractDevice:
                 mechanism=self.conn.name,
             )
         vi, cost = self.provider.create_vi(remote_rank=ch.dest)
-        self.charge(cost)
+        self._cost_us += cost
         ch.vi = vi
         ch.opened_at = self.engine.now
         self._vi_to_channel[vi.vi_id] = ch
@@ -171,7 +180,7 @@ class AbstractDevice:
         if ch.tel_connect is not None:
             ch.tel_connect.end(ok=True, vi=ch.vi.vi_id)
             ch.tel_connect = None
-        if ch.pending_count:
+        if ch.send_fifo or ch.control_queue:
             self._dirty[ch.dest] = ch
 
     # --------------------------------------------------- connection cache --

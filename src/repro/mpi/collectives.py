@@ -45,7 +45,9 @@ def _traced(name: str):
 
     The communicator is always the last positional argument; the span
     lives on the calling rank's track and nests any pt2pt / descriptor
-    spans recorded while the collective runs.
+    spans recorded while the collective runs.  Untraced, the wrapper
+    hands back the collective's own generator: no extra generator for
+    every resume of the rank to pass through.
     """
 
     def deco(fn):
@@ -53,23 +55,24 @@ def _traced(name: str):
         def wrapper(mpi, *args):
             tel = mpi._adi.telemetry
             if tel is None:
-                result = yield from fn(mpi, *args)
-                return result
-            comm = args[-1]
-            with tel.span(name, ("rank", mpi._adi.rank), comm_size=comm.size):
-                result = yield from fn(mpi, *args)
-            return result
+                return fn(mpi, *args)
+            return _in_span(tel, name, fn, mpi, args)
 
         return wrapper
 
     return deco
 
 
+def _in_span(tel, name: str, fn, mpi, args):
+    with tel.span(name, ("rank", mpi._adi.rank), comm_size=args[-1].size):
+        return (yield from fn(mpi, *args))
+
+
 def _round(mpi, **attrs) -> None:
-    """Mark one round of a multi-round collective (instant event)."""
-    tel = mpi._adi.telemetry
-    if tel is not None:
-        tel.instant("coll.round", ("rank", mpi._adi.rank), **attrs)
+    """Mark one round of a multi-round collective (instant event); the
+    callers test for a telemetry plane first, so an untraced round costs
+    no call."""
+    mpi._adi.telemetry.instant("coll.round", ("rank", mpi._adi.rank), **attrs)
 
 
 def _floor_pow2(n: int) -> int:
@@ -103,7 +106,8 @@ def barrier(mpi, comm: Communicator):
     mask = 1
     while mask < m:
         partner = rank ^ mask
-        _round(mpi, coll="barrier", mask=mask, partner=partner)
+        if mpi._adi.telemetry is not None:
+            _round(mpi, coll="barrier", mask=mask, partner=partner)
         yield from mpi._sendrecv_coll(token, partner, inbox, partner,
                                       TAG_BARRIER, comm)
         mask *= 2
@@ -189,7 +193,8 @@ def allreduce(
         mask = 1
         while mask < m:
             partner = rank ^ mask
-            _round(mpi, coll="allreduce", mask=mask, partner=partner)
+            if mpi._adi.telemetry is not None:
+                _round(mpi, coll="allreduce", mask=mask, partner=partner)
             yield from mpi._sendrecv_coll(acc, partner, inbox, partner,
                                           TAG_ALLREDUCE, comm)
             # order operands by rank for non-commutative safety
@@ -264,7 +269,8 @@ def alltoall(
         else:
             send_to = (rank + step) % size
             recv_from = (rank - step) % size
-        _round(mpi, coll="alltoall", step=step, partner=send_to)
+        if mpi._adi.telemetry is not None:
+            _round(mpi, coll="alltoall", step=step, partner=send_to)
         yield from mpi._sendrecv_coll(
             sendbuf[send_to * block : (send_to + 1) * block], send_to,
             recvbuf[recv_from * block : (recv_from + 1) * block], recv_from,

@@ -15,24 +15,47 @@ exchange messages, so the sharing is safe.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.mpi.constants import ANY_SOURCE, MpiError, PROC_NULL
+
+
+class Group:
+    """An ordered, duplicate-free set of world ranks.
+
+    Immutable, so every communicator over the same members can share
+    one: a job builds its world group once for all its ranks, and
+    ``comm_dup`` passes its parent's on.  ``positions`` translates a
+    world rank back to its group rank in O(1).
+    """
+
+    __slots__ = ("ranks", "positions")
+
+    def __init__(self, world_ranks: Sequence[int]):
+        #: the world ranks, in group order
+        self.ranks: Tuple[int, ...] = tuple(world_ranks)
+        #: world rank -> group rank
+        self.positions: Dict[int, int] = {
+            w: i for i, w in enumerate(self.ranks)}
+        if len(self.positions) != len(self.ranks):
+            raise MpiError("communicator group has duplicate ranks")
 
 
 class Communicator:
     """An ordered group of world ranks plus a matching context."""
 
-    def __init__(self, world_ranks: Sequence[int], my_world_rank: int, context_base: int):
-        self._world_ranks: List[int] = list(world_ranks)
-        if len(set(self._world_ranks)) != len(self._world_ranks):
-            raise MpiError("communicator group has duplicate ranks")
-        try:
-            self._rank = self._world_ranks.index(my_world_rank)
-        except ValueError:
+    def __init__(self, group: Union[Group, Sequence[int]], my_world_rank: int,
+                 context_base: int):
+        if not isinstance(group, Group):
+            group = Group(group)
+        self._group = group
+        self._world_ranks = group.ranks
+        rank = group.positions.get(my_world_rank)
+        if rank is None:
             raise MpiError(
                 f"world rank {my_world_rank} is not in the communicator group"
-            ) from None
+            )
+        self._rank = rank
         #: context id for point-to-point traffic
         self.pt2pt_context = 2 * context_base
         #: context id for collective-internal traffic
@@ -49,9 +72,9 @@ class Communicator:
         return len(self._world_ranks)
 
     @property
-    def group(self) -> List[int]:
-        """The world ranks, in communicator order (a copy)."""
-        return list(self._world_ranks)
+    def group(self) -> Group:
+        """The member world ranks (shared, immutable)."""
+        return self._group
 
     # -- translation ----------------------------------------------------------
     def world_rank(self, comm_rank: int) -> int:
@@ -69,15 +92,15 @@ class Communicator:
         """Translate a world rank back (for Status.source)."""
         if world_rank in (ANY_SOURCE, PROC_NULL):
             return world_rank
-        try:
-            return self._world_ranks.index(world_rank)
-        except ValueError:
+        rank = self._group.positions.get(world_rank)
+        if rank is None:
             raise MpiError(
                 f"world rank {world_rank} is not in this communicator"
-            ) from None
+            )
+        return rank
 
     def __contains__(self, world_rank: int) -> bool:
-        return world_rank in self._world_ranks
+        return world_rank in self._group.positions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

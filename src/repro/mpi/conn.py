@@ -56,6 +56,7 @@ counters continuing, so non-overtaking holds across reconnections.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
@@ -226,7 +227,12 @@ class ConnectionManager:
             adi.mark_channel_connected(ch)
 
     def finalize_phase(self):
-        """Generator run during MPI_Finalize: tear the VIs down."""
+        """Generator run during MPI_Finalize: tear the VIs down, then let
+        go of the device.  The device holds its manager and the manager
+        its device; dropping the back-reference lets reference counting
+        free a finished rank as soon as the job lets go of it, instead
+        of leaving it to the cyclic garbage collector.  The counters
+        stay readable."""
         adi = self.adi
         destroyed = 0
         for ch in adi.channels.values():
@@ -242,6 +248,7 @@ class ConnectionManager:
                 "conn.finalize", ("rank", adi.rank), vis_destroyed=destroyed,
             )
         yield adi.flush_cost()
+        self.adi = None
 
     # -- hooks ----------------------------------------------------------------
     def channel_for(self, dest: int) -> Channel:
@@ -293,7 +300,8 @@ class ConnectionManager:
                 self.channel_for(peer)
 
     def _all_peers(self):
-        return (r for r in range(self.adi.size) if r != self.adi.rank)
+        rank = self.adi.rank
+        return chain(range(rank), range(rank + 1, self.adi.size))
 
     def _preconnect_peers(self):
         """The peers MPI_Init connects to (validated by MpiConfig and
@@ -377,11 +385,9 @@ class ConnectionManager:
     # -- connect retry / failure (fault injection) ----------------------------
     def _arm_connect_deadline(self, ch: Channel) -> None:
         """Set the channel's next retry deadline: exponential backoff
-        with jitter on retries, no deadline when timeouts are off."""
+        with jitter on retries.  Only with timeouts on; otherwise the
+        deadline stays at its +inf."""
         cfg = self.adi.config
-        if cfg.connect_timeout_us is None:
-            ch.connect_deadline = float("inf")
-            return
         window = min(
             cfg.connect_timeout_us
             * cfg.connect_backoff ** (ch.connect_attempts - 1),
@@ -390,8 +396,7 @@ class ConnectionManager:
         if cfg.connect_jitter > 0 and ch.connect_attempts > 1:
             # jitter only on retries: the first deadline stays a pure
             # function of config, and fault-free runs draw no randomness
-            window *= 1.0 + cfg.connect_jitter * float(
-                self.adi.retry_rng.random())
+            window *= 1.0 + cfg.connect_jitter * self.adi.retry_jitter()
         ch.connect_deadline = self.adi.engine.now + window
         if ch.connect_deadline < self._next_deadline:
             self._next_deadline = ch.connect_deadline
@@ -457,7 +462,8 @@ class ConnectionManager:
             ch.vi, adi.rank_to_node(ch.dest), ch.dest))
         ch.state = ChannelState.CONNECTING
         ch.connect_attempts = 1
-        self._arm_connect_deadline(ch)
+        if adi.config.connect_timeout_us is not None:
+            self._arm_connect_deadline(ch)
         self._connect_seq += 1
         ch.connect_seq = self._connect_seq
         self._connecting[ch.dest] = ch

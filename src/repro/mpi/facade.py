@@ -18,6 +18,11 @@ Nonblocking calls (:meth:`isend`, :meth:`irecv`) are plain methods
 returning :class:`~repro.mpi.request.Request`; complete them with
 :meth:`wait` / :meth:`waitall` / :meth:`test`.
 
+A blocking call with nothing left to do after its wait returns the
+generator that waits (the ADI's, or the collective's) instead of
+wrapping it in one of its own: every resume of a blocked rank re-enters
+each generator it is nested in.
+
 :meth:`compute` charges modelled computation time to the simulated
 clock — during it the library makes **no progress** (weak progress,
 like MVICH), though the NIC keeps depositing eager data autonomously.
@@ -62,10 +67,12 @@ class MpiProcess:
         #: OS noise on computation (timer interrupts, cache variance).
         #: Without it a noiseless DES phase-locks rank schedules into
         #: configuration-dependent patterns that real machines decorrelate;
-        #: seeded per rank, so runs stay reproducible.
+        #: seeded per rank, so runs stay reproducible.  The stream is
+        #: made at the first compute(): a rank that never computes
+        #: builds no Generator.
         self._jitter = compute_jitter
-        self._jitter_rng = np.random.default_rng(
-            (jitter_seed * 1_000_003 + world.rank) & 0x7FFFFFFF)
+        self._jitter_seed = (jitter_seed * 1_000_003 + world.rank) & 0x7FFFFFFF
+        self._jitter_rng = None
 
     # -- identity ----------------------------------------------------------
     def wtime(self) -> float:
@@ -80,7 +87,10 @@ class MpiProcess:
         if us < 0:
             raise ValueError("negative compute time")
         if us > 0 and self._jitter > 0:
-            us *= 1.0 + self._jitter * (2.0 * self._jitter_rng.random() - 1.0)
+            rng = self._jitter_rng
+            if rng is None:
+                rng = self._jitter_rng = np.random.default_rng(self._jitter_seed)
+            us *= 1.0 + self._jitter * (2.0 * rng.random() - 1.0)
         yield self._adi.engine.timeout(us, name=f"compute.r{self.rank}")
 
     # -- point-to-point, nonblocking ---------------------------------------------
@@ -112,10 +122,10 @@ class MpiProcess:
     # -- completion ----------------------------------------------------------------
     def wait(self, request: Request):
         """Generator: block until the request completes; returns Status."""
-        return (yield from self._adi.wait(request))
+        return self._adi.wait(request)
 
     def waitall(self, requests: List[Request]):
-        return (yield from self._adi.wait_all(requests))
+        return self._adi.wait_all(requests)
 
     def test(self, request: Request):
         """One progress pass + completion check (MPI_Test)."""
@@ -177,14 +187,12 @@ class MpiProcess:
 
     # -- collective internals (separate context, reserved tags) --------------------
     def _send_coll(self, data, dest: int, tag: int, comm: Communicator):
-        req = self._adi.isend_contig(
-            comm.world_rank(dest), tag, comm.coll_context, data
-        )
-        yield from self._adi.wait(req)
+        return self._adi.wait(self._adi.isend_contig(
+            comm.world_rank(dest), tag, comm.coll_context, data))
 
     def _recv_coll(self, buf, source: int, tag: int, comm: Communicator):
-        req = self._adi.irecv(comm.world_rank(source), tag, comm.coll_context, buf)
-        yield from self._adi.wait(req)
+        return self._adi.wait(self._adi.irecv(
+            comm.world_rank(source), tag, comm.coll_context, buf))
 
     def _sendrecv_coll(self, senddata, dest: int, recvbuf, source: int,
                        tag: int, comm: Communicator):
@@ -192,42 +200,42 @@ class MpiProcess:
                                recvbuf)
         sreq = self._adi.isend_contig(comm.world_rank(dest), tag,
                                       comm.coll_context, senddata)
-        yield from self._adi.wait_all([sreq, rreq])
+        return self._adi.wait_all([sreq, rreq])
 
     # -- collectives -----------------------------------------------------------------
     def barrier(self, comm=None):
-        yield from coll.barrier(self, comm or self.COMM_WORLD)
+        return coll.barrier(self, comm or self.COMM_WORLD)
 
     def bcast(self, buf, root: int = 0, comm=None):
-        yield from coll.bcast(self, buf, root, comm or self.COMM_WORLD)
+        return coll.bcast(self, buf, root, comm or self.COMM_WORLD)
 
     def reduce(self, sendbuf, recvbuf=None, op: Op = SUM, root: int = 0, comm=None):
-        yield from coll.reduce(self, sendbuf, recvbuf, op, root,
-                               comm or self.COMM_WORLD)
+        return coll.reduce(self, sendbuf, recvbuf, op, root,
+                           comm or self.COMM_WORLD)
 
     def allreduce(self, sendbuf, recvbuf, op: Op = SUM, comm=None):
-        yield from coll.allreduce(self, sendbuf, recvbuf, op,
-                                  comm or self.COMM_WORLD)
+        return coll.allreduce(self, sendbuf, recvbuf, op,
+                              comm or self.COMM_WORLD)
 
     def allgather(self, sendbuf, recvbuf, comm=None):
-        yield from coll.allgather(self, sendbuf, recvbuf, comm or self.COMM_WORLD)
+        return coll.allgather(self, sendbuf, recvbuf, comm or self.COMM_WORLD)
 
     def alltoall(self, sendbuf, recvbuf, comm=None):
-        yield from coll.alltoall(self, sendbuf, recvbuf, comm or self.COMM_WORLD)
+        return coll.alltoall(self, sendbuf, recvbuf, comm or self.COMM_WORLD)
 
     def alltoallv(self, sendbuf, sendcounts, sdispls,
                   recvbuf, recvcounts, rdispls, comm=None):
-        yield from coll.alltoallv(self, sendbuf, sendcounts, sdispls,
-                                  recvbuf, recvcounts, rdispls,
-                                  comm or self.COMM_WORLD)
+        return coll.alltoallv(self, sendbuf, sendcounts, sdispls,
+                              recvbuf, recvcounts, rdispls,
+                              comm or self.COMM_WORLD)
 
     def gather(self, sendbuf, recvbuf=None, root: int = 0, comm=None):
-        yield from coll.gather(self, sendbuf, recvbuf, root,
-                               comm or self.COMM_WORLD)
+        return coll.gather(self, sendbuf, recvbuf, root,
+                           comm or self.COMM_WORLD)
 
     def scatter(self, sendbuf, recvbuf=None, root: int = 0, comm=None):
-        yield from coll.scatter(self, sendbuf, recvbuf, root,
-                                comm or self.COMM_WORLD)
+        return coll.scatter(self, sendbuf, recvbuf, root,
+                            comm or self.COMM_WORLD)
 
     # -- communicator management -------------------------------------------------
     def comm_dup(self, comm=None):

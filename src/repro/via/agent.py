@@ -25,7 +25,7 @@ establishment by polling ``VipConnectPeerDone`` (i.e. ``vi.is_connected``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.fabric.packet import Packet
 from repro.sim.engine import Engine
@@ -52,8 +52,8 @@ class ConnectionAgent:
         self.costs = nic.profile.connection
         nic.agent = self
 
-        # serial service engine
-        self._work: Deque[Callable[[], None]] = deque()
+        # serial service engine: (handler, arguments) in arrival order
+        self._work: Deque[Tuple[Callable[..., None], tuple]] = deque()
         self._scheduled = False
         self._busy_until = 0.0
 
@@ -89,25 +89,33 @@ class ConnectionAgent:
         self._local_providers.append(provider)
 
     # -- serial service machinery ------------------------------------------------
-    def _enqueue(self, job: Callable[[], None]) -> None:
-        self._work.append(job)
-        self._kick()
+    def _enqueue(self, handler: Callable[..., None], *args) -> None:
+        """Queue ``handler(*args)`` for the agent's next free service
+        slot."""
+        self._work.append((handler, args))
+        if not self._scheduled:
+            self._kick()
 
     def _kick(self) -> None:
-        if self._scheduled or not self._work:
-            return
+        """Schedule the service of the queue's head (the queue is not
+        empty and no service is scheduled)."""
         self._scheduled = True
-        start = max(self.engine.now, self._busy_until)
+        now = self.engine.now
+        start = max(now, self._busy_until)
         done = start + self.costs.agent_service_us
         self._busy_until = done
-        self.engine.schedule(done - self.engine.now, self._run_one)
+        # Engine.schedule's event (the name is fingerprint material), less
+        # its adapter frame: the service routine is the callback
+        self.engine.timeout(done - now, name="_run_one").callbacks.append(
+            self._run_one)
 
-    def _run_one(self) -> None:
+    def _run_one(self, _event) -> None:
         self._scheduled = False
-        job = self._work.popleft()
+        handler, args = self._work.popleft()
         self.requests_processed += 1
-        job()
-        self._kick()
+        handler(*args)
+        if not self._scheduled and self._work:
+            self._kick()
 
     def _send_control(self, dst_node: int, message) -> None:
         self.nic.network.send(
@@ -134,28 +142,29 @@ class ConnectionAgent:
             )
         self._requested.add(key)
         vi.mark_connect_pending()
+        self._enqueue(self._serve_peer_request, vi, remote_node, key, dst_rank)
 
-        def job() -> None:
-            if key not in self._requested:
-                # cancelled (connect retry budget exhausted) while this
-                # job sat in the service queue: the VI is already torn
-                # down, so neither register nor send anything
-                return
-            incoming = self._pending_incoming.pop(key, None)
-            if incoming is not None:
-                # The remote side asked first: match immediately.
-                self._establish(vi, incoming.src_node, incoming.src_vi_id, key)
-                self._send_grant(incoming, vi)
-            else:
-                self._pending_outgoing[key] = vi
-                self._send_control(
-                    remote_node,
-                    ConnRequest(
-                        discriminator, self.nic.node_id, vi.vi_id, src_rank, dst_rank
-                    ),
-                )
-
-        self._enqueue(job)
+    def _serve_peer_request(self, vi: VI, remote_node: int, key: tuple,
+                            dst_rank: int) -> None:
+        if key not in self._requested:
+            # cancelled (connect retry budget exhausted) while this
+            # request sat in the service queue: the VI is already torn
+            # down, so neither register nor send anything
+            return
+        incoming = self._pending_incoming.pop(key, None)
+        if incoming is not None:
+            # The remote side asked first: match immediately.
+            self._establish(vi, incoming.src_node, incoming.src_vi_id, key)
+            self._send_grant(incoming, vi)
+        else:
+            self._pending_outgoing[key] = vi
+            discriminator, src_rank = key
+            self._send_control(
+                remote_node,
+                ConnRequest(
+                    discriminator, self.nic.node_id, vi.vi_id, src_rank, dst_rank
+                ),
+            )
 
     def peer_request_retry(
         self, vi: VI, remote_node: int, discriminator: Discriminator,
@@ -168,19 +177,20 @@ class ConnectionAgent:
         no-op if the connection established (or was cancelled) while the
         retry sat in the agent's service queue.
         """
-        key = (discriminator, src_rank)
+        self._enqueue(self._serve_peer_request_retry, vi, remote_node,
+                      (discriminator, src_rank), dst_rank)
 
-        def job() -> None:
-            if self._pending_outgoing.get(key) is not vi:
-                return
-            self._send_control(
-                remote_node,
-                ConnRequest(
-                    discriminator, self.nic.node_id, vi.vi_id, src_rank, dst_rank
-                ),
-            )
-
-        self._enqueue(job)
+    def _serve_peer_request_retry(self, vi: VI, remote_node: int, key: tuple,
+                                  dst_rank: int) -> None:
+        if self._pending_outgoing.get(key) is not vi:
+            return
+        discriminator, src_rank = key
+        self._send_control(
+            remote_node,
+            ConnRequest(
+                discriminator, self.nic.node_id, vi.vi_id, src_rank, dst_rank
+            ),
+        )
 
     def cancel_peer_request(
         self, discriminator: Discriminator, src_rank: int
@@ -236,18 +246,16 @@ class ConnectionAgent:
                            src_rank: int, dst_rank: int,
                            returns_owed: int = 0) -> None:
         """Host asked to tear down an idle connection (cost pre-charged)."""
-        self._enqueue(lambda: self._send_control(
-            remote_node,
-            DisconnectRequest(discriminator, src_rank, dst_rank,
-                              returns_owed)))
+        self._enqueue(self._send_control, remote_node,
+                      DisconnectRequest(discriminator, src_rank, dst_rank,
+                                        returns_owed))
 
     def disconnect_reply(self, remote_node: int, discriminator: Discriminator,
                          src_rank: int, dst_rank: int, ack: bool,
                          returns_owed: int = 0) -> None:
-        self._enqueue(lambda: self._send_control(
-            remote_node,
-            DisconnectReply(discriminator, src_rank, dst_rank, ack,
-                            returns_owed)))
+        self._enqueue(self._send_control, remote_node,
+                      DisconnectReply(discriminator, src_rank, dst_rank, ack,
+                                      returns_owed))
 
     def _deliver_disconnect(self, message) -> None:
         # hand the message to the right local process; decisions about
@@ -279,16 +287,12 @@ class ConnectionAgent:
             )
         vi.mark_connect_pending()
         self._cs_clients[discriminator] = vi
-
-        def job() -> None:
-            self._send_control(
-                server_node,
-                CsConnRequest(
-                    discriminator, self.nic.node_id, vi.vi_id, client_rank, server_rank
-                ),
-            )
-
-        self._enqueue(job)
+        self._enqueue(
+            self._send_control, server_node,
+            CsConnRequest(
+                discriminator, self.nic.node_id, vi.vi_id, client_rank, server_rank
+            ),
+        )
 
     def _on_cs_request(self, req: CsConnRequest) -> None:
         job_id = req.discriminator[0]
@@ -335,15 +339,14 @@ class ConnectionAgent:
                 client=req.client_rank, server=req.server_rank,
             )
         vi.mark_connect_pending()
+        self._enqueue(self._serve_accept, req, vi)
 
-        def job() -> None:
-            self._establish(vi, req.src_node, req.src_vi_id)
-            self._send_control(
-                req.src_node,
-                CsConnGrant(req.discriminator, self.nic.node_id, vi.vi_id),
-            )
-
-        self._enqueue(job)
+    def _serve_accept(self, req: CsConnRequest, vi: VI) -> None:
+        self._establish(vi, req.src_node, req.src_vi_id)
+        self._send_control(
+            req.src_node,
+            CsConnGrant(req.discriminator, self.nic.node_id, vi.vi_id),
+        )
 
     def _on_cs_grant(self, grant: CsConnGrant) -> None:
         vi = self._cs_clients.pop(grant.discriminator, None)
@@ -360,41 +363,52 @@ class ConnectionAgent:
     ) -> None:
         if key is not None:
             self._requested.discard(key)
-        def finish() -> None:
-            if vi.state not in (ViState.IDLE, ViState.CONNECT_PENDING):
-                # the host gave up (connect retry budget exhausted) and
-                # destroyed the endpoint while the kernel was still
-                # instantiating the connection: abandon the establish
-                return
-            vi.mark_connected(remote_node, remote_vi_id, self.engine.now)
-            self.connections_established += 1
-            tel = self.nic.telemetry
-            if tel is not None:
-                tel.instant(
-                    "conn.establish", ("node", self.nic.node_id),
-                    vi=vi.vi_id, remote_node=remote_node,
-                )
-            owner = self.nic.owner_of(vi)
-            owner.on_connection_established(vi)
-            self.nic.release_early(vi)
+        # kernel instantiates the connection state, then the VI flips;
+        # the event (named as Engine.schedule named it) carries the
+        # endpoints, so no closure is made per connection
+        self.engine.timeout(
+            self.costs.establish_us, (vi, remote_node, remote_vi_id),
+            name="finish").callbacks.append(self._finish_establish)
 
-        # kernel instantiates the connection state, then the VI flips
-        self.engine.schedule(self.costs.establish_us, finish)
+    def _finish_establish(self, event) -> None:
+        vi, remote_node, remote_vi_id = event._value
+        state = vi._state
+        if state is not ViState.IDLE and state is not ViState.CONNECT_PENDING:
+            # the host gave up (connect retry budget exhausted) and
+            # destroyed the endpoint while the kernel was still
+            # instantiating the connection: abandon the establish
+            return
+        nic = self.nic
+        vi.mark_connected(remote_node, remote_vi_id, self.engine.now)
+        self.connections_established += 1
+        tel = nic.telemetry
+        if tel is not None:
+            tel.instant(
+                "conn.establish", ("node", nic.node_id),
+                vi=vi.vi_id, remote_node=remote_node,
+            )
+        nic._owners[vi.vi_id].on_connection_established(vi)
+        nic.release_early(vi)
 
     def on_control(self, message) -> None:
         """NIC routed an incoming control packet here."""
-        if isinstance(message, ConnRequest):
-            self._enqueue(lambda: self._on_peer_request(message))
-        elif isinstance(message, ConnGrant):
-            self._enqueue(lambda: self._on_peer_grant(message))
-        elif isinstance(message, CsConnRequest):
-            self._enqueue(lambda: self._on_cs_request(message))
-        elif isinstance(message, CsConnGrant):
-            self._enqueue(lambda: self._on_cs_grant(message))
-        elif isinstance(message, (DisconnectRequest, DisconnectReply)):
-            self._enqueue(lambda: self._deliver_disconnect(message))
-        else:  # pragma: no cover - routing guards this
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:  # pragma: no cover - routing guards this
             raise ViaConnectionError(f"unknown control message {message!r}")
+        # _enqueue, inline: two control messages per connection
+        self._work.append((handler, (self, message)))
+        if not self._scheduled:
+            self._kick()
+
+    #: the service routine of each control message type
+    _HANDLERS: Dict[type, Callable[..., None]] = {
+        ConnRequest: _on_peer_request,
+        ConnGrant: _on_peer_grant,
+        CsConnRequest: _on_cs_request,
+        CsConnGrant: _on_cs_grant,
+        DisconnectRequest: _deliver_disconnect,
+        DisconnectReply: _deliver_disconnect,
+    }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

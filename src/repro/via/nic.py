@@ -47,8 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover
 ACK_WIRE_BYTES = 32
 
 #: VI states the firmware doorbell scan must visit (paper Figure 1);
-#: the NIC tracks this count incrementally via VI state transitions
-ACTIVE_VI_STATES = frozenset((ViState.CONNECTED, ViState.CONNECT_PENDING))
+#: the NIC tracks this count incrementally via VI state transitions.
+#: A tuple: membership is an identity test, where a set would call the
+#: Python-level ``Enum.__hash__`` on every transition.
+ACTIVE_VI_STATES = (ViState.CONNECTED, ViState.CONNECT_PENDING)
 
 
 class _Inflight:
@@ -163,7 +165,7 @@ class Nic:
     def detach_vi(self, vi: VI) -> None:
         if self._vis.pop(vi.vi_id, None) is not None:
             vi.nic = None
-            if vi.state in ACTIVE_VI_STATES:
+            if vi._state in ACTIVE_VI_STATES:
                 self._active_vis -= 1
         self._owners.pop(vi.vi_id, None)
         self._rtx.pop(vi.vi_id, None)
@@ -376,6 +378,8 @@ class Nic:
             return
         if seq > vi.rx_cum + 1:
             # a gap: an earlier message is missing (lost or delayed)
+            if vi.rx_ooo is None:
+                vi.rx_ooo = {}
             vi.rx_ooo[seq] = msg
             self.rtx_ooo_buffered += 1
             self._send_ack(vi, src_node, msg.src_vi_id)
@@ -387,7 +391,7 @@ class Nic:
             self._send_ack(vi, src_node, msg.src_vi_id)
             return
         vi.rx_cum = seq
-        while True:
+        while vi.rx_ooo:
             nxt = vi.rx_ooo.pop(vi.rx_cum + 1, None)
             if nxt is None:
                 break

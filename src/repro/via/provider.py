@@ -78,6 +78,10 @@ class ViaProvider:
         self.send_cq = CompletionQueue(f"send-cq.r{rank}")
         self.recv_cq = CompletionQueue(f"recv-cq.r{rank}")
         self.dreg = RegistrationCache(registry)
+        self._pool_labels = (f"r{rank}.recv", f"r{rank}.send")
+        #: create_vi's host cost, the same for every VI of this process:
+        #: summed at the first creation
+        self._create_vi_us: Optional[float] = None
         agent.register_local(self)
         #: optional telemetry plane; None = untraced (zero overhead).
         #: Propagated to each VI at creation.
@@ -106,18 +110,20 @@ class ViaProvider:
     def create_vi(self, remote_rank: Optional[int] = None) -> Tuple[VI, float]:
         """VipCreateVi + buffer provisioning; returns (vi, host_cost_us)."""
         cfg = self.config
+        nic = self.nic
         tag = self.rank + 1
+        recv_label, send_label = self._pool_labels
         recv_pool = BufferPool(
             self.registry, cfg.prepost_count, cfg.eager_buffer_size,
-            protection_tag=tag, label=f"r{self.rank}.recv",
+            protection_tag=tag, label=recv_label,
         )
         send_pool = BufferPool(
             self.registry, cfg.send_pool_count, cfg.eager_buffer_size,
-            protection_tag=tag, label=f"r{self.rank}.send",
+            protection_tag=tag, label=send_label,
         )
         vi = VI(
-            vi_id=self.nic.allocate_vi_id(),
-            node_id=self.nic.node_id,
+            vi_id=nic.allocate_vi_id(),
+            node_id=nic.node_id,
             owner_rank=self.rank,
             protection_tag=tag,
             send_cq=self.send_cq,
@@ -129,18 +135,21 @@ class ViaProvider:
         vi.telemetry = self.telemetry
         if self.sanitizer is not None:
             vi.monitor = self.sanitizer.vi_monitor
-        self.nic.attach_vi(vi, self)
+        nic.attach_vi(vi, self)
         self._vis[vi.vi_id] = vi
-        cost = (
-            self.profile.create_vi_us
-            + recv_pool.registration_cost_us
-            + send_pool.registration_cost_us
-        )
         vi.prepost_arena()
-        for _ in range(cfg.prepost_count):
-            # one post at a time, so the float is the one the host would
-            # accumulate posting each descriptor
-            cost += self.profile.post_recv_us
+        cost = self._create_vi_us
+        if cost is None:
+            cost = (
+                self.profile.create_vi_us
+                + recv_pool.registration_cost_us
+                + send_pool.registration_cost_us
+            )
+            for _ in range(cfg.prepost_count):
+                # one post at a time, so the float is the one the host
+                # would accumulate posting each descriptor
+                cost += self.profile.post_recv_us
+            self._create_vi_us = cost
         self.vis_created += 1
         return vi, cost
 
@@ -152,7 +161,7 @@ class ViaProvider:
             protection_tag=vi.protection_tag,
             label=f"r{self.rank}.recv-grow",
         )
-        vi.extra_recv_pools.append(pool)
+        vi.extra_recv_pools += (pool,)
         cost = pool.registration_cost_us
         for _ in range(count):
             vi.post_recv(pool.acquire())
@@ -171,8 +180,9 @@ class ViaProvider:
         # the arenas are recycled only if the endpoint died quietly: one
         # torn down in error, mid-connect or with sends the NIC has yet
         # to service may still be referenced, and keeps its memory
-        quiet = (vi.state in (ViState.IDLE, ViState.CONNECTED)
-                 and not vi.pending_send_count)
+        state = vi._state
+        quiet = ((state is ViState.IDLE or state is ViState.CONNECTED)
+                 and not vi._send_backlog)
         vi.state = ViState.DISCONNECTED
         cost = self.profile.destroy_vi_us
         vi.recv_pool.destroy(reusable=quiet)
@@ -284,7 +294,7 @@ class ViaProvider:
 
     def connect_peer_done(self, vi: VI) -> bool:
         """VipConnectPeerDone: nonblocking establishment check."""
-        return vi.is_connected
+        return vi._state is ViState.CONNECTED
 
     def connect_peer_retry(
         self, vi: VI, remote_node: int, remote_rank: int

@@ -81,7 +81,7 @@ class VI:
         self.recv_pool = recv_pool
         self.send_pool = send_pool
         #: chunks added by dynamic flow control (grown on demand)
-        self.extra_recv_pools = []
+        self.extra_recv_pools: Tuple[BufferPool, ...] = ()
         #: buffers of ``recv_pool`` pre-posted at creation and not yet
         #: consumed: the head of the receive queue, kept as a count —
         #: neither buffer object nor descriptor exists until the NIC
@@ -102,10 +102,10 @@ class VI:
         # NIC reliability sublayer state (only used under fault
         # injection; see repro.chaos): last transmitted / last
         # cumulatively delivered sequence number, and the out-of-order
-        # arrival buffer keyed by seq
+        # arrival buffer keyed by seq (made at the first gap)
         self.tx_seq = 0
         self.rx_cum = 0
-        self.rx_ooo: dict = {}
+        self.rx_ooo: Optional[dict] = None
         #: optional telemetry plane (set by the provider); None = untraced
         self.telemetry = None
 
@@ -132,16 +132,17 @@ class VI:
         return self._state is ViState.CONNECTED
 
     def mark_connect_pending(self) -> None:
-        if self.state is not ViState.IDLE:
+        if self._state is not ViState.IDLE:
             raise ViaProtocolError(
-                f"VI {self.vi_id}: connect from state {self.state.value}"
+                f"VI {self.vi_id}: connect from state {self._state.value}"
             )
         self.state = ViState.CONNECT_PENDING
 
     def mark_connected(self, remote_node: int, remote_vi: int, now: float) -> None:
-        if self.state not in (ViState.IDLE, ViState.CONNECT_PENDING):
+        state = self._state
+        if state is not ViState.IDLE and state is not ViState.CONNECT_PENDING:
             raise ViaProtocolError(
-                f"VI {self.vi_id}: connected from state {self.state.value}"
+                f"VI {self.vi_id}: connected from state {state.value}"
             )
         self.state = ViState.CONNECTED
         self.peer = (remote_node, remote_vi)

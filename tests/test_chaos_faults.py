@@ -12,6 +12,7 @@ from repro.chaos import FaultPlan, LinkOutage
 from repro.cluster import ClusterSpec, run_job
 from repro.cluster.job import JobError
 from repro.mpi import ConnectionFailed, MpiConfig
+from repro.mpi.conn import ConnectionManager
 from repro.via.profiles import BERKELEY
 
 from tests.mpi_rig import run
@@ -175,6 +176,32 @@ class TestConnectionFailed:
         res = run(barrier_loop(), nprocs=8, connection="static-cs",
                   fault_plan=plan)
         assert res.returns == clean.returns
+
+
+# ------------------------------------------------ retries without a fault plan --
+def test_retry_jitter_differs_between_ranks_without_a_fault_plan(monkeypatch):
+    """A connect timeout shorter than a handshake forces retries on a
+    clean fabric; each rank's backoff jitter comes from its own stream,
+    so no two ranks retry in lockstep."""
+    windows = {}
+    arm = ConnectionManager._arm_connect_deadline
+
+    def recording(self, ch):
+        arm(self, ch)
+        if ch.connect_attempts == 2:  # the first retry: jittered
+            windows.setdefault(self.adi.rank, []).append(
+                ch.connect_deadline - self.adi.engine.now)
+
+    monkeypatch.setattr(ConnectionManager, "_arm_connect_deadline", recording)
+    clean = run(barrier_loop(), nprocs=4)
+    res = run(barrier_loop(), nprocs=4, connect_timeout_us=5.0)
+    assert res.returns == clean.returns
+    assert res.chaos is None
+    firsts = {rank: got[0] for rank, got in windows.items()}
+    assert len(firsts) >= 2
+    # the same base window (second attempt) everywhere, jittered apart
+    assert len(set(firsts.values())) == len(firsts)
+    assert all(10.0 <= w < 10.0 * 1.1 for w in firsts.values())
 
 
 # -------------------------------------------------------------- plan/injector --

@@ -1,28 +1,43 @@
-"""Host cost of a connection, by count (deterministic, no timing).
+"""Host cost of a connection and of a rank, by count (deterministic,
+no timing).
 
 Establishing and polling a connection must cost the host O(1): no
 backing allocation once arenas have been recycled, no per-poll scan of
 connecting or credit-owing channels, no descriptor built before a
-message needs it.  Each test counts calls through the one function the
-work would have to go through.
+message needs it, and the same frames per connection at any job size.
+A rank builds only what it uses: no random stream it never draws from,
+no private copy of the world group.  Each test counts calls through the
+one function the work would have to go through, or frames.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import gc
+import sys
+import weakref
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.cluster import job as job_module
 from repro.cluster.job import run_kernel_cell
 from repro.memory import arena
+from repro.memory import registry as registry_module
+from repro.memory.buffer_pool import BufferPool
 from repro.memory.registry import MemoryRegistry
+from repro.mpi import facade as facade_module
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.channel import Channel
+from repro.mpi.facade import MpiProcess
+from repro.via import provider as provider_module
 from repro.via.descriptor import Descriptor
 from repro.via.provider import ViaProvider
 
-from tests.counting import count_calls, record_instances
+from tests import mpi_rig
+from tests.counting import count_calls, count_frames, record_instances
 
 
 def barrier(nprocs, nodes, ppn, connection="static-p2p", seed=3):
@@ -138,3 +153,117 @@ def test_pending_outbound_matches_channel_scan(monkeypatch, connection):
     monkeypatch.setattr(AbstractDevice, "progress_pass", progress_pass)
     run_kernel_cell("is", "S", 4, 4, 1, "clan", connection, 0)
     assert checked[0] > 100
+
+
+# -- what a connection and a rank cost the host, by count ------------------
+
+def idle(mpi):
+    """A rank program that does nothing: the job is MPI_Init and
+    MPI_Finalize alone."""
+    return None
+    yield
+
+
+def static_mesh(nprocs):
+    """Frames entered under ``repro/`` (by package) and events of an
+    idle static-p2p job on ``nprocs`` ranks, one per node, counted on
+    its second run: the arena cache of its own that the first run
+    filled then serves every registration the same way."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry_module, "ARENAS", arena.ArenaCache())
+        mpi_rig.run(idle, nprocs=nprocs, nodes=nprocs, ppn=1,
+                    connection="static-p2p")
+        with count_frames("/repro/") as seen:
+            result = mpi_rig.run(idle, nprocs=nprocs, nodes=nprocs, ppn=1,
+                                 connection="static-p2p")
+    counts = dict(seen.by_layer, events=result.events_processed)
+    return {key: Fraction(value) for key, value in counts.items()}
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    return {n: static_mesh(n) for n in (4, 8, 16, 32)}
+
+
+def per_connection(meshes, n):
+    """Each count per connection (one VI: ``N(N-1)`` in an ``N``-rank
+    mesh) over the step from ``n`` to ``2n`` ranks.  A count is
+    ``a + b N + c N(N-1)``; the step from ``n/2`` to ``n`` takes the
+    per-rank share ``b`` out, which leaves ``c``."""
+    def step(m):
+        return {key: meshes[2 * m].get(key, 0) - meshes[m].get(key, 0)
+                for key in meshes[2 * m]}
+
+    wide, narrow = step(n), step(n // 2)
+    return {key: 2 * (wide[key] - 2 * narrow.get(key, 0)) / (3 * n * n)
+            for key in wide}
+
+
+#: frames one static-p2p connection enters, by package (107 in all
+#: before the agent queued bound handlers instead of closures and the
+#: VI-state property, pages_for and per-VI cost-sum frames went)
+CONNECTION_FRAMES = {"via": 40, "memory": 18, "mpi": 9, "sim": 7,
+                     "fabric": 6}
+
+
+@pytest.mark.parametrize("n", [8, 16], ids=["8-16", "16-32"])
+def test_static_connection_frames_are_flat_in_n(meshes, n):
+    cost = per_connection(meshes, n)
+    assert cost["events"] == 6
+    frames = {layer: cost.get(layer, 0) for layer in CONNECTION_FRAMES}
+    assert frames == CONNECTION_FRAMES
+    assert sum(cost[key] for key in cost if key != "events") == 80
+    # the same count at either step: no per-connection cost grows with N
+    assert cost == per_connection(meshes, 8)
+
+
+def test_barrier_cell_makes_no_generator(monkeypatch):
+    made = count_calls(monkeypatch, np.random, "default_rng")
+    barrier(8, 4, 2, connection="ondemand")
+    barrier(8, 4, 2)
+    assert made[0] == 0
+
+
+def test_computing_cell_makes_one_jitter_generator_per_rank(monkeypatch):
+    original = np.random.default_rng
+    callers = collections.Counter()
+
+    def default_rng(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_filename] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    facades = record_instances(monkeypatch, job_module, MpiProcess)
+    run_kernel_cell("ep", "S", 4, 4, 1, "clan", "ondemand", 0)
+    assert len(facades) == 4
+    in_mpi = {path: count for path, count in callers.items()
+              if "/repro/mpi/" in path}
+    assert in_mpi == {facade_module.__file__: 4}
+    assert all(f._jitter_rng is not None for f in facades)
+
+
+def test_ranks_of_a_job_share_one_world_group(monkeypatch):
+    facades = record_instances(monkeypatch, job_module, MpiProcess)
+    barrier(8, 4, 2)
+    groups = [f.COMM_WORLD.group for f in facades]
+    assert len(groups) == 8
+    assert all(group is groups[0] for group in groups)
+    assert groups[0].ranks == tuple(range(8))
+
+
+def test_finished_ranks_are_freed_by_reference_counting(monkeypatch):
+    """The device and its connection manager, and a pool and the
+    buffers it handed out, point at each other while the job runs; a
+    finished job lets go of them without the cyclic collector."""
+    devices = record_instances(monkeypatch, job_module, AbstractDevice)
+    pools = record_instances(monkeypatch, provider_module, BufferPool)
+    gc.disable()
+    try:
+        barrier(8, 4, 2, connection="ondemand")
+        assert len(devices) == 8 and pools
+        refs = [weakref.ref(obj) for obj in devices + pools]
+        devices.clear()
+        pools.clear()
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
