@@ -53,9 +53,9 @@ def make_lu(npb_class: str = "S", seed: int = 13, cost=DEFAULT_COST):
         def relax(top_row, left_col, sign):
             nonlocal u
             yield from mpi.compute(cost.flops(10.0 * u.size))
+            # the boundary row down the columns, the column along rows
             u = 0.9 * u + 0.05 * sign * (
-                np.broadcast_to(top_row[np.newaxis, :], u.shape)
-                + np.broadcast_to(left_col[:, np.newaxis], u.shape))
+                top_row[np.newaxis, :] + left_col[:, np.newaxis])
 
         def lower_sweep():
             top = np.zeros(n)

@@ -65,8 +65,8 @@ def _make_adi(benchmark: str, flops_factor: float, face_depth: int):
                     # line solves over the whole n³ block of this cell
                     yield from mpi.compute(
                         cost.flops(flops_factor * 60.0 * n ** 3 / k))
-                    u = 0.9 * u + 0.1 * np.broadcast_to(
-                        inbox[np.newaxis, :, :], u.shape)
+                    # the predecessor's face, broadcast over my planes
+                    u = 0.9 * u + 0.1 * inbox[np.newaxis, :, :]
 
             def adi_step():
                 yield from sweep(at(i, j + 1), at(i, j - 1), 20)      # x

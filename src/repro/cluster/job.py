@@ -432,6 +432,9 @@ def launch_ranks(
         devices[rank] = adi
 
     def rank_main(rank: int):
+        # each phase is a stage the rank's process runs in this
+        # generator's place (repro.sim.process): a rank resumed inside
+        # its program or a completion loop enters no frame of this one
         mpi = facades[rank]
         adi = devices[rank]
 
@@ -440,24 +443,24 @@ def launch_ranks(
                     else telemetry.span(name, ("rank", rank)))
 
         # ---- MPI_Init: out-of-band bootstrap + connection setup policy
-        yield from oob.barrier("init-enter")
+        yield oob.barrier("init-enter")
         adi.init_started_at = engine.now
         with _span("mpi.init"):
-            yield from adi.conn.init_phase()
+            yield adi.conn.init_phase()
         adi.init_done_at = engine.now
         ranks.init_times[rank] = adi.init_done_at - adi.init_started_at
         # ---- user program
-        ranks.returns[rank] = yield from program(mpi, *rank_args[rank])
+        ranks.returns[rank] = yield program(mpi, *rank_args[rank])
         ranks.finish_times[rank] = engine.now
         # ---- MPI_Finalize: drain outbound work (weak progress means
         # nobody else will), OOB sync, snapshot resources, tear down
         with _span("mpi.finalize"):
-            yield from adi.drain()
-            yield from oob.progressive_barrier("finalize", adi)
+            yield adi.drain()
+            yield oob.progressive_barrier("finalize", adi)
             if rank == 0:
                 ranks.resources = collect_resources(devices, snapshot_nics)
-            yield from oob.progressive_barrier("teardown", adi)
-            yield from adi.conn.finalize_phase()
+            yield oob.progressive_barrier("teardown", adi)
+            yield adi.conn.finalize_phase()
         ranks.exited += 1
         if ranks.exited == nprocs and on_exit is not None:
             on_exit(ranks)

@@ -105,7 +105,9 @@ class BufferPool:
         return buf
 
     def release(self, buf: PooledBuffer) -> None:
-        """Return a buffer to the pool."""
+        """Return a buffer to the pool, checked.  (The MPI progress pass
+        returns a completed send's bounce buffer inline, unchecked: it
+        holds the buffer the pool handed out for that send.)"""
         if buf.pool is not self:
             raise BufferPoolError("buffer returned to the wrong pool")
         if not buf.in_use:

@@ -29,7 +29,7 @@ as in MPICH.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -279,16 +279,17 @@ class AbstractDevice:
                 nbytes=nbytes, sync=(mode is SendMode.SYNCHRONOUS),
                 request_id=req.request_id, flow_id=flow,
             )
-            ch.stamp_envelope(header)
             item = PendingSend(header, send_payload, req, False, now)
         else:
             header = RtsHeader(
                 src_rank=self.rank, context_id=context_id, tag=tag,
                 nbytes=nbytes, request_id=req.request_id, flow_id=flow,
             )
-            ch.stamp_envelope(header)
             item = PendingSend(header, send_payload, req, True, now)
             self._awaiting_cts[req.request_id] = req
+        # Channel.stamp_envelope, inline: the next channel sequence number
+        header.seq = ch.seq_out
+        ch.seq_out += 1
         ch.send_fifo.append(item)
         self._dirty[ch.dest] = ch
         self._post_pending(ch)
@@ -440,20 +441,45 @@ class AbstractDevice:
         return ch.take_piggyback()
 
     def _post_pending(self, ch: Channel) -> None:
-        """Post everything the channel can send right now."""
+        """Post everything the channel can send right now: control
+        messages first, then the send FIFO in order, each while credits
+        (explicit credit updates need none), the rendezvous window and a
+        free bounce buffer allow.
+
+        The per-message path: the channel's checking accessors
+        (``next_postable``, ``pop_postable``, ``consume_credit_for``,
+        ``take_piggyback``) and the provider's ``can_post_send`` are read
+        inline."""
         provider = self.provider
         now = self.engine.now
-        while True:
-            item = ch.next_postable()
-            if item is None:
+        control = ch.control_queue
+        fifo = ch.send_fifo
+        while ch.state is ChannelState.CONNECTED:
+            if control:
+                queue = control
+                item = control[0]
+                credit = not isinstance(item.header, CreditHeader)
+                if credit and ch.credits <= 0:
+                    break
+            elif fifo:
+                queue = fifo
+                item = fifo[0]
+                credit = True
+                if ch.credits <= 0 or (
+                        item.is_rts and ch.rndv_outstanding >= ch.rndv_window):
+                    break
+            else:
                 break
-            if not provider.can_post_send(ch.vi):
-                break
-            ch.pop_postable(item)
+            pool = ch.vi.send_pool
+            if pool.count - len(pool._buffers) + len(pool._free) <= 0:
+                break  # no bounce buffer free
+            queue.popleft()
             header = item.header
-            ch.consume_credit_for(header)
+            if credit:
+                ch.credits -= 1
             self._owing.pop(ch.dest, None)  # take_return_credits()
-            header.piggyback_credits = ch.take_piggyback()
+            header.piggyback_credits = ch.credits_to_return
+            ch.credits_to_return = 0
             if self.config.dynamic_buffers:
                 # demand signal for the receiver's window growth
                 header.queued_behind = len(ch.send_fifo)
@@ -545,7 +571,13 @@ class AbstractDevice:
                     if kind == "rdma" and req is not None and not req.done:
                         req.complete(self.engine.now)
                 else:
-                    provider.release_send_buffer(desc)
+                    # provider.release_send_buffer(desc), inline: the
+                    # bounce buffer goes back to its pool's free list
+                    buf = desc.buffer
+                    if buf is not None:
+                        buf.in_use = False
+                        buf.pool._free.append(buf.index)
+                        desc.buffer = None
 
         # 2. receive completions: protocol handling + matching
         arrived = provider.recv_cq._entries
@@ -555,9 +587,15 @@ class AbstractDevice:
                 self._handle_arrival(arrived.popleft())
 
         # 3. connection progress (paper §3.3: connection requests are
-        #    progressed like nonblocking communication requests)
-        if self.conn.progress():
-            progressed = True
+        #    progressed like nonblocking communication requests), when
+        #    there is any: establishments, disconnects, a passed connect
+        #    deadline, channels waiting for a cache slot
+        conn = self.conn
+        if (provider.established or provider.pending_disconnects
+                or conn._waiting_for_room
+                or self.engine.now >= conn._next_deadline):
+            if conn.progress():
+                progressed = True
 
         # 4. post pass
         if self._dirty:
@@ -699,16 +737,26 @@ class AbstractDevice:
         else:  # pragma: no cover
             raise MpiError(f"unknown header {header!r}")
 
-        # recycle the descriptor's buffer and return the credit
-        self._cost_us += provider.repost_recv(ch.vi, desc.buffer)
+        # recycle the descriptor's buffer (provider.repost_recv and
+        # VI.post_recv, inline) and return the credit
+        vi = ch.vi
+        vi._recv_queue.append(desc.buffer)
+        vi.recvs_posted += 1
+        if vi.telemetry is not None:
+            vi.telemetry.counter("via.recvs_posted").inc()
+        self._cost_us += provider.profile.post_recv_us
         if not isinstance(header, CreditHeader):
             ch.credits_to_return += 1
             if ch.credits_due():
                 self._owing[ch.dest] = ch
 
     # ---------------------------------------------------------- completion --
-    def wait_until(self, predicate: Callable[[], bool]):
-        """Progress until ``predicate()`` holds.
+    def wait_until(self, until: Optional[Callable[[], bool]] = None,
+                   requests: Sequence[Request] = (), *,
+                   poll_first: bool = True, pick: Optional[int] = None,
+                   comm=None):
+        """The completion loop: progress until every request in
+        ``requests`` is done and ``until()`` (if given) holds.
 
         *polling*: spin (device checks) and observe completions at event
         time.  *spinwait*: after ``spincount`` fruitless polls the host
@@ -720,30 +768,56 @@ class AbstractDevice:
         loop parks on the provider's activity signal and applies the
         wakeup penalty iff the wake-up came after the spin window would
         have expired — timing-equivalent, event-count-bounded.
+
+        The first test comes after one progress pass; with
+        ``poll_first=False`` it comes before, and a loop with nothing to
+        wait for makes no pass (``MPI_Wait`` on a done request).  Then
+        the first request error is raised.  Returns ``requests[pick]``'s
+        status, its source translated to a rank of ``comm`` when given,
+        or with no ``pick`` every request's status.
+
+        Every blocking call returns this generator itself, so a rank
+        resumed inside one enters no frame of the call.
         """
-        engine = self.engine
-        profile = self.provider.profile
-        spinwait = (
-            self.config.completion == "spinwait" and profile.has_blocking_wait
-        )
-        spin_window = self.config.spincount * profile.spin_iteration_us
-        idle_since: Optional[float] = None
-        while True:
-            progressed = self.progress_pass()
-            cost, self._cost_us = self._cost_us, 0.0  # flush_cost()
-            yield engine.timeout(cost, name="host-cost")
-            if predicate():
-                return
-            if progressed:
-                idle_since = None
-                continue
-            if idle_since is None:
-                idle_since = engine.now
-            yield self.provider.activity.wait()
-            if spinwait and engine.now - idle_since > spin_window:
-                # we had fallen into the kernel's blocking wait
-                self.blocking_waits += 1
-                yield engine.timeout(profile.wakeup_us, name="wakeup")
+        pending = []  # tested from the end; a done request stays done
+        for request in requests:
+            if not request.done:
+                pending.append(request)
+        if poll_first or pending or (until is not None and not until()):
+            engine = self.engine
+            provider = self.provider
+            profile = provider.profile
+            spinwait = (self.config.completion == "spinwait"
+                        and profile.has_blocking_wait)
+            spin_window = self.config.spincount * profile.spin_iteration_us
+            idle_since: Optional[float] = None
+            while True:
+                progressed = self.progress_pass()
+                cost, self._cost_us = self._cost_us, 0.0  # flush_cost()
+                yield engine.timeout(cost, name="host-cost")
+                while pending and pending[-1].done:
+                    pending.pop()
+                if not pending and (until is None or until()):
+                    break
+                if progressed:
+                    idle_since = None
+                    continue
+                if idle_since is None:
+                    idle_since = engine.now
+                yield provider.activity.wait()
+                if spinwait and engine.now - idle_since > spin_window:
+                    # we had fallen into the kernel's blocking wait
+                    self.blocking_waits += 1
+                    yield engine.timeout(profile.wakeup_us, name="wakeup")
+        for request in requests:
+            if request.error is not None:
+                raise request.error
+        if pick is None:
+            return [request.status for request in requests]
+        status = requests[pick].status
+        if comm is not None:
+            status.source = comm.comm_rank_of(status.source)
+        return status
 
     def has_pending_outbound(self) -> bool:
         """True while locally-completed operations still need the device
@@ -757,30 +831,18 @@ class AbstractDevice:
         return bool(self._awaiting_cts or self._awaiting_ack or self._dirty)
 
     def drain(self):
-        """Progress until no outbound work remains (finalize step)."""
-        if self.has_pending_outbound():
-            yield from self.wait_until(lambda: not self.has_pending_outbound())
+        """The completion loop until no outbound work remains (finalize
+        step); no pass if none does."""
+        return self.wait_until(lambda: not self.has_pending_outbound(),
+                               poll_first=False)
 
-    def wait(self, request: Request):
-        """Block until ``request`` completes (generator)."""
-        if not request.done:
-            yield from self.wait_until(lambda: request.done)
-        if request.error is not None:
-            raise request.error
-        return request.status
+    def wait(self, request: Request, comm=None):
+        """MPI_Wait: the completion loop for ``request``, returning its
+        status (no pass if it is already done)."""
+        return self.wait_until(requests=(request,), poll_first=False,
+                               pick=0, comm=comm)
 
-    def wait_all(self, requests: List[Request]):
-        pending = [r for r in requests if not r.done]
-
-        def all_done() -> bool:
-            # a completed request stays complete: test each only until
-            # it is, not on every poll
-            while pending and pending[-1].done:
-                pending.pop()
-            return not pending
-
-        yield from self.wait_until(all_done)
-        for r in requests:
-            if r.error is not None:
-                raise r.error
-        return [r.status for r in requests]
+    def wait_all(self, requests: Sequence[Request]):
+        """MPI_Waitall: the completion loop for ``requests``, returning
+        their statuses.  It makes one pass even if all are done."""
+        return self.wait_until(requests=requests)

@@ -141,6 +141,8 @@ class Channel:
         return len(self.send_fifo) + len(self.control_queue)
 
     # -- posting eligibility -------------------------------------------------
+    # (the ADI's post pass applies these rules inline, per message; the
+    # checking accessors are for tests and cold callers)
     def next_postable(self) -> Optional[PendingSend]:
         """The next message that may be posted right now, honouring
         priority (control first), credits, and the rendezvous window.

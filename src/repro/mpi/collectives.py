@@ -14,9 +14,11 @@ which connections a collective-using application forces:
   all ``P-1`` others (why IS stays fully connected in Table 2).
 * **gather / scatter** — linear to/from the root.
 
-All functions are generators; ``mpi`` is the process facade.  Tags above
-``MAX_TAG`` and the communicator's collective context keep internals
-from matching user receives.
+All functions are generators; ``mpi`` is the process facade.  Each step
+yields its completion loop to the rank's process as a stage (see
+:mod:`repro.sim.process`), so a rank resumed inside a step enters that
+loop alone.  Tags above ``MAX_TAG`` and the communicator's collective
+context keep internals from matching user receives.
 """
 
 from __future__ import annotations
@@ -98,21 +100,21 @@ def barrier(mpi, comm: Communicator):
     inbox = np.empty(0, dtype=np.uint8)
     if rank >= m:
         # pre: fold the surplus ranks onto the power-of-two core
-        yield from mpi._send_coll(token, rank - m, TAG_BARRIER, comm)
-        yield from mpi._recv_coll(inbox, rank - m, TAG_BARRIER, comm)
+        yield mpi._send_coll(token, rank - m, TAG_BARRIER, comm)
+        yield mpi._recv_coll(inbox, rank - m, TAG_BARRIER, comm)
         return
     if rank < rest:
-        yield from mpi._recv_coll(inbox, rank + m, TAG_BARRIER, comm)
+        yield mpi._recv_coll(inbox, rank + m, TAG_BARRIER, comm)
     mask = 1
     while mask < m:
         partner = rank ^ mask
         if mpi._adi.telemetry is not None:
             _round(mpi, coll="barrier", mask=mask, partner=partner)
-        yield from mpi._sendrecv_coll(token, partner, inbox, partner,
-                                      TAG_BARRIER, comm)
+        yield mpi._sendrecv_coll(token, partner, inbox, partner,
+                                 TAG_BARRIER, comm)
         mask *= 2
     if rank < rest:
-        yield from mpi._send_coll(token, rank + m, TAG_BARRIER, comm)
+        yield mpi._send_coll(token, rank + m, TAG_BARRIER, comm)
 
 
 @_traced("coll.bcast")
@@ -127,7 +129,7 @@ def bcast(mpi, buf: np.ndarray, root: int, comm: Communicator):
     while mask < size:
         if relrank & mask:
             parent = (relrank - mask + root) % size
-            yield from mpi._recv_coll(buf, parent, TAG_BCAST, comm)
+            yield mpi._recv_coll(buf, parent, TAG_BCAST, comm)
             break
         mask *= 2
     # send phase: fan out below me
@@ -136,7 +138,7 @@ def bcast(mpi, buf: np.ndarray, root: int, comm: Communicator):
         child_rel = relrank + mask
         if child_rel < size:
             child = (child_rel + root) % size
-            yield from mpi._send_coll(buf, child, TAG_BCAST, comm)
+            yield mpi._send_coll(buf, child, TAG_BCAST, comm)
         mask //= 2
 
 
@@ -155,13 +157,13 @@ def reduce(
         while mask < size:
             if relrank & mask:
                 parent = (relrank & ~mask) % size
-                yield from mpi._send_coll(acc, (parent + root) % size,
-                                          TAG_REDUCE, comm)
+                yield mpi._send_coll(acc, (parent + root) % size,
+                                     TAG_REDUCE, comm)
                 break
             child_rel = relrank | mask
             if child_rel < size:
                 child = (child_rel + root) % size
-                yield from mpi._recv_coll(inbox, child, TAG_REDUCE, comm)
+                yield mpi._recv_coll(inbox, child, TAG_REDUCE, comm)
                 acc = op(acc, inbox)
             mask *= 2
     if rank == root:
@@ -183,25 +185,25 @@ def allreduce(
         rest = size - m
         inbox = np.empty_like(acc)
         if rank >= m:
-            yield from mpi._send_coll(acc, rank - m, TAG_ALLREDUCE, comm)
-            yield from mpi._recv_coll(acc, rank - m, TAG_ALLREDUCE, comm)
+            yield mpi._send_coll(acc, rank - m, TAG_ALLREDUCE, comm)
+            yield mpi._recv_coll(acc, rank - m, TAG_ALLREDUCE, comm)
             recvbuf[...] = acc
             return
         if rank < rest:
-            yield from mpi._recv_coll(inbox, rank + m, TAG_ALLREDUCE, comm)
+            yield mpi._recv_coll(inbox, rank + m, TAG_ALLREDUCE, comm)
             acc = op(acc, inbox)
         mask = 1
         while mask < m:
             partner = rank ^ mask
             if mpi._adi.telemetry is not None:
                 _round(mpi, coll="allreduce", mask=mask, partner=partner)
-            yield from mpi._sendrecv_coll(acc, partner, inbox, partner,
-                                          TAG_ALLREDUCE, comm)
+            yield mpi._sendrecv_coll(acc, partner, inbox, partner,
+                                     TAG_ALLREDUCE, comm)
             # order operands by rank for non-commutative safety
             acc = op(inbox, acc) if partner < rank else op(acc, inbox)
             mask *= 2
         if rank < rest:
-            yield from mpi._send_coll(acc, rank + m, TAG_ALLREDUCE, comm)
+            yield mpi._send_coll(acc, rank + m, TAG_ALLREDUCE, comm)
     recvbuf[...] = acc
 
 
@@ -234,8 +236,8 @@ def allgather(
             partner_base = base ^ mask
             send_slice = recvbuf[base * block : (base + mask) * block]
             recv_slice = recvbuf[partner_base * block : (partner_base + mask) * block]
-            yield from mpi._sendrecv_coll(send_slice, partner, recv_slice,
-                                          partner, TAG_ALLGATHER, comm)
+            yield mpi._sendrecv_coll(send_slice, partner, recv_slice,
+                                     partner, TAG_ALLGATHER, comm)
             mask *= 2
     else:
         left = (rank - 1) % size
@@ -243,7 +245,7 @@ def allgather(
         for step in range(size - 1):
             send_block = (rank - step) % size
             recv_block = (rank - step - 1) % size
-            yield from mpi._sendrecv_coll(
+            yield mpi._sendrecv_coll(
                 recvbuf[send_block * block : (send_block + 1) * block], right,
                 recvbuf[recv_block * block : (recv_block + 1) * block], left,
                 TAG_ALLGATHER, comm,
@@ -271,7 +273,7 @@ def alltoall(
             recv_from = (rank - step) % size
         if mpi._adi.telemetry is not None:
             _round(mpi, coll="alltoall", step=step, partner=send_to)
-        yield from mpi._sendrecv_coll(
+        yield mpi._sendrecv_coll(
             sendbuf[send_to * block : (send_to + 1) * block], send_to,
             recvbuf[recv_from * block : (recv_from + 1) * block], recv_from,
             TAG_ALLTOALL, comm,
@@ -295,7 +297,7 @@ def alltoallv(
     for step in range(1, size):
         send_to = (rank + step) % size
         recv_from = (rank - step) % size
-        yield from mpi._sendrecv_coll(
+        yield mpi._sendrecv_coll(
             sendbuf[sdispls[send_to] : sdispls[send_to] + sendcounts[send_to]],
             send_to,
             recvbuf[rdispls[recv_from] : rdispls[recv_from] + recvcounts[recv_from]],
@@ -319,11 +321,11 @@ def gather(
         for src in range(size):
             if src == rank:
                 continue
-            yield from mpi._recv_coll(
+            yield mpi._recv_coll(
                 recvbuf[src * block : (src + 1) * block], src, TAG_GATHER, comm
             )
     else:
-        yield from mpi._send_coll(sendbuf, root, TAG_GATHER, comm)
+        yield mpi._send_coll(sendbuf, root, TAG_GATHER, comm)
 
 
 @_traced("coll.scatter")
@@ -341,8 +343,8 @@ def scatter(
         for dst in range(size):
             if dst == rank:
                 continue
-            yield from mpi._send_coll(
+            yield mpi._send_coll(
                 sendbuf[dst * block : (dst + 1) * block], dst, TAG_SCATTER, comm
             )
     else:
-        yield from mpi._recv_coll(recvbuf, root, TAG_SCATTER, comm)
+        yield mpi._recv_coll(recvbuf, root, TAG_SCATTER, comm)

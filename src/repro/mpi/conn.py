@@ -174,7 +174,8 @@ class ConnectionManager:
     # -- lifecycle ---------------------------------------------------------
     def init_phase(self):
         """Generator run during MPI_Init (may block on progress): open
-        the pre-connect set with the row's setup protocol."""
+        the pre-connect set with the row's setup protocol.  It yields
+        each completion loop to the rank's process as a stage."""
         if self.preconnect == NONE:
             # MPI_Init creates no VIs and no connections
             yield self.adi.flush_cost()
@@ -203,7 +204,7 @@ class ConnectionManager:
                 )
             )
             ch.state = ChannelState.CONNECTING
-            yield from adi.wait_until(lambda v=ch.vi: v.is_connected)
+            yield adi.wait_until(lambda v=ch.vi: v.is_connected)
             adi.mark_channel_connected(ch)
 
         # server phase: accept every higher rank, in rank order
@@ -218,12 +219,12 @@ class ConnectionManager:
                     req = found
                 return req is not None
 
-            yield from adi.wait_until(got_request)
+            yield adi.wait_until(got_request)
             ch = adi.new_channel(client)
             adi.open_channel_vi(ch)
             adi.charge(provider.connect_accept(req, ch.vi))
             ch.state = ChannelState.CONNECTING
-            yield from adi.wait_until(lambda v=ch.vi: v.is_connected)
+            yield adi.wait_until(lambda v=ch.vi: v.is_connected)
             adi.mark_channel_connected(ch)
 
     def finalize_phase(self):
@@ -243,6 +244,7 @@ class ConnectionManager:
                 adi.charge(adi.provider.destroy_vi(ch.vi))
                 destroyed += 1
         adi.charge(adi.provider.dreg.flush())
+        adi.provider.close()
         if adi.telemetry is not None:
             adi.telemetry.instant(
                 "conn.finalize", ("rank", adi.rank), vis_destroyed=destroyed,
@@ -314,7 +316,8 @@ class ConnectionManager:
     def progress(self) -> bool:
         """Move connection work along (non-blocking), in a fixed order:
         established and late connects, then the disconnect inbox, then
-        channels waiting for a cache slot.
+        channels waiting for a cache slot.  The ADI's progress pass
+        calls it only when one of them has work.
 
         Establishment is notified, not polled for: the provider lists
         every VI its agent flipped to CONNECTED, and this pass confirms
@@ -330,8 +333,6 @@ class ConnectionManager:
         inbox = provider.pending_disconnects
         now = adi.engine.now
         expired = now >= self._next_deadline
-        if not (notified or expired or inbox or self._waiting_for_room):
-            return False
         progressed = False
         if notified or expired:
             if expired:
@@ -473,7 +474,7 @@ class ConnectionManager:
         established or (under fault injection) exhausted its retries —
         never wait on a dead peer forever — then fail on the latter."""
         adi = self.adi
-        yield from adi.wait_until(lambda: not self._connecting)
+        yield adi.wait_until(lambda: not self._connecting)
         failed = sorted(
             ch.dest for ch in adi.channels.values()
             if ch.state is ChannelState.FAILED

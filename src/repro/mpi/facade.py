@@ -18,10 +18,10 @@ Nonblocking calls (:meth:`isend`, :meth:`irecv`) are plain methods
 returning :class:`~repro.mpi.request.Request`; complete them with
 :meth:`wait` / :meth:`waitall` / :meth:`test`.
 
-A blocking call with nothing left to do after its wait returns the
-generator that waits (the ADI's, or the collective's) instead of
-wrapping it in one of its own: every resume of a blocked rank re-enters
-each generator it is nested in.
+A blocking point-to-point call returns the ADI's completion loop
+itself (:meth:`~repro.mpi.adi.AbstractDevice.wait_until`), which also
+translates the status to the communicator's ranks: a rank resumed
+inside one enters no frame of the facade.
 
 :meth:`compute` charges modelled computation time to the simulated
 clock — during it the library makes **no progress** (weak progress,
@@ -153,26 +153,22 @@ class MpiProcess:
     # -- point-to-point, blocking --------------------------------------------------
     def send(self, data, dest: int, tag: int = 0, comm=None,
              mode: SendMode = SendMode.STANDARD):
-        req = self.isend(data, dest, tag, comm, mode)
-        yield from self._adi.wait(req)
+        return self._adi.wait(self.isend(data, dest, tag, comm, mode))
 
     def ssend(self, data, dest: int, tag: int = 0, comm=None):
-        yield from self.send(data, dest, tag, comm, mode=SendMode.SYNCHRONOUS)
+        return self.send(data, dest, tag, comm, mode=SendMode.SYNCHRONOUS)
 
     def bsend(self, data, dest: int, tag: int = 0, comm=None):
-        yield from self.send(data, dest, tag, comm, mode=SendMode.BUFFERED)
+        return self.send(data, dest, tag, comm, mode=SendMode.BUFFERED)
 
     def rsend(self, data, dest: int, tag: int = 0, comm=None):
         # ready mode: the caller asserts a matching receive is posted;
         # the transfer itself is the standard path
-        yield from self.send(data, dest, tag, comm, mode=SendMode.READY)
+        return self.send(data, dest, tag, comm, mode=SendMode.READY)
 
     def recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG, comm=None):
         comm = comm or self.COMM_WORLD
-        req = self.irecv(buf, source, tag, comm)
-        status = yield from self._adi.wait(req)
-        status.source = comm.comm_rank_of(status.source)
-        return status
+        return self._adi.wait(self.irecv(buf, source, tag, comm), comm)
 
     def sendrecv(
         self, senddata, dest: int, recvbuf, source: int,
@@ -181,11 +177,13 @@ class MpiProcess:
         comm = comm or self.COMM_WORLD
         rreq = self.irecv(recvbuf, source, recvtag, comm)
         sreq = self.isend(senddata, dest, sendtag, comm)
-        yield from self._adi.wait_all([sreq, rreq])
-        rreq.status.source = comm.comm_rank_of(rreq.status.source)
-        return rreq.status
+        # MPI_Waitall's one pass, and the receive's status
+        return self._adi.wait_until(requests=(sreq, rreq), pick=1, comm=comm)
 
     # -- collective internals (separate context, reserved tags) --------------------
+    # A collective yields each step's completion loop to the rank's
+    # process as a stage: a rank resumed inside a step enters the loop
+    # alone, not the collective (nor the program) around it.
     def _send_coll(self, data, dest: int, tag: int, comm: Communicator):
         return self._adi.wait(self._adi.isend_contig(
             comm.world_rank(dest), tag, comm.coll_context, data))
@@ -200,7 +198,7 @@ class MpiProcess:
                                recvbuf)
         sreq = self._adi.isend_contig(comm.world_rank(dest), tag,
                                       comm.coll_context, senddata)
-        return self._adi.wait_all([sreq, rreq])
+        return self._adi.wait_until(requests=(sreq, rreq), pick=1)
 
     # -- collectives -----------------------------------------------------------------
     def barrier(self, comm=None):

@@ -13,7 +13,9 @@ Design goals:
   the units the paper reports.
 * **Tiny yield protocol.** A process generator may yield
   :class:`~repro.sim.engine.Event` objects (one-shot), results of
-  :meth:`Engine.timeout`, or :meth:`~repro.sim.signal.Signal.wait`.
+  :meth:`Engine.timeout`, or :meth:`~repro.sim.signal.Signal.wait` —
+  or a generator, a stage the process runs in its place until it
+  returns (see :mod:`repro.sim.process`).
 """
 
 from repro.sim.engine import (

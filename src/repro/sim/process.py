@@ -15,13 +15,38 @@ return value, so processes can wait on each other::
     def parent(eng):
         value = yield eng.process(child(eng))
         assert value == 42
+
+A process may also yield a *generator*: a stage it runs itself, in the
+same step, until the stage returns.  The yielding generator then resumes
+with the stage's return value (or its exception), as after ``yield
+from`` — but while the stage waits, each resume enters the stage's frame
+alone, not every generator it is nested in::
+
+    def rank(eng):
+        yield setup(eng)             # a stage
+        result = yield program(eng)  # another; its return value
+        yield teardown(eng)
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from types import GeneratorType
+from typing import Any, Generator, List, Optional
 
 from repro.sim.engine import Engine, Event, Interrupt, SimulationError
+
+
+def _outcome(ok: bool, value: Any) -> Event:
+    """A processed stand-in event carrying a stage's return value (or
+    its exception) to the generator that yielded the stage."""
+    event = Event.__new__(Event)
+    event._ok = ok
+    event._value = value
+    return event
+
+
+#: what a stage's generator is first sent
+_START = _outcome(True, None)
 
 
 class Process(Event):
@@ -32,7 +57,7 @@ class Process(Event):
     number).
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_park")
+    __slots__ = ("_generator", "_waiting_on", "_park", "_callers")
 
     def __init__(self, engine: Engine, generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -41,9 +66,14 @@ class Process(Event):
                 "did you call the function instead of passing its generator?"
             )
         super().__init__(engine, name or getattr(generator, "__name__", "process"))
+        #: the generator stepped now: the innermost running stage
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: generators suspended on the stage they yielded, innermost last
+        self._callers: Optional[List[Generator]] = None
         #: what every awaited event calls back: bound once, not per yield
+        #: (and dropped when the process ends, so that it is freed by
+        #: reference counting, not left to the cyclic collector)
         self._park = self._resume
         engine.timeout(0.0, None, f"{self.name}.start").callbacks.append(self._park)
 
@@ -86,7 +116,8 @@ class Process(Event):
         """Step the generator with the outcome of ``event`` and park on
         what it yields, looping (not recursing) while that has already
         been processed.  The per-event hot path: it reads event slots,
-        not the checking properties."""
+        not the checking properties.  Stages start, return and fail in
+        the branches off it."""
         generator = self._generator
         self._waiting_on = None
         while True:
@@ -96,12 +127,13 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
+                if self._callers:
+                    # a stage returned: its caller goes on, in this step
+                    generator = self._generator = self._callers.pop()
+                    event = _outcome(True, stop.value)
+                    continue
+                self._end()
                 self.succeed(stop.value)
-                return
-            except Interrupt:
-                # An unhandled Interrupt terminates the process quietly: the
-                # interrupter asked it to stop and it did not object.
-                self.succeed(None)
                 return
             except (KeyboardInterrupt, SystemExit):
                 # operator interrupts are not simulation failures: unwind
@@ -109,16 +141,35 @@ class Process(Event):
                 # (exit 130, cache intact) sees the real KeyboardInterrupt
                 raise
             except BaseException as exc:
-                self.fail(exc)
+                if self._callers:
+                    # a stage raised: so does its yield in the caller
+                    generator = self._generator = self._callers.pop()
+                    event = _outcome(False, exc)
+                    continue
+                self._end()
+                if isinstance(exc, Interrupt):
+                    # An unhandled Interrupt terminates the process quietly:
+                    # the interrupter asked it to stop and it did not object.
+                    self.succeed(None)
+                else:
+                    self.fail(exc)
                 return
             if not isinstance(target, Event):
-                generator.close()
+                if type(target) is GeneratorType:
+                    # a stage: run it here until it returns
+                    if self._callers is None:
+                        self._callers = []
+                    self._callers.append(generator)
+                    generator = self._generator = target
+                    event = _START
+                    continue
+                self._abandon(generator)
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event objects"))
+                    "processes must yield Event objects or generators"))
                 return
             if target.engine is not self.engine:
-                generator.close()
+                self._abandon(generator)
                 self.fail(SimulationError("yielded event belongs to a different engine"))
                 return
             if not target._processed:
@@ -126,6 +177,21 @@ class Process(Event):
                 target.callbacks.append(self._park)
                 return
             event = target
+
+    def _abandon(self, generator: Generator) -> None:
+        """Close the running stage and every generator suspended on it,
+        innermost first, and end the process."""
+        generator.close()
+        for caller in reversed(self._callers or ()):
+            caller.close()
+        self._end()
+
+    def _end(self) -> None:
+        """Let go of the generators and of the bound callback: nothing
+        resumes a finished process."""
+        self._generator = None
+        self._callers = None
+        self._park = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

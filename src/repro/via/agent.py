@@ -25,7 +25,7 @@ establishment by polling ``VipConnectPeerDone`` (i.e. ``vi.is_connected``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.fabric.packet import Packet
 from repro.sim.engine import Engine
@@ -41,6 +41,11 @@ from repro.via.messages import (
 )
 from repro.via.nic import Nic
 from repro.via.vi import VI
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.signal import Signal
+    from repro.via.provider import ViaProvider
+
 
 class ConnectionAgent:
     """The kernel-side connection manager of one node."""
@@ -76,17 +81,48 @@ class ConnectionAgent:
         self._cs_queues: Dict[tuple, Deque[CsConnRequest]] = {}
         self._cs_clients: Dict[Discriminator, VI] = {}
 
-        #: every provider on this node (for CS-request wake-ups that can
-        #: arrive before the server created any VI)
-        self._local_providers: list = []
+        #: the live providers on this node, by (job id, rank)
+        self._providers: Dict[Tuple[int, int], "ViaProvider"] = {}
+        #: the activity signals a client/server request wakes (it can
+        #: arrive before the server created any VI), in registration
+        #: order: every live provider's, and a torn-down one's while a
+        #: wait its process left behind (the losing side of a race) is
+        #: pending — until the wake-up that ends it, so that the event
+        #: sequence is the one a provider kept for good would give
+        self._wakeups: List["Signal"] = []
+        #: the torn-down providers' signals among them, by (job id, rank)
+        self._retired: Dict[Tuple[int, int], "Signal"] = {}
 
         # counters
         self.connections_established = 0
         self.requests_processed = 0
+        #: disconnect messages that arrived after their process's teardown
+        self.late_disconnects = 0
 
-    def register_local(self, provider) -> None:
+    def register_local(self, provider: "ViaProvider") -> None:
         """Called by each ViaProvider on this node at construction."""
-        self._local_providers.append(provider)
+        self._providers[(provider.job_id, provider.rank)] = provider
+        self._wakeups.append(provider.activity)
+
+    def unregister_local(self, provider: "ViaProvider") -> None:
+        """Called by a provider at its process's teardown.  Once the
+        last of its job's providers on this node has gone, the job's
+        grants and client/server queues go too: the agent keeps only
+        what live jobs can use."""
+        key = (provider.job_id, provider.rank)
+        del self._providers[key]
+        signal = provider.activity
+        if signal.waiter_count:
+            self._retired[key] = signal
+        else:
+            self._wakeups.remove(signal)
+        job_id = provider.job_id
+        if any(live[0] == job_id for live in self._providers):
+            return
+        for sent in [k for k in self._grants_sent if k[0][0] == job_id]:
+            del self._grants_sent[sent]
+        for queue in [k for k in self._cs_queues if k[0] == job_id]:
+            del self._cs_queues[queue]
 
     # -- serial service machinery ------------------------------------------------
     def _enqueue(self, handler: Callable[..., None], *args) -> None:
@@ -261,15 +297,20 @@ class ConnectionAgent:
         # hand the message to the right local process; decisions about
         # quiescence belong to the MPI layer and happen at its next
         # device check (weak progress)
-        job_id = message.discriminator[0]
-        for provider in self._local_providers:
-            if provider.job_id == job_id and provider.rank == message.dst_rank:
-                provider.pending_disconnects.append(message)
-                provider.activity.fire()
-                return
-        raise ViaConnectionError(
-            f"disconnect for unknown job {job_id} rank {message.dst_rank} "
-            f"on node {self.nic.node_id}")
+        key = (message.discriminator[0], message.dst_rank)
+        provider = self._providers.get(key)
+        if provider is not None:
+            provider.pending_disconnects.append(message)
+            provider.activity.fire()
+            return
+        # the process has torn down (a reply that crossed its teardown
+        # barrier): no connection is left to decide about
+        self.late_disconnects += 1
+        signal = self._retired.pop(key, None)
+        if signal is not None:
+            # the wake-up a kept provider would have had ends its wait
+            signal.fire()
+            self._wakeups.remove(signal)
 
     # -- client/server model -------------------------------------------------------
     def listen(self, server_rank: int, job_id: int = 0) -> None:
@@ -305,8 +346,13 @@ class ConnectionAgent:
             )
         queue.append(req)
         # wake any process polling VipConnectWait on this node
-        for provider in self._local_providers:
-            provider.activity.fire()
+        for signal in self._wakeups:
+            signal.fire()
+        if self._retired:
+            # the torn-down providers' left-behind waits are over
+            ended = set(self._retired.values())
+            self._wakeups = [s for s in self._wakeups if s not in ended]
+            self._retired.clear()
 
     def poll_cs_request(
         self, server_rank: int, from_rank: Optional[int] = None,

@@ -28,7 +28,8 @@ class CompletionQueue:
         self.high_water = 0
 
     def push(self, descriptor: Descriptor) -> None:
-        """NIC-side: append a completed descriptor."""
+        """NIC-side: append a completed descriptor (the NIC's per-packet
+        paths do the same inline)."""
         self._entries.append(descriptor)
         self.completions += 1
         if len(self._entries) > self.high_water:

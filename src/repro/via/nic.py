@@ -216,7 +216,9 @@ class Nic:
         start = self._tx_busy_until
         if start < now:
             start = now
-        done = start + self.profile.nic_send_service_us(self._active_vis)
+        profile = self.profile  # nic_send_service_us(), inline
+        done = start + (profile.nic_send_base_us
+                        + profile.nic_per_vi_us * self._active_vis)
         self._tx_busy_until = done
         if self.telemetry is not None:
             self._tx_window = (start, done)  # exactly one tx service in flight
@@ -228,8 +230,9 @@ class Nic:
     def _service_one_tx(self, _event) -> None:
         self._tx_scheduled = False
         vi = self._tx_queue.popleft()
-        # (per-packet paths read vi._state, vi._send_backlog, _owners, _vis
-        # and the injector directly; checking accessors are for the host)
+        # (per-packet paths read vi._state, vi._send_backlog, _owners, _vis,
+        # the injector, the CQs and the service-time fields directly;
+        # checking accessors are for the host)
         if not vi._send_backlog:  # pragma: no cover - doorbell/descriptor invariant
             raise ViaProtocolError(f"doorbell rung on VI {vi.vi_id} with empty send queue")
         desc = vi._send_backlog.popleft()
@@ -286,7 +289,12 @@ class Nic:
                     vi=vi.vi_id, kind=kind, bytes=wire, flow=desc.flow_id,
                 )
             desc.complete(DescriptorStatus.SUCCESS, nbytes, now)
-        vi.send_cq.push(desc)
+        cq = vi.send_cq  # CompletionQueue.push, inline
+        entries = cq._entries
+        entries.append(desc)
+        cq.completions += 1
+        if len(entries) > cq.high_water:
+            cq.high_water = len(entries)
         self._owners[vi.vi_id].activity.fire()
         if self._tx_queue:
             self._kick_tx()
@@ -458,7 +466,9 @@ class Nic:
         start = self._rx_busy_until
         if start < now:
             start = now
-        done = start + self.profile.nic_recv_service_us(self._active_vis)
+        profile = self.profile  # nic_recv_service_us(), inline
+        done = start + (profile.nic_recv_base_us
+                        + profile.nic_per_vi_us * self._active_vis)
         self._rx_busy_until = done
         if self.telemetry is not None:
             self._rx_window = (start, done)  # exactly one rx service in flight
@@ -531,7 +541,12 @@ class Nic:
         desc.header = msg.header
         desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
         self.messages_received += 1
-        vi.recv_cq.push(desc)
+        cq = vi.recv_cq  # CompletionQueue.push, inline
+        entries = cq._entries
+        entries.append(desc)
+        cq.completions += 1
+        if len(entries) > cq.high_water:
+            cq.high_water = len(entries)
         self._owners[vi.vi_id].activity.fire()
         return True
 

@@ -200,6 +200,11 @@ class ViaProvider:
         """Iterate over this process's live VIs."""
         return self._vis.values()
 
+    def close(self) -> None:
+        """The process is done with the NIC (teardown, after its VIs are
+        destroyed): the node's agent forgets it."""
+        self.agent.unregister_local(self)
+
     # ------------------------------------------------------------- datapath --
     def repost_recv(self, vi: VI, buffer) -> float:
         """Re-post a consumed eager buffer for a fresh receive."""
@@ -242,7 +247,9 @@ class ViaProvider:
             flow_id=getattr(header, "flow_id", 0),
         )
         vi.enqueue_send(desc)
-        self.nic.ring_doorbell(vi)
+        nic = self.nic  # ring_doorbell(), inline
+        nic._tx_queue.append(vi)
+        nic._kick_tx()
         return desc, cost
 
     def release_send_buffer(self, desc: Descriptor) -> None:

@@ -158,7 +158,8 @@ class VI:
             self.telemetry.counter("via.recvs_posted").inc(count)
 
     def post_recv(self, buffer: PooledBuffer) -> None:
-        """Post ``buffer`` for one receive (host side)."""
+        """Post ``buffer`` for one receive (host side; the MPI arrival
+        path re-posts a consumed buffer the same way, inline)."""
         self._recv_queue.append(buffer)
         self.recvs_posted += 1
         if self.telemetry is not None:

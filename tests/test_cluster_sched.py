@@ -19,8 +19,14 @@ from repro.cluster import (
     run_cluster_cell,
     with_connection,
 )
+from repro.cluster import build as build_module
+from repro.cluster.sched import ClusterScheduler
 from repro.telemetry import TelemetryConfig
+from repro.via.agent import ConnectionAgent
 from repro.via.constants import ViaProtocolError
+from repro.via.messages import DisconnectReply
+
+from tests.counting import record_instances
 
 
 def ring_jobs(n, nprocs=4, connection="ondemand", gap_us=100.0,
@@ -297,3 +303,40 @@ class TestLintCoverage:
 
         report = lint_paths(["src/repro/cluster"])
         assert report.violations == []
+
+
+def test_agents_hold_only_live_jobs(monkeypatch):
+    """Fifty jobs through one scheduler: each node's agent holds the
+    providers, grants and client/server queues of live jobs only, and
+    a disconnect that reaches a torn-down job is counted and dropped."""
+    agents = record_instances(monkeypatch, build_module, ConnectionAgent)
+    finish = ClusterScheduler._finish
+    strays = []
+
+    def held_jobs(agent):
+        return ({job for job, _rank in agent._providers}
+                | {disc[0] for disc, _rank in agent._grants_sent}
+                | {job for job, _rank in agent._cs_queues})
+
+    def checked(self, running):
+        finish(self, running)
+        for agent in agents:
+            strays.extend(held_jobs(agent) - set(self._running))
+
+    monkeypatch.setattr(ClusterScheduler, "_finish", checked)
+    mechanisms = ("ondemand", "static-p2p", "static-cs")
+    jobs = [JobSpec(job_id=i, arrival_us=400.0 * i, kernel="ring", nprocs=4,
+                    connection=mechanisms[i % 3]) for i in range(50)]
+    result = run_cluster(ClusterSpec(nodes=4, ppn=2, seed=5), jobs)
+    assert len(result.records) == 50 and len(agents) == 4
+    assert strays == []
+    for agent in agents:
+        assert held_jobs(agent) == set()
+        # what stays: the signal of a torn-down process with a wait it
+        # left pending, for the wake-up that ends it
+        assert len(agent._wakeups) == len(agent._retired)
+        assert all(signal.waiter_count for signal in agent._retired.values())
+    late = DisconnectReply((7, 0, 1), src_rank=1, dst_rank=0)
+    agents[0].on_control(late)
+    agents[0].engine.run()
+    assert agents[0].late_disconnects == 1

@@ -32,6 +32,8 @@ from repro.mpi import facade as facade_module
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.channel import Channel
 from repro.mpi.facade import MpiProcess
+from repro.sim import process as process_module
+from repro.sim.process import Process
 from repro.via import provider as provider_module
 from repro.via.descriptor import Descriptor
 from repro.via.provider import ViaProvider
@@ -264,6 +266,32 @@ def test_finished_ranks_are_freed_by_reference_counting(monkeypatch):
         refs = [weakref.ref(obj) for obj in devices + pools]
         devices.clear()
         pools.clear()
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def chatter(mpi):
+    out = np.empty(4)
+    yield from mpi.barrier()
+    yield from mpi.allreduce(np.ones(4), out)
+    return float(out[0])
+
+
+@pytest.mark.parametrize("connection", ["ondemand", "static-cs"])
+def test_finished_rank_processes_are_freed_by_reference_counting(
+        monkeypatch, connection):
+    """A rank's process lets go of its bound callback and its
+    generators when it finishes: dropping the job's result frees it."""
+    procs = record_instances(monkeypatch, process_module, Process)
+    gc.disable()
+    try:
+        result = mpi_rig.run(chatter, nprocs=4, nodes=4, ppn=1,
+                             connection=connection)
+        assert result.returns == [4.0] * 4 and len(procs) == 4
+        refs = [weakref.ref(proc) for proc in procs]
+        procs.clear()
+        del result
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

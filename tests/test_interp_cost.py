@@ -46,7 +46,7 @@ LADDER_OPS = {
     ("masterworker", 8): 11_477,
     ("is", 4): 4_556,
     ("ft", 4): 3_920,
-    ("lu", 4): 5_812,
+    ("lu", 4): 5_332,
 }
 
 
@@ -58,7 +58,7 @@ LADDER_PASSES = {
     ("masterworker", 8): [(1, 2_090), (7, 1_341)],
     ("is", 4): [(4, 1_139)],
     ("ft", 4): [(4, 980)],
-    ("lu", 4): [(4, 1_790)],
+    ("lu", 4): [(4, 1_670)],
 }
 
 

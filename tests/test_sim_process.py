@@ -1,6 +1,8 @@
 """Unit tests for generator-coroutine processes."""
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -224,3 +226,136 @@ def test_joining_many_finished_processes_does_not_recurse():
     assert spun.ok and spun.value == 5000
     # the timeout, the boot event and the process's own completion
     assert eng.events_processed - events_before == 3
+
+
+def test_a_yielded_generator_runs_as_a_stage():
+    """A yielded generator runs in the process's place until it returns;
+    its caller then resumes with the value (or the exception), in the
+    same step: the stages cost no event of their own."""
+    eng = Engine()
+    log = []
+
+    def inner(n):
+        yield eng.timeout(1.0)
+        if n < 0:
+            raise ValueError(n)
+        return n * 10
+
+    def middle():
+        got = yield inner(2)               # a stage inside a stage
+        return got + (yield from plain())  # and a plain delegation
+
+    def plain():
+        yield eng.timeout(1.0)
+        return 1
+
+    def outer():
+        log.append((yield middle()))
+        try:
+            yield inner(-1)
+        except ValueError as exc:
+            log.append(("raised", exc.args[0], eng.now))
+        return "done"
+
+    proc = eng.process(outer())
+    eng.run()
+    assert proc.ok and proc.value == "done"
+    assert log == [21, ("raised", -1, 3.0)]
+    # the boot event, three timeouts and the process's own completion
+    assert eng.events_processed == 5
+
+
+def test_an_exception_leaves_every_stage_in_turn():
+    eng = Engine()
+    unwound = []
+
+    def failing():
+        yield eng.timeout(1.0)
+        raise KeyError("lost")
+
+    def stage(name, inner):
+        try:
+            return (yield inner)
+        finally:
+            unwound.append(name)
+
+    proc = eng.process(stage("outer", stage("inner", failing())))
+    eng.run()
+    assert not proc.ok and isinstance(proc.value, KeyError)
+    assert unwound == ["inner", "outer"]
+
+
+def test_an_interrupt_reaches_the_running_stage():
+    eng = Engine()
+    log = []
+
+    def sleeper():
+        try:
+            yield eng.timeout(1000.0)
+        except Interrupt as intr:
+            log.append(("stage", intr.cause, eng.now))
+            raise
+
+    def caller():
+        try:
+            yield sleeper()
+        except Interrupt:
+            log.append(("caller", eng.now))
+        yield sleeper()  # an unhandled interrupt ends the process quietly
+
+    proc = eng.process(caller())
+    eng.schedule(10.0, lambda: proc.interrupt("first"))
+    eng.schedule(20.0, lambda: proc.interrupt("second"))
+    eng.run()
+    assert proc.ok and proc.value is None
+    assert log == [("stage", "first", 10.0), ("caller", 10.0),
+                   ("stage", "second", 20.0)]
+
+
+def test_a_bad_yield_inside_a_stage_closes_every_stage():
+    eng = Engine()
+    closed = []
+
+    def stage(name, inner=None):
+        try:
+            if inner is None:
+                yield 5  # type: ignore[misc]
+            else:
+                yield inner
+        finally:
+            closed.append(name)
+
+    proc = eng.process(stage("outer", stage("inner")))
+    eng.run()
+    assert not proc.ok and isinstance(proc.value, SimulationError)
+    assert closed == ["inner", "outer"]
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_a_finished_process_is_freed_by_reference_counting(staged):
+    """Neither its bound callback nor its stages keep a process that
+    returned alive."""
+    eng = Engine()
+
+    def stage():
+        yield eng.timeout(5.0)
+        return 1
+
+    def prog():
+        if staged:
+            return (yield stage())
+        return (yield from stage())
+
+    class Weakly(Process):
+        """A Process that takes weak references (no ``__slots__``)."""
+
+    gc.disable()
+    try:
+        proc = Weakly(eng, prog())
+        eng.run()
+        assert proc.ok and proc.value == 1
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+    finally:
+        gc.enable()
