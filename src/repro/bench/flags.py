@@ -169,8 +169,9 @@ def run_resumable(command: str, cache: Optional[ResultCache],
     """``work()``, or None once SIGINT or SIGTERM stopped it.
 
     SIGTERM joins SIGINT's ``KeyboardInterrupt`` unwind: in-flight cells
-    are abandoned (the fan-out's pool is terminated by its context
-    manager), completed cells are already on disk through the cache's
+    are abandoned (the fan-out closes its pool with ``abort``, and the
+    workers, which keep default signal handling, die of the SIGTERM it
+    sends), completed cells are already on disk through the cache's
     atomic writes, and re-running the same command resumes.
     """
     try:

@@ -6,8 +6,8 @@ connection mechanism × seed on one cluster shape — and expands it into
 Berkeley VIA, are skipped at expansion).  :func:`fan_out` is the one
 cached loop every fan-out command runs its cells through: the sweep's
 through :func:`compute_cell`, the cluster command's through
-:func:`compute_cluster_cell` (the ``repro.service`` worker pool calls
-the same two entries).  It consults a
+:func:`compute_cluster_cell` (the ``repro.service`` server runs the
+same two entries on the same :func:`worker_pool`).  It consults a
 :class:`~repro.bench.cache.ResultCache` first so re-runs and resumed
 partially-failed runs only compute what is missing.
 
@@ -24,7 +24,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
-from contextlib import nullcontext
+import signal
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -313,6 +315,55 @@ def compute_cluster_cell(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     return params["key"], report
 
 
+#: seconds a closed pool's workers get to exit before they are killed
+JOIN_DEADLINE_S = 10.0
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker died under its cells (``BrokenProcessPool``) or
+    outlived the join deadline."""
+
+
+def _default_signals() -> None:
+    # a forked worker inherits the parent's Python SIGTERM/SIGINT
+    # handlers and asyncio's wakeup fd: a signal sent to the worker (the
+    # executor SIGTERMs the survivors of a break) must end the worker,
+    # not run the parent's handler or wake the parent's event loop
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The one process pool, closed by :func:`close_pool`.  Forked, not
+    spawned: workers inherit the imported simulator, which keeps the
+    service's start-up time and memory where they are."""
+    return ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _default_signals)
+
+
+def close_pool(pool: ProcessPoolExecutor, abort: bool = False) -> List[int]:
+    """Shut ``pool`` down (``abort``: cancel queued work and SIGTERM the
+    workers) and give its manager thread, which joins the workers, one
+    deadline; kill the workers still running then and return their pids.
+
+    Only the manager thread joins: a second joiner races it for each
+    worker's exit status and can read a reaped worker as alive."""
+    processes = list((pool._processes or {}).values())
+    manager = pool._executor_manager_thread
+    pool.shutdown(wait=False, cancel_futures=abort)
+    for proc in processes if abort else ():
+        proc.terminate()
+    if manager is not None:
+        manager.join(JOIN_DEADLINE_S)
+    killed = [proc.pid for proc in processes if proc.exitcode is None]
+    for proc in processes:
+        proc.kill()  # a no-op for a worker already reaped
+    if killed and manager is not None:
+        manager.join(JOIN_DEADLINE_S)
+    return killed
+
+
 def fan_out(
     compute: Callable[[Dict[str, Any]], Tuple[str, Dict[str, Any]]],
     cells: Sequence[Tuple[str, Dict[str, Any]]],
@@ -325,10 +376,11 @@ def fan_out(
 
     Each cell's ``params["key"]`` is probed in ``cache`` first; the
     misses run through ``compute`` (a top-level, picklable pool entry
-    returning ``(key, result)``), in this process or on ``workers``
-    processes.  Each result is put as it completes, not at the end,
-    which is what makes an interrupted or partially failed run
-    resumable: finished cells survive.
+    returning ``(key, result)``), in this process or on a
+    :func:`worker_pool` of up to ``workers`` processes.  Each result is
+    put as it completes, not at the end, which is what makes an
+    interrupted or partially failed run resumable: finished cells
+    survive.  A worker that dies raises :class:`WorkerDied`.
     """
     results: Dict[str, Dict[str, Any]] = {}
     labels: Dict[str, str] = {}
@@ -341,17 +393,27 @@ def fan_out(
         else:
             labels[params["key"]] = label
             misses.append(params)
-    parallel = workers > 1 and len(misses) > 1
-    with (multiprocessing.Pool(min(workers, len(misses))) if parallel
-          else nullcontext()) as pool:
-        completions = (pool.imap_unordered(compute, misses) if parallel
-                       else map(compute, misses))
+    pool = (worker_pool(min(workers, len(misses)))
+            if workers > 1 and len(misses) > 1 else None)
+    try:
+        completions = map(compute, misses) if pool is None else (
+            future.result() for future in as_completed(
+                [pool.submit(compute, params) for params in misses]))
         for key, result in completions:
             results[key] = result
             if cache is not None:
                 cache.put(key, result)
             progress(f"computed   {labels[key]}  "
                      f"[{result['wall_s']:.2f}s wall]")
+    except BaseException as exc:
+        if pool is not None:
+            close_pool(pool, abort=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise WorkerDied(f"{type(exc).__name__}: {exc}") from exc
+        raise
+    if pool is not None and close_pool(pool):
+        raise WorkerDied(f"a pool worker outlived the {JOIN_DEADLINE_S:g} s "
+                         "join deadline and was killed")
     return results, len(misses)
 
 
@@ -452,15 +514,18 @@ __all__ = [
     "SweepMatrix",
     "SweepOutcome",
     "SweepRunner",
+    "WorkerDied",
     "artifact_text",
     "bench_artifact",
     "canonical_json",
     "cell_params",
+    "close_pool",
     "cluster_cell_config",
     "compute_cell",
     "compute_cluster_cell",
     "default_cache_dir",
     "fan_out",
     "matrix_from_dict",
+    "worker_pool",
     "write_bench_json",
 ]

@@ -287,7 +287,8 @@ class AbstractDevice:
             )
             item = PendingSend(header, send_payload, req, True, now)
             self._awaiting_cts[req.request_id] = req
-        # Channel.stamp_envelope, inline: the next channel sequence number
+        # the next channel sequence number (checked on arrival by
+        # Channel.check_envelope_order)
         header.seq = ch.seq_out
         ch.seq_out += 1
         ch.send_fifo.append(item)
@@ -446,10 +447,9 @@ class AbstractDevice:
         (explicit credit updates need none), the rendezvous window and a
         free bounce buffer allow.
 
-        The per-message path: the channel's checking accessors
-        (``next_postable``, ``pop_postable``, ``consume_credit_for``,
-        ``take_piggyback``) and the provider's ``can_post_send`` are read
-        inline."""
+        These rules live here only (``tests/test_mpi_channel_config.py``
+        drives them through real jobs); the channel's ``take_piggyback``
+        and the provider's ``can_post_send`` are read inline."""
         provider = self.provider
         now = self.engine.now
         control = ch.control_queue

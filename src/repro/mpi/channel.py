@@ -15,7 +15,9 @@ peer rank.  It owns:
   credit messages that use the reserved descriptors.
 
 The channel itself is passive bookkeeping; the ADI's progress pass
-(``progress_pass``, which ``device_check`` wraps) drives it.
+(``progress_pass``, which ``device_check`` wraps) drives it, and the
+ADI's post pass (``AbstractDevice._post_pending``) applies the posting
+rules above.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Deque, Optional
 
 import numpy as np
 
-from repro.mpi.headers import BaseHeader, CreditHeader, EagerHeader, RtsHeader
+from repro.mpi.headers import BaseHeader
 from repro.mpi.request import Request
 from repro.via.vi import VI
 
@@ -140,50 +142,7 @@ class Channel:
     def pending_count(self) -> int:
         return len(self.send_fifo) + len(self.control_queue)
 
-    # -- posting eligibility -------------------------------------------------
-    # (the ADI's post pass applies these rules inline, per message; the
-    # checking accessors are for tests and cold callers)
-    def next_postable(self) -> Optional[PendingSend]:
-        """The next message that may be posted right now, honouring
-        priority (control first), credits, and the rendezvous window.
-        Returns None if nothing can go.
-
-        Does not check bounce-buffer availability — the caller does,
-        since that is a VI-level resource.
-        """
-        if self.state is not ChannelState.CONNECTED:
-            return None
-        if self.control_queue:
-            item = self.control_queue[0]
-            if self.credits > 0 or isinstance(item.header, CreditHeader):
-                return item
-            return None
-        if self.send_fifo:
-            item = self.send_fifo[0]
-            if self.credits <= 0:
-                return None
-            if item.is_rts and self.rndv_outstanding >= self.rndv_window:
-                return None
-            return item
-        return None
-
-    def pop_postable(self, item: PendingSend) -> None:
-        """Remove ``item`` (must be the head returned by next_postable)."""
-        if self.control_queue and self.control_queue[0] is item:
-            self.control_queue.popleft()
-        elif self.send_fifo and self.send_fifo[0] is item:
-            self.send_fifo.popleft()
-        else:  # pragma: no cover - caller contract
-            raise RuntimeError("pop_postable got a non-head item")
-
     # -- credits -----------------------------------------------------------------
-    def consume_credit_for(self, header: BaseHeader) -> None:
-        if isinstance(header, CreditHeader):
-            return  # explicit updates ride the reserved descriptors
-        if self.credits <= 0:  # pragma: no cover - next_postable guards
-            raise RuntimeError(f"channel to {self.dest}: credit underflow")
-        self.credits -= 1
-
     def take_piggyback(self) -> int:
         """Attach all accumulated return-credits to an outgoing header."""
         credits, self.credits_to_return = self.credits_to_return, 0
@@ -219,13 +178,6 @@ class Channel:
         )
 
     # -- sequencing -----------------------------------------------------------------
-    def stamp_envelope(self, header) -> None:
-        """Assign the next channel sequence number to an envelope."""
-        if not isinstance(header, (EagerHeader, RtsHeader)):  # pragma: no cover
-            raise TypeError("only envelopes carry sequence numbers")
-        header.seq = self.seq_out
-        self.seq_out += 1
-
     def check_envelope_order(self, seq: int) -> None:
         """Assert the non-overtaking invariant on arrival."""
         if seq != self.seq_in:

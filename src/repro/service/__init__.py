@@ -18,9 +18,9 @@ newline-delimited JSON over a unix socket, with:
 - a **seeded client swarm** (``swarm`` subcommand) for deterministic
   load-test reports.
 
-Layering note: this package is the repository's *only* sanctioned
-wall-clock surface (see ``repro.service.clock``); everything it calls
-remains determinism-lint clean.
+Layering note: this package lives in host time, read only through
+``repro.bench.clock.now_s``; everything it calls remains
+determinism-lint clean.
 """
 
 from repro.service.client import ServiceClient

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
-from repro.service.clock import now_s
+from repro.bench.clock import now_s
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     NotDone,

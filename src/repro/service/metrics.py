@@ -3,7 +3,7 @@
 Reuses :class:`repro.telemetry.metrics.MetricsRegistry` — the same
 counters/gauges/fixed-edge-histograms machinery every simulated job
 uses — but over *host* milliseconds, because the server is an operator
-artifact living outside the simulation (see ``repro.service.clock``).
+artifact living outside the simulation (read through ``repro.bench.clock``).
 
 Canonical names:
 

@@ -16,13 +16,13 @@ event-loop thread (no locks):
   *blocking* puts instead: the sweep was already admitted, so its
   cells trickle through the same queue as slots free up, throttled by
   the same bound.
-- the **worker pool**: a ``ProcessPoolExecutor`` of simulation
-  processes fed through the exact picklable entries the CLIs use
+- the **worker pool**: the bench fan-out's :func:`worker_pool` of
+  simulation processes fed through the exact picklable entries the CLIs use
   (:func:`repro.bench.runner.compute_cell`,
   :func:`repro.bench.runner.compute_cluster_cell`), so results —
   and their SHA-256 cache identities — are byte-identical to direct
   CLI runs.  A pool process that dies fails the jobs the pool held
-  (typed, ``BrokenProcessPool``) and the pool is replaced once.
+  (typed, ``WorkerDied: BrokenProcessPool``) and the pool is replaced once.
 - the **subscriber queues**: per-job progress events (queued/started/
   per-cell progress/terminal) streamed to any client that subscribed.
 
@@ -30,8 +30,8 @@ Shutdown is a graceful drain: stop admitting (typed ``Draining``
 rejections), let queued + running work finish within the grace period,
 then abandon what remains (the cache's atomic writes mean abandoning
 mid-cell never corrupts an entry), close the connections clients still
-hold, and only then wait for the listener.  Signal-initiated shutdown
-exits nonzero; a second signal hard-kills.
+hold, wait for the listener, then close the pool (bounded joins).
+Signal-initiated shutdown exits nonzero; a second signal hard-kills.
 """
 
 from __future__ import annotations
@@ -46,13 +46,16 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench.cache import ResultCache
+from repro.bench.clock import now_s
 from repro.bench.runner import (
     SweepOutcome,
+    WorkerDied,
     artifact_text,
     bench_artifact,
+    close_pool,
     matrix_from_dict,
+    worker_pool,
 )
-from repro.service.clock import now_s
 from repro.service.jobs import (
     COMPUTE_FNS,
     KIND_SWEEP,
@@ -179,7 +182,7 @@ class ServiceServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._queue = asyncio.Queue(maxsize=self.config.queue_bound)
-        self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
+        self._pool = worker_pool(self.config.workers)
         self._worker_tasks = [
             loop.create_task(self._worker(), name=f"svc-worker-{i}")
             for i in range(self.config.workers)
@@ -228,7 +231,7 @@ class ServiceServer:
             task.cancel()
         await asyncio.gather(*handlers, return_exceptions=True)
         await server.wait_closed()
-        self._pool.shutdown(wait=clean, cancel_futures=not clean)
+        close_pool(self._pool, abort=not clean)
         try:
             sock.unlink()
         except OSError:
@@ -409,13 +412,14 @@ class ServiceServer:
                 raise
             except Exception as exc:  # worker raised: typed job failure
                 self._running -= 1
-                if isinstance(exc, BrokenProcessPool) and pool is self._pool:
-                    # a pool process died (SIGKILL, OOM) and the executor
-                    # refuses all work from now on: the first feeder to
-                    # see it replaces it; the jobs it held fail typed
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.config.workers)
-                    pool.shutdown(wait=False)
+                if isinstance(exc, BrokenProcessPool):
+                    if pool is self._pool:
+                        # a pool process died (SIGKILL, OOM) and the
+                        # executor refuses all work from now on: the
+                        # first feeder to see it replaces it
+                        self._pool = worker_pool(self.config.workers)
+                        close_pool(pool, abort=True)
+                    exc = WorkerDied(f"{type(exc).__name__}: {exc}")
                 self._finish_failed(job, f"{type(exc).__name__}: {exc}")
             else:
                 self._running -= 1

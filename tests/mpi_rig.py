@@ -7,6 +7,7 @@ from typing import Any, Callable, List, Optional
 from repro.cluster import ClusterSpec, run_job
 from repro.mpi import MpiConfig
 from repro.via.profiles import CLAN
+from repro.via.provider import ViaProvider
 
 
 def run(
@@ -36,3 +37,17 @@ def run(
 
 
 ALL_CONNECTIONS = ("ondemand", "static-p2p", "static-cs")
+
+
+def record_posts(monkeypatch):
+    """(poster rank, peer rank, header) of every descriptor the ADI
+    posts on a VI, in posting order."""
+    posts = []
+    original = ViaProvider.post_send
+
+    def post_send(self, vi, header, payload, context=None):
+        posts.append((self.rank, vi.remote_rank, header))
+        return original(self, vi, header, payload, context=context)
+
+    monkeypatch.setattr(ViaProvider, "post_send", post_send)
+    return posts

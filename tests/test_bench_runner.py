@@ -1,17 +1,26 @@
 """Sweep-runner tests: matrix expansion, caching, determinism, perf floor."""
 
 import json
+import os
+import signal
+import socket
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.bench.runner as runner
 from repro.bench.cache import ResultCache
+from repro.bench.flags import run_resumable
 from repro.bench.runner import (
     MATRICES,
     SweepCell,
     SweepMatrix,
     SweepRunner,
+    WorkerDied,
     bench_artifact,
+    fan_out,
     write_bench_json,
 )
 from repro.cluster.job import run_kernel_cell
@@ -129,6 +138,74 @@ class TestParallelWorkers:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(TINY, workers=0)
+
+    def test_workers_take_default_signals(self):
+        """Forked workers do not inherit the parent's SIGTERM handler
+        (``run_resumable``'s) or its signal wakeup fd (asyncio's): a
+        SIGTERM kills a worker instead of reaching the parent."""
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            results, computed = run_resumable("test", None, lambda: fan_out(
+                _signal_state, _cells(2), 2, None, lambda _msg: None))
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            reader.close()
+            writer.close()
+        assert computed == 2
+        for result in results.values():
+            assert result["sigterm"] == result["sigint"] == "SIG_DFL"
+            assert result["wakeup_fd"] == -1
+
+    def test_worker_that_will_not_exit_is_killed_typed(self, monkeypatch):
+        """Every result is read and cached, but a worker outlives the
+        pool's shutdown (SIGTERM ignored, a thread still asleep): the
+        fan-out kills it at the join deadline and fails typed."""
+        monkeypatch.setattr(runner, "JOIN_DEADLINE_S", 1.0)
+        store = {}
+        cache = SimpleNamespace(get=store.get, put=store.__setitem__)
+        started = time.monotonic()
+        with pytest.raises(WorkerDied, match="join deadline"):
+            fan_out(_ignore_sigterm_and_linger, _cells(2), 2, cache,
+                    lambda _msg: None)
+        assert time.monotonic() - started < 10.0
+        assert sorted(store) == ["cell-0", "cell-1"]
+        for result in store.values():
+            with pytest.raises(ProcessLookupError):
+                os.kill(result["pid"], 0)
+
+    def test_worker_death_is_typed(self):
+        with pytest.raises(WorkerDied, match="BrokenProcessPool"):
+            fan_out(_die, _cells(2), 2, None, lambda _msg: None)
+
+
+def _cells(n):
+    return [(f"cell {i}", {"key": f"cell-{i}"}) for i in range(n)]
+
+
+def _signal_state(params):
+    """Pool entry: the worker's SIGTERM/SIGINT handlers and wakeup fd."""
+    names = {signal.SIG_DFL: "SIG_DFL", signal.SIG_IGN: "SIG_IGN"}
+    fd = signal.set_wakeup_fd(-1)
+    return params["key"], {
+        "sigterm": names.get(signal.getsignal(signal.SIGTERM), "handler"),
+        "sigint": names.get(signal.getsignal(signal.SIGINT), "handler"),
+        "wakeup_fd": fd, "wall_s": 0.0,
+    }
+
+
+def _ignore_sigterm_and_linger(params):
+    """Pool entry: return at once, but leave the worker unable to exit
+    for 30 s (a non-daemon thread) and deaf to SIGTERM."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    threading.Thread(target=time.sleep, args=(30.0,)).start()
+    return params["key"], {"pid": os.getpid(), "wall_s": 0.0}
+
+
+def _die(params):
+    """Pool entry: the worker dies under its cell."""
+    os._exit(1)
 
 
 class TestWorkerEntry:

@@ -103,10 +103,10 @@ def test_lint_catches_unsafe_merge_loop_patterns():
 
 
 def test_suppressions_are_counted_not_hidden():
-    """Exactly these justified suppressions exist: the two host clocks
-    (the service's and the bench commands') and the race detector's
-    intentional float compare.  A new wall-clock read anywhere else —
-    in ``repro.bench`` too — fails here by name."""
+    """Exactly these justified suppressions exist: the one host clock
+    (``repro.bench.clock``, which the service reads too) and the race
+    detector's intentional float compare.  A new wall-clock read
+    anywhere else fails here by name."""
     report = _lint("src/repro")
     suppressed = sorted(
         (Path(s.path).relative_to(REPO / "src" / "repro").as_posix(),
@@ -115,25 +115,19 @@ def test_suppressions_are_counted_not_hidden():
     assert suppressed == [
         ("analysis/sanitizers.py", "REPRO004"),
         ("bench/clock.py", "REPRO001"),
-        ("service/clock.py", "REPRO001"),
     ]
 
 
 def test_service_wall_clock_boundary():
-    """The service package is the one sanctioned host-time surface,
-    and that surface is exactly ONE suppressed REPRO001 line, in
-    ``clock.py``.  Everything the service calls (bench runner, cluster
-    entries, the simulator) must carry no service-sourced allowance —
-    adding a second wall-clock read anywhere in ``repro.service``
-    without routing it through ``clock.now_s`` fails here."""
+    """The service lives in host time but reads it only through
+    ``repro.bench.clock.now_s``: the package carries no suppression at
+    all, so a wall-clock read added anywhere in ``repro.service`` fails
+    here.  Everything the service calls (bench runner, cluster entries,
+    the simulator) carries no wall-clock allowance either."""
     report = _lint("src/repro/service")
     assert report.ok, _explain(report)
     assert report.files_checked >= 8
-    suppressed = [(s.path, s.rule_id) for s in report.suppressed]
-    assert len(suppressed) == 1, suppressed
-    path, rule = suppressed[0]
-    assert rule == "REPRO001"
-    assert path.endswith("clock.py")
+    assert [(s.path, s.rule_id) for s in report.suppressed] == []
 
     # the layers the service drives below repro.bench (whose one
     # allowance is its own clock): the simulator core, MPI/VIA stack,

@@ -1,10 +1,26 @@
-"""Unit tests for Channel (flow control, FIFO priority) and MpiConfig."""
+"""Channel flow control and FIFO priority, as the ADI's post pass
+applies them, and MpiConfig.
 
+The posting rules (connection first, control before envelopes, one
+credit per non-credit message, the rendezvous window, strict FIFO) are
+driven through real jobs on ``tests/mpi_rig.py``: rank 0 queues
+messages while rank 1 computes without polling, so nothing returns
+credits or answers an RTS until the test has looked.
+"""
+
+import numpy as np
 import pytest
 
 from repro.mpi.channel import Channel, ChannelState, PendingSend
 from repro.mpi.config import MpiConfig
 from repro.mpi.headers import CreditHeader, CtsHeader, EagerHeader, RtsHeader
+
+from tests.mpi_rig import record_posts, run
+
+#: rank 1 computes this long before it receives anything
+BUSY_US = 50_000.0
+#: over the default eager threshold: these sends go by rendezvous
+RNDV_WORDS = 1000
 
 
 def make_channel(credits=4, threshold=2, window=2) -> Channel:
@@ -18,65 +34,147 @@ def eager(seq=0, **kw):
     return EagerHeader(src_rank=0, seq=seq, **kw)
 
 
+def posted_to_1(posts):
+    """The headers rank 0 posted to rank 1, in order."""
+    return [header for rank, peer, header in posts if (rank, peer) == (0, 1)]
+
+
+def sender_receiver(send, nsends, words=1):
+    """A two-rank program: rank 0 calls ``send(mpi)``, which queues
+    ``nsends`` messages to rank 1 with tags 0.. and returns their
+    requests, then waits for them; rank 1 computes for ``BUSY_US``
+    without polling, then receives them all."""
+    def prog(mpi):
+        if mpi.rank == 0:
+            yield from mpi.waitall(send(mpi))
+            return None
+        yield from mpi.compute(BUSY_US)
+        for tag in range(nsends):
+            yield from mpi.recv(np.zeros(words), source=0, tag=tag)
+        return None
+    return prog
+
+
 class TestChannelPosting:
-    def test_unconnected_channel_posts_nothing(self):
-        ch = make_channel()
-        ch.state = ChannelState.UNOPENED
-        ch.send_fifo.append(PendingSend(eager(), None, None))
-        assert ch.next_postable() is None
-        ch.state = ChannelState.CONNECTING
-        assert ch.next_postable() is None
+    def test_unconnected_channel_posts_nothing(self, monkeypatch):
+        posts = record_posts(monkeypatch)
+        seen = []
 
-    def test_fifo_order(self):
-        ch = make_channel()
-        a = PendingSend(eager(0), None, None)
-        b = PendingSend(eager(1), None, None)
-        ch.send_fifo.extend([a, b])
-        assert ch.next_postable() is a
-        ch.pop_postable(a)
-        assert ch.next_postable() is b
+        def send(mpi):
+            req = mpi.isend(np.ones(1), 1, tag=0)
+            ch = mpi._adi.conn.channel_for(1)
+            seen.append((ch.state, len(ch.send_fifo), len(posted_to_1(posts))))
+            return [req]
 
-    def test_control_has_priority(self):
-        ch = make_channel()
-        env = PendingSend(eager(), None, None)
-        ctl = PendingSend(CtsHeader(src_rank=0), None, None)
-        ch.send_fifo.append(env)
-        ch.control_queue.append(ctl)
-        assert ch.next_postable() is ctl
+        run(sender_receiver(send, 1), connection="ondemand")
+        assert seen == [(ChannelState.CONNECTING, 1, 0)]
+        assert [type(h) for h in posted_to_1(posts)] == [EagerHeader]
 
-    def test_credit_exhaustion_blocks_envelopes_and_control(self):
-        ch = make_channel(credits=1)
-        ch.consume_credit_for(eager())
-        assert ch.credits == 0
-        ch.send_fifo.append(PendingSend(eager(), None, None))
-        assert ch.next_postable() is None
-        ch.control_queue.append(PendingSend(CtsHeader(src_rank=0), None, None))
-        assert ch.next_postable() is None
+    def test_fifo_order(self, monkeypatch):
+        """Envelopes queued before the connection exists go out in the
+        order they were queued, numbered in that order."""
+        posts = record_posts(monkeypatch)
 
-    def test_explicit_credit_bypasses_credits(self):
-        ch = make_channel(credits=1)
-        ch.consume_credit_for(eager())
-        item = PendingSend(CreditHeader(src_rank=0), None, None)
-        ch.control_queue.append(item)
-        assert ch.next_postable() is item
-        ch.consume_credit_for(item.header)  # must not underflow
-        assert ch.credits == 0
+        def send(mpi):
+            return [mpi.isend(np.ones(1), 1, tag=tag) for tag in range(3)]
 
-    def test_rndv_window_limits_rts(self):
-        ch = make_channel(window=1)
-        rts = PendingSend(RtsHeader(src_rank=0), None, None, is_rts=True)
-        ch.send_fifo.append(rts)
-        assert ch.next_postable() is rts
-        ch.rndv_outstanding = 1
-        assert ch.next_postable() is None
+        run(sender_receiver(send, 3), connection="ondemand")
+        headers = posted_to_1(posts)
+        assert [(h.tag, h.seq) for h in headers] == [(0, 0), (1, 1), (2, 2)]
 
-    def test_pop_non_head_rejected(self):
-        ch = make_channel()
-        a = PendingSend(eager(0), None, None)
-        b = PendingSend(eager(1), None, None)
-        ch.send_fifo.extend([a, b])
-        with pytest.raises(RuntimeError):
-            ch.pop_postable(b)
+    def test_control_has_priority(self, monkeypatch):
+        """A control message queued after an envelope on a connecting
+        channel is posted before it once the connection is up."""
+        posts = record_posts(monkeypatch)
+
+        def send(mpi):
+            adi = mpi._adi
+            req = mpi.isend(np.ones(1), 1, tag=0)
+            adi._queue_control(adi.conn.channel_for(1),
+                               CreditHeader(src_rank=0))
+            return [req]
+
+        run(sender_receiver(send, 1), connection="ondemand")
+        assert [type(h) for h in posted_to_1(posts)] == [
+            CreditHeader, EagerHeader]
+
+    def test_credit_exhaustion_blocks_envelopes_and_control(
+            self, monkeypatch):
+        posts = record_posts(monkeypatch)
+        seen = []
+
+        def send(mpi):
+            adi = mpi._adi
+            ch = adi.conn.channel_for(1)
+            reqs = [mpi.isend(np.ones(1), 1, tag=tag) for tag in range(3)]
+            cts = CtsHeader(src_rank=0)
+            adi._queue_control(ch, cts)
+            seen.append((ch.credits, len(ch.send_fifo),
+                         [type(h) for h in posted_to_1(posts)],
+                         cts in [item.header for item in ch.control_queue]))
+            ch.control_queue.clear()  # no rendezvous is waiting for it
+            return reqs
+
+        run(sender_receiver(send, 3), connection="static-p2p",
+            data_credits=2)
+        assert seen == [(0, 1, [EagerHeader, EagerHeader], True)]
+        assert [h.tag for h in posted_to_1(posts)] == [0, 1, 2]
+
+    def test_explicit_credit_bypasses_credits(self, monkeypatch):
+        posts = record_posts(monkeypatch)
+        seen = []
+
+        def send(mpi):
+            adi = mpi._adi
+            ch = adi.conn.channel_for(1)
+            reqs = [mpi.isend(np.ones(1), 1, tag=tag) for tag in range(3)]
+            adi._queue_control(ch, CreditHeader(src_rank=0))
+            seen.append((ch.credits, len(ch.send_fifo), len(ch.control_queue),
+                         [type(h) for h in posted_to_1(posts)]))
+            return reqs
+
+        run(sender_receiver(send, 3), connection="static-p2p",
+            data_credits=2)
+        assert seen == [
+            (0, 1, 0, [EagerHeader, EagerHeader, CreditHeader])]
+
+    def test_rndv_window_limits_rts(self, monkeypatch):
+        posts = record_posts(monkeypatch)
+        seen = []
+
+        def send(mpi):
+            ch = mpi._adi.conn.channel_for(1)
+            reqs = [mpi.isend(np.ones(RNDV_WORDS), 1, tag=tag)
+                    for tag in range(2)]
+            seen.append((ch.rndv_outstanding, len(ch.send_fifo),
+                         [type(h) for h in posted_to_1(posts)]))
+            return reqs
+
+        run(sender_receiver(send, 2, RNDV_WORDS), connection="static-p2p",
+            rndv_window=1)
+        assert seen == [(1, 1, [RtsHeader])]
+        assert [type(h) for h in posted_to_1(posts)].count(RtsHeader) == 2
+
+    def test_blocked_head_is_not_overtaken(self, monkeypatch):
+        """An eager envelope behind an RTS that the rendezvous window
+        holds back waits too, though credits would let it go."""
+        posts = record_posts(monkeypatch)
+        seen = []
+
+        def send(mpi):
+            ch = mpi._adi.conn.channel_for(1)
+            reqs = [mpi.isend(np.ones(RNDV_WORDS), 1, tag=tag)
+                    for tag in range(2)]
+            reqs.append(mpi.isend(np.ones(RNDV_WORDS)[:1], 1, tag=2))
+            seen.append((ch.credits > 0, len(ch.send_fifo),
+                         [type(h) for h in posted_to_1(posts)]))
+            return reqs
+
+        run(sender_receiver(send, 3, RNDV_WORDS), connection="static-p2p",
+            rndv_window=1)
+        assert seen == [(True, 2, [RtsHeader])]
+        assert [h.seq for h in posted_to_1(posts)
+                if isinstance(h, (EagerHeader, RtsHeader))] == [0, 1, 2]
 
 
 class TestChannelCredits:
@@ -88,10 +186,26 @@ class TestChannelCredits:
         assert ch.take_piggyback() == 0
 
     def test_received_piggyback_restores_credits(self):
-        ch = make_channel(credits=2)
-        ch.consume_credit_for(eager())
-        ch.on_header_received(EagerHeader(src_rank=1, piggyback_credits=1))
-        assert ch.credits == 2
+        """Rank 0's eager send takes a credit; rank 1's reply carries it
+        back piggybacked."""
+        credits = []
+
+        def prog(mpi):
+            word = np.zeros(1)
+            if mpi.rank == 1:
+                yield from mpi.recv(word, source=0, tag=0)
+                yield from mpi.send(word, 0, tag=1)
+                return None
+            ch = mpi._adi.conn.channel_for(1)
+            credits.append(ch.credits)
+            yield from mpi.send(word, 1, tag=0)
+            credits.append(ch.credits)
+            yield from mpi.recv(word, source=1, tag=1)
+            credits.append(ch.credits)
+            return None
+
+        run(prog, connection="static-p2p", data_credits=2)
+        assert credits == [2, 1, 2]
 
     def test_explicit_threshold_logic(self):
         ch = make_channel(threshold=2)
@@ -103,12 +217,15 @@ class TestChannelCredits:
         ch.send_fifo.append(PendingSend(eager(), None, None))
         assert not ch.should_send_explicit_credits()
 
-    def test_sequencing_detects_violation(self):
+    def test_sequencing_detects_violation(self, monkeypatch):
+        posts = record_posts(monkeypatch)
+
+        def send(mpi):
+            return [mpi.isend(np.ones(1), 1, tag=tag) for tag in range(2)]
+
+        run(sender_receiver(send, 2), connection="static-p2p")
+        assert [h.seq for h in posted_to_1(posts)] == [0, 1]
         ch = make_channel()
-        h0, h1 = eager(), eager()
-        ch.stamp_envelope(h0)
-        ch.stamp_envelope(h1)
-        assert (h0.seq, h1.seq) == (0, 1)
         ch.check_envelope_order(0)
         with pytest.raises(RuntimeError, match="ordering"):
             ch.check_envelope_order(5)

@@ -13,22 +13,8 @@ import numpy as np
 
 from repro.mpi.adi import AbstractDevice
 from repro.mpi.headers import CreditHeader
-from repro.via.provider import ViaProvider
 
-from tests.mpi_rig import run
-
-
-def record_posts(monkeypatch):
-    """(poster rank, peer rank, header) of every eager post, in order."""
-    posts = []
-    original = ViaProvider.post_send
-
-    def post_send(self, vi, header, payload, context=None):
-        posts.append((self.rank, vi.remote_rank, header))
-        return original(self, vi, header, payload, context=context)
-
-    monkeypatch.setattr(ViaProvider, "post_send", post_send)
-    return posts
+from tests.mpi_rig import record_posts, run
 
 
 def test_queued_sends_post_in_queueing_order(monkeypatch):

@@ -3,7 +3,7 @@
 ``run_job`` and the cluster scheduler launch ranks through the same
 ``repro.cluster.job.launch_ranks``; these guards keep a second copy of
 the per-rank stack, a mirror view of the kernel registry, or a second
-``multiprocessing.Pool`` fan-out from growing back.
+process pool from growing back.
 """
 
 import ast
@@ -50,9 +50,15 @@ def test_one_construction_site_per_rank_stack_layer():
 
 
 def test_one_process_pool():
-    sites = _call_sites("Pool")
+    """``runner.worker_pool`` constructs the one pool that the bench
+    fan-out and the service share; no second pool of either kind."""
+    sites = _call_sites("Pool") + _call_sites("ProcessPoolExecutor")
     assert len(sites) == 1, sites
     assert sites[0].startswith("repro/bench/runner.py:"), sites
+    # the fan-out, and the service's first pool and its one rebuild
+    callers = sorted(site.split(":")[0] for site in _call_sites("worker_pool"))
+    assert callers == ["repro/bench/runner.py", "repro/service/server.py",
+                       "repro/service/server.py"], callers
 
 
 def test_no_registry_mirror_names_remain():

@@ -2,7 +2,7 @@
 
 Each test boots a real :class:`~repro.service.server.ServiceServer` in
 a background thread (its own asyncio loop, its own unix socket in
-tmp_path, its own ProcessPoolExecutor) and talks to it through the
+tmp_path, its own worker pool) and talks to it through the
 public :class:`~repro.service.client.ServiceClient` — the exact wire
 path ``python -m repro.service`` uses.
 """
@@ -13,11 +13,13 @@ import logging
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.bench.runner import (
     artifact_text,
     bench_artifact,
     matrix_from_dict,
+    worker_pool,
 )
 import repro.service.server as server_module
 from repro.service.client import ServiceClient
@@ -43,6 +46,8 @@ from repro.service.protocol import (
 )
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.service.swarm import run_swarm
+
+REPO = Path(__file__).parent.parent
 
 #: tiny kernel request: ~tens of milliseconds of simulation
 PINGPONG = {
@@ -529,12 +534,11 @@ def test_dead_pool_worker_fails_typed_and_the_pool_is_rebuilt_once(
     and the next kernel job runs."""
     pools = []
 
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    def counted_pool(workers):
+        pools.append(worker_pool(workers))
+        return pools[-1]
 
-    monkeypatch.setattr(server_module, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(server_module, "worker_pool", counted_pool)
     with running_server(tmp_path, workers=2, cache=False) as (
             server, client, _e):
         doomed = [client.submit({"type": "noop", "duration_ms": 20_000,
@@ -554,6 +558,63 @@ def test_dead_pool_worker_fails_typed_and_the_pool_is_rebuilt_once(
         resp = client.submit(PINGPONG)
         assert client.wait(resp["id"], timeout_s=60)["state"] == "done"
         assert len(pools) == 2
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``, read from ``/proc``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def test_served_pool_worker_death_leaves_the_cli_server_serving(tmp_path):
+    """The same SIGKILL against ``python -m repro.service serve``, whose
+    SIGTERM/SIGINT handlers are installed: the executor SIGTERMs the
+    surviving worker, and that signal must kill the worker, not reach
+    the server's event loop as an operator's shutdown."""
+    sock = str(tmp_path / "svc.sock")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    with open(tmp_path / "serve.err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--socket",
+             sock, "--workers", "2", "--no-cache"],
+            env=env, stdout=subprocess.PIPE, stderr=err)
+    try:
+        assert b"listening" in proc.stdout.readline()
+        with ServiceClient(sock, timeout_s=120.0) as client:
+            doomed = [client.submit({"type": "noop", "duration_ms": 20_000,
+                                     "nonce": f"cli-doomed-{i}"})["id"]
+                      for i in range(2)]
+            for _ in range(1000):
+                workers = _children(proc.pid)
+                if len(workers) == 2 and all(
+                        client.status(j)["state"] == "running"
+                        for j in doomed):
+                    break
+                time.sleep(0.01)
+            os.kill(workers[0], signal.SIGKILL)
+            for job_id in doomed:
+                assert client.wait(job_id, timeout_s=60)["state"] == "failed"
+                with pytest.raises(JobFailed, match="BrokenProcessPool"):
+                    client.fetch(job_id)
+            assert proc.poll() is None
+            resp = client.submit(PINGPONG)
+            assert client.wait(resp["id"], timeout_s=60)["state"] == "done"
+            assert proc.poll() is None
+            client.shutdown()
+        assert proc.wait(timeout=60) == 0, (
+            tmp_path / "serve.err").read_text()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 # -- swarm ------------------------------------------------------------------
