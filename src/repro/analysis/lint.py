@@ -23,8 +23,9 @@ REPRO004   float ``==``/``!=`` on sim timestamps (names like ``now``,
 REPRO005   mutable default argument: shared mutable state across calls is
            both a Python footgun and a cross-rank determinism hazard.
 REPRO006   telemetry-guarded scheduling: inside ``if ...telemetry...:`` the
-           code may record, never call ``schedule``/``timeout``/``succeed``/
-           ``fail``/``fire`` — recording must not perturb the schedule.
+           code may record, never call ``call_later``/``sleep``/``timeout``/
+           ``succeed``/``fail``/``fire`` — recording must not perturb the
+           schedule.
 REPRO007   mutable module-level state mutated inside a kernel generator
            body: rank programs must be pure functions of their arguments,
            or pod-parallel runs stop being worker-count invariant.
@@ -96,7 +97,8 @@ _NP_RANDOM_OK = frozenset({
 
 #: method names that inject work into the schedule or the fabric
 _SCHEDULING_ATTRS = frozenset({
-    "schedule", "timeout", "succeed", "fail", "fire", "ring_doorbell",
+    "call_later", "sleep", "timeout", "succeed", "fail", "fire",
+    "ring_doorbell",
 })
 
 #: one-argument calls whose result iterates in their argument's order

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.engine import Engine, Event, TraceHook
+from repro.sim.engine import Engine, TraceHook
 from repro.via.constants import ViState, ViaProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -284,11 +284,11 @@ class EventRaceDetector(TraceHook):
         self._group_time: Optional[float] = None
         self._group: List[str] = []
 
-    def on_event(self, now: float, event: Event) -> None:
+    def on_event(self, now: float, name: str, ok: bool) -> None:
         if self.inner is not None:
-            self.inner.on_event(now, event)
+            self.inner.on_event(now, name, ok)
         self.report.events_seen += 1
-        name = event.name or "<unnamed>"
+        name = name or "<unnamed>"
         # exact float equality is the point here: heap ties share the
         # identical timestamp bit pattern  # repro: allow[REPRO004]
         if self._group_time is not None and now == self._group_time:

@@ -40,7 +40,7 @@ class OobBoard:
 
     def barrier(self, name: str):
         """Generator: wait until all ``nprocs`` ranks reach this barrier."""
-        yield self.engine.timeout(self.BARRIER_COST_US, name=f"oob.{name}.cost")
+        yield self.engine.sleep(self.BARRIER_COST_US, f"oob.{name}.cost")
         count = self._counts.get(name, 0) + 1
         self._counts[name] = count
         sig = self._signal(name)
@@ -55,7 +55,7 @@ class OobBoard:
         while parked — MPI_Finalize must still answer the peers'
         protocol traffic (disconnect handshakes, credit returns), since
         weak progress means nobody else will."""
-        yield self.engine.timeout(self.BARRIER_COST_US, name=f"oob.{name}.cost")
+        yield self.engine.sleep(self.BARRIER_COST_US, f"oob.{name}.cost")
         self._counts[name] = self._counts.get(name, 0) + 1
         sig = self._signal(name)
         if self._counts[name] == self.nprocs:

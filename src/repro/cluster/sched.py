@@ -68,6 +68,9 @@ from repro.workloads.registry import build_program
 
 POLICIES = ("fcfs", "easy")
 PLACEMENTS = ("packed", "spread")
+#: a job arrival's entry name ("<lambda>": entry names are fingerprint
+#: material, pinned when the arrival was a closure)
+ARRIVAL = "<lambda>"
 
 
 class SchedulerError(RuntimeError):
@@ -487,7 +490,7 @@ class ClusterScheduler:
                 arrival_us=job.arrival_us,
             )
             delay = max(0.0, job.arrival_us - engine.now)
-            engine.schedule(delay, lambda j=job: self._arrive(j))
+            engine.call_later(delay, self._arrive, job, ARRIVAL)
         engine.run()
 
         failures = [

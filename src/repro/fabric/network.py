@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.fabric.link import LinkParams, Port
 from repro.fabric.packet import Packet
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.injector import FaultInjector
@@ -64,12 +64,9 @@ class Network:
             raise KeyError(f"node {node_id} not attached to {self.name}") from None
 
     # -- transfer ------------------------------------------------------------
-    def send(self, packet: Packet) -> Event:
-        """Inject ``packet``; returns an event that fires at delivery.
-
-        The destination handler is invoked at the same instant, before
-        the event's other callbacks (handler registration order).
-        """
+    def send(self, packet: Packet) -> None:
+        """Inject ``packet``: the destination handler is called with it
+        at delivery, by a bare heap entry (nothing waits on a packet)."""
         try:
             src_port = self._ports[packet.src]
             dst_port = self._ports[packet.dst]
@@ -105,8 +102,9 @@ class Network:
                 )
                 tel.counter("fabric.chaos.dropped").inc()
             # the sender's egress was still occupied; the switch eats it
-            return engine.timeout(egress_done - now, packet,
-                                  f"{self.name}.chaos-drop.{packet.kind}")
+            engine.timeout(egress_done - now, packet,
+                           f"{self.name}.chaos-drop.{packet.kind}")
+            return
         if verdict is not None:
             hop += verdict.extra_delay_us
             if tel is not None and verdict.extra_delay_us:
@@ -127,8 +125,7 @@ class Network:
         if name is None:
             name = f"{self.name}.deliver.{packet.kind}"
             self._deliver_names[packet.kind] = name
-        ev = engine.timeout(delivered - now, packet, name)
-        ev.callbacks.append(self._deliver)
+        engine.call_later(delivered - now, self._deliver, packet, name)
         if verdict is not None and verdict.duplicate:
             if tel is not None:
                 tel.instant(
@@ -142,15 +139,11 @@ class Network:
             dup_at = dst_port.ingress_busy_until = start + tx
             dst_port.packets_received += 1
             dst_port.bytes_received += wire_bytes
-            engine.timeout(dup_at - now, packet,
-                           f"{self.name}.deliver-dup.{packet.kind}"
-                           ).callbacks.append(self._deliver)
-        return ev
+            engine.call_later(dup_at - now, self._deliver, packet,
+                              f"{self.name}.deliver-dup.{packet.kind}")
 
-    def _deliver(self, ev: Event) -> None:
-        """Hand the packet an event carries (its value, read from the
-        slot on this per-packet path) to the destination's handler."""
-        packet = ev._value
+    def _deliver(self, packet: Packet) -> None:
+        """Hand ``packet`` to the destination's handler."""
         now = self.engine.now
         packet.delivered_at = now
         self.packets_delivered += 1

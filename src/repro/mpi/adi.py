@@ -114,7 +114,7 @@ class AbstractDevice:
         return self.provider.profile
 
     def charge(self, us: float) -> None:
-        """Accumulate host time; flushed as one timeout per yield point."""
+        """Accumulate host time; flushed as one sleep per yield point."""
         self._cost_us += us
 
     def retry_jitter(self) -> float:
@@ -126,9 +126,10 @@ class AbstractDevice:
             self.streams.stream(f"chaos.conn-retry.r{self.rank}").random())
 
     def flush_cost(self):
-        """Event charging all accumulated host time (possibly zero)."""
+        """A sleep (for the rank's process to yield) charging all
+        accumulated host time (possibly zero)."""
         cost, self._cost_us = self._cost_us, 0.0
-        return self.engine.timeout(cost, name="host-cost")
+        return self.engine.sleep(cost, "host-cost")
 
     def new_channel(self, dest: int) -> Channel:
         if dest in self.channels:  # pragma: no cover - manager contract
@@ -794,7 +795,7 @@ class AbstractDevice:
             while True:
                 progressed = self.progress_pass()
                 cost, self._cost_us = self._cost_us, 0.0  # flush_cost()
-                yield engine.timeout(cost, name="host-cost")
+                yield engine.sleep(cost, "host-cost")
                 while pending and pending[-1].done:
                     pending.pop()
                 if not pending and (until is None or until()):
@@ -808,7 +809,7 @@ class AbstractDevice:
                 if spinwait and engine.now - idle_since > spin_window:
                     # we had fallen into the kernel's blocking wait
                     self.blocking_waits += 1
-                    yield engine.timeout(profile.wakeup_us, name="wakeup")
+                    yield engine.sleep(profile.wakeup_us, "wakeup")
         for request in requests:
             if request.error is not None:
                 raise request.error

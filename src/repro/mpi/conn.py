@@ -404,7 +404,8 @@ class ConnectionManager:
         # a rank parked on its activity signal would otherwise sleep
         # through the deadline: wake it to run a progress pass (spurious
         # if the connect established meanwhile — waiters re-check)
-        self.adi.engine.schedule(window, self.adi.provider.activity.fire)
+        self.adi.engine.call_later(window, self.adi.provider.activity.fire,
+                                   None, "fire")
 
     def _retry_connect(self, ch: Channel) -> None:
         """Reissue the peer request for a connect past its deadline."""

@@ -91,7 +91,7 @@ class MpiProcess:
             if rng is None:
                 rng = self._jitter_rng = np.random.default_rng(self._jitter_seed)
             us *= 1.0 + self._jitter * (2.0 * rng.random() - 1.0)
-        yield self._adi.engine.timeout(us, name=f"compute.r{self.rank}")
+        yield self._adi.engine.sleep(us, f"compute.r{self.rank}")
 
     # -- point-to-point, nonblocking ---------------------------------------------
     def isend(

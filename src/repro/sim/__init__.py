@@ -13,9 +13,12 @@ Design goals:
   the units the paper reports.
 * **Tiny yield protocol.** A process generator may yield
   :class:`~repro.sim.engine.Event` objects (one-shot), results of
-  :meth:`Engine.timeout`, or :meth:`~repro.sim.signal.Signal.wait` —
-  or a generator, a stage the process runs in its place until it
-  returns (see :mod:`repro.sim.process`).
+  :meth:`Engine.timeout`, or :meth:`~repro.sim.signal.Signal.wait`;
+  :meth:`Engine.sleep`, a pause with no event built; or a generator,
+  a stage the process runs in its place until it returns (see
+  :mod:`repro.sim.process`).
+* **An event only where something waits.** Work that nothing waits on
+  (:meth:`Engine.call_later`, a sleep) is a bare heap entry.
 """
 
 from repro.sim.engine import (

@@ -1,23 +1,29 @@
 """Event queue and simulation clock.
 
-The engine is a classic DES core: pending events live in one binary
-heap of ``(time, seq, event)`` triples.  :class:`Event` is a one-shot
-completion token; processes (see :mod:`repro.sim.process`) subscribe to
-events by yielding them.
+The engine is a classic DES core: one binary heap of *entries*, each
+keyed by ``(time, seq)``.  An entry carries either an :class:`Event` —
+a one-shot completion token that processes (see
+:mod:`repro.sim.process`) subscribe to by yielding it — as a
+``(time, seq, event)`` triple, or a bare call that nothing waits on as
+a ``(time, seq, fn, arg, name)`` 5-tuple (:meth:`Engine.call_later`, a
+process's :meth:`Engine.sleep`).  A call builds no event object and no
+callback list: most of a simulation's entries are NIC services, fabric
+deliveries and host-cost sleeps that only their one owner ever sees.
 
 Times are floats in **microseconds**.  The engine never invents time:
-every advance comes from an explicit :meth:`Engine.schedule` /
-:meth:`Engine.timeout` delay, so all latency modelling lives in the
-higher layers where it can be documented and calibrated.
+every advance comes from an explicit :meth:`Engine.timeout` /
+:meth:`Engine.call_later` / :meth:`Engine.sleep` delay, so all latency
+modelling lives in the higher layers where it can be documented and
+calibrated.
 
-Determinism contract: events dequeue in strictly increasing
+Determinism contract: entries dequeue in strictly increasing
 ``(time, seq)`` order, ``seq`` being the engine's monotonic sequence
 number — the global total order the golden-trace fingerprints pin down.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
@@ -29,14 +35,15 @@ class SimulationError(RuntimeError):
 class NegativeDelayError(SimulationError, ValueError):
     """A negative delay reached the scheduler.
 
-    Scheduling into the past would corrupt the heap invariant (events
+    Scheduling into the past would corrupt the heap invariant (entries
     must pop in nondecreasing time order), so :meth:`Engine.timeout`,
-    :meth:`Engine.schedule` and every trigger path reject it up front.
+    :meth:`Engine.call_later`, :meth:`Engine.sleep` and every trigger
+    path reject it up front.
     Subclasses ``ValueError`` for backward compatibility with callers
     that caught the old untyped error.
     """
 
-    def __init__(self, delay: float, where: str = "schedule"):
+    def __init__(self, delay: float, where: str = "timeout"):
         super().__init__(
             f"negative delay {delay!r} in Engine.{where}(): events cannot "
             "be scheduled into the past"
@@ -66,17 +73,17 @@ class Event:
     available as :attr:`value`.
 
     Events are single-use: triggering twice raises
-    :class:`SimulationError`.  ``_ok`` is ``None`` while it is pending.
+    :class:`SimulationError`.  ``_ok`` is ``None`` while it is pending;
+    ``callbacks`` is ``None`` once it is processed.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_processed", "name")
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "name")
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
-        self.callbacks: list[Callable[["Event"], None]] = []
+        self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._processed = False
         self.name = name
 
     # -- state inspection ------------------------------------------------
@@ -88,7 +95,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -103,9 +110,9 @@ class Event:
         return self._value
 
     # -- triggering ------------------------------------------------------
-    # With Engine.timeout and Engine.schedule, the only places that push
-    # onto the heap: each inline, at ``now + delay`` from the caller's
-    # own operand, after the checks every public entry keeps.
+    # With Engine.timeout, Engine.call_later and Process's sleep, the only
+    # places that push onto the heap: each inline, at ``now + delay`` from
+    # the caller's own operand, after the checks every public entry keeps.
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Mark the event successful and schedule callback processing
         ``delay`` microseconds from now."""
@@ -117,7 +124,7 @@ class Event:
         self._value = value
         engine = self.engine
         engine._seq += 1
-        heapq.heappush(engine._heap, (engine.now + delay, engine._seq, self))
+        heappush(engine._heap, (engine.now + delay, engine._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -132,22 +139,12 @@ class Event:
         self._value = exception
         engine = self.engine
         engine._seq += 1
-        heapq.heappush(engine._heap, (engine.now + delay, engine._seq, self))
+        heappush(engine._heap, (engine.now + delay, engine._seq, self))
         return self
-
-    def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Register ``fn`` to run when the event is processed.
-
-        If the event has already been processed the callback runs
-        immediately (same simulated instant)."""
-        if self._processed:
-            fn(self)
-        else:
-            self.callbacks.append(fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
-            "processed" if self._processed
+            "processed" if self.callbacks is None
             else "triggered" if self._ok is not None
             else "pending"
         )
@@ -169,12 +166,14 @@ class Engine:
 
     def __init__(self, *, trace: Optional["TraceHook"] = None):
         self.now: float = 0.0
-        #: pending ``(when, seq, event)`` triples, a ``heapq`` heap
+        #: pending entries, a ``heapq`` heap: ``(when, seq, event)``
+        #: triples and ``(when, seq, fn, arg, name)`` calls
         self._heap: list = []
         self._seq = 0
         self._running = False
         self.trace = trace
-        #: number of events processed so far (diagnostics / determinism checks)
+        #: number of entries processed so far, events and calls alike
+        #: (diagnostics / determinism checks)
         self.events_processed = 0
 
     # -- event construction ----------------------------------------------
@@ -183,43 +182,55 @@ class Engine:
         return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that succeeds ``delay`` microseconds from now.
+        """An event that succeeds ``delay`` microseconds from now: for
+        something to wait on (an ``any_of`` guard, a process's yield).
+        A callback nothing waits on is :meth:`call_later`; a process's
+        pause is :meth:`sleep`.
 
         Raises :class:`NegativeDelayError` on ``delay < 0``.
         """
         if delay < 0:
             raise NegativeDelayError(delay, "timeout")
         # Event() + succeed() inline, less the double-trigger check that
-        # cannot fire here: one timeout per yield of every process
+        # cannot fire here
         ev = Event.__new__(Event)
         ev.engine = self
         ev.callbacks = []
         ev._value = value
         ev._ok = True
-        ev._processed = False
         ev.name = name or "timeout"
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
+        heappush(self._heap, (self.now + delay, self._seq, ev))
         return ev
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` microseconds; returns the event.
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any,
+                   name: str) -> None:
+        """Run ``fn(arg)`` after ``delay`` microseconds, as an entry
+        named ``name`` (what a trace hook sees; it always succeeds).
+        Nothing can wait on it, and no :class:`Event` is built.
 
         Raises :class:`NegativeDelayError` on ``delay < 0``.
         """
         if delay < 0:
-            raise NegativeDelayError(delay, "schedule")
-        # built as timeout() builds its event: no Event.__init__ frame
-        ev = Event.__new__(Event)
-        ev.engine = self
-        ev.callbacks = [lambda _ev: fn()]
-        ev._value = None
-        ev._ok = True
-        ev._processed = False
-        ev.name = getattr(fn, "__name__", "scheduled")
+            raise NegativeDelayError(delay, "call_later")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
-        return ev
+        heappush(self._heap, (self.now + delay, self._seq, fn, arg, name))
+
+    def sleep(self, delay: float, name: str) -> tuple:
+        """What a process yields to pause ``delay`` microseconds, as an
+        entry named ``name``, with no :class:`Event` built.
+
+        Only a :class:`~repro.sim.process.Process` can resume from it,
+        and only the one that yields it at once: the entry's place in
+        the ``(time, seq)`` order is taken here, its callback is the
+        yielding process's.  A sleep cannot be interrupted.
+
+        Raises :class:`NegativeDelayError` on ``delay < 0``.
+        """
+        if delay < 0:
+            raise NegativeDelayError(delay, "sleep")
+        self._seq += 1
+        return (self.now + delay, self._seq, name)
 
     def process(self, generator) -> "Process":
         """Spawn a generator as a simulation process (convenience)."""
@@ -228,35 +239,38 @@ class Engine:
         return Process(self, generator)
 
     # -- execution ---------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the queue is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one entry."""
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
-        t, _seq, ev = heapq.heappop(self._heap)
+        entry = heappop(self._heap)
+        t = entry[0]
         if t < self.now:  # pragma: no cover - guarded by every trigger
             raise SimulationError("time went backwards")
         self.now = t
-        ev._processed = True
         self.events_processed += 1
-        if self.trace is not None:
-            self.trace.on_event(self.now, ev)
-        callbacks, ev.callbacks = ev.callbacks, []
-        for fn in callbacks:
-            fn(ev)
+        if len(entry) == 3:
+            ev = entry[2]
+            if self.trace is not None:
+                self.trace.on_event(t, ev.name, ev._ok)
+            callbacks, ev.callbacks = ev.callbacks, None
+            for fn in callbacks:
+                fn(ev)
+        else:
+            _t, _seq, fn, arg, name = entry
+            if self.trace is not None:
+                self.trace.on_event(t, name, True)
+            fn(arg)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains (or the clock passes ``until``).
 
         Returns the final simulated time.
 
-        This is the DES hot loop: it processes the same events in the
+        This is the DES hot loop: it processes the same entries in the
         same order as repeated :meth:`step` calls, but keeps the heap,
-        ``heappop`` and the event counter in locals, and hoists the
-        trace-hook and ``until`` checks out of the per-event path.
+        ``heappop`` and the entry counter in locals, and hoists the
+        trace-hook and ``until`` checks out of the per-entry path.
         Installing a trace hook *mid-run* (from a callback) is
         unsupported — hooks must be in place before :meth:`run`, which
         every recorder in this codebase already guarantees.
@@ -267,58 +281,52 @@ class Engine:
             raise SimulationError("engine is already running")
         self._running = True
         heap = self._heap
-        heappop = heapq.heappop
+        pop = heappop
         trace = self.trace
         processed = self.events_processed
         try:
             if until is None and trace is None:
                 # fastest variant: no deadline, no recorder
                 while heap:
-                    t, _seq, ev = heappop(heap)
-                    self.now = t
-                    ev._processed = True
+                    entry = pop(heap)
+                    self.now = entry[0]
                     processed += 1
-                    cbs = ev.callbacks
-                    if cbs:
-                        ev.callbacks = []
-                        for fn in cbs:
-                            fn(ev)
+                    if len(entry) == 3:
+                        ev = entry[2]
+                        cbs = ev.callbacks
+                        ev.callbacks = None
+                        if cbs:
+                            for fn in cbs:
+                                fn(ev)
+                    else:
+                        entry[2](entry[3])
             else:
                 while heap:
                     t = heap[0][0]
                     if until is not None and t > until:
                         self.now = until
                         break
-                    t, _seq, ev = heappop(heap)
+                    entry = pop(heap)
                     self.now = t
-                    ev._processed = True
                     processed += 1
-                    if trace is not None:
-                        trace.on_event(t, ev)
-                    cbs = ev.callbacks
-                    if cbs:
-                        ev.callbacks = []
-                        for fn in cbs:
-                            fn(ev)
+                    if len(entry) == 3:
+                        ev = entry[2]
+                        if trace is not None:
+                            trace.on_event(t, ev.name, ev._ok)
+                        cbs = ev.callbacks
+                        ev.callbacks = None
+                        if cbs:
+                            for fn in cbs:
+                                fn(ev)
+                    else:
+                        _t, _seq, fn, arg, name = entry
+                        if trace is not None:
+                            trace.on_event(t, name, True)
+                        fn(arg)
         finally:
             self._running = False
             self.events_processed = processed
         return self.now
-
-    def run_until_event(self, event: Event) -> Any:
-        """Run until ``event`` is processed; return its value.
-
-        Raises the event's exception if it failed, or
-        :class:`SimulationError` if the queue drains first (deadlock)."""
-        while not event.processed:
-            if not self._heap:
-                raise SimulationError(
-                    f"event heap drained before {event!r} fired (deadlock?)"
-                )
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value
 
 
 class _AnyOf(Event):
@@ -351,19 +359,21 @@ def any_of(engine: "Engine", events: list) -> "Event":
     combo.callbacks = []
     combo._value = None
     combo._ok = None
-    combo._processed = False
     combo.name = "any-of"
     fire = combo._fire
     for ev in events:
-        if ev._processed:
+        callbacks = ev.callbacks
+        if callbacks is None:  # processed
             fire(ev)
         else:
-            ev.callbacks.append(fire)
+            callbacks.append(fire)
     return combo
 
 
 class TraceHook:
-    """Interface for engine-level tracing (see :mod:`repro.sim.trace`)."""
+    """Interface for engine-level tracing (see :mod:`repro.sim.trace`):
+    one call per processed entry, with its time, its name and whether it
+    succeeded (a call always does)."""
 
-    def on_event(self, now: float, event: Event) -> None:  # pragma: no cover
+    def on_event(self, now: float, name: str, ok: bool) -> None:  # pragma: no cover
         raise NotImplementedError

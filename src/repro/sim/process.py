@@ -16,6 +16,13 @@ return value, so processes can wait on each other::
         value = yield eng.process(child(eng))
         assert value == 42
 
+A process may also yield :meth:`Engine.sleep` to pause with no event
+built: it is resumed by a bare heap entry, and nothing else can wait on
+or interrupt that pause::
+
+    def worker(eng):
+        yield eng.sleep(5.0, "think")
+
 A process may also yield a *generator*: a stage it runs itself, in the
 same step, until the stage returns.  The yielding generator then resumes
 with the stage's return value (or its exception), as after ``yield
@@ -30,6 +37,7 @@ alone, not every generator it is nested in::
 
 from __future__ import annotations
 
+from heapq import heappush
 from types import GeneratorType
 from typing import Any, Generator, List, Optional
 
@@ -37,24 +45,26 @@ from repro.sim.engine import Engine, Event, Interrupt, SimulationError
 
 
 def _outcome(ok: bool, value: Any) -> Event:
-    """A processed stand-in event carrying a stage's return value (or
-    its exception) to the generator that yielded the stage."""
+    """A processed stand-in event carrying an outcome to the generator
+    it resumes: a stage's return value or exception, an interrupt."""
     event = Event.__new__(Event)
+    event.callbacks = None
     event._ok = ok
     event._value = value
     return event
 
 
-#: what a stage's generator is first sent
-_START = _outcome(True, None)
+#: what a process is resumed with at its start, after a sleep, and what
+#: a stage's generator is first sent
+_GO = _outcome(True, None)
 
 
 class Process(Event):
     """A running generator on the simulation engine.
 
     The process starts at the current simulated instant (its first resume
-    is scheduled with zero delay, preserving event ordering by sequence
-    number).
+    is a call scheduled with zero delay, preserving entry ordering by
+    sequence number).
     """
 
     __slots__ = ("_generator", "_waiting_on", "_park", "_callers")
@@ -75,7 +85,7 @@ class Process(Event):
         #: (and dropped when the process ends, so that it is freed by
         #: reference counting, not left to the cyclic collector)
         self._park = self._resume
-        engine.timeout(0.0, None, f"{self.name}.start").callbacks.append(self._park)
+        engine.call_later(0.0, self._park, _GO, f"{self.name}.start")
 
     @property
     def is_alive(self) -> bool:
@@ -85,37 +95,45 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its wait point.
 
-        Interrupting a finished process is an error; interrupting a
-        process that is not waiting (i.e. currently scheduled to run) is
-        also rejected to keep semantics simple and deterministic.
+        Interrupting a finished process is an error; so is interrupting
+        a process that is not waiting on an event: one that is currently
+        scheduled to run (its event already fired), or one that is asleep
+        (:meth:`Engine.sleep` builds no event to detach from).  All raise
+        :class:`SimulationError`, which keeps semantics simple and
+        deterministic: a process is resumed once per wait.
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         target = self._waiting_on
+        if type(target) is tuple:
+            raise SimulationError(
+                f"process {self.name!r} is asleep; only a wait on an event "
+                "can be interrupted"
+            )
         if target is None:
             raise SimulationError(
                 f"process {self.name!r} is not waiting on anything; "
                 "cannot interrupt"
             )
+        callbacks = target.callbacks
+        if callbacks is None:
+            raise SimulationError(
+                f"process {self.name!r} is about to resume from {target!r}; "
+                "cannot interrupt"
+            )
         # Detach from the event we were waiting on and schedule the throw.
-        try:
-            target.callbacks.remove(self._park)
-        except ValueError:  # already fired, resume is in flight
-            pass
+        callbacks.remove(self._park)
         self._waiting_on = None
-        # the kick succeeds (it is traced as such); the generator resumes
-        # from a failed stand-in that carries the Interrupt
-        thrown = Event(self.engine)
-        thrown._ok = False
-        thrown._value = Interrupt(cause)
-        self.engine.timeout(0.0, None, f"{self.name}.interrupt").callbacks.append(
-            lambda _kick: self._resume(thrown))
+        # the call is traced as a success; the generator resumes from a
+        # failed stand-in that carries the Interrupt
+        self.engine.call_later(0.0, self._park, _outcome(False, Interrupt(cause)),
+                               f"{self.name}.interrupt")
 
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Step the generator with the outcome of ``event`` and park on
         what it yields, looping (not recursing) while that has already
-        been processed.  The per-event hot path: it reads event slots,
+        been processed.  The per-entry hot path: it reads event slots,
         not the checking properties.  Stages start, return and fail in
         the branches off it."""
         generator = self._generator
@@ -141,6 +159,10 @@ class Process(Event):
                 # (exit 130, cache intact) sees the real KeyboardInterrupt
                 raise
             except BaseException as exc:
+                # drop this frame from the traceback: once this call
+                # returns it would keep the process alive, and through
+                # its caller the engine's stack, in a reference cycle
+                exc.__traceback__ = exc.__traceback__.tb_next
                 if self._callers:
                     # a stage raised: so does its yield in the caller
                     generator = self._generator = self._callers.pop()
@@ -155,26 +177,34 @@ class Process(Event):
                     self.fail(exc)
                 return
             if not isinstance(target, Event):
+                if type(target) is tuple and len(target) == 3:
+                    # Engine.sleep: its (time, seq) place, resumed by a
+                    # bare call to this process
+                    self._waiting_on = target
+                    when, seq, name = target
+                    heappush(self.engine._heap, (when, seq, self._park, _GO, name))
+                    return
                 if type(target) is GeneratorType:
                     # a stage: run it here until it returns
                     if self._callers is None:
                         self._callers = []
                     self._callers.append(generator)
                     generator = self._generator = target
-                    event = _START
+                    event = _GO
                     continue
                 self._abandon(generator)
                 self.fail(SimulationError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event objects or generators"))
+                    f"process {self.name!r} yielded {target!r}; processes "
+                    "must yield Event objects, generators or Engine.sleep()"))
                 return
             if target.engine is not self.engine:
                 self._abandon(generator)
                 self.fail(SimulationError("yielded event belongs to a different engine"))
                 return
-            if not target._processed:
+            callbacks = target.callbacks
+            if callbacks is not None:  # not processed
                 self._waiting_on = target
-                target.callbacks.append(self._park)
+                callbacks.append(self._park)
                 return
             event = target
 

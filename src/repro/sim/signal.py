@@ -52,7 +52,6 @@ class Signal:
         ev.callbacks = []
         ev._value = None
         ev._ok = None
-        ev._processed = False
         ev.name = self._wait_name
         self._waiters.append(ev)
         return ev

@@ -1,7 +1,8 @@
 """Event tracing.
 
 A :class:`TraceRecorder` attached to an :class:`~repro.sim.engine.Engine`
-records ``(time, event-name)`` pairs.  Its primary job in this project is
+records ``(time, name, ok)`` for every processed heap entry, event or
+bare call alike.  Its primary job in this project is
 the determinism test suite: two runs of the same workload with the same
 seed must produce identical traces.  It is also handy when debugging
 protocol interleavings.
@@ -14,12 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
-from repro.sim.engine import Event, TraceHook
+from repro.sim.engine import TraceHook
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One processed event."""
+    """One processed heap entry."""
 
     time: float
     name: str
@@ -47,12 +48,12 @@ class TraceRecorder(TraceHook):
         self.name_filter = name_filter
         self.dropped = 0
 
-    def on_event(self, now: float, event: Event) -> None:
-        if self.name_filter is not None and self.name_filter not in event.name:
+    def on_event(self, now: float, name: str, ok: bool) -> None:
+        if self.name_filter is not None and self.name_filter not in name:
             return
         if self.limit is not None and len(self.records) == self.limit:
             self.dropped += 1  # deque evicts the oldest on append
-        self.records.append(TraceRecord(now, event.name, bool(event.ok)))
+        self.records.append(TraceRecord(now, name, bool(ok)))
 
     def fingerprint(self) -> str:
         """SHA-256 hex digest of the trace, stable across processes and

@@ -140,12 +140,10 @@ class ConnectionAgent:
         start = max(now, self._busy_until)
         done = start + self.costs.agent_service_us
         self._busy_until = done
-        # Engine.schedule's event (the name is fingerprint material), less
-        # its adapter frame: the service routine is the callback
-        self.engine.timeout(done - now, name="_run_one").callbacks.append(
-            self._run_one)
+        # the entry's name is fingerprint material
+        self.engine.call_later(done - now, self._run_one, None, "_run_one")
 
-    def _run_one(self, _event) -> None:
+    def _run_one(self, _arg) -> None:
         self._scheduled = False
         handler, args = self._work.popleft()
         self.requests_processed += 1
@@ -410,14 +408,14 @@ class ConnectionAgent:
         if key is not None:
             self._requested.discard(key)
         # kernel instantiates the connection state, then the VI flips;
-        # the event (named as Engine.schedule named it) carries the
-        # endpoints, so no closure is made per connection
-        self.engine.timeout(
-            self.costs.establish_us, (vi, remote_node, remote_vi_id),
-            name="finish").callbacks.append(self._finish_establish)
+        # the call carries the endpoints, so no closure is made per
+        # connection (the name is fingerprint material)
+        self.engine.call_later(
+            self.costs.establish_us, self._finish_establish,
+            (vi, remote_node, remote_vi_id), "finish")
 
-    def _finish_establish(self, event) -> None:
-        vi, remote_node, remote_vi_id = event._value
+    def _finish_establish(self, endpoints) -> None:
+        vi, remote_node, remote_vi_id = endpoints
         state = vi._state
         if state is not ViState.IDLE and state is not ViState.CONNECT_PENDING:
             # the host gave up (connect retry budget exhausted) and

@@ -21,7 +21,7 @@ and failure-injection tests deliberately break it.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from repro.fabric.network import Network
 from repro.fabric.packet import Packet
@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: wire size of a transport ack (reliability sublayer control packet)
 ACK_WIRE_BYTES = 32
+#: the retransmission timer's entry name ("<lambda>": entry names are
+#: fingerprint material, pinned when the timer was a closure)
+RTX_TIMER = "<lambda>"
 
 #: VI states the firmware doorbell scan must visit (paper Figure 1);
 #: the NIC tracks this count incrementally via VI state transitions.
@@ -222,12 +225,11 @@ class Nic:
         self._tx_busy_until = done
         if self.telemetry is not None:
             self._tx_window = (start, done)  # exactly one tx service in flight
-        # Engine.schedule's event (the name is fingerprint material), less
-        # its adapter frame: the service routine is the callback
-        self.engine.timeout(done - now, name="_service_one_tx").callbacks.append(
-            self._service_one_tx)
+        # the entry's name is fingerprint material
+        self.engine.call_later(done - now, self._service_one_tx, None,
+                               "_service_one_tx")
 
-    def _service_one_tx(self, _event) -> None:
+    def _service_one_tx(self, _arg) -> None:
         self._tx_scheduled = False
         vi = self._tx_queue.popleft()
         # (per-packet paths read vi._state, vi._send_backlog, _owners, _vis,
@@ -309,10 +311,11 @@ class Nic:
                        kind: str, plan: "FaultPlan") -> None:
         self._rtx.setdefault(vi.vi_id, {})[msg.seq] = _Inflight(
             msg, wire, dst_node, kind)
-        self.engine.schedule(
-            plan.rto_us, lambda: self._rtx_timeout(vi.vi_id, msg.seq))
+        self.engine.call_later(plan.rto_us, self._rtx_timeout,
+                               (vi.vi_id, msg.seq), RTX_TIMER)
 
-    def _rtx_timeout(self, vi_id: int, seq: int) -> None:
+    def _rtx_timeout(self, key: Tuple[int, int]) -> None:
+        vi_id, seq = key
         table = self._rtx.get(vi_id)
         item = None if table is None else table.get(seq)
         if item is None:
@@ -351,7 +354,7 @@ class Nic:
         )
         delay = min(plan.rto_us * plan.rto_backoff ** item.attempts,
                     plan.rto_max_us)
-        self.engine.schedule(delay, lambda: self._rtx_timeout(vi_id, seq))
+        self.engine.call_later(delay, self._rtx_timeout, key, RTX_TIMER)
 
     def _on_transport_ack(self, ack: TransportAck) -> None:
         table = self._rtx.get(ack.dst_vi_id)
@@ -472,10 +475,10 @@ class Nic:
         self._rx_busy_until = done
         if self.telemetry is not None:
             self._rx_window = (start, done)  # exactly one rx service in flight
-        self.engine.timeout(done - now, name="_service_one_rx").callbacks.append(
-            self._service_one_rx)
+        self.engine.call_later(done - now, self._service_one_rx, None,
+                               "_service_one_rx")
 
-    def _service_one_rx(self, _event) -> None:
+    def _service_one_rx(self, _arg) -> None:
         self._rx_scheduled = False
         packet = self._rx_queue.popleft()
         msg = packet.payload

@@ -22,6 +22,7 @@ def run(
     per_rank_args: Optional[List[tuple]] = None,
     fault_plan=None,
     telemetry=None,
+    engine=None,
     **config_kwargs: Any,
 ):
     """Run ``program`` on a small cluster; returns the JobResult."""
@@ -32,7 +33,7 @@ def run(
     return run_job(
         spec, nprocs, program, config,
         per_rank_args=per_rank_args, fault_plan=fault_plan,
-        telemetry=telemetry,
+        telemetry=telemetry, engine=engine,
     )
 
 

@@ -197,10 +197,10 @@ class TestUnorderedIteration:
         bad, _ = check("""
             def kick(self):
                 for vi in self._vis.values():
-                    self.engine.schedule(1.0, vi.poke)
+                    self.engine.call_later(1.0, vi.poke, None, "poke")
         """)
         assert rule_ids(bad) == ["REPRO003"]
-        assert "schedule" in bad[0].message
+        assert ".call_later()" in bad[0].message
 
     def test_dict_view_without_scheduling_is_fine(self):
         bad, _ = check("""
@@ -267,7 +267,7 @@ class TestTelemetrySchedules:
         bad, _ = check("""
             def record(self):
                 if self.telemetry is not None:
-                    self.engine.schedule(0.0, self.flush)
+                    self.engine.call_later(0.0, self.flush, None, "flush")
         """)
         assert rule_ids(bad) == ["REPRO006"]
 
@@ -293,7 +293,7 @@ class TestTelemetrySchedules:
             def record(self):
                 if self.telemetry is not None:
                     self.telemetry.counter("x").inc()
-                self.engine.schedule(0.0, self.flush)
+                self.engine.call_later(0.0, self.flush, None, "flush")
         """)
         assert bad == []
 

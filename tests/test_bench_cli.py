@@ -5,9 +5,11 @@ in a fresh working directory at CI sizes and records, after every
 command: its exit code, the sha256 of its stdout with ``[… wall]`` lines
 masked, and the sha256 of every file in the directory (cache entries
 included, so sweep and cluster cache keys are pinned as well).  Host
-time is the one input that differs between runs, so ``time.perf_counter``
-is replaced by a counter that advances one second per read: a cell's
-recorded ``wall_s`` is then 1.0 on any machine.
+time is the one input that differs between runs, so the clock that
+``repro.bench.clock.now_s`` reads is replaced by a counter that advances
+one second per read: a cell's recorded ``wall_s`` is then 1.0 on any
+machine.  Only that clock: ``time.perf_counter`` itself, which threads
+and ``Thread.join`` deadlines read, keeps real time.
 
 ``tests/golden/cli_digests.json`` was generated before the bench entry
 points were collapsed onto one job builder and one cached fan-out.
@@ -28,6 +30,9 @@ import os
 import re
 import sys
 import tempfile
+import threading
+import time
+import types
 from pathlib import Path
 from typing import Any, Dict, List
 from unittest import mock
@@ -86,15 +91,23 @@ def _main(argv: List[str]) -> int:
         return stop.code if isinstance(stop.code, int) else 1
 
 
+def ticking_bench_clock():
+    """Make ``repro.bench.clock.now_s`` read 0, 1, 2, ... seconds, and
+    leave every other clock alone."""
+    from repro.bench import clock
+
+    ticks = itertools.count()
+    return mock.patch.object(clock, "time", types.SimpleNamespace(
+        perf_counter=lambda: float(next(ticks))))
+
+
 def run_scenario(name: str, workdir: Path) -> List[Dict[str, Any]]:
     """Run one scenario in ``workdir``; one digest record per command."""
-    ticks = itertools.count()
     records = []
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with mock.patch("time.perf_counter", lambda: float(next(ticks))), \
-                mock.patch.dict(os.environ):
+        with ticking_bench_clock(), mock.patch.dict(os.environ):
             os.environ.pop("REPRO_BENCH_CACHE", None)
             for argv in SCENARIOS[name]:
                 out = io.StringIO()
@@ -111,6 +124,25 @@ def run_scenario(name: str, workdir: Path) -> List[Dict[str, Any]]:
     finally:
         os.chdir(cwd)
     return records
+
+
+def test_the_ticking_clock_is_the_bench_clock_alone():
+    from repro.bench.clock import now_s
+
+    def gap(out):
+        first = time.perf_counter()
+        out.append(time.perf_counter() - first)
+
+    with ticking_bench_clock():
+        assert [now_s() for _ in range(3)] == [0.0, 1.0, 2.0]
+        # real time for everything else, in this thread and in another
+        gaps = []
+        gap(gaps)
+        worker = threading.Thread(target=gap, args=(gaps,))
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert len(gaps) == 2 and all(0.0 <= g < 0.5 for g in gaps), gaps
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -21,6 +21,7 @@ from repro.cluster import job as job_module
 from repro.memory.arena import StagingCache
 from repro.mpi.adi import AbstractDevice, as_bytes
 from repro.sim import Engine, Signal, any_of
+from repro.sim.engine import TraceHook
 from repro.via import nic as nic_module
 
 from tests import mpi_rig
@@ -297,19 +298,21 @@ def test_a_resume_enters_one_mpi_generator_frame(program, nprocs,
     assert depths[1] > 20 * nprocs
 
 
-def test_wait_all_polls_once_and_wait_of_a_done_request_not_at_all(
-        monkeypatch):
-    """MPI_Waitall makes one progress pass, and yields one host-cost
-    timeout, even when every request is done; MPI_Wait of a done
-    request makes neither."""
-    host_costs = [0]
-    timeout = Engine.timeout
+class HostCosts(TraceHook):
+    """Counts the processed ``host-cost`` entries."""
 
-    def counted(self, delay, value=None, name=""):
-        host_costs[0] += name == "host-cost"
-        return timeout(self, delay, value, name)
+    def __init__(self):
+        self.count = 0
 
-    monkeypatch.setattr(Engine, "timeout", counted)
+    def on_event(self, now, name, ok):
+        self.count += name == "host-cost"
+
+
+def test_wait_all_polls_once_and_wait_of_a_done_request_not_at_all():
+    """MPI_Waitall makes one progress pass, and sleeps one host cost,
+    even when every request is done; MPI_Wait of a done request makes
+    neither."""
+    host_costs = HostCosts()
     seen = {}
 
     def program(mpi):
@@ -320,6 +323,9 @@ def test_wait_all_polls_once_and_wait_of_a_done_request_not_at_all(
             for _ in range(3):
                 yield from mpi.recv(buf.copy(), 0)
             return
+        # the hook counts every rank's sleeps: let rank 1's last one of
+        # MPI_Init (due at the instant rank 0 leaves it) pass first
+        yield from mpi.compute(100.0)
         adi = mpi._adi
         req = mpi.isend(buf, 1)
         assert req.done  # eager on a connected VI: done when posted
@@ -328,12 +334,13 @@ def test_wait_all_polls_once_and_wait_of_a_done_request_not_at_all(
                                ("send", lambda: mpi.send(buf, 1)),
                                ("waitall of a fresh send", lambda: mpi.waitall(
                                    [mpi.isend(buf, 1)]))):
-            passes, costs = adi.device_checks, host_costs[0]
+            passes, costs = adi.device_checks, host_costs.count
             yield from blocking()
-            seen[name] = (adi.device_checks - passes, host_costs[0] - costs)
+            seen[name] = (adi.device_checks - passes, host_costs.count - costs)
 
-    mpi_rig.run(program, nprocs=2, nodes=2, ppn=1, connection="static-p2p")
-    # (progress passes, host-cost timeouts)
+    mpi_rig.run(program, nprocs=2, nodes=2, ppn=1, connection="static-p2p",
+                engine=Engine(trace=host_costs))
+    # (progress passes, host-cost sleeps)
     assert seen == {"wait": (0, 0), "waitall": (1, 1), "send": (0, 0),
                     "waitall of a fresh send": (1, 1)}
 

@@ -66,7 +66,7 @@ def test_lint_catches_telemetry_guarded_scheduling():
         "def tag(self, engine, pkt):\n"
         "    if self.telemetry is not None:\n"
         "        pkt.flow_id = self.telemetry.new_flow()\n"
-        "        engine.schedule(0.0, None)\n"
+        "        engine.call_later(0.0, None, None, 'tag')\n"
     )
     violations, _, _ = lint_source(unsafe, path="flowtag.py")
     assert "REPRO006" in {v.rule_id for v in violations}

@@ -8,6 +8,8 @@ from repro.cluster.oob import OobBoard
 from repro.mpi import MpiConfig
 from repro.sim import Engine, Signal, any_of
 
+from tests.sim_helpers import run_until_event
+
 
 class TestAnyOf:
     def test_first_event_wins(self):
@@ -15,7 +17,7 @@ class TestAnyOf:
         slow = eng.timeout(100.0, value="slow")
         quick = eng.timeout(10.0, value="quick")
         combo = any_of(eng, [slow, quick])
-        got = eng.run_until_event(combo)
+        got = run_until_event(eng, combo)
         assert got == "quick"
         assert eng.now == 10.0
 
@@ -34,14 +36,14 @@ class TestAnyOf:
         good = eng.timeout(50.0)
         combo = any_of(eng, [bad, good])
         with pytest.raises(ValueError, match="boom"):
-            eng.run_until_event(combo)
+            run_until_event(eng, combo)
 
     def test_already_processed_event(self):
         eng = Engine()
         done = eng.timeout(1.0, value="past")
         eng.run()
         combo = any_of(eng, [done, eng.event()])
-        got = eng.run_until_event(combo)
+        got = run_until_event(eng, combo)
         assert got == "past"
 
     def test_with_signals(self):
@@ -54,8 +56,8 @@ class TestAnyOf:
             woken.append((value, eng.now))
 
         eng.process(waiter())
-        eng.schedule(5.0, lambda: s2.fire("two"))
-        eng.schedule(9.0, lambda: s1.fire("one"))
+        eng.call_later(5.0, s2.fire, "two", "fire")
+        eng.call_later(9.0, s1.fire, "one", "fire")
         eng.run()
         assert woken == [("two", 5.0)]
 

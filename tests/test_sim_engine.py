@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 
+from tests.sim_helpers import add_callback, peek, run_until_event
+
 
 def test_clock_starts_at_zero():
     eng = Engine()
@@ -28,9 +30,9 @@ def test_negative_timeout_rejected():
 def test_events_process_in_time_order():
     eng = Engine()
     order = []
-    eng.schedule(30.0, lambda: order.append("c"))
-    eng.schedule(10.0, lambda: order.append("a"))
-    eng.schedule(20.0, lambda: order.append("b"))
+    eng.call_later(30.0, order.append, "c", "c")
+    eng.call_later(10.0, order.append, "a", "a")
+    eng.call_later(20.0, order.append, "b", "b")
     eng.run()
     assert order == ["a", "b", "c"]
 
@@ -39,7 +41,7 @@ def test_ties_break_by_insertion_order():
     eng = Engine()
     order = []
     for tag in "abcde":
-        eng.schedule(5.0, lambda t=tag: order.append(t))
+        eng.call_later(5.0, order.append, tag, tag)
     eng.run()
     assert order == list("abcde")
 
@@ -93,15 +95,15 @@ def test_callback_after_processing_runs_immediately():
     ev = eng.timeout(1.0)
     eng.run()
     seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
+    add_callback(ev, lambda e: seen.append(e.value))
     assert seen == [None]
 
 
 def test_run_until_stops_clock_at_limit():
     eng = Engine()
     hits = []
-    eng.schedule(10.0, lambda: hits.append(1))
-    eng.schedule(100.0, lambda: hits.append(2))
+    eng.call_later(10.0, hits.append, 1, "one")
+    eng.call_later(100.0, hits.append, 2, "two")
     eng.run(until=50.0)
     assert hits == [1]
     assert eng.now == 50.0
@@ -116,7 +118,7 @@ def test_step_on_empty_heap_raises():
 def test_run_until_event_returns_value():
     eng = Engine()
     ev = eng.timeout(7.0, value="done")
-    assert eng.run_until_event(ev) == "done"
+    assert run_until_event(eng, ev) == "done"
     assert eng.now == 7.0
 
 
@@ -124,7 +126,7 @@ def test_run_until_event_detects_deadlock():
     eng = Engine()
     ev = eng.event()  # never triggered
     with pytest.raises(SimulationError, match="deadlock"):
-        eng.run_until_event(ev)
+        run_until_event(eng, ev)
 
 
 def test_run_until_event_propagates_failure():
@@ -132,30 +134,32 @@ def test_run_until_event_propagates_failure():
     ev = eng.event()
     ev.fail(ValueError("nope"), delay=1.0)
     with pytest.raises(ValueError, match="nope"):
-        eng.run_until_event(ev)
+        run_until_event(eng, ev)
 
 
 def test_nested_scheduling_from_callbacks():
     eng = Engine()
     trace = []
 
-    def outer():
+    def outer(_arg):
         trace.append(("outer", eng.now))
-        eng.schedule(5.0, inner)
+        eng.call_later(5.0, inner, None, "inner")
 
-    def inner():
+    def inner(_arg):
         trace.append(("inner", eng.now))
 
-    eng.schedule(10.0, outer)
+    eng.call_later(10.0, outer, None, "outer")
     eng.run()
     assert trace == [("outer", 10.0), ("inner", 15.0)]
 
 
 def test_peek_reports_next_event_time():
     eng = Engine()
-    assert eng.peek() == float("inf")
+    assert peek(eng) == float("inf")
     eng.timeout(4.0)
-    assert eng.peek() == 4.0
+    assert peek(eng) == 4.0
+    eng.call_later(2.0, print, None, "call")
+    assert peek(eng) == 2.0
 
 
 # -- typed negative-delay errors (heap-order protection) -------------------
@@ -174,9 +178,11 @@ def test_negative_schedule_raises_typed_error():
 
     eng = Engine()
     with pytest.raises(NegativeDelayError):
-        eng.schedule(-1e-9, lambda: None)
+        eng.call_later(-1e-9, print, None, "call")
+    with pytest.raises(NegativeDelayError):
+        eng.sleep(-1e-9, "nap")
     # nothing half-scheduled: the heap stays empty and runnable
-    assert eng.peek() == float("inf")
+    assert peek(eng) == float("inf")
     eng.run()
     assert eng.events_processed == 0
 
@@ -208,10 +214,10 @@ def test_heap_order_intact_after_rejected_negative_delay():
 
     eng = Engine()
     order = []
-    eng.schedule(10.0, lambda: order.append("a"))
+    eng.call_later(10.0, order.append, "a", "a")
     with pytest.raises(NegativeDelayError):
-        eng.schedule(-5.0, lambda: order.append("bad"))
-    eng.schedule(20.0, lambda: order.append("b"))
+        eng.call_later(-5.0, order.append, "bad", "bad")
+    eng.call_later(20.0, order.append, "b", "b")
     eng.run()
     assert order == ["a", "b"]
     assert eng.now == 20.0
@@ -223,12 +229,13 @@ def test_run_and_step_process_identically():
     def build():
         eng = Engine()
         log = []
-        def tick(tag, dly):
+        def tick(step):
+            tag, dly = step
             log.append((tag, eng.now))
             if dly < 40:
-                eng.schedule(dly * 2, lambda: tick(tag + "x", dly * 2))
-        eng.schedule(5.0, lambda: tick("a", 5.0))
-        eng.schedule(5.0, lambda: tick("b", 10.0))
+                eng.call_later(dly * 2, tick, (tag + "x", dly * 2), "tick")
+        eng.call_later(5.0, tick, ("a", 5.0), "tick")
+        eng.call_later(5.0, tick, ("b", 10.0), "tick")
         eng.timeout(17.0)
         return eng, log
 

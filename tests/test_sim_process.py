@@ -118,7 +118,7 @@ def test_interrupt_wakes_waiting_process():
             log.append(("interrupted", intr.cause, eng.now))
 
     proc = eng.process(sleeper())
-    eng.schedule(10.0, lambda: proc.interrupt("wake up"))
+    eng.call_later(10.0, proc.interrupt, "wake up", "interrupter")
     eng.run()
     assert log == [("interrupted", "wake up", 10.0)]
 
@@ -142,7 +142,7 @@ def test_unhandled_interrupt_terminates_quietly():
         yield eng.timeout(1000.0)
 
     proc = eng.process(sleeper())
-    eng.schedule(1.0, lambda: proc.interrupt())
+    eng.call_later(1.0, proc.interrupt, None, "interrupter")
     eng.run()
     assert proc.processed and proc.ok
     assert proc.value is None
@@ -304,8 +304,8 @@ def test_an_interrupt_reaches_the_running_stage():
         yield sleeper()  # an unhandled interrupt ends the process quietly
 
     proc = eng.process(caller())
-    eng.schedule(10.0, lambda: proc.interrupt("first"))
-    eng.schedule(20.0, lambda: proc.interrupt("second"))
+    eng.call_later(10.0, proc.interrupt, "first", "interrupter")
+    eng.call_later(20.0, proc.interrupt, "second", "interrupter")
     eng.run()
     assert proc.ok and proc.value is None
     assert log == [("stage", "first", 10.0), ("caller", 10.0),
@@ -359,3 +359,111 @@ def test_a_finished_process_is_freed_by_reference_counting(staged):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("ending", ["interrupt", "failure"])
+@pytest.mark.parametrize("staged", [False, True])
+def test_an_interrupted_or_failed_process_is_freed_by_reference_counting(
+        ending, staged):
+    """An exception that ends a process keeps the frame that caught it
+    in its traceback; that frame must not keep the process alive."""
+    eng = Engine()
+
+    def stage():
+        yield eng.timeout(5.0)
+        if ending == "failure":
+            raise KeyError("lost")
+
+    def prog():
+        if staged:
+            yield stage()
+        else:
+            yield from stage()
+
+    class Weakly(Process):
+        """A Process that takes weak references (no ``__slots__``)."""
+
+    gc.disable()
+    try:
+        proc = Weakly(eng, prog())
+        if ending == "interrupt":
+            eng.call_later(1.0, proc.interrupt, "stop", "interrupter")
+        eng.run()
+        if ending == "interrupt":
+            assert proc.ok and proc.value is None
+        else:
+            assert not proc.ok and isinstance(proc.value, KeyError)
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_sleep_resumes_the_process_with_no_event():
+    eng = Engine()
+    log = []
+
+    def prog():
+        value = yield eng.sleep(2.5, "nap")
+        log.append((value, eng.now))
+        yield eng.sleep(0.0, "nap")
+        log.append((None, eng.now))
+        return "woke"
+
+    proc = eng.process(prog())
+    eng.run()
+    assert proc.ok and proc.value == "woke"
+    assert log == [(None, 2.5), (None, 2.5)]
+    # the start call, two sleeps and the process's own completion
+    assert eng.events_processed == 4
+
+
+def test_interrupting_a_sleeping_process_is_a_typed_error():
+    eng = Engine()
+    raised = []
+
+    def sleeper():
+        yield eng.sleep(10.0, "nap")
+        return "slept full"
+
+    proc = eng.process(sleeper())
+
+    def interrupt(_arg):
+        try:
+            proc.interrupt("wake up")
+        except SimulationError as exc:
+            raised.append(str(exc))
+
+    eng.call_later(1.0, interrupt, None, "interrupter")
+    eng.run()
+    assert raised and "asleep" in raised[0]
+    # the sleep was not disturbed
+    assert proc.ok and proc.value == "slept full" and eng.now == 10.0
+
+
+def test_interrupting_a_process_whose_wake_up_fired_is_a_typed_error():
+    """Its event fired and the resume is in flight: an interrupt then
+    would throw into whatever it waits on next, and that wait's event
+    would resume it a second time."""
+    eng = Engine()
+    log = []
+    first = eng.timeout(5.0, "first")
+
+    def prog():
+        log.append((yield first))
+        log.append((yield eng.timeout(10.0, "second")))
+
+    proc = eng.process(prog())
+    eng.run(until=1.0)
+
+    def interrupt(_event):
+        try:
+            proc.interrupt("late")
+        except SimulationError as exc:
+            log.append(type(exc).__name__)
+
+    first.callbacks.insert(0, interrupt)  # runs before the process's own
+    eng.run()
+    assert log == ["SimulationError", "first", "second"]
+    assert proc.ok and eng.now == 15.0

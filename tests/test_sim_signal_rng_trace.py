@@ -16,7 +16,7 @@ class TestSignal:
             woken.append(eng.now)
 
         eng.process(waiter())
-        eng.schedule(5.0, lambda: sig.fire())
+        eng.call_later(5.0, sig.fire, None, "fire")
         eng.run()
         assert woken == [5.0]
 
@@ -31,7 +31,7 @@ class TestSignal:
 
         for i in range(4):
             eng.process(waiter(i))
-        eng.schedule(1.0, lambda: sig.fire())
+        eng.call_later(1.0, sig.fire, None, "fire")
         eng.run()
         assert sorted(woken) == [0, 1, 2, 3]
 
@@ -152,6 +152,21 @@ class TestTraceRecorder:
         self._run_workload(tr)
         assert all("beta" in r.name for r in tr.records)
         assert len(tr) == 1
+
+    def test_records_calls_and_sleeps_as_successes(self):
+        tr = TraceRecorder()
+        eng = Engine(trace=tr)
+
+        def prog():
+            yield eng.sleep(1.0, "nap")
+
+        eng.process(prog())
+        eng.call_later(0.5, lambda _arg: None, None, "bell")
+        eng.run()
+        assert [(r.time, r.name, r.ok) for r in tr.records] == [
+            (0.0, "prog.start", True), (0.5, "bell", True),
+            (1.0, "nap", True), (1.0, "prog", True)]
+        assert eng.events_processed == 4
 
     def test_dump_is_text(self):
         tr = TraceRecorder(limit=1)

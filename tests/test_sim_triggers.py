@@ -1,15 +1,17 @@
 """Trigger semantics of ``repro.sim``: the engine against a reference.
 
-``Event.succeed``/``fail``, ``Engine.timeout``/``schedule``,
-``Signal.wait``/``fire`` and ``any_of`` push onto the heap inline.  The
-reference below is the plain version of the same contract: ``succeed``
-and ``fail`` through one ``_push``, ``Signal.wait`` through the event
-constructor and ``succeed``, ``any_of`` arming one closure per input.
-Seeded programs mixing every trigger run on both, and must leave the
-same ``(time, name, ok)`` trace, the same values and the same raised
-exceptions.  The one deliberate difference from older engines is that
-a rejected negative delay leaves the event untriggered, which the
-reference states too.
+``Event.succeed``/``fail``, ``Engine.timeout``/``call_later``, a
+process's ``Engine.sleep``, ``Signal.wait``/``fire`` and ``any_of`` push
+onto the heap inline, and a call or a sleep is a bare heap entry with no
+event.  The reference below is the plain version of the same contract:
+every entry an event, ``succeed`` and ``fail`` through one ``_push``, a
+call an event with one callback, a sleep a timeout its process waits
+on, ``Signal.wait`` through the event constructor and ``succeed``,
+``any_of`` arming one closure per input.  Seeded programs mixing every
+trigger run on both, and must leave the same ``(time, name, ok)``
+trace, the same values and the same raised exceptions.  The one
+deliberate difference from older engines is that a rejected negative
+delay leaves the event untriggered, which the reference states too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 
 import repro.sim
 from repro.sim import Engine, NegativeDelayError, Signal, SimulationError, any_of
+
+from tests.sim_helpers import add_callback, peek
 
 
 class reference:
@@ -76,19 +80,48 @@ class reference:
         def timeout(self, delay, value=None, name=""):
             return reference.Event(self, name or "timeout").succeed(value, delay)
 
-        def schedule(self, delay, fn):
-            event = reference.Event(self, fn.__name__)
-            event.callbacks.append(lambda _event: fn())
-            return event.succeed(None, delay)
+        def call_later(self, delay, fn, arg, name):
+            event = reference.Event(self, name)
+            event.callbacks.append(lambda _event: fn(arg))
+            event.succeed(None, delay)
+
+        def sleep(self, delay, name):
+            return self.timeout(delay, None, name)
+
+        def process(self, generator):
+            return reference.Process(self, generator)
 
         def run(self):
             while self.heap:
                 self.now, _seq, event = heapq.heappop(self.heap)
                 event.processed = True
-                self.trace.on_event(self.now, event)
+                self.trace.on_event(self.now, event.name, event.ok)
                 callbacks, event.callbacks = event.callbacks, []
                 for fn in callbacks:
                     fn(event)
+
+    class Process(Event):
+        """Resumes its generator with each yielded event's outcome."""
+
+        def __init__(self, engine, generator):
+            super().__init__(engine, generator.__name__)
+            self.generator = generator
+            engine.call_later(0.0, self.resume, (True, None), f"{self.name}.start")
+
+        def resume(self, outcome):
+            ok, value = outcome
+            try:
+                if ok:
+                    target = self.generator.send(value)
+                else:
+                    target = self.generator.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Exception as exc:
+                self.fail(exc)
+                return
+            target.add_callback(lambda event: self.resume((event.ok, event.value)))
 
     @staticmethod
     def any_of(engine, events):
@@ -128,7 +161,7 @@ class reference:
 
 
 KINDS = ("timeout", "event", "succeed", "fail", "wait", "fire", "any_of",
-         "race", "guard", "observe")
+         "race", "guard", "observe", "call_later", "sleep")
 #: negative delays, zero, and fractions whose sums round
 DELAYS = (-1.0, -1e-9, 0.0, 0.1, 0.3, 1.0, 2.5)
 
@@ -148,8 +181,8 @@ class Recorder:
     def __init__(self):
         self.trace = []
 
-    def on_event(self, now, event):
-        self.trace.append((now, event.name, event.ok))
+    def on_event(self, now, name, ok):
+        self.trace.append((now, name, ok))
 
 
 def run_program(sim, program):
@@ -166,7 +199,18 @@ def run_program(sim, program):
 
     def keep(event):
         pool.append(event)
-        event.add_callback(observe)
+        add_callback(event, observe)
+
+    def called(a):
+        log.append(("called", engine.now, a))
+
+    def sleeper(a, b, delay):
+        # a negative delay fails the process at its first sleep
+        yield engine.sleep(delay, f"z{a}")
+        log.append(("slept", engine.now, a))
+        yield engine.sleep(0.1 * b, f"z{a}")
+        signals[a % 3].fire(b)
+        log.append(("slept", engine.now, a))
 
     def execute(kind, a, b, delay):
         picked = pool[a % len(pool)] if pool else None
@@ -190,16 +234,20 @@ def run_program(sim, program):
         elif kind == "guard":
             keep(sim.any_of(engine, [signals[a % 3].wait(), engine.timeout(delay)]))
         elif kind == "observe" and picked is not None:
-            picked.add_callback(observe)
+            add_callback(picked, observe)
+        elif kind == "call_later":
+            engine.call_later(delay, called, a, f"c{b}")
+        elif kind == "sleep":
+            engine.process(sleeper(a, b, delay))
 
     for when, kind, a, b, delay in program:
-        def step(kind=kind, a=a, b=b, delay=delay):
+        def step(_arg, kind=kind, a=a, b=b, delay=delay):
             try:
                 execute(kind, a, b, delay)
             except (sim.SimulationError, TypeError, ValueError) as exc:
                 log.append(("raised", kind, type(exc).__name__,
                             getattr(exc, "delay", None)))
-        engine.schedule(when, step)
+        engine.call_later(when, step, None, "step")
     engine.run()
     return recorder.trace, log
 
@@ -213,7 +261,8 @@ def test_triggers_match_the_reference(program):
 def test_the_oracle_sees_every_trigger():
     """The drawn ops reach what the oracle is for: a pending pulse, a
     stale race waiter, a failed and an already processed ``any_of``
-    input, a double trigger and a negative delay."""
+    input, a double trigger, a negative delay, a bare call and a
+    process's sleeps, one of which fails it."""
     program = [
         (0.0, "fire", 0, 5, 0.0),     # no waiter: arms s0's pulse
         (0.0, "wait", 0, 0, 0.0),     # consumes it
@@ -227,6 +276,10 @@ def test_the_oracle_sees_every_trigger():
         (1.0, "succeed", 0, 1, 0.0),  # double trigger
         (1.3, "timeout", 0, 1, -1.0),
         (1.3, "guard", 0, 0, 0.1),
+        (1.0, "call_later", 4, 3, 2.5),
+        (1.0, "call_later", 4, 3, -1e-9),
+        (1.0, "sleep", 5, 2, 1.0),    # wakes at 2.0 and 2.2, fires s2
+        (1.0, "sleep", 6, 0, -1.0),   # fails at its first sleep
     ]
     trace, log = run_program(repro.sim, program)
     assert (trace, log) == run_program(reference, program)
@@ -238,15 +291,22 @@ def test_the_oracle_sees_every_trigger():
     assert [entry for entry in log if entry[0] == "woke"] == [
         ("woke", 0), ("woke", 1), ("woke", 1)]
     assert sum(name == "s2.wait" for _t, name, _ok in trace) == 1
+    assert ("called", 3.5, 4) in log
+    assert ("raised", "call_later", "NegativeDelayError", -1e-9) in log
+    assert [entry for entry in log if entry[0] == "slept"] == [
+        ("slept", 2.0, 5), ("slept", 2.2, 5)]
+    assert (1.0, "sleeper", False) in trace and (2.2, "sleeper", True) in trace
 
 
-@pytest.mark.parametrize("trigger", ("timeout", "schedule", "succeed", "fail"))
+@pytest.mark.parametrize("trigger", ("timeout", "call_later", "sleep",
+                                     "succeed", "fail"))
 def test_every_public_trigger_rejects_a_negative_delay(trigger):
     engine = Engine()
     event = engine.event("e")
     call = {
         "timeout": lambda: engine.timeout(-1e-9),
-        "schedule": lambda: engine.schedule(-1e-9, lambda: None),
+        "call_later": lambda: engine.call_later(-1e-9, print, None, "call"),
+        "sleep": lambda: engine.sleep(-1e-9, "nap"),
         "succeed": lambda: event.succeed(delay=-1e-9),
         "fail": lambda: event.fail(ValueError("x"), delay=-1e-9),
     }[trigger]
@@ -254,7 +314,7 @@ def test_every_public_trigger_rejects_a_negative_delay(trigger):
         call()
     assert raised.value.delay == -1e-9
     # rejected before any change: nothing pushed, the event still pending
-    assert engine.peek() == float("inf") and not event.triggered
+    assert peek(engine) == float("inf") and not event.triggered
     event.succeed()
     engine.run()
     assert engine.events_processed == 1
