@@ -1166,12 +1166,6 @@ class Interp:
         self.rebated += ops - self.budget.ops
         self.budget.ops = self._mark = ops
 
-    def charges(self) -> List[int]:
-        """The ops each active rank has been charged, by position."""
-        self._sync()
-        return [self._start - self._base + self.spent[p]
-                for p in self.active]
-
     def uses_up(self, value: Any) -> None:
         """Inside a fork's arm: abandon it if iterating ``value`` uses up
         an iterator made before the fork."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.chaos.plan import FaultPlan
 from repro.fabric.packet import Packet
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, mark
 
 
 @dataclass
@@ -68,8 +68,8 @@ class FaultInjector:
         self.stats = ChaosStats()
 
     def _mark(self, fault: str, kind: str) -> None:
-        """Put the fault on the trace hook as a zero-length event."""
-        self.engine.timeout(0.0, name=f"chaos.{fault}.{kind}")
+        """Put the fault on the trace hook as a zero-length entry."""
+        self.engine.call_later(0.0, mark, None, f"chaos.{fault}.{kind}")
 
     def judge(self, packet: Packet) -> Optional[Verdict]:
         """Return the verdict for ``packet``, or None for "untouched".

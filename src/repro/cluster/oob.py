@@ -68,6 +68,3 @@ class OobBoard:
             if not progressed:
                 yield any_of(self.engine,
                              [sig.wait(), adi.provider.activity.wait()])
-
-    def arrivals(self, name: str) -> int:
-        return self._counts.get(name, 0)

@@ -39,10 +39,6 @@ class LinkParams:
         if min(self.wire_latency_us, self.loopback_latency_us) < 0:
             raise ValueError("latencies must be non-negative")
 
-    def tx_time(self, wire_bytes: int) -> float:
-        """Serialization time for ``wire_bytes`` on one port direction."""
-        return self.per_packet_overhead_us + wire_bytes / self.bandwidth_bytes_per_us
-
 
 class Port:
     """A full-duplex NIC port belonging to one node.

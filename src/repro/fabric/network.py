@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.fabric.link import LinkParams, Port
 from repro.fabric.packet import Packet
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, mark
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.injector import FaultInjector
@@ -78,7 +78,8 @@ class Network:
         packet.injected_at = now
         verdict = None if self.injector is None else self.injector.judge(packet)
 
-        # the per-packet path: LinkParams.tx_time and both port
+        # the per-packet path: the serialization time (per-packet
+        # overhead plus the bytes at line rate) and both port
         # reservations inline, each direction a FIFO serial resource
         params = self.params
         wire_bytes = packet.wire_bytes
@@ -102,8 +103,8 @@ class Network:
                 )
                 tel.counter("fabric.chaos.dropped").inc()
             # the sender's egress was still occupied; the switch eats it
-            engine.timeout(egress_done - now, packet,
-                           f"{self.name}.chaos-drop.{packet.kind}")
+            engine.call_later(egress_done - now, mark, None,
+                              f"{self.name}.chaos-drop.{packet.kind}")
             return
         if verdict is not None:
             hop += verdict.extra_delay_us
@@ -155,13 +156,6 @@ class Network:
                 flow=packet.flow_id,
             )
         self._handlers[packet.dst](packet)
-
-    def one_way_time(self, wire_bytes: int, *, loopback: bool = False) -> float:
-        """Unloaded one-way fabric time for a packet of ``wire_bytes``
-        (no port contention) — used by calibration tests."""
-        tx = self.params.tx_time(wire_bytes)
-        hop = self.params.loopback_latency_us if loopback else self.params.wire_latency_us
-        return 2 * tx + hop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

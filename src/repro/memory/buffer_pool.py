@@ -131,10 +131,6 @@ class BufferPool:
 
     # -- inspection ------------------------------------------------------------
     @property
-    def free_count(self) -> int:
-        return self.count - len(self._buffers) + len(self._free)
-
-    @property
     def in_use_count(self) -> int:
         return len(self._buffers) - len(self._free)
 

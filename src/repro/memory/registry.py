@@ -35,11 +35,6 @@ class RegistrationError(RuntimeError):
     """Raised on invalid registry operations or pin-limit overflow."""
 
 
-def pages_for(nbytes: int) -> int:
-    """Number of pages spanned by an ``nbytes`` buffer (at least 1)."""
-    return max(1, -(-nbytes // PAGE_SIZE))
-
-
 @dataclass
 class RegistrationCosts:
     """Cost model for pin/unpin, microseconds.
@@ -53,7 +48,8 @@ class RegistrationCosts:
     deregister_base_us: float = 15.0
     deregister_per_page_us: float = 0.5
 
-    # pages_for inlined: one call per registration and deregistration
+    # each charges per page the buffer spans, at least one: a zero-byte
+    # registration still pins a page
     def register_cost(self, nbytes: int) -> float:
         return (self.register_base_us
                 + self.register_per_page_us * max(1, -(-nbytes // PAGE_SIZE)))

@@ -52,10 +52,6 @@ class ChaosReport:
                 + self.fabric_reordered + self.fabric_spiked
                 + self.link_down_drops)
 
-    @property
-    def total_recoveries(self) -> int:
-        return self.retransmissions + self.connect_retries
-
     def as_dict(self) -> Dict[str, int]:
         """Flat counter dict (stable keys) for determinism comparisons."""
         return {

@@ -450,7 +450,7 @@ class AbstractDevice:
 
         These rules live here only (``tests/test_mpi_channel_config.py``
         drives them through real jobs); the channel's ``take_piggyback``
-        and the provider's ``can_post_send`` are read inline."""
+        and the bounce-buffer pool's free count are read inline."""
         provider = self.provider
         now = self.engine.now
         control = ch.control_queue

@@ -153,9 +153,6 @@ class Channel:
         self.credits += header.piggyback_credits
         self.messages_received += 1
 
-    def add_return_credit(self) -> None:
-        self.credits_to_return += 1
-
     def credits_due(self) -> bool:
         """True when enough return-credits accumulated to be worth an
         explicit update.

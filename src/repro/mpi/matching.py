@@ -131,20 +131,3 @@ class MatchingEngine:
         if taken:
             self._posted = [r for r in self._posted if r.peer != world_rank]
         return taken
-
-    def cancel_posted(self, req: Request) -> bool:
-        """Remove a posted receive (MPI_Cancel); True if it was queued."""
-        try:
-            self._posted.remove(req)
-            return True
-        except ValueError:
-            return False
-
-    # -- inspection -----------------------------------------------------------
-    @property
-    def posted_count(self) -> int:
-        return len(self._posted)
-
-    @property
-    def unexpected_count(self) -> int:
-        return len(self._unexpected)

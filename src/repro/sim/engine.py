@@ -239,38 +239,17 @@ class Engine:
         return Process(self, generator)
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one entry."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event heap")
-        entry = heappop(self._heap)
-        t = entry[0]
-        if t < self.now:  # pragma: no cover - guarded by every trigger
-            raise SimulationError("time went backwards")
-        self.now = t
-        self.events_processed += 1
-        if len(entry) == 3:
-            ev = entry[2]
-            if self.trace is not None:
-                self.trace.on_event(t, ev.name, ev._ok)
-            callbacks, ev.callbacks = ev.callbacks, None
-            for fn in callbacks:
-                fn(ev)
-        else:
-            _t, _seq, fn, arg, name = entry
-            if self.trace is not None:
-                self.trace.on_event(t, name, True)
-            fn(arg)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains (or the clock passes ``until``).
 
         Returns the final simulated time.
 
-        This is the DES hot loop: it processes the same entries in the
-        same order as repeated :meth:`step` calls, but keeps the heap,
-        ``heappop`` and the entry counter in locals, and hoists the
-        trace-hook and ``until`` checks out of the per-entry path.
+        This is the DES hot loop and the one dispatch of both entry
+        kinds: it keeps the heap, ``heappop`` and the entry counter in
+        locals, and hoists the trace-hook and ``until`` checks out of the
+        per-entry path.  ``run(until=t)`` processes every entry at or
+        before ``t``: with ``t`` the next entry's time, it steps the
+        clock one instant.
         Installing a trace hook *mid-run* (from a callback) is
         unsupported — hooks must be in place before :meth:`run`, which
         every recorder in this codebase already guarantees.
@@ -329,11 +308,25 @@ class Engine:
         return self.now
 
 
+def mark(_arg: Any) -> None:
+    """The call of an entry that only leaves its name on the trace:
+    ``engine.call_later(delay, mark, None, name)``."""
+
+
+class SignalWait(Event):
+    """The event :meth:`Signal.wait <repro.sim.signal.Signal.wait>`
+    parks in its signal's waiter list.  It knows its signal, so that an
+    :func:`any_of` it loses can take it out of that list again."""
+
+    __slots__ = ("signal",)
+
+
 class _AnyOf(Event):
     """The event :func:`any_of` returns.  Its bound :meth:`_fire` is the
-    one callback every input carries: no closure per input."""
+    one callback every input carries: no closure per input.  ``_inputs``
+    is the list of inputs until it is decided."""
 
-    __slots__ = ()
+    __slots__ = ("_inputs",)
 
     def _fire(self, ev: Event) -> None:
         if self._ok is None:
@@ -341,16 +334,35 @@ class _AnyOf(Event):
                 self.succeed(ev._value)
             else:
                 self.fail(ev._value)
+            inputs, self._inputs = self._inputs, None
+            for loser in inputs:
+                # a signal wait still parked drops this callback, and
+                # leaves its signal if nothing else waits on it
+                if loser._ok is None and type(loser) is SignalWait:
+                    callbacks = loser.callbacks
+                    callbacks.remove(self._fire)
+                    if not callbacks:
+                        waiters = loser.signal._waiters
+                        # not there if a fire that raised (at a waiter
+                        # triggered by hand) took the list
+                        if loser in waiters:
+                            waiters.remove(loser)
 
 
 def any_of(engine: "Engine", events: list) -> "Event":
     """An event that succeeds when the *first* of ``events`` fires.
 
-    Late firings of the other events are absorbed (the combined event is
-    already triggered).  The value is the value of the first event to
-    fire; if that one failed, the combined event fails with its
-    exception.  An empty ``events`` raises :class:`ValueError`: nothing
-    could ever fire it.
+    The value is the value of the first event to fire; if that one
+    failed, the combined event fails with its exception.  Once it is
+    decided, each losing input that is a still-pending
+    :meth:`Signal.wait <repro.sim.signal.Signal.wait>` drops the
+    combined event's callback, and a wait left with no callback leaves
+    its signal: it never fires, and a later fire of the signal finds
+    one waiter fewer (none left arms the signal's pending pulse).
+    Every other late input (a guard timeout, a wait already fired) is
+    absorbed when it fires.  The race keeps ``events`` until it is
+    decided: the caller must not change the list meanwhile.  An empty
+    ``events`` raises :class:`ValueError`: nothing could ever fire it.
     """
     if not events:
         raise ValueError("any_of() needs at least one event; an empty race never fires")
@@ -360,13 +372,18 @@ def any_of(engine: "Engine", events: list) -> "Event":
     combo._value = None
     combo._ok = None
     combo.name = "any-of"
+    combo._inputs = events
     fire = combo._fire
+    done = None
     for ev in events:
         callbacks = ev.callbacks
-        if callbacks is None:  # processed
-            fire(ev)
+        if callbacks is None:  # processed: the first one decides, below
+            if done is None:
+                done = ev
         else:
             callbacks.append(fire)
+    if done is not None:
+        fire(done)
     return combo
 
 

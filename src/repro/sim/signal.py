@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, SignalWait
 
 
 class Signal:
@@ -31,7 +31,7 @@ class Signal:
         self.name = name
         #: name of every wait event (trace-fingerprint material), built once
         self._wait_name = f"{name}.wait"
-        self._waiters: List[Event] = []
+        self._waiters: List[SignalWait] = []
         self._pending = False
         #: total number of fire() calls (diagnostics)
         self.fires = 0
@@ -40,19 +40,22 @@ class Signal:
         """Return an event that succeeds at the next :meth:`fire`.
 
         If a fire happened while nobody was waiting, the returned event
-        succeeds immediately (consuming the pending pulse).
+        succeeds immediately (consuming the pending pulse).  Otherwise it
+        is a :class:`~repro.sim.engine.SignalWait` parked in the waiter
+        list; an :func:`~repro.sim.engine.any_of` it loses takes it out.
         """
         if self._pending:
             self._pending = False
             return self.engine.timeout(0.0, None, self._wait_name)
-        # a fresh pending Event, built without an __init__ frame (the
+        # a fresh pending wait, built without an __init__ frame (the
         # MPI progress loop parks here on every unproductive poll)
-        ev = Event.__new__(Event)
+        ev = SignalWait.__new__(SignalWait)
         ev.engine = self.engine
         ev.callbacks = []
         ev._value = None
         ev._ok = None
         ev.name = self._wait_name
+        ev.signal = self
         self._waiters.append(ev)
         return ev
 

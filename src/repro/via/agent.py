@@ -25,7 +25,7 @@ establishment by polling ``VipConnectPeerDone`` (i.e. ``vi.is_connected``).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from repro.fabric.packet import Packet
 from repro.sim.engine import Engine
@@ -43,7 +43,6 @@ from repro.via.nic import Nic
 from repro.via.vi import VI
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.signal import Signal
     from repro.via.provider import ViaProvider
 
 
@@ -83,15 +82,6 @@ class ConnectionAgent:
 
         #: the live providers on this node, by (job id, rank)
         self._providers: Dict[Tuple[int, int], "ViaProvider"] = {}
-        #: the activity signals a client/server request wakes (it can
-        #: arrive before the server created any VI), in registration
-        #: order: every live provider's, and a torn-down one's while a
-        #: wait its process left behind (the losing side of a race) is
-        #: pending — until the wake-up that ends it, so that the event
-        #: sequence is the one a provider kept for good would give
-        self._wakeups: List["Signal"] = []
-        #: the torn-down providers' signals among them, by (job id, rank)
-        self._retired: Dict[Tuple[int, int], "Signal"] = {}
 
         # counters
         self.connections_established = 0
@@ -102,20 +92,13 @@ class ConnectionAgent:
     def register_local(self, provider: "ViaProvider") -> None:
         """Called by each ViaProvider on this node at construction."""
         self._providers[(provider.job_id, provider.rank)] = provider
-        self._wakeups.append(provider.activity)
 
     def unregister_local(self, provider: "ViaProvider") -> None:
         """Called by a provider at its process's teardown.  Once the
         last of its job's providers on this node has gone, the job's
         grants and client/server queues go too: the agent keeps only
         what live jobs can use."""
-        key = (provider.job_id, provider.rank)
-        del self._providers[key]
-        signal = provider.activity
-        if signal.waiter_count:
-            self._retired[key] = signal
-        else:
-            self._wakeups.remove(signal)
+        del self._providers[(provider.job_id, provider.rank)]
         job_id = provider.job_id
         if any(live[0] == job_id for live in self._providers):
             return
@@ -304,11 +287,6 @@ class ConnectionAgent:
         # the process has torn down (a reply that crossed its teardown
         # barrier): no connection is left to decide about
         self.late_disconnects += 1
-        signal = self._retired.pop(key, None)
-        if signal is not None:
-            # the wake-up a kept provider would have had ends its wait
-            signal.fire()
-            self._wakeups.remove(signal)
 
     # -- client/server model -------------------------------------------------------
     def listen(self, server_rank: int, job_id: int = 0) -> None:
@@ -343,14 +321,10 @@ class ConnectionAgent:
                 f"{self.nic.node_id}"
             )
         queue.append(req)
-        # wake any process polling VipConnectWait on this node
-        for signal in self._wakeups:
-            signal.fire()
-        if self._retired:
-            # the torn-down providers' left-behind waits are over
-            ended = set(self._retired.values())
-            self._wakeups = [s for s in self._wakeups if s not in ended]
-            self._retired.clear()
+        # wake any process polling VipConnectWait on this node (it can
+        # poll before it created any VI), in (job id, rank) order
+        for _key, provider in sorted(self._providers.items()):
+            provider.activity.fire()
 
     def poll_cs_request(
         self, server_rank: int, from_rank: Optional[int] = None,

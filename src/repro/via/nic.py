@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 from repro.fabric.network import Network
 from repro.fabric.packet import Packet
 from repro.memory.arena import STAGING
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, mark
 from repro.via.constants import DescriptorOp, DescriptorStatus, ViState, ViaProtocolError
 from repro.via.messages import (
     CONTROL_TYPES,
@@ -180,21 +180,6 @@ class Nic:
     def lookup_vi(self, vi_id: int) -> Optional[VI]:
         return self._vis.get(vi_id)
 
-    def owner_of(self, vi: VI) -> "ViaProvider":
-        return self._owners[vi.vi_id]
-
-    @property
-    def attached_vi_count(self) -> int:
-        return len(self._vis)
-
-    @property
-    def vi_quota_headroom(self) -> Optional[int]:
-        """VIs that can still be attached under the administrative quota
-        (None when the NIC is unmanaged)."""
-        if self.vi_quota is None:
-            return None
-        return self.vi_quota - len(self._vis)
-
     @property
     def active_vi_count(self) -> int:
         """VIs the firmware must scan: connected or connecting."""
@@ -219,7 +204,8 @@ class Nic:
         start = self._tx_busy_until
         if start < now:
             start = now
-        profile = self.profile  # nic_send_service_us(), inline
+        # the firmware scans every active VI per message (paper Fig. 1)
+        profile = self.profile
         done = start + (profile.nic_send_base_us
                         + profile.nic_per_vi_us * self._active_vis)
         self._tx_busy_until = done
@@ -333,7 +319,8 @@ class Nic:
                     "nic.rtx.exhausted", ("node", self.node_id),
                     vi=vi_id, seq=seq, kind=item.kind,
                 )
-            self.engine.timeout(0.0, name=f"chaos.rtx-exhausted.{item.kind}")
+            self.engine.call_later(0.0, mark, None,
+                                   f"chaos.rtx-exhausted.{item.kind}")
             vi = self.lookup_vi(vi_id)
             if vi is not None:
                 vi.state = ViState.ERROR
@@ -469,7 +456,8 @@ class Nic:
         start = self._rx_busy_until
         if start < now:
             start = now
-        profile = self.profile  # nic_recv_service_us(), inline
+        # the firmware scans every active VI per message (paper Fig. 1)
+        profile = self.profile
         done = start + (profile.nic_recv_base_us
                         + profile.nic_per_vi_us * self._active_vis)
         self._rx_busy_until = done

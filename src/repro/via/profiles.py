@@ -94,13 +94,6 @@ class ViaProfile:
     connection: ConnectionCosts = field(default_factory=ConnectionCosts)
     registration: RegistrationCosts = field(default_factory=RegistrationCosts)
 
-    def nic_send_service_us(self, active_vis: int) -> float:
-        """Per-message NIC send service time given the node's VI count."""
-        return self.nic_send_base_us + self.nic_per_vi_us * active_vis
-
-    def nic_recv_service_us(self, active_vis: int) -> float:
-        return self.nic_recv_base_us + self.nic_per_vi_us * active_vis
-
     def copy_us(self, nbytes: int) -> float:
         """Host memcpy time for ``nbytes``."""
         return nbytes / self.copy_bw_bytes_per_us

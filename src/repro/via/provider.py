@@ -211,11 +211,6 @@ class ViaProvider:
         vi.post_recv(buffer)
         return self.profile.post_recv_us
 
-    def can_post_send(self, vi: VI) -> bool:
-        """True if a send bounce buffer is available right now."""
-        pool = vi.send_pool  # pool.free_count, without the property frame
-        return pool.count - len(pool._buffers) + len(pool._free) > 0
-
     def post_send(
         self, vi: VI, header, payload: Optional[np.ndarray], context=None
     ) -> Tuple[Descriptor, float]:
@@ -223,9 +218,9 @@ class ViaProvider:
 
         Copies ``payload`` into a pinned bounce buffer (host memcpy,
         charged), posts the descriptor and rings the doorbell.  Raises
-        :class:`BufferPoolError` when no bounce buffer is free — callers
-        check :meth:`can_post_send` and throttle (that's MPI-level send
-        flow control).
+        :class:`BufferPoolError` when no bounce buffer is free — the ADI
+        checks for one first and throttles (that's MPI-level send flow
+        control).
         """
         nbytes = 0 if payload is None else int(payload.nbytes)
         if nbytes > self.config.eager_buffer_size:

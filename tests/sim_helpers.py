@@ -15,7 +15,8 @@ def peek(engine: Engine) -> float:
 
 
 def run_until_event(engine: Engine, event: Event) -> Any:
-    """Step ``engine`` until ``event`` is processed; return its value.
+    """Run ``engine`` one instant at a time until ``event`` is processed;
+    return its value.
 
     Raises the event's exception if it failed, or
     :class:`SimulationError` if the heap drains first (deadlock)."""
@@ -23,7 +24,7 @@ def run_until_event(engine: Engine, event: Event) -> Any:
         if not engine._heap:
             raise SimulationError(
                 f"event heap drained before {event!r} fired (deadlock?)")
-        engine.step()
+        engine.run(until=peek(engine))
     if not event.ok:
         raise event.value
     return event.value

@@ -28,6 +28,7 @@ from repro.memory.arena import STAGING, ArenaCache, StagingCache
 from repro.via.constants import ViState
 
 from tests import mpi_rig, via_rig
+from tests.sim_helpers import peek
 from tests.test_analysis_sanitizers import TestLeakSanitizer  # noqa: F401
 from tests.test_apps_npb import *  # noqa: F401,F403
 from tests.test_chaos_faults import *  # noqa: F401,F403
@@ -158,7 +159,7 @@ def test_early_arrival_returns_its_block_exactly_once():
     rig.engine.run()  # the request waits at the peer's agent
     fast.connect_peer_request(vi_fast, 0, 0)
     while not vi_fast.is_connected:
-        rig.engine.step()
+        rig.engine.run(until=peek(rig.engine))
     assert vi_slow.state is ViState.CONNECT_PENDING
     payload = (np.arange(1024) % 251).astype(np.uint8)
     before = STAGING.returned

@@ -73,20 +73,25 @@ class TestOob:
         eng.run()
         release = max(t for _i, t in done)
         assert all(t == release for _i, t in done)
-        assert board.arrivals("sync") == 3
+        assert sorted(i for i, _t in done) == [0, 1, 2]
 
     def test_named_barriers_independent(self):
         eng = Engine()
         board = OobBoard(eng, 2)
 
+        crossed = []
+
         def proc(i):
             yield from board.barrier("a")
+            crossed.append(("a", eng.now))
             yield from board.barrier("b")
+            crossed.append(("b", eng.now))
 
         p = [eng.process(proc(i)) for i in range(2)]
         eng.run()
         assert all(x.ok for x in p)
-        assert board.arrivals("a") == 2 and board.arrivals("b") == 2
+        cost = OobBoard.BARRIER_COST_US
+        assert crossed == [("a", cost)] * 2 + [("b", 2 * cost)] * 2
 
     def test_barrier_has_cost(self):
         eng = Engine()

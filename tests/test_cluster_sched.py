@@ -6,6 +6,8 @@ strictly lower makespan (and higher peak concurrency) on the identical
 arrival trace, with no NIC ever past its quota.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.analysis.lint import lint_source
@@ -21,10 +23,12 @@ from repro.cluster import (
 )
 from repro.cluster import build as build_module
 from repro.cluster.sched import ClusterScheduler
+from repro.sim import Signal
 from repro.telemetry import TelemetryConfig
 from repro.via.agent import ConnectionAgent
 from repro.via.constants import ViaProtocolError
 from repro.via.messages import DisconnectReply
+from repro.via.provider import ViaProvider
 
 from tests.counting import record_instances
 
@@ -138,7 +142,7 @@ class TestAdmissionControl:
         spec = ClusterSpec(nodes=1, ppn=1, vi_quota=1)
         stack = build_cluster(Engine(), spec)
         nic = stack.nics[0]
-        assert nic.vi_quota == 1 and nic.vi_quota_headroom == 1
+        assert nic.vi_quota == 1
 
         class FakeVi:
             vi_id = 0
@@ -146,7 +150,6 @@ class TestAdmissionControl:
             nic = None
 
         nic.attach_vi(FakeVi(), owner=None)
-        assert nic.vi_quota_headroom == 0
         second = FakeVi()
         second.vi_id = 1
         with pytest.raises(ViaProtocolError, match="quota"):
@@ -307,8 +310,9 @@ class TestLintCoverage:
 
 def test_agents_hold_only_live_jobs(monkeypatch):
     """Fifty jobs through one scheduler: each node's agent holds the
-    providers, grants and client/server queues of live jobs only, and
-    a disconnect that reaches a torn-down job is counted and dropped."""
+    providers, grants, client/server queues and signals of live jobs
+    only, and a disconnect that reaches a torn-down job is counted and
+    dropped."""
     agents = record_instances(monkeypatch, build_module, ConnectionAgent)
     finish = ClusterScheduler._finish
     strays = []
@@ -318,10 +322,30 @@ def test_agents_hold_only_live_jobs(monkeypatch):
                 | {disc[0] for disc, _rank in agent._grants_sent}
                 | {job for job, _rank in agent._cs_queues})
 
+    def held_signals(agent):
+        """Every signal the agent's own tables reach, a provider's by its
+        activity signal."""
+        found, todo = [], [value for name, value in vars(agent).items()
+                           if name not in ("engine", "nic")]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, ViaProvider):
+                found.append(item.activity)
+            elif isinstance(item, Signal):
+                found.append(item)
+            elif isinstance(item, dict):
+                todo.extend(item.values())
+            elif isinstance(item, (list, tuple, set, deque)):
+                todo.extend(item)
+        return found
+
     def checked(self, running):
         finish(self, running)
         for agent in agents:
             strays.extend(held_jobs(agent) - set(self._running))
+            live = {provider.activity for provider in agent._providers.values()}
+            strays.extend(signal.name for signal in held_signals(agent)
+                          if signal not in live)
 
     monkeypatch.setattr(ClusterScheduler, "_finish", checked)
     mechanisms = ("ondemand", "static-p2p", "static-cs")
@@ -332,10 +356,8 @@ def test_agents_hold_only_live_jobs(monkeypatch):
     assert strays == []
     for agent in agents:
         assert held_jobs(agent) == set()
-        # what stays: the signal of a torn-down process with a wait it
-        # left pending, for the wake-up that ends it
-        assert len(agent._wakeups) == len(agent._retired)
-        assert all(signal.waiter_count for signal in agent._retired.values())
+        # no torn-down process's signal stays
+        assert held_signals(agent) == []
     late = DisconnectReply((7, 0, 1), src_rank=1, dst_rank=0)
     agents[0].on_control(late)
     agents[0].engine.run()

@@ -30,8 +30,11 @@ def make_net(engine, nodes=4, latency=5.0, bw=100.0, overhead=0.0, loopback=1.0)
 
 class TestLinkParams:
     def test_tx_time(self):
-        p = LinkParams(5.0, 1.0, 100.0, per_packet_overhead_us=2.0)
-        assert p.tx_time(1000) == pytest.approx(2.0 + 10.0)
+        # serialization: the per-packet overhead plus the bytes at line
+        # rate, paid on the sender's egress port
+        net, _ = make_net(Engine(), bw=100.0, overhead=2.0)
+        net.send(Packet(src=0, dst=1, wire_bytes=1000, payload=None))
+        assert net.port(0).egress_busy_until == pytest.approx(2.0 + 10.0)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +59,9 @@ class TestDelivery:
     def test_one_way_time_matches_measurement(self):
         eng = Engine()
         net, _ = make_net(eng, latency=5.0, bw=100.0)
-        predicted = net.one_way_time(1000)
+        # store and forward: serialized out of the sender's port and into
+        # the receiver's, plus the wire
+        predicted = 2 * (1000 / 100.0) + 5.0
         net.send(Packet(src=0, dst=1, wire_bytes=1000, payload=None))
         eng.run()
         assert eng.now == pytest.approx(predicted)

@@ -75,12 +75,20 @@ def _passes(monkeypatch, kernel, nprocs):
             for interp in _analyze(monkeypatch, kernel, nprocs)]
 
 
+def _charges(interp):
+    """The ops each active rank of one pass has been charged, by
+    position: its share of the budget the pass has used so far."""
+    interp._sync()
+    return [interp._start - interp._base + interp.spent[p]
+            for p in interp.active]
+
+
 def _rank_charges(interps, nprocs):
     """The ops charged to each rank, by rank, read from its own pass."""
     out = {}
     for interp in interps:
         out.update(zip([interp.ranks[p] for p in interp.active],
-                       interp.charges()))
+                       _charges(interp)))
     return [out[rank] for rank in range(nprocs)]
 
 

@@ -1,7 +1,10 @@
 """The pytest-collectable face of ``python -m repro.analysis lint``:
 the shipped tree must stay lint-clean (violations either fixed or
-explicitly suppressed with a justified ``# repro: allow[...]``)."""
+explicitly suppressed with a justified ``# repro: allow[...]``), and
+two AST scans keep ``src/`` free of entries nothing waits on and of
+functions only tests call."""
 
+import ast
 from pathlib import Path
 
 from repro.analysis import lint_paths, lint_source
@@ -139,3 +142,65 @@ def test_service_wall_clock_boundary():
     assert not [s for s in core.suppressed if s.rule_id == "REPRO001"], [
         (s.path, s.line) for s in core.suppressed
     ]
+
+
+def _trees(*tops):
+    for top in tops:
+        for path in sorted((REPO / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_src_builds_no_timeout_nothing_waits_on():
+    """An ``engine.timeout(...)`` whose event is dropped on the spot is
+    an entry nothing waits on: that is ``engine.call_later``, which
+    builds no event."""
+    bare = [f"{path.relative_to(REPO)}:{node.lineno}"
+            for path, tree in _trees("src")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "timeout"]
+    assert bare == []
+
+
+#: the functions in ``src/`` that nothing in ``src/``, ``benchmarks/`` or
+#: ``examples/`` refers to by name, each with why it stays
+UNREFERENCED_OK = {
+    "comm_dup": "public MPI API (MPI_Comm_dup)",
+    "comm_split": "public MPI API (MPI_Comm_split)",
+    "connect_share": "public API of the critical-path report",
+    "interrupt": "public sim API (Process.interrupt)",
+    "is_alive": "public sim API (Process.is_alive)",
+    "latency": "public API of a delivered Packet",
+    "live_region_count": "public API of MemoryRegistry",
+    "recount_active_vis": "the reference tests compare Nic.active_vi_count against",
+    "spans_named": "public query API of Telemetry",
+    "time_s": "public API of NpbResult",
+    "waiter_count": "public sim API (Signal.waiter_count)",
+}
+
+
+def test_src_has_no_test_only_functions():
+    """A function in ``src/`` that only tests call is a second copy of a
+    rule the program applies inline, or dead: it gets a caller, its test
+    drives the production path, or it goes.  Names are matched by name,
+    not by class; dunders and ``visit_*`` methods (called by dispatch)
+    aside."""
+    defined, referenced = set(), set()
+    for path, tree in _trees("src", "benchmarks", "examples"):
+        in_src = path.is_relative_to(REPO / "src")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if in_src:
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rsplit(".", 1)[-1])
+    unreferenced = {
+        name for name in defined - referenced
+        if not (name.startswith("__") and name.endswith("__"))
+        and not name.startswith("visit_")}
+    assert sorted(unreferenced) == sorted(UNREFERENCED_OK)

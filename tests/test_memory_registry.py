@@ -11,15 +11,20 @@ from repro.memory import (
     RegistrationError,
 )
 from repro.memory.buffer_pool import BufferPoolError
-from repro.memory.registry import RegistrationCosts, pages_for
+from repro.memory.registry import RegistrationCosts
 
 
 class TestCosts:
     def test_pages_for_rounds_up(self):
-        assert pages_for(1) == 1
-        assert pages_for(PAGE_SIZE) == 1
-        assert pages_for(PAGE_SIZE + 1) == 2
-        assert pages_for(0) == 1  # zero-byte registration still pins a page
+        # one µs per page: each cost counts the pages a buffer spans
+        costs = RegistrationCosts(register_base_us=0.0, register_per_page_us=1.0,
+                                  deregister_base_us=0.0,
+                                  deregister_per_page_us=1.0)
+        # a zero-byte registration still pins a page
+        for nbytes, pages in ((1, 1), (PAGE_SIZE, 1), (PAGE_SIZE + 1, 2),
+                              (0, 1)):
+            assert costs.register_cost(nbytes) == pages
+            assert costs.deregister_cost(nbytes) == pages
 
     def test_register_cost_scales_with_pages(self):
         costs = RegistrationCosts(register_base_us=10.0, register_per_page_us=2.0)
@@ -141,13 +146,13 @@ class TestBufferPool:
         pool = BufferPool(MemoryRegistry(), count=2, size=64)
         a = pool.acquire()
         b = pool.acquire()
-        assert pool.free_count == 0 and pool.in_use_count == 2
+        assert pool.in_use_count == 2
         pool.release(a)
         c = pool.acquire()
         assert c.index == a.index  # LIFO reuse
         pool.release(b)
         pool.release(c)
-        assert pool.free_count == 2
+        assert pool.in_use_count == 0
 
     def test_exhaustion_raises(self):
         pool = BufferPool(MemoryRegistry(), count=1, size=64)

@@ -180,8 +180,7 @@ class TestChannelPosting:
 class TestChannelCredits:
     def test_piggyback_drains_returns(self):
         ch = make_channel()
-        ch.add_return_credit()
-        ch.add_return_credit()
+        ch.credits_to_return += 2  # two consumed receive buffers
         assert ch.take_piggyback() == 2
         assert ch.take_piggyback() == 0
 
@@ -210,8 +209,7 @@ class TestChannelCredits:
     def test_explicit_threshold_logic(self):
         ch = make_channel(threshold=2)
         assert not ch.should_send_explicit_credits()
-        ch.add_return_credit()
-        ch.add_return_credit()
+        ch.credits_to_return += 2
         assert ch.should_send_explicit_credits()
         # pending outbound traffic suppresses explicit updates
         ch.send_fifo.append(PendingSend(eager(), None, None))

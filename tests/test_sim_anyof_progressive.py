@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, run_job
+from repro.cluster import job as job_module
+from repro.cluster import oob as oob_module
 from repro.cluster.oob import OobBoard
 from repro.mpi import MpiConfig
 from repro.sim import Engine, Signal, any_of
+from repro.via.provider import ViaProvider
 
+from tests.counting import record_instances
 from tests.sim_helpers import run_until_event
 
 
@@ -117,3 +121,26 @@ class TestProgressiveBarrier:
         release = max(t for _i, t in done)
         assert all(abs(t - release) < 1.0 for _i, t in done)
         assert adis[0].checks > 0  # the early rank kept progressing
+
+
+@pytest.mark.parametrize("connection", ["ondemand", "static-p2p", "static-cs"])
+def test_finalize_leaves_no_waiter_behind(monkeypatch, connection):
+    """Each rank's finalize races the barrier against its activity
+    signal; whichever loses is taken off its signal, so once the job is
+    over nothing waits on any rank's activity or on a barrier."""
+    providers = record_instances(monkeypatch, job_module, ViaProvider)
+    barriers = record_instances(monkeypatch, oob_module, Signal)
+
+    def prog(mpi):
+        out = np.empty(4)
+        yield from mpi.allreduce(np.full(4, float(mpi.rank)), out)
+        if mpi.rank % 2:
+            yield from mpi.compute(50.0 * mpi.rank)
+        return float(out[0])
+
+    res = run_job(ClusterSpec(nodes=4, ppn=1), 4, prog,
+                  MpiConfig(connection=connection))
+    assert res.returns == [6.0] * 4
+    assert len(providers) == 4 and barriers
+    assert [p.activity.waiter_count for p in providers] == [0] * 4
+    assert [s.waiter_count for s in barriers] == [0] * len(barriers)

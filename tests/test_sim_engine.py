@@ -109,12 +109,6 @@ def test_run_until_stops_clock_at_limit():
     assert eng.now == 50.0
 
 
-def test_step_on_empty_heap_raises():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        eng.step()
-
-
 def test_run_until_event_returns_value():
     eng = Engine()
     ev = eng.timeout(7.0, value="done")
@@ -223,7 +217,7 @@ def test_heap_order_intact_after_rejected_negative_delay():
     assert eng.now == 20.0
 
 
-# -- hot-loop equivalence: run() vs repeated step() ------------------------
+# -- hot-loop equivalence: run() vs one instant at a time ------------------
 
 def test_run_and_step_process_identically():
     def build():
@@ -243,7 +237,7 @@ def test_run_and_step_process_identically():
     e1.run()
     e2, log2 = build()
     while e2._heap:
-        e2.step()
+        e2.run(until=peek(e2))
     assert log1 == log2
     assert e1.now == e2.now
     assert e1.events_processed == e2.events_processed

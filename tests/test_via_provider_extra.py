@@ -6,6 +6,7 @@ import pytest
 from repro.via import BERKELEY, CLAN
 from repro.via.constants import DescriptorStatus
 
+from tests.test_via_datapath import one_way_time
 from tests.via_rig import make_rig
 
 
@@ -83,7 +84,7 @@ class TestProviderCounters:
         p = rig.providers[0]
         p.create_vi()  # idle: never connected
         vi2, _ = p.create_vi(remote_rank=1)
-        assert rig.nics[0].attached_vi_count == 2
+        assert p.live_vi_count == 2
         assert rig.nics[0].active_vi_count == 0
         p.connect_peer_request(vi2, 1, 1)
         assert rig.nics[0].active_vi_count == 1  # pending counts as scanned
@@ -129,7 +130,11 @@ class TestProfileSanity:
             profile_by_name("infiniband")
 
     def test_service_time_model(self):
-        assert BERKELEY.nic_send_service_us(10) == pytest.approx(
-            BERKELEY.nic_send_base_us + 10 * BERKELEY.nic_per_vi_us)
-        assert CLAN.nic_send_service_us(10) == CLAN.nic_send_base_us
+        """Each NIC service scans every active VI: ten more connected
+        VIs on both nodes add ten scans to the sender's tx service and
+        ten to the receiver's rx service."""
+        for profile in (BERKELEY, CLAN):
+            slope = one_way_time(profile, 10) - one_way_time(profile, 0)
+            assert slope == pytest.approx(2 * 10 * profile.nic_per_vi_us,
+                                          abs=1e-9)
         assert CLAN.copy_us(500) == pytest.approx(1.0)
