@@ -3,10 +3,13 @@ derived from source instead of measured at runtime).
 
 ``analyze_kernel("cg", nprocs=16)`` abstractly interprets the CG generator
 once per class of ranks that take the same path
-(:mod:`repro.analysis.interp`), expands every collective call
-into the exact per-round point-to-point footprint of
-:mod:`repro.mpi.collectives`, and folds the event streams into a
-:class:`~repro.analysis.commgraph.CommGraph` with typed diagnostics:
+(:mod:`repro.analysis.interp`), and folds each class's one event stream
+into a :class:`~repro.analysis.commgraph.CommGraph` with typed
+diagnostics.  A collective call stands for the exact per-round
+point-to-point footprint of :mod:`repro.mpi.collectives`, built once per
+distinct call and rank; the graph counts each distinct event once with
+its number of instances; the matching simulation lets every rank pass a
+collective that all of them call alike at once.
 
 * **REPROC01** — a send nobody receives, or a receive nobody satisfies
   (checked by an eager matching simulation when every event is certain);
@@ -24,9 +27,10 @@ tracing to assert observed edges are a subset of the predicted ones.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
-                    cast)
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.analysis.commgraph import (
     CollEvent,
@@ -40,6 +44,7 @@ from repro.analysis.interp import (
     AnalysisError,
     Interp,
     MpiProxy,
+    Ranked,
 )
 from repro.workloads.registry import KernelDef, kernel_def
 from repro.workloads.trace import CommTrace
@@ -213,48 +218,64 @@ def _scatter_foot(rank: int, size: int, root: int,
     return ops
 
 
+@lru_cache(maxsize=4096)
 def coll_footprint(kind: str, rank: int, size: int, root: Optional[int],
-                   nbytes: Optional[int]) -> Optional[List[FootOp]]:
+                   nbytes: Optional[int]) -> Optional[Tuple[FootOp, ...]]:
     """Ordered p2p sub-ops of one collective call for one rank, mirroring
     ``repro.mpi.collectives`` round for round.  None if the root rank is
-    needed but unresolvable (caller widens)."""
-    if kind == "barrier":
-        return _barrier_like(rank, size, nbytes, zero_token=True)
-    if kind == "allreduce":
-        return _barrier_like(rank, size, nbytes, zero_token=False)
-    if kind == "allgather":
-        return _allgather_foot(rank, size, nbytes)
-    if kind == "alltoall":
-        return _alltoall_foot(rank, size, nbytes)
-    if kind == "alltoallv":
-        return _alltoallv_foot(rank, size)
-    if kind in ("bcast", "reduce", "gather", "scatter"):
-        if root is None:
-            return None
-        if kind == "bcast":
-            return _bcast_foot(rank, size, root, nbytes)
-        if kind == "reduce":
-            return _reduce_foot(rank, size, root, nbytes)
-        if kind == "gather":
-            return _gather_foot(rank, size, root, nbytes)
-        return _scatter_foot(rank, size, root, nbytes)
-    return None
+    needed but unresolvable (caller widens).  Memoised: an analysis
+    builds each distinct footprint once, however many instances of it
+    its ranks call."""
+    ops: List[FootOp]
+    if kind in ("barrier", "allreduce"):
+        ops = _barrier_like(rank, size, nbytes, zero_token=kind == "barrier")
+    elif kind == "allgather":
+        ops = _allgather_foot(rank, size, nbytes)
+    elif kind == "alltoall":
+        ops = _alltoall_foot(rank, size, nbytes)
+    elif kind == "alltoallv":
+        ops = _alltoallv_foot(rank, size)
+    elif root is None:
+        return None
+    elif kind == "bcast":
+        ops = _bcast_foot(rank, size, root, nbytes)
+    elif kind == "reduce":
+        ops = _reduce_foot(rank, size, root, nbytes)
+    elif kind == "gather":
+        ops = _gather_foot(rank, size, root, nbytes)
+    elif kind == "scatter":
+        ops = _scatter_foot(rank, size, root, nbytes)
+    else:
+        return None
+    return tuple(ops)
 
 
 # ------------------------------------------------------------------------
 # abstract interpretation, one pass per class of ranks
 # ------------------------------------------------------------------------
 
-def _rank_outcomes(spec: KernelDef, nprocs: int, npb_class: Optional[str],
-                   extra_sources: Optional[Dict[str, str]] = None
-                   ) -> List[Union[List[Event], Exception]]:
-    """Every rank's events, or the error it stopped with, by rank: a
-    worklist of rank classes, each part a pass lets go interpreted again
-    from the top."""
+class RankClass(NamedTuple):
+    """The ranks one pass ran to the end and their one event stream: an
+    event is an :data:`Event` every member recorded, or a
+    :class:`Ranked` whose ``values[p]`` is the event of the member at
+    position ``p`` (None if it is not that member's: an arm's event)."""
+
+    #: (position, rank) of each member
+    members: Tuple[Tuple[int, int], ...]
+    events: Sequence[Any]
+
+
+def _rank_classes(spec: KernelDef, nprocs: int, npb_class: Optional[str],
+                  extra_sources: Optional[Dict[str, str]] = None
+                  ) -> Tuple[List[RankClass], Dict[int, Exception]]:
+    """Every class of ranks that ran to the end, and the error each other
+    rank stopped with: a worklist of rank classes, each part a pass lets
+    go interpreted again from the top."""
     args: Tuple[Any, ...] = ()
     if spec.npb_class_arg and npb_class is not None:
         args = (npb_class,)
-    outcomes: Dict[int, Union[List[Event], Exception]] = {}
+    classes: List[RankClass] = []
+    failed: Dict[int, Exception] = {}
     work: List[Tuple[int, ...]] = [tuple(range(nprocs))]
     while work:
         work.sort()
@@ -270,50 +291,110 @@ def _rank_outcomes(spec: KernelDef, nprocs: int, npb_class: Optional[str],
         except Exception as exc:  # that class's outcome, not ours to raise
             failure = exc
         work.extend(interp.split)
-        for rank, events in interp.finished(mpi):
-            outcomes[rank] = events if failure is None else failure
-    return [outcomes[rank] for rank in range(nprocs)]
+        members, events = interp.finished(mpi)
+        if failure is None:
+            classes.append(RankClass(members, events))
+        else:
+            for _p, rank in members:
+                failed[rank] = failure
+    return classes, failed
 
 
-def _rank_events(spec: KernelDef, nprocs: int, npb_class: Optional[str],
-                 extra_sources: Optional[Dict[str, str]] = None
-                 ) -> List[List[Event]]:
-    """Every rank's events; the error of the lowest failing rank."""
-    outcomes = _rank_outcomes(spec, nprocs, npb_class, extra_sources)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return cast(List[List[Event]], outcomes)
+def _class_streams(spec: KernelDef, nprocs: int, npb_class: Optional[str],
+                   extra_sources: Optional[Dict[str, str]] = None
+                   ) -> List[RankClass]:
+    """Every rank's class; the error of the lowest failing rank."""
+    classes, failed = _rank_classes(spec, nprocs, npb_class, extra_sources)
+    if failed:
+        raise failed[min(failed)]
+    return classes
 
 
 # ------------------------------------------------------------------------
 # matching simulation (REPROC01 / REPROC02)
 # ------------------------------------------------------------------------
 
-#: one matchable op: (op, peer-or-None, tagkey-or-None, line)
-_SimOp = Tuple[str, Optional[int], Any, Optional[int]]
+#: one rank's matchable ops, a segment per event: (ops, tag, line) — a
+#: collective call (its footprint for the rank, looked up when the rank
+#: runs it op by op) with its instance's synthetic tag, or a one-op
+#: tuple ``(op, peer, None)`` with the message's tag (None: ANY_TAG or
+#: not known)
+_Segment = Tuple[Union[CollEvent, Tuple[FootOp, ...]], Any, Optional[int]]
 
 
-def _sim_ops(events: Sequence[Event], rank: int, size: int) -> List[_SimOp]:
-    """Flatten one rank's events for the matching simulation: collectives
-    expand to their exact sub-ops with per-instance synthetic tags."""
-    ops: List[_SimOp] = []
-    coll_seq: Dict[str, int] = {}
-    for event in events:
-        if isinstance(event, CollEvent):
-            index = coll_seq.get(event.kind, 0)
-            coll_seq[event.kind] = index + 1
-            foot = coll_footprint(event.kind, rank, size, event.root,
-                                  event.nbytes)
-            if foot is None:
-                continue
-            tag = ("coll", event.kind, index)
-            for op, peer, _nb in foot:
-                ops.append((op, peer, tag, event.line))
-        elif event.op in ("send", "recv"):
-            ops.append((event.op, None if event.wildcard else event.peer,
-                        event.tag, event.line))
-    return ops
+#: what a memo holds for an event it has not seen
+_NEW: Any = object()
+
+
+class _Streams(NamedTuple):
+    """What the matching simulation runs on."""
+
+    #: each rank's segments, in its program order
+    ranks: List[List[_Segment]]
+    #: can a receive ever have several keys to choose from (a receive
+    #: from ANY_SOURCE or with ANY_TAG, or a send of unknown tag)?
+    choices: bool
+    #: per collective instance tag: [(root, nbytes) if every rank that
+    #: calls it calls it alike, else None; how many ranks call it]
+    instances: Dict[Any, List[Any]]
+
+
+def _rank_streams(classes: Sequence[RankClass], size: int) -> _Streams:
+    """Each rank's segments.  A receive that names its source and tag is
+    a ``"recv"``; one from ANY_SOURCE or with ANY_TAG is a ``"scan"``.
+    Members of a class that recorded every event alike share one stream,
+    and a point-to-point event is one segment wherever it recurs."""
+    streams: List[List[_Segment]] = [[] for _ in range(size)]
+    choices = False
+    instances: Dict[Any, List[Any]] = {}
+    for members, events in classes:
+        # one lane per member, or one for all if they recorded every
+        # event alike: (position, stream, collectives of each kind so
+        # far, ranks it stands for)
+        alike = not any(type(event) is Ranked for event in events)
+        lanes: List[Tuple[int, List[_Segment], Dict[str, int], int]] = \
+            [(0, [], {}, len(members))] if alike \
+            else [(p, streams[rank], {}, 1) for p, rank in members]
+        # each point-to-point event's segment (None: a probe, which is
+        # not matched)
+        made: Dict[Event, Optional[_Segment]] = {}
+        for event in events:
+            for p, stream, counts, ranks in lanes:
+                one = event.values[p] if type(event) is Ranked else event
+                segment = made.get(one, _NEW)
+                if segment is _NEW:
+                    if one is None:
+                        continue
+                    if type(one) is CollEvent:
+                        index = counts.get(one.kind, 0)
+                        counts[one.kind] = index + 1
+                        tag = ("coll", one.kind, index)
+                        segment = (one, tag, one.line)
+                        call = (one.root, one.nbytes)
+                        seen = instances.get(tag)
+                        if seen is None:
+                            instances[tag] = [call, ranks]
+                        else:
+                            seen[1] += ranks
+                            if seen[0] != call:
+                                seen[0] = None
+                    elif one.op == "probe":
+                        segment = made[one] = None
+                    else:
+                        peer = None if one.wildcard else one.peer
+                        op = one.op
+                        if one.tag is None or peer is None:
+                            choices = True
+                            if op == "recv":
+                                op = "scan"
+                        segment = made[one] = (((op, peer, None),), one.tag,
+                                               one.line)
+                if segment is not None:
+                    stream.append(segment)
+        if alike:
+            for _p, rank in members:
+                streams[rank] = lanes[0][1]
+    return _Streams(streams, choices, instances)
 
 
 def _matchable(fsrc: int, ftag: Any, src: Optional[int], tag: Any) -> bool:
@@ -330,18 +411,14 @@ def _matchable(fsrc: int, ftag: Any, src: Optional[int], tag: Any) -> bool:
 
 
 def _take_send(keys: Dict[Tuple[int, Any], int],
-               order: Dict[Tuple[int, int, Any], int],
-               dst: int, src: Optional[int], tag: Any) -> bool:
-    """Consume one of the sends in flight to ``dst`` (``keys``: its
-    ``(src, tag) -> count`` table) for a receive of ``(src, tag)``: the
+               first: Dict[Tuple[int, Any], int],
+               src: Optional[int], tag: Any) -> bool:
+    """Consume one of the sends in flight to a rank (``keys``: its
+    ``(src, tag) -> count`` table; ``first``: the order in which each
+    such key was first sent to it) for a receive of ``(src, tag)``: the
     matchable key that was first sent earliest, whatever its count."""
-    if src is not None and tag is not None and (src, None) not in keys:
-        # fully specified, no unknown-tag send from that source in
-        # flight: the exact key is the only possible candidate
-        key = (src, tag) if (src, tag) in keys else None
-    else:
-        key = min((k for k in keys if _matchable(k[0], k[1], src, tag)),
-                  key=lambda k: order[k[0], dst, k[1]], default=None)
+    key = min((k for k in keys if _matchable(k[0], k[1], src, tag)),
+              key=first.__getitem__, default=None)
     if key is None:
         return False
     keys[key] -= 1
@@ -350,53 +427,156 @@ def _take_send(keys: Dict[Tuple[int, Any], int],
     return True
 
 
-def _match_events(per_rank: Sequence[Sequence[Event]],
-                  size: int) -> List[CommDiagnostic]:
-    """Eagerly simulate message matching; report REPROC01/REPROC02."""
-    ops = [_sim_ops(events, rank, size)
-           for rank, events in enumerate(per_rank)]
-    ptr = [0] * size
+@lru_cache(maxsize=1024)
+def _completes_alone(kind: str, size: int, root: Optional[int],
+                     nbytes: Optional[int]) -> bool:
+    """Does one instance of a collective that every rank calls alike
+    complete among its own sub-ops, with nothing left in flight?"""
+    call = CollEvent(kind, root, nbytes, True, None)
+    streams: List[List[_Segment]] = [[(call, "alone", None)]
+                                     for _ in range(size)]
+    at, _sub, inbound = _simulate(streams, size, False, set())
+    return at == [1] * size and not any(inbound.values())
+
+
+def _ops(segment: _Segment, rank: int, size: int) -> Tuple[FootOp, ...]:
+    """A segment's ops for ``rank``."""
+    ops = segment[0]
+    if isinstance(ops, CollEvent):
+        return coll_footprint(ops.kind, rank, size, ops.root,
+                              ops.nbytes) or ()
+    return ops
+
+
+def _simulate(streams: List[List[_Segment]], size: int, choices: bool,
+              whole: Set[Any]) -> Tuple[List[int], List[int],
+                                        Dict[int, Dict[Tuple[int, Any], int]]]:
+    """Run every rank until none can go on: the segment and op each
+    stopped at, and the sends left in flight.
+
+    Sweeps the ranks in order, each running until it blocks, until a
+    sweep makes no progress; a rank blocked with nothing new sent to it
+    since is skipped, as its receive would fail again.  Without
+    ``choices`` every receive names the one key it takes, so where the
+    ranks stop does not depend on the order they run in.  A collective
+    instance in ``whole`` (every rank calls it alike, and it completes
+    alone) then holds each rank that reaches it until all have, and
+    passes them all at once, until no rank can go on that way; then the
+    ranks still held run its sub-ops one by one from there."""
+    at = [0] * size  # the segment each rank is in
+    sub = [0] * size  # the op it is at within that segment
     # unreceived sends by destination: dst -> {(src, tag): count}.  A key
     # leaves its table when its count reaches zero, so a receive looks
     # only at what is in flight to its own rank.  A dict, not a list: an
-    # out-of-range destination must still reach REPROC03.
-    inbound: Dict[int, Dict[Tuple[int, Any], int]] = {}
-    # first-send order of every (src, dst, tag) ever sent, kept for good:
-    # the deterministic choice between several matchable keys
-    order: Dict[Tuple[int, int, Any], int] = {}
+    # out-of-range destination must still reach REPROC01.
+    inbound: Dict[int, Dict[Tuple[int, Any], int]] = defaultdict(dict)
+    # when each (src, tag) was first sent to a destination, kept for
+    # good: the deterministic choice between several matchable keys
+    first: Dict[int, Dict[Tuple[int, Any], int]] = defaultdict(dict)
+    everyone = range(size)
+    ready = set(everyone)  # ranks whose next receive may succeed
+    held: Dict[Any, Set[int]] = {}  # ranks held at a whole instance
+    rendezvous = bool(whole) and not choices
+    one_stream = all(stream is streams[0] for stream in streams)
 
     progressed = True
     while progressed:
         progressed = False
-        for rank in range(size):
-            while ptr[rank] < len(ops[rank]):
-                op, peer, tag, _line = ops[rank][ptr[rank]]
-                if op == "send":
-                    if peer is None:
-                        ptr[rank] += 1  # unknown dest: not matchable
+        for rank in everyone:
+            if rank not in ready:
+                continue
+            ready.discard(rank)
+            segments = streams[rank]
+            mine = inbound[rank]
+            i, j = at[rank], sub[rank]
+            while i < len(segments):
+                ops, tag, _line = segments[i]
+                if isinstance(ops, CollEvent):
+                    if rendezvous and not j and tag in whole:
+                        here = held.get(tag)
+                        if here is None:
+                            here = held[tag] = set()
+                        here.add(rank)
+                        if len(here) < size:
+                            break  # held until every rank is here
+                        del held[tag]
+                        # all pass it; in one shared stream they are at
+                        # one place, and pass every next whole one too
+                        if one_stream:
+                            i += 1
+                            while i < len(segments) \
+                                    and segments[i][1] in whole:
+                                i += 1
+                            at = [i] * size
+                        else:
+                            at[rank] = i
+                            at = [a + 1 for a in at]
+                            i += 1
+                        ready.update(everyone)
+                        progressed = True
                         continue
-                    keys = inbound.setdefault(peer, {})
-                    keys[rank, tag] = keys.get((rank, tag), 0) + 1
-                    order.setdefault((rank, peer, tag), len(order))
-                    ptr[rank] += 1
+                    ops = coll_footprint(ops.kind, rank, size, ops.root,
+                                         ops.nbytes) or ()
+                for op, peer, _nb in (ops[j:] if j else ops):
+                    if op == "send":
+                        # every peer is known: an unknown one is REPROC04,
+                        # and then matching is not checked
+                        keys = inbound[peer]
+                        key = (rank, tag)
+                        count = keys.get(key, 0)
+                        keys[key] = count + 1
+                        if choices and not count:
+                            order = first[peer]
+                            if key not in order:
+                                order[key] = len(order)
+                        ready.add(peer)
+                    elif op == "recv" and not (
+                            choices and (peer, None) in mine):
+                        # the exact key or nothing
+                        key = (peer, tag)
+                        left = mine.get(key)
+                        if left is None:
+                            break
+                        if left == 1:
+                            del mine[key]
+                        else:
+                            mine[key] = left - 1
+                    elif not _take_send(mine, first[rank], peer, tag):
+                        break
                     progressed = True
-                    continue
-                keys = inbound.get(rank)
-                if keys and _take_send(keys, order, rank, peer, tag):
-                    ptr[rank] += 1
-                    progressed = True
+                    j += 1
+                else:
+                    i += 1
+                    j = 0
                     continue
                 break  # blocked
+            at[rank], sub[rank] = i, j
+        if rendezvous and not progressed:
+            # the held ranks go on op by op: where they stop is the same
+            rendezvous = False
+            ready.update(everyone)
+            progressed = True
+    return at, sub, inbound
+
+
+def _match_events(classes: Sequence[RankClass],
+                  size: int) -> List[CommDiagnostic]:
+    """Eagerly simulate message matching; report REPROC01/REPROC02."""
+    streams, choices, instances = _rank_streams(classes, size)
+    whole = {tag for tag, (alike, count) in instances.items()
+             if count == size and alike is not None
+             and _completes_alone(tag[1], size, *alike)}
+    at, sub, inbound = _simulate(streams, size, choices, whole)
 
     diags: List[CommDiagnostic] = []
-    stuck = [r for r in range(size) if ptr[r] < len(ops[r])]
+    stuck = [r for r in range(size) if at[r] < len(streams[r])]
     if stuck:
         waits: Dict[int, Optional[int]] = {}
         lines: Dict[int, Optional[int]] = {}
         for r in stuck:
-            _op, peer, _tag, line = ops[r][ptr[r]]
-            waits[r] = peer
-            lines[r] = line
+            segment = streams[r][at[r]]
+            waits[r] = _ops(segment, r, size)[sub[r]][1]
+            lines[r] = segment[2]
         cycle_ranks = _find_cycle(waits)
         if cycle_ranks:
             path = " -> ".join(str(r) for r in cycle_ranks)
@@ -448,34 +628,32 @@ def _find_cycle(waits: Dict[int, Optional[int]]) -> List[int]:
 # ------------------------------------------------------------------------
 
 def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
-                 per_rank: Sequence[List[Event]]) -> CommGraph:
+                 classes: Sequence[RankClass]) -> CommGraph:
     diags: List[CommDiagnostic] = []
     widened: Set[int] = set()
     all_certain = True
-    # per-edge aggregates; None bytes means "size not statically known"
-    edge_counts: Dict[Tuple[int, int], int] = {}
-    edge_min: Dict[Tuple[int, int], Optional[int]] = {}
-    edge_max: Dict[Tuple[int, int], Optional[int]] = {}
+    # per edge: [messages, min bytes, max bytes]; None bytes means
+    # "size not statically known"
+    edge_stats: Dict[Tuple[int, int], List[Any]] = {}
     peers: List[Set[int]] = [set() for _ in range(nprocs)]
     send_dests: List[Set[int]] = [set() for _ in range(nprocs)]
     collectives: Dict[str, int] = {}
     seen_r3: Set[Tuple[int, Optional[int]]] = set()
     seen_r4: Set[Tuple[int, Optional[int]]] = set()
 
-    def add_edge(src: int, dst: int, nbytes: Optional[int]) -> None:
-        key = (src, dst)
-        count = edge_counts.get(key, 0)
-        edge_counts[key] = count + 1
-        if count == 0:
-            edge_min[key] = nbytes
-            edge_max[key] = nbytes
-        else:
-            lo, hi = edge_min[key], edge_max[key]
-            # a message of unknown size poisons both bounds
-            edge_min[key] = None if (nbytes is None or lo is None) \
-                else min(lo, nbytes)
-            edge_max[key] = None if (nbytes is None or hi is None) \
-                else max(hi, nbytes)
+    def add_edge(src: int, dst: int, nbytes: Optional[int],
+                 times: int) -> None:
+        stat = edge_stats.get((src, dst))
+        if stat is None:
+            edge_stats[src, dst] = [times, nbytes, nbytes]
+            return
+        stat[0] += times
+        lo, hi = stat[1], stat[2]
+        # a message of unknown size poisons both bounds
+        stat[1] = None if (nbytes is None or lo is None) \
+            else min(lo, nbytes)
+        stat[2] = None if (nbytes is None or hi is None) \
+            else max(hi, nbytes)
 
     def widen(rank: int, line: Optional[int], why: str,
               diagnostic: bool) -> None:
@@ -485,68 +663,87 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                 code="REPROC04", message=why, rank=rank, line=line))
         widened.add(rank)
 
-    for rank, events in enumerate(per_rank):
-        for event in events:
-            if not event.certain:
-                all_certain = False
-            if isinstance(event, CollEvent):
-                if rank == 0:
-                    collectives[event.kind] = \
-                        collectives.get(event.kind, 0) + 1
-                foot = coll_footprint(event.kind, rank, nprocs, event.root,
-                                      event.nbytes)
-                if foot is None:
-                    widen(rank, event.line,
-                          f"{event.kind} root is data-dependent; "
-                          f"widening rank {rank} to full mesh",
-                          diagnostic=True)
-                    all_certain = False
-                    continue
-                for op, peer, nbytes in foot:
-                    if peer == rank:
-                        continue
-                    peers[rank].add(peer)
+    def account(rank: int, event: Event, times: int) -> None:
+        """One rank's ``times`` instances of one event."""
+        if isinstance(event, CollEvent):
+            if rank == 0:
+                collectives[event.kind] = \
+                    collectives.get(event.kind, 0) + times
+            foot = coll_footprint(event.kind, rank, nprocs, event.root,
+                                  event.nbytes)
+            if foot is None:
+                widen(rank, event.line,
+                      f"{event.kind} root is data-dependent; "
+                      f"widening rank {rank} to full mesh",
+                      diagnostic=True)
+                return
+            near, dests = peers[rank], send_dests[rank]
+            for op, peer, nbytes in foot:
+                if peer != rank:
+                    near.add(peer)
                     if op == "send":
-                        send_dests[rank].add(peer)
-                        add_edge(rank, peer, nbytes)
-                continue
-            # point-to-point / probe events
-            if event.peer is None:
-                if event.wildcard:
-                    # ANY_SOURCE: the on-demand manager connects every
-                    # peer when a wildcard recv posts (MVICH §3.5), so
-                    # prediction must too — benign, but full fan-in
-                    widen(rank, event.line,
-                          "wildcard receive", diagnostic=False)
-                else:
-                    all_certain = False
-                    widen(rank, event.line,
-                          f"{event.op} peer is unresolvable at rank "
-                          f"{rank}; widening to full mesh",
-                          diagnostic=True)
-                continue
-            if not (0 <= event.peer < nprocs):
-                if (rank, event.line) not in seen_r3:
-                    seen_r3.add((rank, event.line))
-                    qualifier = "" if event.certain else "conditionally "
-                    diags.append(CommDiagnostic(
-                        code="REPROC03",
-                        message=f"{event.op} targets rank {event.peer}, "
-                                f"{qualifier}out of range for "
-                                f"nprocs={nprocs}",
-                        rank=rank, line=event.line))
-                continue
-            if event.peer == rank:
-                if event.op == "send":
-                    # MPICH-style self short-circuit: a message edge but
-                    # no VI, so it joins edges/send_dests but not peers
-                    send_dests[rank].add(rank)
-                    add_edge(rank, rank, event.nbytes)
-                continue
-            peers[rank].add(event.peer)
+                        dests.add(peer)
+                        add_edge(rank, peer, nbytes, times)
+            return
+        # point-to-point / probe events
+        if event.peer is None:
+            if event.wildcard:
+                # ANY_SOURCE: the on-demand manager connects every
+                # peer when a wildcard recv posts (MVICH §3.5), so
+                # prediction must too — benign, but full fan-in
+                widen(rank, event.line, "wildcard receive", diagnostic=False)
+            else:
+                widen(rank, event.line,
+                      f"{event.op} peer is unresolvable at rank "
+                      f"{rank}; widening to full mesh",
+                      diagnostic=True)
+            return
+        if not (0 <= event.peer < nprocs):
+            if (rank, event.line) not in seen_r3:
+                seen_r3.add((rank, event.line))
+                qualifier = "" if event.certain else "conditionally "
+                diags.append(CommDiagnostic(
+                    code="REPROC03",
+                    message=f"{event.op} targets rank {event.peer}, "
+                            f"{qualifier}out of range for "
+                            f"nprocs={nprocs}",
+                    rank=rank, line=event.line))
+            return
+        if event.peer == rank:
             if event.op == "send":
-                send_dests[rank].add(event.peer)
-                add_edge(rank, event.peer, event.nbytes)
+                # MPICH-style self short-circuit: a message edge but
+                # no VI, so it joins edges/send_dests but not peers
+                send_dests[rank].add(rank)
+                add_edge(rank, rank, event.nbytes, times)
+            return
+        peers[rank].add(event.peer)
+        if event.op == "send":
+            send_dests[rank].add(event.peer)
+            add_edge(rank, event.peer, event.nbytes, times)
+
+    for members, events in classes:
+        # each distinct event once, with its number of instances: a
+        # rank's first instance of each keeps its place, which is all
+        # the order REPROC03/04 (one per rank and line) can see
+        tally: Dict[Any, List[Any]] = {}
+        for event in events:
+            key = tuple(event.values) if type(event) is Ranked else event
+            entry = tally.get(key)
+            if entry is None:
+                tally[key] = [event, 1]
+            else:
+                entry[1] += 1
+        for event, times in tally.values():
+            if type(event) is Ranked:
+                for p, rank in members:
+                    one = event.values[p]
+                    if one is not None:
+                        all_certain = all_certain and one.certain
+                        account(rank, one, times)
+            else:
+                all_certain = all_certain and event.certain
+                for _p, rank in members:
+                    account(rank, event, times)
 
     # symmetric closure: the VIA handshake needs both endpoints to request
     for rank in range(nprocs):
@@ -559,18 +756,17 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
             if other != rank:
                 peers[other].add(rank)
 
-    has_unknown_peer = any(d.code == "REPROC04" for d in diags)
-    matching_checked = all_certain and not has_unknown_peer
+    # a widened rank's unknown peer or root disables matching through
+    # its REPROC04 (a wildcard widens too, but is matched)
+    matching_checked = all_certain and not seen_r4
     if matching_checked:
-        diags.extend(_match_events(per_rank, nprocs))
+        diags.extend(_match_events(classes, nprocs))
 
-    out_of_range = {(s, d) for (s, d) in edge_counts
-                    if not (0 <= d < nprocs)}
     edges = tuple(
-        EdgeStat(src=s, dst=d, count=edge_counts[(s, d)],
-                 min_bytes=edge_min[(s, d)], max_bytes=edge_max[(s, d)])
-        for (s, d) in sorted(edge_counts)
-        if (s, d) not in out_of_range)
+        EdgeStat(src=s, dst=d, count=stat[0], min_bytes=stat[1],
+                 max_bytes=stat[2])
+        for (s, d), stat in sorted(edge_stats.items())
+        if 0 <= d < nprocs)
 
     params = dict(params)
     params["matching_checked"] = matching_checked
@@ -614,12 +810,12 @@ def _analyze_def(defn: KernelDef, nprocs: int, npb_class: str) -> CommGraph:
                 f"trace kernel {defn.name!r} was captured at "
                 f"{defn.trace.nprocs} ranks; cannot analyze at {nprocs}")
         return analyze_trace(defn.trace, kernel=defn.name)
-    per_rank = _rank_events(defn, nprocs,
-                            npb_class if defn.npb_class_arg else None)
+    classes = _class_streams(defn, nprocs,
+                             npb_class if defn.npb_class_arg else None)
     params: Dict[str, Any] = dict(defn.kwargs)
     if defn.npb_class_arg:
         params["npb_class"] = npb_class
-    return _build_graph(defn.name, nprocs, params, per_rank)
+    return _build_graph(defn.name, nprocs, params, classes)
 
 
 def _trace_events(rank_ops: Sequence[Dict[str, Any]]) -> List[Event]:
@@ -689,10 +885,12 @@ def analyze_trace(trace: CommTrace, kernel: Optional[str] = None) -> CommGraph:
     the workload being replayed).
     """
     trace.validate()
-    per_rank = [_trace_events(rank_ops) for rank_ops in trace.ops]
+    # a concrete timeline: every rank a class of its own
+    classes = [RankClass(((0, rank),), _trace_events(rank_ops))
+               for rank, rank_ops in enumerate(trace.ops)]
     params: Dict[str, Any] = {"trace_digest": trace.digest()}
     return _build_graph(kernel or trace.kernel, trace.nprocs, params,
-                        per_rank)
+                        classes)
 
 
 def analyze_source(source: str, factory: str, nprocs: int,
@@ -702,9 +900,9 @@ def analyze_source(source: str, factory: str, nprocs: int,
     """Analyze an in-memory kernel source (for tests and ad-hoc checks)."""
     spec = KernelDef(name=kernel, module=module_name, factory=factory,
                      kwargs=tuple(sorted((kwargs or {}).items())))
-    per_rank = _rank_events(spec, nprocs, None,
-                            extra_sources={module_name: source})
-    return _build_graph(kernel, nprocs, dict(spec.kwargs), per_rank)
+    classes = _class_streams(spec, nprocs, None,
+                             extra_sources={module_name: source})
+    return _build_graph(kernel, nprocs, dict(spec.kwargs), classes)
 
 
 @lru_cache(maxsize=256)

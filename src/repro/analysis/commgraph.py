@@ -1,10 +1,10 @@
 """Communication-graph data model for the static comm analyzer.
 
 The abstract interpreter in :mod:`repro.analysis.interp` replays a kernel
-generator for every rank and records the communication operations it can see
-syntactically; :mod:`repro.analysis.comm` folds those per-rank event streams
-into a :class:`CommGraph` — per-rank destination sets, message-size bounds,
-collective footprints — plus typed ``REPROC*`` diagnostics.
+generator for every class of ranks and records the communication operations
+it can see syntactically; :mod:`repro.analysis.comm` folds those event
+streams into a :class:`CommGraph` — per-rank destination sets, message-size
+bounds, collective footprints — plus typed ``REPROC*`` diagnostics.
 
 The graph is deliberately *connection-oriented*: ``peers[r]`` is the set of
 ranks rank ``r`` needs a VI to (symmetric closure of the message edges, since
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "REPROC_RULES",
@@ -63,8 +63,7 @@ class CommDiagnostic:
         }
 
 
-@dataclass(frozen=True)
-class MsgEvent:
+class MsgEvent(NamedTuple):
     """A point-to-point endpoint operation observed for one rank.
 
     ``peer`` is the concrete partner rank when the analyzer could evaluate the
@@ -74,7 +73,8 @@ class MsgEvent:
     on-demand manager's MVICH §3.5 rule does at runtime.  ``certain`` is False
     for events recorded under an unresolvable branch or loop condition; such
     events still contribute edges (soundness) but disable the strict
-    send/recv matching simulation (REPROC01/02).
+    send/recv matching simulation (REPROC01/02).  Events are tuples, so
+    the graph builder counts repeated ones by value at C speed.
     """
 
     op: str  # "send" | "recv" | "probe"
@@ -86,8 +86,7 @@ class MsgEvent:
     line: Optional[int]
 
 
-@dataclass(frozen=True)
-class CollEvent:
+class CollEvent(NamedTuple):
     """A collective call observed for one rank (expanded later into the exact
     per-round point-to-point footprint of ``repro.mpi.collectives``)."""
 

@@ -1190,16 +1190,15 @@ class Interp:
                 isinstance(value, _CONTAINERS) for value in values):
             raise _Abandon()  # Python code may write into what it is given
 
-    def finished(self, mpi: MpiProxy) -> List[Tuple[int, List[Event]]]:
-        """The ranks this pass ran to its end, each with its events (an
-        arm's event is None for the ranks outside the arm)."""
+    def finished(self, mpi: MpiProxy
+                 ) -> Tuple[Tuple[Tuple[int, int], ...], List[Any]]:
+        """The (position, rank) of each rank this pass ran to its end,
+        and the pass's event stream: an event all of them recorded, or a
+        :class:`Ranked` of one per position (None for the ranks outside
+        an arm)."""
         if mpi._interp is not self:  # stopped before the program ran
-            return [(rank, []) for rank in mpi.ranks]
-        events = mpi.events
-        return [(self.ranks[p], [event for event in [
-            event.values[p] if type(event) is Ranked else event
-            for event in events] if event is not None])
-            for p in self.active]
+            return tuple(enumerate(mpi.ranks)), []
+        return tuple((p, self.ranks[p]) for p in self.active), mpi.events
 
     # ---------------------------------------------------------- modules --
     def import_module(self, dotted: str) -> Any:

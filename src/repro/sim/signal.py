@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.sim.engine import Engine, Event, SignalWait
+from repro.sim.engine import Engine, Event, SignalWait, SimulationError
 
 
 class Signal:
@@ -63,15 +63,22 @@ class Signal:
         """Wake all current waiters; returns how many were woken.
 
         With no waiters, arms the pending pulse instead.  A waiter that
-        was triggered by hand makes this raise :class:`SimulationError`.
+        was triggered by hand makes this raise :class:`SimulationError`,
+        once every other waiter has been woken, in order.
         """
         self.fires += 1
         if not self._waiters:
             self._pending = True
             return 0
         waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
+        try:
+            for ev in waiters:
+                ev.succeed(value)
+        except SimulationError:
+            for ev in waiters:
+                if ev._ok is None:
+                    ev.succeed(value)
+            raise
         return len(waiters)
 
     @property

@@ -81,3 +81,27 @@ def count_frames(prefix):
         yield seen
     finally:
         sys.setprofile(previous)
+
+
+@contextlib.contextmanager
+def count_lines(path):
+    """Count, by ``sys.settrace``, the source lines executed in files
+    whose path ends with ``path`` while the block runs: the work done
+    inline in loops, which a frame count cannot see.  Yields a
+    one-item list holding the count."""
+    lines = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename.endswith(path) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield lines
+    finally:
+        sys.settrace(previous)

@@ -214,50 +214,78 @@ class TestMatcherIndex:
         assert len(fresh) >= 80
 
     def test_receive_examines_only_keys_in_flight_to_its_rank(self, monkeypatch):
+        # every receive takes ANY_TAG, so every one chooses by a scan
         examined = count_calls(monkeypatch, comm, "_matchable")
         original = comm._take_send
         receives = [0]
         widest = [0]
 
-        def take_send(keys, order, dst, src, tag):
+        def take_send(keys, first, src, tag):
             in_flight, before = len(keys), examined[0]
-            taken = original(keys, order, dst, src, tag)
+            taken = original(keys, first, src, tag)
             assert examined[0] - before <= in_flight
             receives[0] += 1
             widest[0] = max(widest[0], in_flight)
             return taken
 
         monkeypatch.setattr(comm, "_take_send", take_send)
-        graph = analyze_kernel("cg", 16)
-        assert graph.ok
+        graph = analyze_source(ANY_TAG_RING, "make", 16)
+        assert graph.ok and graph.params["matching_checked"]
         assert receives[0] > 1000
         # a key leaves the index with its last message: what is in
         # flight to one rank stays a handful, however long the run
         assert widest[0] <= 16
-        # fully specified receives take their key without a scan
-        assert examined[0] < receives[0]
+
+    def test_fully_specified_receives_take_their_key_without_a_scan(
+            self, monkeypatch):
+        scans = count_calls(monkeypatch, comm, "_take_send")
+        examined = count_calls(monkeypatch, comm, "_matchable")
+        graph = analyze_kernel("cg", 16)
+        assert graph.ok and graph.params["matching_checked"]
+        classes = comm._class_streams(KERNEL_DEFS["cg"], 16, "S")
+        receives = sum(op == "recv" for rank, stream in enumerate(
+                           comm._rank_streams(classes, 16).ranks)
+                       for segment in stream
+                       for op, _peer, _nbytes in comm._ops(segment, rank, 16))
+        assert receives > 1000
+        assert scans[0] == examined[0] == 0
 
     def test_choice_between_keys_is_first_send_order(self):
         # rank 2 sent tag 7 first, then rank 1 sent tag 7, then an
-        # unknown-tag send from rank 1: all to rank 0
-        order = {(2, 0, 7): 0, (1, 0, 7): 1, (1, 0, None): 2}
+        # unknown-tag send from rank 1: all to the receiving rank
+        first = {(2, 7): 0, (1, 7): 1, (1, None): 2}
         keys = {(1, 7): 1, (2, 7): 2}
-        assert comm._take_send(keys, order, 0, None, 7)  # any source
+        assert comm._take_send(keys, first, None, 7)  # any source
         assert keys == {(1, 7): 1, (2, 7): 1}
-        assert comm._take_send(keys, order, 0, 1, 7)  # exact key, now spent
+        assert comm._take_send(keys, first, 1, 7)  # exact key, now spent
         assert keys == {(2, 7): 1}
-        assert not comm._take_send(keys, order, 0, 1, 7)
+        assert not comm._take_send(keys, first, 1, 7)
         # an unknown-tag send from the named source can match too, so
         # the exact key is not taken blindly: the earlier send wins
         keys = {(1, None): 1, (1, 7): 1}
-        assert comm._take_send(keys, order, 0, 1, 7)
+        assert comm._take_send(keys, first, 1, 7)
         assert keys == {(1, None): 1}
         # ANY_TAG never consumes a collective's internal (tuple) tag
         keys = {(1, ("bcast", 3)): 1}
-        order[1, 0, ("bcast", 3)] = 3
-        assert not comm._take_send(keys, order, 0, 1, None)
-        assert comm._take_send(keys, order, 0, 1, ("bcast", 3))
+        first[1, ("bcast", 3)] = 3
+        assert not comm._take_send(keys, first, 1, None)
+        assert comm._take_send(keys, first, 1, ("bcast", 3))
         assert not keys
+
+
+#: a ring in which every receive takes ANY_TAG: 80 rounds, three tags
+ANY_TAG_RING = """
+from repro.mpi.constants import ANY_TAG
+
+def make():
+    def kernel(mpi):
+        right = (mpi.rank + 1) % mpi.size
+        left = (mpi.rank - 1) % mpi.size
+        for step in range(80):
+            yield from mpi.send(None, right, tag=step % 3)
+            yield from mpi.recv(None, source=left, tag=ANY_TAG)
+    return kernel
+"""
 
 
 def test_a_re_registered_source_kernel_is_analyzed_afresh():

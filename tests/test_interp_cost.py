@@ -31,11 +31,13 @@ import repro.apps as repro_apps
 from repro.analysis import analyze_kernel, analyze_source
 from repro.analysis import comm
 from repro.analysis import interp as interp_module
+from repro.analysis.commgraph import CollEvent
 from repro.analysis.interp import (AnalysisError, Budget, BudgetExceeded,
                                    Interp, MpiProxy)
 from repro.workloads.registry import KERNEL_DEFS, register_kernel
 
-from tests.counting import count_calls, count_frames, record_instances
+from tests import comm_oracle
+from tests.counting import count_calls, count_frames, count_lines, record_instances
 from tests.test_comm_analysis import DIGESTS_PATH
 
 #: the ladder's six timed analyses (benchmarks/ladder/w_predict.py) and
@@ -205,6 +207,45 @@ def test_ops_charged_do_not_grow_with_the_rank_count(monkeypatch):
         == _charged(monkeypatch, "ring", 16)
 
 
+@pytest.mark.parametrize("kernel", ["cg", "is"])
+def test_each_collective_footprint_is_built_once_per_analysis(kernel):
+    """Repeated instances of a collective share its footprint: an
+    analysis builds at most one per distinct call and rank."""
+    comm.coll_footprint.cache_clear()
+    comm._completes_alone.cache_clear()
+    analyze_kernel(kernel, 16)
+    builds = comm.coll_footprint.cache_info().misses
+    calls = [(event.kind, event.root, event.nbytes)
+             for events in comm_oracle.rank_events(KERNEL_DEFS[kernel], 16,
+                                                   "S")
+             for event in events if isinstance(event, CollEvent)]
+    signatures = len(set(calls))
+    assert len(calls) > 2 * signatures * 16  # instances repeat ...
+    assert builds <= signatures * 16  # ... their footprints do not
+
+
+def _comm_lines(kernel, nprocs):
+    """Source lines :mod:`repro.analysis.comm` runs in one analysis with
+    no footprint memoised (compiled forms are, as they are per process)."""
+    analyze_kernel(kernel, nprocs)
+    comm.coll_footprint.cache_clear()
+    comm._completes_alone.cache_clear()
+    with count_lines("repro/analysis/comm.py") as lines:
+        analyze_kernel(kernel, nprocs)
+    return lines[0]
+
+
+def test_graph_and_matching_work_grows_no_faster_than_the_ranks():
+    """CG calls 314 collectives a rank: the graph counts each distinct
+    call once, and the ranks pass each instance all at once, so four
+    times the ranks cost at most four times the lines (8 777 191 against
+    1 551 065 when every instance was expanded and matched sub-op by
+    sub-op, rank by rank)."""
+    at_16 = _comm_lines("cg", 16)
+    assert at_16 <= 60_000  # 31 452 on CPython 3.11
+    assert _comm_lines("cg", 64) <= 4.4 * at_16
+
+
 def test_frames_for_the_six_analyses_stay_under_the_class_budget():
     for kernel, nprocs in LADDER_OPS:
         analyze_kernel(kernel, nprocs)  # compiled once, outside the count
@@ -247,9 +288,10 @@ def _compile_work(monkeypatch, kernel, nprocs):
 
 
 def test_the_analyzer_caches_stay_bounded():
-    """Parses, compiled forms and memoised graphs are kept per source,
-    per package module and per registration — each under a bound, however
-    many sources and registrations a long-lived process sees."""
+    """Parses, compiled forms, memoised graphs and collective footprints
+    are kept per source, per package module, per registration and per
+    call signature — each under a bound, however many sources,
+    registrations and signatures a long-lived process sees."""
     for name, spec in KERNEL_DEFS.items():
         if spec.trace is None:
             try:
@@ -259,6 +301,7 @@ def test_the_analyzer_caches_stay_bounded():
     for n in range(300):
         source = ("def make():\n    def kernel(mpi):\n"
                   f"        yield from mpi.send(None, (mpi.rank + {n}) % 2)\n"
+                  f"        yield from mpi.bcast(bytes({n}), root={n} % 2)\n"
                   "    return kernel\n")
         analyze_source(source, "make", nprocs=2)
     base = KERNEL_DEFS["ring"]
@@ -273,6 +316,10 @@ def test_the_analyzer_caches_stay_bounded():
         repro_apps.__path__, "repro.apps.")]
     assert interp_module._source_code.cache_info().currsize <= 8
     assert comm._cached_source_graph.cache_info().currsize <= 256
+    # one footprint per collective call signature and rank, and one
+    # standalone check per signature called alike by every rank
+    assert 600 <= comm.coll_footprint.cache_info().currsize <= 4096
+    assert 300 <= comm._completes_alone.cache_info().currsize <= 1024
     assert interp_module._module_code.cache_info().currsize <= len(apps)
 
 

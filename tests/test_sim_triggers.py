@@ -174,8 +174,12 @@ class reference:
                 self.pending = True
                 return 0
             waiters, self.waiters = self.waiters, []
+            by_hand = [event for event in waiters if event.triggered]
             for event in waiters:
-                event.succeed(value)
+                if not event.triggered:
+                    event.succeed(value)
+            if by_hand:
+                raise reference.SimulationError("already triggered")
             return len(waiters)
 
 
@@ -353,6 +357,25 @@ def test_a_hand_triggered_waiter_makes_the_next_fire_raise():
         signal.fire()
     engine.run()
     assert first.value is None and second.value == "by hand"
+
+
+def test_a_fire_that_raises_still_wakes_every_other_waiter():
+    engine = Engine()
+    signal = Signal(engine)
+    waits = [signal.wait() for _ in range(4)]
+    waits[1].succeed("by hand")
+    with pytest.raises(SimulationError, match="already triggered"):
+        signal.fire("fired")
+    assert signal.waiter_count == 0
+    woken = []
+    for wait in waits:
+        add_callback(wait, lambda event: woken.append(event.value))
+    engine.run()
+    # the hand-triggered one first (it was pushed first), then the rest
+    # in the order they waited
+    assert woken == ["by hand", "fired", "fired", "fired"]
+    assert [wait.value for wait in waits] == ["fired", "by hand", "fired",
+                                              "fired"]
 
 
 def test_any_of_nothing_raises_at_the_call():
