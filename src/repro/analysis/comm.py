@@ -663,13 +663,27 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                 code="REPROC04", message=why, rank=rank, line=line))
         widened.add(rank)
 
+    def out_of_range(rank: int, event: Event, what: str) -> None:
+        if (rank, event.line) not in seen_r3:
+            seen_r3.add((rank, event.line))
+            qualifier = "" if event.certain else "conditionally "
+            diags.append(CommDiagnostic(
+                code="REPROC03",
+                message=f"{what}, {qualifier}out of range for "
+                        f"nprocs={nprocs}",
+                rank=rank, line=event.line))
+
     def account(rank: int, event: Event, times: int) -> None:
         """One rank's ``times`` instances of one event."""
         if isinstance(event, CollEvent):
             if rank == 0:
                 collectives[event.kind] = \
                     collectives.get(event.kind, 0) + times
-            foot = coll_footprint(event.kind, rank, nprocs, event.root,
+            root = event.root
+            if root is not None and not 0 <= root < nprocs:
+                out_of_range(rank, event, f"{event.kind} root is rank {root}")
+                return
+            foot = coll_footprint(event.kind, rank, nprocs, root,
                                   event.nbytes)
             if foot is None:
                 widen(rank, event.line,
@@ -699,15 +713,7 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                       diagnostic=True)
             return
         if not (0 <= event.peer < nprocs):
-            if (rank, event.line) not in seen_r3:
-                seen_r3.add((rank, event.line))
-                qualifier = "" if event.certain else "conditionally "
-                diags.append(CommDiagnostic(
-                    code="REPROC03",
-                    message=f"{event.op} targets rank {event.peer}, "
-                            f"{qualifier}out of range for "
-                            f"nprocs={nprocs}",
-                    rank=rank, line=event.line))
+            out_of_range(rank, event, f"{event.op} targets rank {event.peer}")
             return
         if event.peer == rank:
             if event.op == "send":

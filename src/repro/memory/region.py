@@ -23,6 +23,12 @@ class RegionState(enum.Enum):
     DEREGISTERED = "deregistered"
 
 
+# the members as module names, which function bodies read (see
+# ``repro.via.constants``)
+REGION_REGISTERED = RegionState.REGISTERED
+REGION_DEREGISTERED = RegionState.DEREGISTERED
+
+
 _handle_counter = itertools.count(1)
 _UINT8 = np.dtype(np.uint8)
 
@@ -81,7 +87,7 @@ class MemoryRegion:
         self.handle = next(_handle_counter)
         self.nbytes = nbytes
         self.protection_tag = protection_tag
-        self.state = RegionState.REGISTERED
+        self.state = REGION_REGISTERED
         self.owner_label = owner_label
         #: set by the registry when ``backing`` is one of its own arena
         #: blocks (recyclable at deregistration) rather than a user buffer
@@ -94,7 +100,7 @@ class MemoryRegion:
         This is the simulated equivalent of the NIC's address-translation
         and protection check.
         """
-        if self.state is not RegionState.REGISTERED:
+        if self.state is not REGION_REGISTERED:
             raise PermissionError(
                 f"access to deregistered region #{self.handle}"
             )

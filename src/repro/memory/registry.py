@@ -20,7 +20,11 @@ from typing import Optional
 import numpy as np
 
 from repro.memory.arena import ARENAS
-from repro.memory.region import MemoryRegion, RegionState
+from repro.memory.region import (
+    REGION_DEREGISTERED,
+    REGION_REGISTERED,
+    MemoryRegion,
+)
 
 #: x86 page size; registration cost scales with pages pinned.
 PAGE_SIZE = 4096
@@ -151,14 +155,14 @@ class MemoryRegistry:
         """
         if region.handle not in self._regions:
             raise RegistrationError(f"region #{region.handle} is not registered here")
-        if region.state is not RegionState.REGISTERED:
+        if region.state is not REGION_REGISTERED:
             raise RegistrationError(f"region #{region.handle} already deregistered")
         if dirty_bytes is not None and not 0 <= dirty_bytes <= region.nbytes:
             raise ValueError(
                 f"dirty_bytes {dirty_bytes} outside region #{region.handle} "
                 f"of {region.nbytes} bytes")
         del self._regions[region.handle]
-        region.state = RegionState.DEREGISTERED
+        region.state = REGION_DEREGISTERED
         cost = self.costs.deregister_cost(region.nbytes)
         stats = self.stats
         stats.deregistrations += 1

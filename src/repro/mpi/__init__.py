@@ -46,7 +46,7 @@ from repro.mpi.constants import (
 )
 from repro.mpi.config import MpiConfig
 from repro.mpi.status import Status
-from repro.mpi.request import Request, RequestKind, RequestState
+from repro.mpi.request import Request, RequestKind
 from repro.mpi.facade import MpiProcess
 
 __all__ = [
@@ -70,6 +70,5 @@ __all__ = [
     "Status",
     "Request",
     "RequestKind",
-    "RequestState",
     "MpiProcess",
 ]

@@ -34,10 +34,20 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.memory.region import as_bytes
-from repro.mpi.channel import Channel, ChannelState, PendingSend
+from repro.mpi.channel import (
+    CH_CONNECTED,
+    CH_DRAINING,
+    CH_FAILED,
+    CH_UNOPENED,
+    Channel,
+    PendingSend,
+)
 from repro.mpi.config import MpiConfig
 from repro.mpi.constants import (
     ANY_SOURCE,
+    MODE_BUFFERED,
+    MODE_STANDARD,
+    MODE_SYNCHRONOUS,
     PROC_NULL,
     ConnectionFailed,
     MpiError,
@@ -52,10 +62,10 @@ from repro.mpi.headers import (
     RtsHeader,
 )
 from repro.mpi.matching import MatchingEngine, UnexpectedMessage
-from repro.mpi.request import Request, RequestKind
+from repro.mpi.request import KIND_RECV, KIND_SEND, Request
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.via.constants import DescriptorOp
+from repro.via.constants import OP_RDMA_WRITE
 from repro.via.provider import ViaProvider
 
 
@@ -168,7 +178,7 @@ class AbstractDevice:
         return self._vi_to_channel.get(vi.vi_id)
 
     def mark_channel_connected(self, ch: Channel) -> None:
-        ch.state = ChannelState.CONNECTED
+        ch.state = CH_CONNECTED
         ch.connected_at = self.engine.now
         ch.last_used_at = self.engine.now
         if self.telemetry is not None:
@@ -188,7 +198,7 @@ class AbstractDevice:
     def channel_quiescent(self, ch: Channel) -> bool:
         """True when nothing is in flight on ``ch`` in either direction:
         safe to tear the connection down."""
-        if ch.state not in (ChannelState.CONNECTED, ChannelState.DRAINING):
+        if ch.state not in (CH_CONNECTED, CH_DRAINING):
             return False
         if ch.pending_count or ch.rndv_outstanding:
             return False
@@ -215,7 +225,7 @@ class AbstractDevice:
             self._vi_to_channel.pop(ch.vi.vi_id, None)
             self.charge(self.provider.destroy_vi(ch.vi))
             ch.vi = None
-        ch.state = ChannelState.UNOPENED
+        ch.state = CH_UNOPENED
         ch.evictions += 1
         # a reconnection starts from a fresh VI with a full window
         ch.credits = self.config.data_credits
@@ -237,7 +247,7 @@ class AbstractDevice:
         nbytes = 0 if payload is None else payload.nbytes
         now = self.engine.now
         req = Request(
-            RequestKind.SEND, context_id, dest, tag, payload, nbytes, mode, now,
+            KIND_SEND, context_id, dest, tag, payload, nbytes, mode, now,
         )
         if dest == PROC_NULL:
             req.complete(now)
@@ -265,7 +275,7 @@ class AbstractDevice:
             )
 
         send_payload = payload
-        if mode is SendMode.BUFFERED:
+        if mode is MODE_BUFFERED:
             # local semantics: copy out and complete immediately; the
             # protocol (incl. a later RDMA) works from the snapshot
             if payload is not None:
@@ -277,7 +287,7 @@ class AbstractDevice:
         if eager:
             header = EagerHeader(
                 src_rank=self.rank, context_id=context_id, tag=tag,
-                nbytes=nbytes, sync=(mode is SendMode.SYNCHRONOUS),
+                nbytes=nbytes, sync=(mode is MODE_SYNCHRONOUS),
                 request_id=req.request_id, flow_id=flow,
             )
             item = PendingSend(header, send_payload, req, False, now)
@@ -336,8 +346,8 @@ class AbstractDevice:
         buf = as_bytes(buffer)
         now = self.engine.now
         req = Request(
-            RequestKind.RECV, context_id, source, tag, buf,
-            0 if buf is None else buf.nbytes, SendMode.STANDARD, now,
+            KIND_RECV, context_id, source, tag, buf,
+            0 if buf is None else buf.nbytes, MODE_STANDARD, now,
         )
         if source == PROC_NULL:
             req.status.source = PROC_NULL
@@ -455,7 +465,7 @@ class AbstractDevice:
         now = self.engine.now
         control = ch.control_queue
         fifo = ch.send_fifo
-        while ch.state is ChannelState.CONNECTED:
+        while ch.state is CH_CONNECTED:
             if control:
                 queue = control
                 item = control[0]
@@ -548,12 +558,12 @@ class AbstractDevice:
             vi = provider.transport_failures.pop(0)
             ch = self._vi_to_channel.get(vi.vi_id)
             peer = ch.dest if ch is not None else vi.remote_rank
-            if ch is not None and ch.state is not ChannelState.FAILED:
+            if ch is not None and ch.state is not CH_FAILED:
                 ch.send_fifo.clear()
                 ch.control_queue.clear()
                 self._dirty.pop(ch.dest, None)
                 self.teardown_channel(ch)
-                ch.state = ChannelState.FAILED
+                ch.state = CH_FAILED
             raise ConnectionFailed(
                 f"rank {self.rank}: transport to rank {peer} lost "
                 "(retransmit budget exhausted)"
@@ -567,7 +577,7 @@ class AbstractDevice:
             while completed:
                 desc = completed.popleft()
                 self._cost_us += profile.cq_poll_us
-                if desc.op is DescriptorOp.RDMA_WRITE:
+                if desc.op is OP_RDMA_WRITE:
                     kind, req = desc.context
                     if kind == "rdma" and req is not None and not req.done:
                         req.complete(self.engine.now)

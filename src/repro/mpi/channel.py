@@ -47,6 +47,15 @@ class ChannelState(enum.Enum):
     FAILED = "failed"
 
 
+# the members as module names, which function bodies read (see
+# ``repro.via.constants``)
+CH_UNOPENED = ChannelState.UNOPENED
+CH_CONNECTING = ChannelState.CONNECTING
+CH_CONNECTED = ChannelState.CONNECTED
+CH_DRAINING = ChannelState.DRAINING
+CH_FAILED = ChannelState.FAILED
+
+
 @dataclass(slots=True)
 class PendingSend:
     """A message waiting in the channel for post conditions.
@@ -88,7 +97,7 @@ class Channel:
         rndv_window: int,
     ):
         self.dest = dest
-        self.state = ChannelState.UNOPENED
+        self.state = CH_UNOPENED
         self.vi: Optional[VI] = None
         self.send_fifo: Deque[PendingSend] = deque()
         self.control_queue: Deque[PendingSend] = deque()
@@ -130,7 +139,7 @@ class Channel:
     # -- state ------------------------------------------------------------
     @property
     def is_connected(self) -> bool:
-        return self.state is ChannelState.CONNECTED
+        return self.state is CH_CONNECTED
 
     @property
     def used(self) -> bool:

@@ -60,7 +60,14 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
-from repro.mpi.channel import Channel, ChannelState
+from repro.mpi.channel import (
+    CH_CONNECTED,
+    CH_CONNECTING,
+    CH_DRAINING,
+    CH_FAILED,
+    CH_UNOPENED,
+    Channel,
+)
 from repro.mpi.constants import ANY_SOURCE, ConnectionFailed, MpiError
 from repro.via.messages import DisconnectReply, DisconnectRequest
 
@@ -203,7 +210,7 @@ class ConnectionManager:
                     ch.vi, adi.rank_to_node(server), server
                 )
             )
-            ch.state = ChannelState.CONNECTING
+            ch.state = CH_CONNECTING
             yield adi.wait_until(lambda v=ch.vi: v.is_connected)
             adi.mark_channel_connected(ch)
 
@@ -223,7 +230,7 @@ class ConnectionManager:
             ch = adi.new_channel(client)
             adi.open_channel_vi(ch)
             adi.charge(provider.connect_accept(req, ch.vi))
-            ch.state = ChannelState.CONNECTING
+            ch.state = CH_CONNECTING
             yield adi.wait_until(lambda v=ch.vi: v.is_connected)
             adi.mark_channel_connected(ch)
 
@@ -278,12 +285,12 @@ class ConnectionManager:
                 self._open_and_request(ch)
             else:
                 self._activate(ch)
-        elif ch.state is ChannelState.FAILED:
+        elif ch.state is CH_FAILED:
             raise ConnectionFailed(
                 f"rank {adi.rank}: peer {dest} is unreachable "
                 "(connect retry budget exhausted)"
             )
-        elif (ch.state is ChannelState.UNOPENED
+        elif (ch.state is CH_UNOPENED
               and ch not in self._waiting_for_room):
             # evicted earlier; reconnect on demand
             self._activate(ch)
@@ -453,7 +460,7 @@ class ConnectionManager:
             req.error = exc
             req.complete(now)
         adi.teardown_channel(ch)
-        ch.state = ChannelState.FAILED
+        ch.state = CH_FAILED
 
     # -- peer-to-peer connect -------------------------------------------------
     def _open_and_request(self, ch: Channel) -> None:
@@ -462,7 +469,7 @@ class ConnectionManager:
         adi.open_channel_vi(ch)
         adi.charge(adi.provider.connect_peer_request(
             ch.vi, adi.rank_to_node(ch.dest), ch.dest))
-        ch.state = ChannelState.CONNECTING
+        ch.state = CH_CONNECTING
         ch.connect_attempts = 1
         if adi.config.connect_timeout_us is not None:
             self._arm_connect_deadline(ch)
@@ -478,7 +485,7 @@ class ConnectionManager:
         yield adi.wait_until(lambda: not self._connecting)
         failed = sorted(
             ch.dest for ch in adi.channels.values()
-            if ch.state is ChannelState.FAILED
+            if ch.state is CH_FAILED
         )
         if failed:
             raise ConnectionFailed(
@@ -510,14 +517,14 @@ class ConnectionManager:
         return sum(1 for c in self.adi.channels.values() if c.vi is not None)
 
     def _eviction_pending(self) -> bool:
-        return any(c.state is ChannelState.DRAINING
+        return any(c.state is CH_DRAINING
                    for c in self.adi.channels.values())
 
     def _start_evictions(self, exclude: Optional[Channel] = None) -> None:
         """Initiate enough disconnects to eventually free one slot."""
         limit = self.adi.config.vi_cache_limit
         draining = sum(1 for c in self.adi.channels.values()
-                       if c.state is ChannelState.DRAINING)
+                       if c.state is CH_DRAINING)
         need = self._live_vi_count() - limit + 1 - draining
         while need > 0:
             victim = self._pick_victim(exclude)
@@ -531,7 +538,7 @@ class ConnectionManager:
         candidates = [
             c for c in self.adi.channels.values()
             if c is not exclude
-            and c.state is ChannelState.CONNECTED
+            and c.state is CH_CONNECTED
             and c.evict_cooldown_until <= now
             and self.adi.channel_quiescent(c)
         ]
@@ -541,7 +548,7 @@ class ConnectionManager:
 
     def _evict(self, ch: Channel) -> None:
         adi = self.adi
-        ch.state = ChannelState.DRAINING
+        ch.state = CH_DRAINING
         self.evictions += 1
         if adi.telemetry is not None and ch.tel_evict is None:
             ch.tel_evict = adi.telemetry.begin(
@@ -580,7 +587,7 @@ class ConnectionManager:
             )
         elif isinstance(message, DisconnectReply):
             ch = adi.channels.get(message.src_rank)
-            if ch is None or ch.state is not ChannelState.DRAINING:
+            if ch is None or ch.state is not CH_DRAINING:
                 return  # simultaneous eviction already resolved this side
             if message.ack:
                 if ch.tel_evict is not None:
@@ -596,7 +603,7 @@ class ConnectionManager:
                     ch.tel_evict.end(ok=False, ack=False)
                     ch.tel_evict = None
                 ch.credits += message.returns_owed
-                ch.state = ChannelState.CONNECTED
+                ch.state = CH_CONNECTED
                 # the peer is busy with us: stop badgering it for a while
                 ch.evict_cooldown_until = (adi.engine.now
                                            + self.NACK_COOLDOWN_US)

@@ -37,6 +37,14 @@ class SendMode(enum.Enum):
     READY = "ready"
 
 
+# the members as module names, which function bodies read (see
+# ``repro.via.constants``)
+MODE_STANDARD = SendMode.STANDARD
+MODE_SYNCHRONOUS = SendMode.SYNCHRONOUS
+MODE_BUFFERED = SendMode.BUFFERED
+MODE_READY = SendMode.READY
+
+
 @dataclass(frozen=True)
 class Op:
     """A reduction operator applied to numpy arrays elementwise."""

@@ -41,6 +41,9 @@ from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
     MAX_TAG,
+    MODE_BUFFERED,
+    MODE_READY,
+    MODE_SYNCHRONOUS,
     MpiError,
     Op,
     SUM,
@@ -105,10 +108,10 @@ class MpiProcess:
         )
 
     def issend(self, data, dest: int, tag: int = 0, comm=None) -> Request:
-        return self.isend(data, dest, tag, comm, mode=SendMode.SYNCHRONOUS)
+        return self.isend(data, dest, tag, comm, mode=MODE_SYNCHRONOUS)
 
     def ibsend(self, data, dest: int, tag: int = 0, comm=None) -> Request:
-        return self.isend(data, dest, tag, comm, mode=SendMode.BUFFERED)
+        return self.isend(data, dest, tag, comm, mode=MODE_BUFFERED)
 
     def irecv(
         self, buf: Optional[np.ndarray], source: int = ANY_SOURCE,
@@ -156,15 +159,15 @@ class MpiProcess:
         return self._adi.wait(self.isend(data, dest, tag, comm, mode))
 
     def ssend(self, data, dest: int, tag: int = 0, comm=None):
-        return self.send(data, dest, tag, comm, mode=SendMode.SYNCHRONOUS)
+        return self.send(data, dest, tag, comm, mode=MODE_SYNCHRONOUS)
 
     def bsend(self, data, dest: int, tag: int = 0, comm=None):
-        return self.send(data, dest, tag, comm, mode=SendMode.BUFFERED)
+        return self.send(data, dest, tag, comm, mode=MODE_BUFFERED)
 
     def rsend(self, data, dest: int, tag: int = 0, comm=None):
         # ready mode: the caller asserts a matching receive is posted;
         # the transfer itself is the standard path
-        return self.send(data, dest, tag, comm, mode=SendMode.READY)
+        return self.send(data, dest, tag, comm, mode=MODE_READY)
 
     def recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG, comm=None):
         comm = comm or self.COMM_WORLD

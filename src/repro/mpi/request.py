@@ -35,18 +35,17 @@ class RequestKind(enum.Enum):
     RECV = "recv"
 
 
-class RequestState(enum.Enum):
-    #: created; the protocol may be in flight (waiting for a connection,
-    #: credits, a CTS, a synchronous-mode ack)
-    PENDING = "pending"
-    COMPLETE = "complete"
+# the members as module names, which function bodies read (see
+# ``repro.via.constants``)
+KIND_SEND = RequestKind.SEND
+KIND_RECV = RequestKind.RECV
 
 
 class Request:
     """One nonblocking operation."""
 
     __slots__ = (
-        "request_id", "kind", "state", "done", "comm_context", "peer", "tag",
+        "request_id", "kind", "done", "comm_context", "peer", "tag",
         "mode", "buffer", "nbytes", "status", "match_seq",
         "rndv_handle", "rndv_region", "temp_copy", "error",
         "completed_at", "posted_at", "tel_span", "flow_id",
@@ -66,8 +65,9 @@ class Request:
     ):
         self.request_id = next(_request_ids)
         self.kind = kind
-        self.state = RequestState.PENDING
-        #: ``state is COMPLETE`` as a slot; :meth:`complete` writes both
+        #: set once by :meth:`complete`; until then the protocol may be in
+        #: flight (waiting for a connection, credits, a CTS, a
+        #: synchronous-mode ack)
         self.done = False
         self.comm_context = comm_context
         #: destination rank for sends, (wildcardable) source for receives
@@ -98,7 +98,6 @@ class Request:
     def complete(self, now: float) -> None:
         if self.done:
             raise RuntimeError(f"request {self.request_id} completed twice")
-        self.state = RequestState.COMPLETE
         self.done = True
         self.completed_at = now
         if self.tel_span is not None:
@@ -108,5 +107,5 @@ class Request:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Request #{self.request_id} {self.kind.value} peer={self.peer} "
-            f"tag={self.tag} {self.state.value}>"
+            f"tag={self.tag} {'complete' if self.done else 'pending'}>"
         )

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from repro.fabric.packet import Packet
 from repro.sim.engine import Engine
-from repro.via.constants import ViState, ViaConnectionError
+from repro.via.constants import VI_CONNECT_PENDING, VI_IDLE, ViaConnectionError
 from repro.via.messages import (
     ConnGrant,
     ConnRequest,
@@ -391,7 +391,7 @@ class ConnectionAgent:
     def _finish_establish(self, endpoints) -> None:
         vi, remote_node, remote_vi_id = endpoints
         state = vi._state
-        if state is not ViState.IDLE and state is not ViState.CONNECT_PENDING:
+        if state is not VI_IDLE and state is not VI_CONNECT_PENDING:
             # the host gave up (connect retry budget exhausted) and
             # destroyed the endpoint while the kernel was still
             # instantiating the connection: abandon the establish

@@ -33,6 +33,24 @@ class DescriptorStatus(enum.Enum):
     FLUSHED = "flushed"
 
 
+# Each member once more as a module name: function bodies read these.
+# On CPython < 3.12 ``ViState.CONNECTED`` goes through
+# ``EnumMeta.__getattr__`` (about 5x a global read), and the datapath
+# tests a state per descriptor, VI and poll.
+VI_IDLE = ViState.IDLE
+VI_CONNECT_PENDING = ViState.CONNECT_PENDING
+VI_CONNECTED = ViState.CONNECTED
+VI_DISCONNECTED = ViState.DISCONNECTED
+VI_ERROR = ViState.ERROR
+OP_SEND = DescriptorOp.SEND
+OP_RECV = DescriptorOp.RECV
+OP_RDMA_WRITE = DescriptorOp.RDMA_WRITE
+DESC_PENDING = DescriptorStatus.PENDING
+DESC_SUCCESS = DescriptorStatus.SUCCESS
+DESC_ERROR = DescriptorStatus.ERROR
+DESC_FLUSHED = DescriptorStatus.FLUSHED
+
+
 class ViaError(RuntimeError):
     """Base class for VIA provider errors."""
 

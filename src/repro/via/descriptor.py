@@ -16,7 +16,15 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.memory.buffer_pool import PooledBuffer
-from repro.via.constants import DescriptorOp, DescriptorStatus
+from repro.via.constants import (
+    DESC_PENDING,
+    DESC_SUCCESS,
+    OP_RDMA_WRITE,
+    OP_RECV,
+    OP_SEND,
+    DescriptorOp,
+    DescriptorStatus,
+)
 
 _descriptor_ids = itertools.count(1)
 
@@ -65,11 +73,11 @@ class Descriptor:
         context: Any = None,
         flow_id: int = 0,
     ):
-        if op is DescriptorOp.SEND and payload is None:
+        if op is OP_SEND and payload is None:
             raise ValueError("SEND descriptor needs a payload (may be empty)")
-        if op is DescriptorOp.RECV and buffer is None:
+        if op is OP_RECV and buffer is None:
             raise ValueError("RECV descriptor needs a pre-posted buffer")
-        if op is DescriptorOp.RDMA_WRITE and (payload is None or remote_handle is None):
+        if op is OP_RDMA_WRITE and (payload is None or remote_handle is None):
             raise ValueError("RDMA_WRITE descriptor needs payload and remote handle")
         self.descriptor_id = next(_descriptor_ids)
         self.op = op
@@ -79,7 +87,7 @@ class Descriptor:
         self.buffer = buffer
         self.remote_handle = remote_handle
         self.remote_offset = remote_offset
-        self.status = DescriptorStatus.PENDING
+        self.status = DESC_PENDING
         #: bytes transferred (filled at completion)
         self.length = 0
         self.completed_at: float = -1.0
@@ -92,17 +100,17 @@ class Descriptor:
 
     @property
     def done(self) -> bool:
-        return self.status is not DescriptorStatus.PENDING
+        return self.status is not DESC_PENDING
 
     def complete(self, status: DescriptorStatus, length: int, now: float) -> None:
-        if self.status is not DescriptorStatus.PENDING:
+        if self.status is not DESC_PENDING:
             raise RuntimeError(f"descriptor {self.descriptor_id} completed twice")
         self.status = status
         self.length = length
         self.completed_at = now
         if self.tel_span is not None:
             self.tel_span.end(
-                ok=status is DescriptorStatus.SUCCESS,
+                ok=status is DESC_SUCCESS,
                 status=status.value, nbytes=length,
             )
             self.tel_span = None

@@ -27,7 +27,18 @@ from repro.fabric.network import Network
 from repro.fabric.packet import Packet
 from repro.memory.arena import STAGING
 from repro.sim.engine import Engine, mark
-from repro.via.constants import DescriptorOp, DescriptorStatus, ViState, ViaProtocolError
+from repro.via.constants import (
+    DESC_ERROR,
+    DESC_FLUSHED,
+    DESC_SUCCESS,
+    OP_RDMA_WRITE,
+    OP_SEND,
+    VI_CONNECT_PENDING,
+    VI_CONNECTED,
+    VI_ERROR,
+    ViaProtocolError,
+    ViState,
+)
 from repro.via.messages import (
     CONTROL_TYPES,
     DataMessage,
@@ -225,25 +236,25 @@ class Nic:
             raise ViaProtocolError(f"doorbell rung on VI {vi.vi_id} with empty send queue")
         desc = vi._send_backlog.popleft()
         now = self.engine.now
-        if vi._state is not ViState.CONNECTED or vi.peer is None:
+        if vi._state is not VI_CONNECTED or vi.peer is None:
             if self.telemetry is not None:
                 start, done = self._tx_window
                 self.telemetry.complete(
                     "nic.tx", ("node", self.node_id), start, done,
                     vi=vi.vi_id, kind="flushed", bytes=0,
                 )
-            desc.complete(DescriptorStatus.FLUSHED, 0, now)
+            desc.complete(DESC_FLUSHED, 0, now)
         else:
             remote_node, remote_vi = vi.peer
             payload = desc.payload
-            if desc.op is DescriptorOp.SEND:
+            if desc.op is OP_SEND:
                 # <= eager_buffer_size: a pool would cost more than copy();
                 # a bare header (control, RTS, zero-byte send) carries none
                 data = payload.copy() if payload is not None and payload.size else None
                 msg = DataMessage(remote_vi, vi.vi_id, desc.header, data,
                                   desc.descriptor_id)
                 kind = "eager"
-            elif desc.op is DescriptorOp.RDMA_WRITE:
+            elif desc.op is OP_RDMA_WRITE:
                 # staged in a recycled block; _deliver_rdma returns it
                 data = STAGING.take(payload.nbytes)
                 data[:] = payload
@@ -276,7 +287,7 @@ class Nic:
                     "nic.tx", ("node", self.node_id), start, done,
                     vi=vi.vi_id, kind=kind, bytes=wire, flow=desc.flow_id,
                 )
-            desc.complete(DescriptorStatus.SUCCESS, nbytes, now)
+            desc.complete(DESC_SUCCESS, nbytes, now)
         cq = vi.send_cq  # CompletionQueue.push, inline
         entries = cq._entries
         entries.append(desc)
@@ -323,7 +334,7 @@ class Nic:
                                    f"chaos.rtx-exhausted.{item.kind}")
             vi = self.lookup_vi(vi_id)
             if vi is not None:
-                vi.state = ViState.ERROR
+                vi.state = VI_ERROR
                 owner = self._owners.get(vi_id)
                 if owner is not None:
                     owner.on_transport_failure(vi)
@@ -478,12 +489,12 @@ class Nic:
                 vi=msg.dst_vi_id, kind=packet.kind, bytes=packet.wire_bytes,
                 flow=packet.flow_id,
             )
-        if vi is not None and vi._state is ViState.CONNECT_PENDING:
+        if vi is not None and vi._state is VI_CONNECT_PENDING:
             # our side of the handshake is still in the kernel agent;
             # hold the packet and re-service it at establishment
             self.early_arrivals += 1
             self._early.setdefault(vi.vi_id, deque()).append(packet)
-        elif vi is None or vi._state is not ViState.CONNECTED:
+        elif vi is None or vi._state is not VI_CONNECTED:
             if getattr(msg, "seq", -1) > 0:
                 # sequenced straggler (late retransmission after the VI
                 # died or the job wound down): benign under chaos
@@ -524,13 +535,13 @@ class Nic:
             nbytes = data.nbytes
             buffer = desc.buffer
             if nbytes > buffer.size:
-                desc.complete(DescriptorStatus.ERROR, 0, self.engine.now)
+                desc.complete(DESC_ERROR, 0, self.engine.now)
                 vi.recv_cq.push(desc)
                 self._owners[vi.vi_id].activity.fire()
                 return True
             buffer.region.data[buffer.offset : buffer.offset + nbytes] = data
         desc.header = msg.header
-        desc.complete(DescriptorStatus.SUCCESS, nbytes, self.engine.now)
+        desc.complete(DESC_SUCCESS, nbytes, self.engine.now)
         self.messages_received += 1
         cq = vi.recv_cq  # CompletionQueue.push, inline
         entries = cq._entries

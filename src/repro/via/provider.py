@@ -26,7 +26,14 @@ from repro.sim.engine import Engine
 from repro.sim.signal import Signal
 from repro.via.agent import ConnectionAgent
 from repro.via.completion_queue import CompletionQueue
-from repro.via.constants import DescriptorOp, ViState, ViaProtocolError
+from repro.via.constants import (
+    OP_RDMA_WRITE,
+    OP_SEND,
+    VI_CONNECTED,
+    VI_DISCONNECTED,
+    VI_IDLE,
+    ViaProtocolError,
+)
 from repro.via.descriptor import Descriptor
 from repro.via.messages import CsConnRequest, Discriminator
 from repro.via.nic import Nic
@@ -181,9 +188,9 @@ class ViaProvider:
         # torn down in error, mid-connect or with sends the NIC has yet
         # to service may still be referenced, and keeps its memory
         state = vi._state
-        quiet = ((state is ViState.IDLE or state is ViState.CONNECTED)
+        quiet = ((state is VI_IDLE or state is VI_CONNECTED)
                  and not vi._send_backlog)
-        vi.state = ViState.DISCONNECTED
+        vi.state = VI_DISCONNECTED
         cost = self.profile.destroy_vi_us
         vi.recv_pool.destroy(reusable=quiet)
         vi.send_pool.destroy(reusable=quiet)
@@ -237,7 +244,7 @@ class ViaProvider:
             data_view[:] = as_bytes(payload)
             cost += self.profile.copy_us(nbytes)
         desc = Descriptor(
-            DescriptorOp.SEND, vi.vi_id, header=header, payload=data_view,
+            OP_SEND, vi.vi_id, header=header, payload=data_view,
             buffer=bounce, context=context,
             flow_id=getattr(header, "flow_id", 0),
         )
@@ -263,7 +270,7 @@ class ViaProvider:
         went through the dreg cache); no bounce buffer is used.
         """
         desc = Descriptor(
-            DescriptorOp.RDMA_WRITE, vi.vi_id, payload=as_bytes(payload),
+            OP_RDMA_WRITE, vi.vi_id, payload=as_bytes(payload),
             remote_handle=remote_handle, remote_offset=remote_offset,
             context=context, flow_id=flow_id,
         )
@@ -296,7 +303,7 @@ class ViaProvider:
 
     def connect_peer_done(self, vi: VI) -> bool:
         """VipConnectPeerDone: nonblocking establishment check."""
-        return vi._state is ViState.CONNECTED
+        return vi._state is VI_CONNECTED
 
     def connect_peer_retry(
         self, vi: VI, remote_node: int, remote_rank: int

@@ -13,7 +13,16 @@ from typing import Any, Deque, Optional, Tuple
 
 from repro.memory.buffer_pool import BufferPool, PooledBuffer
 from repro.via.completion_queue import CompletionQueue
-from repro.via.constants import DescriptorOp, ViState, ViaProtocolError
+from repro.via.constants import (
+    OP_RDMA_WRITE,
+    OP_RECV,
+    OP_SEND,
+    VI_CONNECT_PENDING,
+    VI_CONNECTED,
+    VI_IDLE,
+    ViaProtocolError,
+    ViState,
+)
 from repro.via.descriptor import Descriptor
 
 
@@ -74,7 +83,7 @@ class VI:
         #: keeps an incremental active-VI count so the firmware doorbell
         #: scan cost is O(1) to look up instead of O(#VIs) per service
         self.nic = None
-        self._state = ViState.IDLE
+        self._state = VI_IDLE
         self.protection_tag = protection_tag
         self.send_cq = send_cq
         self.recv_cq = recv_cq
@@ -129,22 +138,22 @@ class VI:
 
     @property
     def is_connected(self) -> bool:
-        return self._state is ViState.CONNECTED
+        return self._state is VI_CONNECTED
 
     def mark_connect_pending(self) -> None:
-        if self._state is not ViState.IDLE:
+        if self._state is not VI_IDLE:
             raise ViaProtocolError(
                 f"VI {self.vi_id}: connect from state {self._state.value}"
             )
-        self.state = ViState.CONNECT_PENDING
+        self.state = VI_CONNECT_PENDING
 
     def mark_connected(self, remote_node: int, remote_vi: int, now: float) -> None:
         state = self._state
-        if state is not ViState.IDLE and state is not ViState.CONNECT_PENDING:
+        if state is not VI_IDLE and state is not VI_CONNECT_PENDING:
             raise ViaProtocolError(
                 f"VI {self.vi_id}: connected from state {state.value}"
             )
-        self.state = ViState.CONNECTED
+        self.state = VI_CONNECTED
         self.peer = (remote_node, remote_vi)
         self.connected_at = now
 
@@ -177,7 +186,7 @@ class VI:
             buffer = self._recv_queue.popleft()
         else:
             return None
-        return Descriptor(DescriptorOp.RECV, self.vi_id, buffer=buffer)
+        return Descriptor(OP_RECV, self.vi_id, buffer=buffer)
 
     @property
     def posted_recv_count(self) -> int:
@@ -190,16 +199,16 @@ class VI:
         provider surfaces immediately (the paper's on-demand design keeps
         its *own* FIFO above this layer precisely because of this rule).
         """
-        if self._state is not ViState.CONNECTED:
+        if self._state is not VI_CONNECTED:
             raise ViaProtocolError(
                 f"VI {self.vi_id}: send posted while {self.state.value}; "
                 "requests on an unconnected VI are discarded"
             )
-        if descriptor.op not in (DescriptorOp.SEND, DescriptorOp.RDMA_WRITE):
+        if descriptor.op not in (OP_SEND, OP_RDMA_WRITE):
             raise ViaProtocolError("only SEND/RDMA descriptors go on the send queue")
         if self.telemetry is not None:
             name = (
-                "via.desc.send" if descriptor.op is DescriptorOp.SEND
+                "via.desc.send" if descriptor.op is OP_SEND
                 else "via.desc.rdma"
             )
             descriptor.tel_span = self.telemetry.begin(

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.mpi.constants import SendMode
+from repro.mpi.constants import MODE_STANDARD, SendMode
 from repro.mpi.facade import MpiProcess
 from repro.workloads.trace import CommTrace, TraceReplayError
 
@@ -149,7 +149,7 @@ class RecordingMpiProcess(MpiProcess):
         serial = self._rec.new_serial()
         fields: Dict[str, Any] = {"req": serial, "peer": int(dest),
                                   "tag": int(tag), "nb": _nb(data)}
-        if mode is not SendMode.STANDARD:
+        if mode is not MODE_STANDARD:
             fields["mode"] = mode.value
         self._record("isend", **fields)
         req = super().isend(data, dest, tag, comm, mode)

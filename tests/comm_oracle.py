@@ -295,6 +295,16 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                 code="REPROC04", message=why, rank=rank, line=line))
         widened.add(rank)
 
+    def out_of_range(rank: int, event: Event, what: str) -> None:
+        if (rank, event.line) not in seen_r3:
+            seen_r3.add((rank, event.line))
+            qualifier = "" if event.certain else "conditionally "
+            diags.append(CommDiagnostic(
+                code="REPROC03",
+                message=f"{what}, {qualifier}out of range for "
+                        f"nprocs={nprocs}",
+                rank=rank, line=event.line))
+
     for rank, events in enumerate(per_rank):
         for event in events:
             if not event.certain:
@@ -303,6 +313,11 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                 if rank == 0:
                     collectives[event.kind] = \
                         collectives.get(event.kind, 0) + 1
+                if event.root is not None \
+                        and not 0 <= event.root < nprocs:
+                    out_of_range(rank, event,
+                                 f"{event.kind} root is rank {event.root}")
+                    continue
                 foot = coll_footprint(event.kind, rank, nprocs, event.root,
                                       event.nbytes)
                 if foot is None:
@@ -336,15 +351,8 @@ def _build_graph(kernel: str, nprocs: int, params: Dict[str, Any],
                           diagnostic=True)
                 continue
             if not (0 <= event.peer < nprocs):
-                if (rank, event.line) not in seen_r3:
-                    seen_r3.add((rank, event.line))
-                    qualifier = "" if event.certain else "conditionally "
-                    diags.append(CommDiagnostic(
-                        code="REPROC03",
-                        message=f"{event.op} targets rank {event.peer}, "
-                                f"{qualifier}out of range for "
-                                f"nprocs={nprocs}",
-                        rank=rank, line=event.line))
+                out_of_range(rank, event,
+                             f"{event.op} targets rank {event.peer}")
                 continue
             if event.peer == rank:
                 if event.op == "send":

@@ -111,6 +111,26 @@ class TestDiagnostics:
         codes = {d.code for d in graph.diagnostics}
         assert "REPROC03" in codes
 
+    @pytest.mark.parametrize("root", ["mpi.size + 3", "-1"])
+    @pytest.mark.parametrize("call", [
+        "mpi.gather(x, None, root={})", "mpi.bcast(x, root={})",
+        "mpi.reduce(x, None, root={})", "mpi.scatter(x, None, root={})"])
+    def test_reproc03_collective_root_out_of_range(self, call, root):
+        # a root outside [0, nprocs) is REPROC03 on every rank, as for a
+        # point-to-point peer: no edge, no peer, nothing indexed by it
+        graph = analyze(f"""
+            import numpy as np
+            def kernel(mpi):
+                x = np.zeros(4)
+                yield from {call.format(root)}
+        """, nprocs=4)
+        kind, bad = call.split("(")[0][4:], 7 if root != "-1" else -1
+        r3 = [(d.rank, d.message) for d in graph.diagnostics
+              if d.code == "REPROC03"]
+        assert r3 == [(rank, f"{kind} root is rank {bad}, out of range "
+                             "for nprocs=4") for rank in range(4)]
+        assert graph.peers == ((),) * 4 and graph.edges == ()
+
     def test_reproc04_dynamic_destination_widens(self):
         graph = analyze("""
             import numpy as np

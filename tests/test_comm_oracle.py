@@ -139,7 +139,8 @@ def _event(rng, size, rank):
     a wildcard, of unknown tag or size, or a collective without a root."""
     if rng.random() < 0.35:
         kind = rng.choice(KINDS)
-        # a root of -1 names no rank, so no rank receives a gather
+        # a root of -1 names no rank: REPROC03, and no rank receives a
+        # gather
         root = rng.choice([0, size - 1, -1,
                            None if rng.random() < 0.05 else 0]) \
             if kind in ROOTED else None

@@ -1,8 +1,9 @@
 """The pytest-collectable face of ``python -m repro.analysis lint``:
 the shipped tree must stay lint-clean (violations either fixed or
 explicitly suppressed with a justified ``# repro: allow[...]``), and
-two AST scans keep ``src/`` free of entries nothing waits on and of
-functions only tests call."""
+three AST scans keep ``src/`` free of entries nothing waits on, of
+functions only tests call and of Enum members read through their
+class at run time."""
 
 import ast
 from pathlib import Path
@@ -204,3 +205,50 @@ def test_src_has_no_test_only_functions():
         if not (name.startswith("__") and name.endswith("__"))
         and not name.startswith("visit_")}
     assert sorted(unreferenced) == sorted(UNREFERENCED_OK)
+
+
+def _enum_members():
+    """Each ``enum.Enum`` subclass defined in ``src/`` -> its members."""
+    return {
+        node.name: {target.id for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    for target in stmt.targets
+                    if isinstance(target, ast.Name)}
+        for _path, tree in _trees("src")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(
+            (base.attr if isinstance(base, ast.Attribute)
+             else getattr(base, "id", "")).endswith("Enum")
+            for base in node.bases)}
+
+
+def test_src_function_bodies_read_no_enum_member_through_its_class():
+    """``ViState.CONNECTED`` in a function body is an
+    ``EnumMeta.__getattr__`` call on CPython < 3.12, once per read, and
+    the datapath tests a state per descriptor, VI and poll.  The module
+    defining an enum binds each member to a module name once, and
+    bodies read that.  Module-level bindings, class bodies and defaults
+    (all evaluated once) may name the class."""
+    members = _enum_members()
+    assert {"ViState", "DescriptorOp", "DescriptorStatus", "ChannelState",
+            "SendMode", "RequestKind", "RegionState"} <= set(members)
+    sites = []
+    for path, tree in _trees("src"):
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = fn.body
+            else:
+                continue
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else \
+                    owner.attr if isinstance(owner, ast.Attribute) else None
+                if node.attr in members.get(name, ()):
+                    sites.append(f"{path.relative_to(REPO)}:{node.lineno} "
+                                 f"{name}.{node.attr}")
+    sites = sorted(set(sites))  # a nested def is walked twice
+    assert sites == [], f"{len(sites)} sites:\n" + "\n".join(sites)
