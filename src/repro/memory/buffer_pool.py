@@ -2,8 +2,8 @@
 
 Every VI in MVICH owns a fixed set of registered buffers: receive-side
 buffers pre-posted to the VI's receive queue (VIA drops messages that
-arrive with no posted descriptor) and send-side bounce buffers that the
-eager protocol copies outgoing payloads into.  The paper's resource
+arrive with no posted descriptor) and send-side bounce buffers, one per
+eager send in flight.  The paper's resource
 argument is exactly the product ``buffers_per_vi × eager_size × VIs``,
 e.g. ~120 kB per VI in MVICH.
 
@@ -31,9 +31,11 @@ class BufferPoolError(RuntimeError):
 
 
 class PooledBuffer:
-    """One fixed-size slice of a pool's pinned region."""
+    """One fixed-size slice of a pool's pinned region, and the
+    descriptor it is posted with (``desc``: built at its first post,
+    reused after)."""
 
-    __slots__ = ("pool", "index", "region", "offset", "size", "in_use")
+    __slots__ = ("pool", "index", "region", "offset", "size", "in_use", "desc")
 
     def __init__(
         self, pool: "BufferPool", index: int, region: MemoryRegion,
@@ -45,6 +47,7 @@ class PooledBuffer:
         self.offset = offset
         self.size = size
         self.in_use = False
+        self.desc = None
 
     def view(self) -> np.ndarray:
         """Writable view of the buffer's bytes."""
@@ -123,8 +126,12 @@ class BufferPool:
         ever handed out can have been written.
         """
         dirty = len(self._buffers) * self.size if reusable else None
-        # every buffer handed out points back at its pool: forgetting
-        # them ends the cycle, so the pool is freed by reference counting
+        # every buffer handed out points back at its pool, and its
+        # descriptor back at it: forgetting the buffers and unlinking
+        # their descriptors ends both cycles, so reference counting
+        # frees them
+        for buf in self._buffers:
+            buf.desc = None
         self._buffers = []
         self._free = []
         return self.registry.deregister(self.region, dirty_bytes=dirty)

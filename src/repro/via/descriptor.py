@@ -20,21 +20,28 @@ from repro.via.constants import (
     DESC_PENDING,
     DESC_SUCCESS,
     OP_RDMA_WRITE,
-    OP_RECV,
-    OP_SEND,
     DescriptorOp,
     DescriptorStatus,
 )
 
-_descriptor_ids = itertools.count(1)
+#: a fresh id per post (the NIC copies it into the message it sends)
+next_descriptor_id = itertools.count(1).__next__
 
 
 class Descriptor:
     """One posted work request.
 
-    For ``SEND``: ``payload`` holds the outgoing bytes (already copied
-    into pinned memory by the upper layer) and ``header`` the structured
-    protocol header.
+    A ``SEND`` or ``RECV`` descriptor belongs to its pooled buffer, as in
+    VIA, where the consumer keeps descriptors in registered memory: it is
+    built the first time the buffer is posted (``buffer.desc``), then
+    reset and re-posted with a fresh ``descriptor_id`` each time
+    (:meth:`ViaProvider.post_send`, :meth:`VI.pop_recv`).  So a caller
+    may read a descriptor only until its buffer is posted again.
+
+    For ``SEND``: ``payload`` is the packet's own snapshot of the
+    outgoing bytes, or None for a bare header, and ``header`` the
+    structured protocol header.  The bounce buffer is flow-control and
+    pinned-memory accounting.
 
     For ``RECV``: ``buffer`` is the pre-posted pooled buffer the NIC will
     deposit into; after completion ``header``/``length`` describe what
@@ -73,13 +80,14 @@ class Descriptor:
         context: Any = None,
         flow_id: int = 0,
     ):
-        if op is OP_SEND and payload is None:
-            raise ValueError("SEND descriptor needs a payload (may be empty)")
-        if op is OP_RECV and buffer is None:
-            raise ValueError("RECV descriptor needs a pre-posted buffer")
-        if op is OP_RDMA_WRITE and (payload is None or remote_handle is None):
-            raise ValueError("RDMA_WRITE descriptor needs payload and remote handle")
-        self.descriptor_id = next(_descriptor_ids)
+        if op is OP_RDMA_WRITE:
+            if payload is None or remote_handle is None:
+                raise ValueError(
+                    "RDMA_WRITE descriptor needs payload and remote handle")
+        elif buffer is None:
+            # the payload of a SEND is its packet's snapshot, or None
+            raise ValueError(f"{op.value} descriptor needs its pooled buffer")
+        self.descriptor_id = next_descriptor_id()
         self.op = op
         self.vi_id = vi_id
         self.header = header

@@ -248,9 +248,9 @@ class Nic:
             remote_node, remote_vi = vi.peer
             payload = desc.payload
             if desc.op is OP_SEND:
-                # <= eager_buffer_size: a pool would cost more than copy();
-                # a bare header (control, RTS, zero-byte send) carries none
-                data = payload.copy() if payload is not None and payload.size else None
+                # the post-time snapshot, the packet's own (None for a
+                # bare header: control, RTS, zero-byte send)
+                data = payload
                 msg = DataMessage(remote_vi, vi.vi_id, desc.header, data,
                                   desc.descriptor_id)
                 kind = "eager"

@@ -27,6 +27,7 @@ from repro.sim.signal import Signal
 from repro.via.agent import ConnectionAgent
 from repro.via.completion_queue import CompletionQueue
 from repro.via.constants import (
+    DESC_PENDING,
     OP_RDMA_WRITE,
     OP_SEND,
     VI_CONNECTED,
@@ -34,7 +35,7 @@ from repro.via.constants import (
     VI_IDLE,
     ViaProtocolError,
 )
-from repro.via.descriptor import Descriptor
+from repro.via.descriptor import Descriptor, next_descriptor_id
 from repro.via.messages import CsConnRequest, Discriminator
 from repro.via.nic import Nic
 from repro.via.vi import VI
@@ -223,8 +224,12 @@ class ViaProvider:
     ) -> Tuple[Descriptor, float]:
         """VipPostSend of an eager message.
 
-        Copies ``payload`` into a pinned bounce buffer (host memcpy,
-        charged), posts the descriptor and rings the doorbell.  Raises
+        Takes a bounce buffer, snapshots ``payload`` (host memcpy,
+        charged), re-posts the buffer's descriptor and rings the
+        doorbell.  The snapshot is the packet's own payload (None for a
+        bare header), so the bounce buffer may go back to its pool at
+        local completion while the message is still in flight; it is
+        flow-control and pinned-memory accounting.  Raises
         :class:`BufferPoolError` when no bounce buffer is free — the ADI
         checks for one first and throttles (that's MPI-level send flow
         control).
@@ -237,17 +242,30 @@ class ViaProvider:
             )
         bounce = vi.send_pool.acquire()
         cost = self.profile.post_send_us
-        data_view = bounce.region.data[bounce.offset : bounce.offset + nbytes]
+        data = None
         if payload is not None:
             # one flattening (none for the flat bytes MPI hands down),
             # one copy; the size check above covers the bounce buffer
-            data_view[:] = as_bytes(payload)
+            if nbytes:
+                data = as_bytes(payload).copy()
             cost += self.profile.copy_us(nbytes)
-        desc = Descriptor(
-            OP_SEND, vi.vi_id, header=header, payload=data_view,
-            buffer=bounce, context=context,
-            flow_id=getattr(header, "flow_id", 0),
-        )
+        flow_id = getattr(header, "flow_id", 0)
+        desc = bounce.desc
+        if desc is None:
+            desc = bounce.desc = Descriptor(
+                OP_SEND, vi.vi_id, header, data, bounce, None, 0, context,
+                flow_id)
+        else:
+            desc.descriptor_id = next_descriptor_id()
+            desc.header = header
+            desc.payload = data
+            desc.buffer = bounce
+            desc.status = DESC_PENDING
+            desc.length = 0
+            desc.completed_at = -1.0
+            desc.context = context
+            desc.flow_id = flow_id
+            desc.tel_span = None
         vi.enqueue_send(desc)
         nic = self.nic  # ring_doorbell(), inline
         nic._tx_queue.append(vi)
@@ -255,7 +273,10 @@ class ViaProvider:
         return desc, cost
 
     def release_send_buffer(self, desc: Descriptor) -> None:
-        """Return the bounce buffer of a completed send descriptor."""
+        """Return the bounce buffer of a completed send descriptor.
+
+        The descriptor stays the buffer's, to be re-posted with it; the
+        packet already holds its own copy of the payload."""
         if desc.buffer is not None:
             desc.buffer.pool.release(desc.buffer)
             desc.buffer = None
@@ -267,12 +288,12 @@ class ViaProvider:
         """VipPostSend of an RDMA-write descriptor (zero copy).
 
         ``payload`` must already live in registered memory (the caller
-        went through the dreg cache); no bounce buffer is used.
+        went through the dreg cache); no bounce buffer is used, so the
+        descriptor is built per write.
         """
         desc = Descriptor(
-            OP_RDMA_WRITE, vi.vi_id, payload=as_bytes(payload),
-            remote_handle=remote_handle, remote_offset=remote_offset,
-            context=context, flow_id=flow_id,
+            OP_RDMA_WRITE, vi.vi_id, None, as_bytes(payload), None,
+            remote_handle, remote_offset, context, flow_id,
         )
         vi.enqueue_send(desc)
         self.nic.ring_doorbell(vi)

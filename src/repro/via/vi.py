@@ -14,6 +14,7 @@ from typing import Any, Deque, Optional, Tuple
 from repro.memory.buffer_pool import BufferPool, PooledBuffer
 from repro.via.completion_queue import CompletionQueue
 from repro.via.constants import (
+    DESC_PENDING,
     OP_RDMA_WRITE,
     OP_RECV,
     OP_SEND,
@@ -23,7 +24,7 @@ from repro.via.constants import (
     ViaProtocolError,
     ViState,
 )
-from repro.via.descriptor import Descriptor
+from repro.via.descriptor import Descriptor, next_descriptor_id
 
 
 class VI:
@@ -177,8 +178,8 @@ class VI:
     def pop_recv(self) -> Optional[Descriptor]:
         """NIC side: consume the oldest posted receive, or None.
 
-        The receive descriptor is materialised here, when a message
-        actually needs it."""
+        The buffer's descriptor is built here, the first time a message
+        needs it, and reset for each message after that."""
         if self._preposted:
             self._preposted -= 1
             buffer = self.recv_pool.acquire()
@@ -186,7 +187,17 @@ class VI:
             buffer = self._recv_queue.popleft()
         else:
             return None
-        return Descriptor(OP_RECV, self.vi_id, buffer=buffer)
+        desc = buffer.desc
+        if desc is None:
+            desc = buffer.desc = Descriptor(OP_RECV, self.vi_id, None, None,
+                                            buffer)
+        else:
+            # the NIC completes it in the same call, which sets the
+            # length and time; an error completion sets no header
+            desc.descriptor_id = next_descriptor_id()
+            desc.status = DESC_PENDING
+            desc.header = None
+        return desc
 
     @property
     def posted_recv_count(self) -> int:

@@ -26,7 +26,7 @@ from repro.cluster import job as job_module
 from repro.cluster.job import run_kernel_cell
 from repro.memory import arena
 from repro.memory import registry as registry_module
-from repro.memory.buffer_pool import BufferPool
+from repro.memory.buffer_pool import BufferPool, PooledBuffer
 from repro.memory.registry import MemoryRegistry
 from repro.mpi import facade as facade_module
 from repro.mpi.adi import AbstractDevice
@@ -35,6 +35,7 @@ from repro.mpi.facade import MpiProcess
 from repro.sim import process as process_module
 from repro.sim.process import Process
 from repro.via import provider as provider_module
+from repro.via import vi as vi_module
 from repro.via.descriptor import Descriptor
 from repro.via.provider import ViaProvider
 
@@ -118,21 +119,38 @@ def test_explicit_credit_predicate_runs_per_due_channel(monkeypatch):
     assert evaluations[0] <= received
 
 
+def rendezvous_pair(mpi):
+    """Eager and rendezvous messages both ways between two ranks."""
+    for nbytes in (64, 64, 64, 64 * 1024, 64 * 1024):
+        out = np.empty(nbytes, dtype=np.uint8)
+        peer = 1 - mpi.rank
+        yield from mpi.sendrecv(np.full(nbytes, mpi.rank, dtype=np.uint8),
+                                peer, out, peer)
+    return int(out[0])
+
+
 def test_descriptors_are_built_when_needed(monkeypatch):
+    """A pooled buffer's descriptor is built at its first post and
+    reused after: no descriptor per message, only one per buffer ever
+    handed out and one per RDMA write."""
     built = count_calls(monkeypatch, Descriptor, "__init__")
+    handed_out = count_calls(monkeypatch, PooledBuffer, "__init__")
+    writes = count_calls(monkeypatch, ViaProvider, "post_rdma_write")
     providers = record_instances(monkeypatch, job_module, ViaProvider)
     barrier(64, 16, 4)
     vis = sum(p.vis_created for p in providers)
     assert vis == 64 * 63
     nics = {id(p.nic): p.nic for p in providers}.values()
-    consumed = sum(n.messages_received for n in nics)
-    posted = sum(n.messages_sent for n in nics)
+    messages = sum(n.messages_received + n.messages_sent for n in nics)
     prepost = providers[0].config.prepost_count
-    per_vi = 2
-    assert per_vi < prepost
-    assert built[0] <= consumed + posted + per_vi * vis
+    assert writes[0] == 0 and handed_out[0] < messages
+    assert built[0] <= handed_out[0]
     # far from one per pre-posted buffer
     assert built[0] < vis * prepost // 4
+    result = mpi_rig.run(rendezvous_pair, nprocs=2, nodes=2, ppn=1,
+                         connection="static-p2p")
+    assert result.returns == [1, 0] and writes[0] == 4
+    assert built[0] <= handed_out[0] + writes[0]
 
 
 @pytest.mark.parametrize("connection", ["static-p2p", "ondemand"])
@@ -254,18 +272,25 @@ def test_ranks_of_a_job_share_one_world_group(monkeypatch):
 
 
 def test_finished_ranks_are_freed_by_reference_counting(monkeypatch):
-    """The device and its connection manager, and a pool and the
-    buffers it handed out, point at each other while the job runs; a
-    finished job lets go of them without the cyclic collector."""
+    """The device and its connection manager, a pool and the buffers it
+    handed out, and a buffer and the descriptor it is posted with point
+    at each other while the job runs; a finished job lets go of them
+    without the cyclic collector."""
     devices = record_instances(monkeypatch, job_module, AbstractDevice)
     pools = record_instances(monkeypatch, provider_module, BufferPool)
+    sends = record_instances(monkeypatch, provider_module, Descriptor)
+    receives = record_instances(monkeypatch, vi_module, Descriptor)
     gc.disable()
     try:
-        barrier(8, 4, 2, connection="ondemand")
-        assert len(devices) == 8 and pools
-        refs = [weakref.ref(obj) for obj in devices + pools]
-        devices.clear()
-        pools.clear()
+        result = mpi_rig.run(chatter, nprocs=8, nodes=4, ppn=2,
+                             connection="ondemand")
+        assert result.returns == [8.0] * 8 and len(devices) == 8 and pools
+        # the allreduce's eager payloads ride the send descriptors
+        assert any(desc.payload is not None for desc in sends) and receives
+        refs = [weakref.ref(obj) for obj in devices + pools + sends + receives]
+        for made in (devices, pools, sends, receives):
+            made.clear()
+        del result
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

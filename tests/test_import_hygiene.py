@@ -104,6 +104,13 @@ def test_a_layer_loads_only_what_lies_below_it(module):
     assert seen["numpy"] is numpy
 
 
+def test_the_bottom_two_layers_run_with_numpy_out_of_reach():
+    """CI's bare-venv step: ``-S`` leaves site-packages off the path, so
+    numpy cannot be imported, and the script checks that it cannot."""
+    out = run_fresh("-S", os.path.join("tests", "no_numpy_layers.py"))
+    assert out.splitlines()[-1] == "ok: repro.sim and repro.fabric ran without numpy"
+
+
 def test_importing_the_job_runtime_does_not_load_the_analyzer():
     run_fresh("-c", JOB_RUNTIME)
 

@@ -7,6 +7,7 @@ from repro.memory.buffer_pool import BufferPoolError
 from repro.via import BERKELEY, CLAN, DescriptorStatus, ViaProtocolError
 from repro.via.provider import ViConfig
 
+from tests.sim_helpers import peek
 from tests.via_rig import make_rig
 
 
@@ -101,6 +102,43 @@ class TestEagerSendRecv:
         drain_send(p0)
         p0.release_send_buffer(desc)
         p0.post_send(vi_a, header=None, payload=None)  # the one buffer again
+
+    def test_reposted_send_descriptor_leaves_the_packet_in_flight_intact(self):
+        """The one bounce buffer and its descriptor are posted again
+        while the first message is still on the wire, and the caller
+        overwrites its source: each packet carries its own bytes."""
+        rig = make_rig(config=ViConfig(send_pool_count=1))
+        vi_a, _ = rig.connect_pair(0, 1)
+        p0, p1 = rig.providers
+        engine = rig.engine
+        sent = []
+        send = rig.network.send
+
+        def record(packet):
+            sent.append(packet.payload)
+            send(packet)
+
+        rig.network.send = record
+        source = np.full(64, 0xAA, dtype=np.uint8)
+        desc_a, _ = p0.post_send(vi_a, header="A", payload=source)
+        id_a = desc_a.descriptor_id
+        # run until A completes locally, not yet delivered
+        while not desc_a.done:
+            engine.run(until=peek(engine))
+        assert rig.nics[1].messages_received == 0 and len(sent) == 1
+        assert drain_send(p0) == [desc_a]
+        p0.release_send_buffer(desc_a)
+        source[:] = 0xBB
+        desc_b, _ = p0.post_send(vi_a, header="B", payload=source)
+        assert desc_b is desc_a and desc_b.descriptor_id != id_a
+        source[:] = 0xEE
+        engine.run()
+        done = drain_recv(p1)
+        assert [d.header for d in done] == ["A", "B"]
+        assert [m.descriptor_id for m in sent] == [id_a, desc_b.descriptor_id]
+        first, second = done
+        assert (first.buffer.view()[:64] == 0xAA).all()
+        assert (second.buffer.view()[:64] == 0xBB).all()
 
     def test_loopback_same_node(self):
         # two processes sharing node 0 is modelled by the cluster layer;
